@@ -6,7 +6,8 @@ from .kernels import KernelSpec, SpectralGrid, eval_kernel, check_sharp_bounds
 from .noise import NoiseSpec, NoisePath, MarkLaw, JumpSpec, sample_path, compensated_integral
 from .conditions import ConditionProbe, ConditionReport, fit_exponent
 from .convolution import TestFunctionSpec, FieldEnsemble, convolve_brownian, convolve_poisson
-from .moments import MomentField, estimate_pair_moments, sample_pairs
+from .moments import (MomentField, estimate_pair_moments, sample_pairs_dyadic,
+                      sample_pairs_within_cylinder)
 from .campanato import (
     SpaceTimePoint,
     ParabolicCylinder,
@@ -39,7 +40,8 @@ __all__ = [
     "convolve_poisson",
     "MomentField",
     "estimate_pair_moments",
-    "sample_pairs",
+    "sample_pairs_dyadic",
+    "sample_pairs_within_cylinder",
     "SpaceTimePoint",
     "ParabolicCylinder",
     "DomainSpec",

@@ -15,18 +15,17 @@ import sys
 from pathlib import Path
 
 from .campanato import campanato_from_pair_moments, ParabolicCylinder, SpaceTimePoint
-from .convolution import FieldEnsemble, TestFunctionSpec, convolve_brownian, convolve_poisson
+from .convolution import FieldEnsemble
 from .errors import ConfigError, HolderLabError
 from .experiments import (
     ExperimentConfig,
+    build_regularity,
     default_config,
     emit_plot_data,
     load_config,
     run_experiment,
 )
-from .kernels import KernelSpec, SpectralGrid
 from .moments import estimate_pair_moments, sample_pairs_dyadic, sample_pairs_within_cylinder
-from .noise import JumpSpec, MarkLaw, NoiseSpec
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -34,18 +33,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 SEED_ENV = "HOLDERLAB_SEED"
-
-
-def _apply_threads(n):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        print("warning: threadpoolctl not installed; --threads ignored",
-              file=sys.stderr)
 
 
 def _resolve_seed(args) -> int | None:
@@ -103,39 +90,9 @@ def _cmd_audit_kernel(args) -> int:
     return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
 
 
-def _build_sim_pieces(cfg: ExperimentConfig, kind: str):
-    sim = cfg.simulation
-    kernel = KernelSpec(alpha=cfg.kernel.alpha, epsilon=cfg.kernel.epsilon, dim=1)
-    grid = SpectralGrid(length=sim.grid_length, points=sim.grid_points, dim=1)
-    if kind == "brownian":
-        noise = NoiseSpec(kind="brownian", horizon=sim.horizon, steps=sim.steps,
-                          seed=cfg.seed)
-    else:
-        noise = NoiseSpec(kind="poisson", horizon=sim.horizon, steps=sim.steps,
-                          seed=cfg.seed,
-                          jump=JumpSpec(intensity=cfg.noise.intensity,
-                                        mark=MarkLaw(cfg.noise.mark_family,
-                                                     cfg.noise.mark_parameter)))
-    g = TestFunctionSpec(family="parabolic-power", beta=cfg.moments.beta,
-                         amplitude=cfg.moments.amplitude, mark_family="identity")
-    return kernel, grid, noise, g
-
-
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args, preset=args.kind_preset)
-    kind = "brownian" if cfg.experiment == "brownian-regularity" else "poisson"
-    kernel, grid, noise, g = _build_sim_pieces(cfg, kind)
-    import numpy as np
-
-    lags = [2.0**-k for k in range(cfg.moments.lag_k_min, cfg.moments.lag_k_max + 1)]
-    lag_steps = [max(1, round(lag * lag / noise.dt)) for lag in lags]
-    from .experiments import _regularity_saved_indices
-
-    saved = _regularity_saved_indices(cfg.simulation.steps, lag_steps)
-    dtype = np.float32 if cfg.simulation.store_dtype == "float32" else np.float64
-    convolve = convolve_brownian if kind == "brownian" else convolve_poisson
-    ens = convolve(kernel, grid, g, noise, M=cfg.simulation.ensemble,
-                   save_times=saved, dtype=dtype)
+    ens = build_regularity(cfg).simulate(cfg.simulation.ensemble)
     out = Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     prefix = str(out / "ensemble")
@@ -186,16 +143,8 @@ def _cmd_seminorm(args) -> int:
 
 def _cmd_emit_plots(args) -> int:
     with open(args.report) as fh:
-        data = json.load(fh)
-    from .experiments import ExperimentReport, Verdict
-
-    report = ExperimentReport(
-        experiment=data["experiment"], config=data["config"],
-        verdicts=[Verdict(**v) for v in data["verdicts"]],
-        modules=data["modules"], seed=data["rng"]["seed"],
-        version=data.get("version", ""),
-    )
-    written = emit_plot_data(report, args.out or "plots")
+        modules = json.load(fh)["modules"]
+    written = emit_plot_data(modules, args.out or "plots")
     print(f"{len(written)} plot files written")
     return EXIT_PASS
 
@@ -206,8 +155,6 @@ def _add_common(sub, with_config=True):
     sub.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV} or config)")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="cap BLAS/FFT worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -20,8 +20,6 @@ are independent and safe to run concurrently.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +33,7 @@ from .errors import (
     NonPositiveData,
     QuadratureNotConverged,
 )
-from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, symbol
+from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, irfft_ascending, symbol
 
 # Box half-width in units of the kernel scale tau^(1/alpha).  Large enough
 # that the truncated |z|^beta-weighted tail is ~1% for the heavy-tailed
@@ -54,6 +52,9 @@ RATIO_CAP = 256.0
 
 RICHARDSON_FAIL = 0.05
 
+# Grading exponent kappa of the outer mesh r_j = s - s (j/J)^kappa.
+MESH_GRADING = 3.0
+
 
 def _adapted_grid(spec: KernelSpec, tau_small: float, tau_big: float) -> SpectralGrid:
     """Lattice resolving the symbol at tau_small on a box holding tau_big."""
@@ -66,13 +67,6 @@ def _adapted_grid(spec: KernelSpec, tau_small: float, tau_big: float) -> Spectra
     return SpectralGrid(length=length, points=n, dim=spec.dim)
 
 
-def _pick_grid(spec: KernelSpec, tau_small: float, tau_big: float,
-               fixed: SpectralGrid | None) -> SpectralGrid:
-    if fixed is not None and fixed.alias_ok(spec.alpha, tau_small):
-        return fixed
-    return _adapted_grid(spec, tau_small, tau_big)
-
-
 def _weighted_sum(vals: np.ndarray, grid: SpectralGrid, beta: float) -> float:
     absv = np.abs(vals)
     total = absv.sum()
@@ -81,18 +75,15 @@ def _weighted_sum(vals: np.ndarray, grid: SpectralGrid, beta: float) -> float:
     return float(total * grid.spacing**grid.dim)
 
 
-def weighted_l1(spec: KernelSpec, tau: float, beta: float,
-                grid: SpectralGrid | None = None) -> float:
+def weighted_l1(spec: KernelSpec, tau: float, beta: float) -> float:
     """int |D^eps p(tau, z)| (1 + |z|^beta) dz by lattice quadrature."""
-    g = _pick_grid(spec, tau, tau, grid)
+    g = _adapted_grid(spec, tau, tau)
     sym = symbol(spec, g, tau)
-    vals = np.fft.irfftn(sym, s=(g.points,) * g.dim,
-                         axes=tuple(range(g.dim))) / g.spacing**g.dim
-    return _weighted_sum(np.fft.fftshift(vals), g, beta)
+    return _weighted_sum(irfft_ascending(sym, g) / g.spacing**g.dim, g, beta)
 
 
 def weighted_l1_increment(spec: KernelSpec, sigma: float, delta: float,
-                          beta: float, grid: SpectralGrid | None = None) -> float:
+                          beta: float) -> float:
     """int |D^eps p(sigma+delta, z) - D^eps p(sigma, z)| (1 + |z|^beta) dz.
 
     When (sigma + delta) / sigma exceeds RATIO_CAP the kernels are
@@ -101,12 +92,10 @@ def weighted_l1_increment(spec: KernelSpec, sigma: float, delta: float,
     """
     tau2 = sigma + delta
     if tau2 / sigma > RATIO_CAP:
-        return weighted_l1(spec, sigma, beta, grid) + weighted_l1(spec, tau2, beta, grid)
-    g = _pick_grid(spec, sigma, tau2, grid)
+        return weighted_l1(spec, sigma, beta) + weighted_l1(spec, tau2, beta)
+    g = _adapted_grid(spec, sigma, tau2)
     diff = symbol(spec, g, tau2) - symbol(spec, g, sigma)
-    vals = np.fft.irfftn(diff, s=(g.points,) * g.dim,
-                         axes=tuple(range(g.dim))) / g.spacing**g.dim
-    return _weighted_sum(np.fft.fftshift(vals), g, beta)
+    return _weighted_sum(irfft_ascending(diff, g) / g.spacing**g.dim, g, beta)
 
 
 def _graded_cells(upper: float, J: int, kappa: float):
@@ -139,18 +128,15 @@ class ConditionProbe:
     """Inputs for the three condition integrals.
 
     power is the exponent q applied to the inner spatial integral (q = 2
-    for second-moment estimates, q = p for p-moment variants).  grid, when
-    given, is used for all spatial integrals whose aliasing guard it
-    satisfies; otherwise boxes adapt to the kernel scale per evaluation.
+    for second-moment estimates, q = p for p-moment variants).  Spatial
+    integrals run on boxes adapted to the kernel scale per evaluation.
     """
 
     kernel: KernelSpec
     beta: float = 0.0
     power: float = 2.0
     time_pairs: list = field(default_factory=list)
-    grid: SpectralGrid | None = None
     mesh_points: int = 256
-    mesh_grading: float = 3.0
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
@@ -181,9 +167,9 @@ def condition_increment(probe: ConditionProbe, s: float, t: float) -> float:
     q = probe.power
 
     def integrand(sigma):
-        return weighted_l1_increment(probe.kernel, sigma, delta, probe.beta, probe.grid) ** q
+        return weighted_l1_increment(probe.kernel, sigma, delta, probe.beta) ** q
 
-    return _richardson(integrand, s, probe.mesh_points, probe.mesh_grading)
+    return _richardson(integrand, s, probe.mesh_points, MESH_GRADING)
 
 
 def condition_mass(probe: ConditionProbe, s: float) -> float:
@@ -193,9 +179,9 @@ def condition_mass(probe: ConditionProbe, s: float) -> float:
     q = probe.power
 
     def integrand(sigma):
-        return weighted_l1(probe.kernel, sigma, 0.0, probe.grid) ** q
+        return weighted_l1(probe.kernel, sigma, 0.0) ** q
 
-    return _richardson(integrand, s, probe.mesh_points, probe.mesh_grading)
+    return _richardson(integrand, s, probe.mesh_points, MESH_GRADING)
 
 
 def condition_tail(probe: ConditionProbe, s: float, t: float) -> float:
@@ -205,9 +191,9 @@ def condition_tail(probe: ConditionProbe, s: float, t: float) -> float:
     q = probe.power
 
     def integrand(sigma):
-        return weighted_l1(probe.kernel, sigma, probe.beta, probe.grid) ** q
+        return weighted_l1(probe.kernel, sigma, probe.beta) ** q
 
-    return _richardson(integrand, t - s, probe.mesh_points, probe.mesh_grading)
+    return _richardson(integrand, t - s, probe.mesh_points, MESH_GRADING)
 
 
 @dataclass
@@ -297,28 +283,6 @@ class ConditionReport:
             "fitted_gamma2": self.gamma2,
             "fitted_gamma2_stderr": self.gamma2_stderr,
         }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, prefix):
-        tables = {
-            "increment": self.increment_lhs,
-            "tail": self.tail_lhs,
-            "mass": self.mass_lhs,
-        }
-        paths = []
-        for name, rows in tables.items():
-            path = f"{prefix}_{name}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["scale", "lhs"])
-                for scale, value in rows:
-                    writer.writerow([repr(float(scale)), repr(float(value))])
-            paths.append(path)
-        return paths
 
 
 def audit_conditions(probe: ConditionProbe) -> ConditionReport:

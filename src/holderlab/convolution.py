@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .kernels import KernelSpec, SpectralGrid, _freq_radius
+from .kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending
 from .noise import NoiseSpec, sample_path
 
 
@@ -137,7 +137,6 @@ class FieldEnsemble:
                   "amplitude": self.g.amplitude, "mark_family": self.g.mark_family},
             "noise": {"kind": self.noise.kind, "horizon": self.noise.horizon,
                       "steps": self.noise.steps, "seed": self.noise.seed,
-                      "p0": self.noise.p0,
                       "jump": None if self.noise.jump is None else {
                           "intensity": self.noise.jump.intensity,
                           "mark_family": self.noise.jump.mark.family,
@@ -147,27 +146,6 @@ class FieldEnsemble:
         with open(f"{prefix}.json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    def realization_csv(self, m: int, path) -> None:
-        """Dump one realization as CSV rows (t, x..., value) for plotting."""
-        import csv
-
-        ax = self.grid.axis()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i}" for i in range(self.grid.dim)]
-                            + ["value"])
-            for pos, t in enumerate(self.times):
-                field = self.values[m, pos]
-                if self.grid.dim == 1:
-                    for x, v in zip(ax, field):
-                        writer.writerow([repr(float(t)), repr(float(x)),
-                                         repr(float(v))])
-                else:
-                    for i, x in enumerate(ax):
-                        for j, y in enumerate(ax):
-                            writer.writerow([repr(float(t)), repr(float(x)),
-                                             repr(float(y)), repr(float(field[i, j]))])
 
     @classmethod
     def load(cls, prefix: str) -> "FieldEnsemble":
@@ -180,7 +158,6 @@ class FieldEnsemble:
         noise = NoiseSpec(
             kind=side["noise"]["kind"], horizon=side["noise"]["horizon"],
             steps=side["noise"]["steps"], seed=side["noise"]["seed"],
-            p0=side["noise"]["p0"],
             jump=None if jump is None else JumpSpec(
                 intensity=jump["intensity"],
                 mark=MarkLaw(jump["mark_family"], jump["mark_parameter"])),
@@ -236,8 +213,7 @@ def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float, n_t: int) ->
     return out
 
 
-def _time_weights(noise: NoiseSpec, g: TestFunctionSpec, M: int,
-                  stream_offset: int) -> np.ndarray:
+def _time_weights(noise: NoiseSpec, g: TestFunctionSpec, M: int) -> np.ndarray:
     """w[m, k]: the realization's weight of time slab k.
 
     Brownian: the increments dW_k.  Poisson: sum of g1(z) over the slab's
@@ -247,11 +223,11 @@ def _time_weights(noise: NoiseSpec, g: TestFunctionSpec, M: int,
     w = np.empty((M, n_t))
     if noise.kind == "brownian":
         for m in range(M):
-            w[m] = sample_path(noise, stream_offset + m).increments
+            w[m] = sample_path(noise, m).increments
         return w
     comp = noise.jump.intensity * g.mark_mean(noise.jump.mark) * noise.dt
     for m in range(M):
-        path = sample_path(noise, stream_offset + m)
+        path = sample_path(noise, m)
         slabs = np.floor(path.times / noise.dt).astype(int)
         slabs = np.clip(slabs, 0, n_t - 1)
         w[m] = np.bincount(slabs, weights=g.mark_transform(path.marks),
@@ -279,8 +255,7 @@ def _resolve_time_indices(save_times, dt: float, n_t: int) -> np.ndarray:
 
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-              noise: NoiseSpec, M: int, save_times, stream_offset: int,
-              dtype=np.float64) -> FieldEnsemble:
+              noise: NoiseSpec, M: int, save_times, dtype=np.float64) -> FieldEnsemble:
     if kernel.dim != grid.dim:
         raise GridMismatch(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     if M < 1:
@@ -291,23 +266,17 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
 
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
-    w = _time_weights(noise, g, M, stream_offset)
+    w = _time_weights(noise, g, M)
 
-    shape = (grid.points,) * grid.dim
-    out = np.zeros((M, idx.size) + shape, dtype=dtype)
-    spatial_axes = tuple(range(1, 1 + grid.dim))  # axes of u = (M, space...)
+    freq_shape = _freq_radius(grid).shape
+    out = np.zeros((M, idx.size) + (grid.points,) * grid.dim, dtype=dtype)
     for pos, i in enumerate(idx):
         if i == 0:
             continue  # zero initial data
         gh = ghat[:i] if ghat.shape[0] > 1 else ghat
         a = q[i:0:-1] * gh  # A[k, f] = Q[i-k, f] * ghat[k, f]
         u_hat = w[:, :i] @ a.real + 1j * (w[:, :i] @ a.imag)
-        if grid.dim == 1:
-            u = np.fft.irfft(u_hat, n=grid.points, axis=1)
-        else:
-            u = np.fft.irfftn(u_hat.reshape((M,) + (shape[0], shape[1] // 2 + 1)),
-                              s=shape, axes=(1, 2))
-        out[:, pos] = np.fft.fftshift(u, axes=spatial_axes)
+        out[:, pos] = irfft_ascending(u_hat.reshape((M,) + freq_shape), grid)
 
     return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,
                          kernel=kernel, g=g, noise=noise)
@@ -315,20 +284,20 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
 
 def convolve_brownian(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                       noise: NoiseSpec, M: int, save_times=None,
-                      stream_offset: int = 0, dtype=np.float64) -> FieldEnsemble:
+                      dtype=np.float64) -> FieldEnsemble:
     """Ensemble of Brownian-driven convolutions u = sum_k [p * g](.) dW_k."""
     if noise.kind != "brownian":
         raise GridMismatch("convolve_brownian needs brownian noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, stream_offset, dtype)
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype)
 
 
 def convolve_poisson(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                      noise: NoiseSpec, M: int, save_times=None,
-                     stream_offset: int = 0, dtype=np.float64) -> FieldEnsemble:
+                     dtype=np.float64) -> FieldEnsemble:
     """Ensemble of compensated-Poisson-driven convolutions."""
     if noise.kind != "poisson":
         raise GridMismatch("convolve_poisson needs poisson noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, stream_offset, dtype)
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype)
 
 
 def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
@@ -348,6 +317,7 @@ def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionS
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
     shape = (grid.points,) * grid.dim
+    freq_shape = _freq_radius(grid).shape
 
     if noise.kind == "brownian":
         weight_var = dt
@@ -360,12 +330,7 @@ def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionS
             return np.zeros((0,) + shape)
         gh = ghat[:i] if ghat.shape[0] > 1 else np.broadcast_to(ghat, (i, ghat.shape[1]))
         a = q[i:0:-1] * gh
-        if grid.dim == 1:
-            rows = np.fft.irfft(a, n=grid.points, axis=1)
-            return np.fft.fftshift(rows, axes=1)
-        rows = np.fft.irfftn(a.reshape((i, shape[0], shape[1] // 2 + 1)),
-                             s=shape, axes=(1, 2))
-        return np.fft.fftshift(rows, axes=(1, 2))
+        return irfft_ascending(a.reshape((i,) + freq_shape), grid)
 
     idx1 = np.asarray(idx1, dtype=int)
     idx2 = np.asarray(idx2, dtype=int)

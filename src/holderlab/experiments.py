@@ -23,7 +23,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,15 +39,6 @@ from .errors import ConfigError, HolderLabError, ThetaOutOfEmbeddingRange
 from .kernels import KernelSpec, SpectralGrid
 from .moments import estimate_pair_moments, sample_pairs_dyadic
 from .noise import JumpSpec, MarkLaw, NoiseSpec
-
-PRESETS = (
-    "kernel-audit",
-    "fractional-sweep",
-    "brownian-regularity",
-    "poisson-regularity",
-    "embedding-check",
-)
-
 
 @dataclass
 class KernelConfig:
@@ -113,7 +106,6 @@ class Tolerances:
     exponent: float = 0.15
     oracle_exponent: float = 0.05
     sweep_exponent: float = 0.2
-    sigma: float = 3.0
     bound_margin: float = 2.0
 
 
@@ -137,29 +129,31 @@ class ExperimentConfig:
                               f"choose one of {', '.join(PRESETS)}")
 
 
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (tuple,)}
+
+
 def _build_dataclass(cls, data, path="config"):
-    """Strict dict -> dataclass: unknown keys are errors, not warnings."""
+    """Strict dict -> dataclass: unknown keys and mistyped or non-finite
+    scalars are errors, not warnings."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(names)
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        f = names[key]
-        if dataclasses.is_dataclass(f.type) or f.name in (
-                "kernel", "conditions", "sweep", "simulation", "noise",
-                "moments", "campanato", "tolerances"):
-            sub = {"kernel": KernelConfig, "conditions": ConditionsConfig,
-                   "sweep": SweepConfig, "simulation": SimulationConfig,
-                   "noise": NoiseConfig, "moments": MomentsConfig,
-                   "campanato": CampanatoConfig, "tolerances": Tolerances}[key]
-            kwargs[key] = _build_dataclass(sub, value, f"{path}.{key}")
-        elif isinstance(value, list):
-            kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        else:
-            kwargs[key] = value
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _build_dataclass(hint, value, f"{path}.{key}")
+            continue
+        if isinstance(value, list):
+            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        accepted = _JSON_TYPES.get(hint)
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)
+                         or isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(f"{path}.{key}: expected {hint.__name__}, got {value!r}")
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -224,7 +218,6 @@ class ExperimentReport:
     verdicts: list
     modules: dict
     seed: int
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -237,7 +230,7 @@ class ExperimentReport:
             "verdicts": [v.to_dict() for v in self.verdicts],
             "modules": self.modules,
             "rng": {"seed": self.seed, "generator": "philox"},
-            "version": self.version,
+            "version": __version__,
             "passed": self.passed,
         }
 
@@ -312,11 +305,73 @@ def _regularity_saved_indices(steps: int, lag_steps, n_bases: int = 8):
     return sorted(saved)
 
 
-def _run_regularity(config: ExperimentConfig, kind: str):
-    kc, sim, mom = config.kernel, config.simulation, config.moments
+class RegularityPieces(typing.NamedTuple):
+    """Pipeline pieces of a regularity preset, as build_regularity makes them."""
+
+    kernel: KernelSpec
+    grid: SpectralGrid
+    noise: NoiseSpec
+    g: TestFunctionSpec
+    lags: list    # dyadic parabolic lags 2^-k, largest first
+    saved: list   # lattice time indices the ensemble keeps
+    dtype: str    # ensemble storage dtype, "float32" or "float64"
+
+    def simulate(self, M: int):
+        convolve = convolve_brownian if self.noise.kind == "brownian" else convolve_poisson
+        return convolve(self.kernel, self.grid, self.g, self.noise, M=M,
+                        save_times=self.saved, dtype=self.dtype)
+
+
+def _spec(path: str, cls, *args, **kwargs):
+    try:
+        return cls(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def build_regularity(config: ExperimentConfig) -> RegularityPieces:
+    """Turn a regularity config into pipeline pieces, for the presets and
+    the CLI alike, without running quadrature or allocating arrays.  What
+    the pipeline cannot honour (kernel.dim != 1, a store_dtype other than
+    float32/float64, no lags, lags off the time lattice, a value a spec
+    rejects) raises ConfigError naming the field."""
+    kc, sim, mom, nc = config.kernel, config.simulation, config.moments, config.noise
+    if kc.dim != 1:
+        raise ConfigError(f"config.kernel.dim: the regularity presets are 1-D, got {kc.dim}")
+    if sim.store_dtype not in ("float32", "float64"):
+        raise ConfigError("config.simulation.store_dtype: expected 'float32' or "
+                          f"'float64', got {sim.store_dtype!r}")
+    kernel = _spec("config.kernel", KernelSpec, alpha=kc.alpha, epsilon=kc.epsilon, dim=1)
+    grid = _spec("config.simulation", SpectralGrid, length=sim.grid_length,
+                 points=sim.grid_points, dim=1)
+    kind = "brownian" if config.experiment == "brownian-regularity" else "poisson"
+    jump = None
+    if kind == "poisson":
+        jump = _spec("config.noise", JumpSpec, intensity=nc.intensity,
+                     mark=_spec("config.noise", MarkLaw, nc.mark_family, nc.mark_parameter))
+    noise = _spec("config.simulation", NoiseSpec, kind=kind, horizon=sim.horizon,
+                  steps=sim.steps, seed=config.seed, jump=jump)
+    g = _spec("config.moments", TestFunctionSpec, family="parabolic-power", beta=mom.beta,
+              amplitude=mom.amplitude, mark_family="identity")
+    try:
+        lags = [2.0**-k for k in range(mom.lag_k_min, mom.lag_k_max + 1)]
+        lag_steps = [max(1, round(lag * lag / noise.dt)) for lag in lags]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"config.moments.lag_k_min: {mom.lag_k_min}: {exc}") from exc
+    if not lags:
+        raise ConfigError("config.moments: lag_k_min > lag_k_max leaves no lags")
+    saved = _regularity_saved_indices(sim.steps, lag_steps)
+    if saved[-1] > sim.steps:
+        raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans {lag_steps[0]} "
+                          f"time steps, too many for the {sim.steps}-step lattice")
+    return RegularityPieces(kernel, grid, noise, g, lags, saved, sim.store_dtype)
+
+
+def _run_regularity(config: ExperimentConfig):
+    pieces = build_regularity(config)
+    kernel, lags = pieces.kernel, pieces.lags
+    kc, mom = config.kernel, config.moments
     tolerances = config.tolerances
-    kernel = KernelSpec(alpha=kc.alpha, epsilon=kc.epsilon, dim=1)
-    grid = SpectralGrid(length=sim.grid_length, points=sim.grid_points, dim=1)
     beta = mom.beta
 
     # stage 1: kernel audit; the field prediction uses these fitted slopes
@@ -337,24 +392,7 @@ def _run_regularity(config: ExperimentConfig, kind: str):
     modules = {"conditions": audit.to_dict()}
 
     # stage 2: simulate
-    if kind == "brownian":
-        noise = NoiseSpec(kind="brownian", horizon=sim.horizon, steps=sim.steps,
-                          seed=config.seed)
-    else:
-        noise = NoiseSpec(kind="poisson", horizon=sim.horizon, steps=sim.steps,
-                          seed=config.seed,
-                          jump=JumpSpec(intensity=config.noise.intensity,
-                                        mark=MarkLaw(config.noise.mark_family,
-                                                     config.noise.mark_parameter)))
-    g = TestFunctionSpec(family="parabolic-power", beta=beta,
-                         amplitude=mom.amplitude, mark_family="identity")
-    lags = [2.0**-k for k in range(mom.lag_k_min, mom.lag_k_max + 1)]
-    lag_steps = [max(1, round(lag * lag / noise.dt)) for lag in lags]
-    saved = _regularity_saved_indices(sim.steps, lag_steps)
-    dtype = np.float32 if sim.store_dtype == "float32" else np.float64
-    convolve = convolve_brownian if kind == "brownian" else convolve_poisson
-    ensemble = convolve(kernel, grid, g, noise, M=sim.ensemble,
-                        save_times=saved, dtype=dtype)
+    ensemble = pieces.simulate(config.simulation.ensemble)
 
     # stage 3: pair moments at dyadic lags
     pairs = sample_pairs_dyadic(ensemble, lags, mom.pairs_per_lag, seed=config.seed)
@@ -377,7 +415,7 @@ def _run_regularity(config: ExperimentConfig, kind: str):
     gamma_oracle = None
     oracle_rows = None
     if mom.p == 2.0:
-        oracle = second_moment_pairs(kernel, grid, g, noise,
+        oracle = second_moment_pairs(kernel, pieces.grid, pieces.g, pieces.noise,
                                      pairs.t_idx1, pairs.s_idx1,
                                      pairs.t_idx2, pairs.s_idx2)
         oracle_rows = []
@@ -477,10 +515,11 @@ def _theta_one_rejected(p: float, dim: int) -> bool:
 _RUNNERS = {
     "kernel-audit": _run_kernel_audit,
     "fractional-sweep": _run_fractional_sweep,
-    "brownian-regularity": lambda cfg: _run_regularity(cfg, "brownian"),
-    "poisson-regularity": lambda cfg: _run_regularity(cfg, "poisson"),
+    "brownian-regularity": _run_regularity,
+    "poisson-regularity": _run_regularity,
     "embedding-check": _run_embedding_check,
 }
+PRESETS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
@@ -520,12 +559,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         with open(out / "timing.json", "w") as fh:
             json.dump({"wall_clock_seconds": time.time() - t_start}, fh)
             fh.write("\n")
-        emit_plot_data(report, out / "plots")
+        emit_plot_data(report.modules, out / "plots")
     return report
 
 
-def emit_plot_data(report: ExperimentReport, out_dir) -> list:
-    """One CSV per fitted relationship (log-log columns plus the fit line).
+def emit_plot_data(modules: dict, out_dir) -> list:
+    """One CSV per fitted relationship (log-log columns plus the fit line)
+    in a report's ``modules``.
 
     Returns the list of written paths; reports with no fitted relationships
     produce an empty bundle (manifest only).
@@ -543,7 +583,7 @@ def emit_plot_data(report: ExperimentReport, out_dir) -> list:
                 writer.writerow([repr(float(v)) for v in row])
         written.append(str(path))
 
-    for key, mod in sorted(report.modules.items()):
+    for key, mod in sorted(modules.items()):
         if key.startswith("conditions"):
             for cond in ("increment", "tail", "mass"):
                 table = mod[cond]

@@ -14,7 +14,6 @@ mutate their inputs, so concurrent evaluation across times is safe.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -122,12 +121,9 @@ class SpectralGrid:
         x, y = self.meshgrid()
         return np.sqrt(x * x + y * y)
 
-    def alias_ok(self, alpha: float, t: float) -> bool:
-        """True when exp(-t |xi_max|^alpha) < 1e-12 on this lattice."""
-        return t * self.nyquist**alpha >= ALIAS_LOG
-
     def require_alias(self, alpha: float, t: float) -> None:
-        if not self.alias_ok(alpha, t):
+        """Raise AliasingViolation unless exp(-t |xi_max|^alpha) < 1e-12."""
+        if t * self.nyquist**alpha < ALIAS_LOG:
             need = (ALIAS_LOG / t) ** (1.0 / alpha)
             raise AliasingViolation(
                 f"grid resolves |xi| <= {self.nyquist:.4g} but t={t:.4g}, "
@@ -142,7 +138,6 @@ class SpectralGrid:
         t_min: float,
         t_max: float | None = None,
         length: float | None = None,
-        min_points: int = 64,
     ) -> "SpectralGrid":
         """Build a grid whose aliasing guard holds for every t >= t_min.
 
@@ -159,7 +154,7 @@ class SpectralGrid:
         if length is None:
             length = 8.0 * max(t_max ** (1.0 / alpha), 1.0)
         xi_need = (ALIAS_LOG / t_min) ** (1.0 / alpha)
-        n = max(min_points, math.ceil(2.0 * length * xi_need / math.pi))
+        n = max(64, math.ceil(2.0 * length * xi_need / math.pi))
         n = next_fast_len(n, real=True)
         if n % 2:
             n = next_fast_len(n + 1, real=True)
@@ -184,6 +179,14 @@ def _freq_radius(grid: SpectralGrid) -> np.ndarray:
     return np.sqrt(fx[:, None] ** 2 + fy[None, :] ** 2)
 
 
+def irfft_ascending(freq: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Inverse rfft over the trailing grid.dim axes of ``freq`` (rfftn layout,
+    after any leading batch axes), shifted so coordinates ascend from -L."""
+    axes = tuple(range(-grid.dim, 0))
+    vals = np.fft.irfftn(freq, s=(grid.points,) * grid.dim, axes=axes)
+    return np.fft.fftshift(vals, axes=axes)
+
+
 def symbol(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
     """Fourier symbol |xi|^epsilon * exp(-t |xi|^alpha) on the rfft lattice."""
     r = _freq_radius(grid)
@@ -206,10 +209,7 @@ def _symmetrize(vals: np.ndarray) -> np.ndarray:
 
 def _spectral_eval(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
     sym = symbol(spec, grid, t)
-    shape = (grid.points,) * grid.dim
-    axes = tuple(range(grid.dim))
-    vals = np.fft.irfftn(sym, s=shape, axes=axes) / grid.spacing**grid.dim
-    return _symmetrize(np.fft.fftshift(vals))
+    return _symmetrize(irfft_ascending(sym, grid) / grid.spacing**grid.dim)
 
 
 def gaussian_kernel(t: float, r: np.ndarray, dim: int) -> np.ndarray:
@@ -333,7 +333,6 @@ class BoundReport:
     c_tolerance: float
     n_points: int
     passed: bool
-    region: str = ""
 
 
 def check_sharp_bounds(
@@ -374,7 +373,6 @@ def check_sharp_bounds(
         c_tolerance=c_tolerance,
         n_points=int(mask.sum()),
         passed=ok,
-        region=f"0 < |x| <= {grid.length / 2.0:g}, |p| > {SPECTRAL_FLOOR:g}",
     )
 
 
@@ -382,19 +380,3 @@ def lattice_mass(values: np.ndarray, grid: SpectralGrid) -> float:
     """Lattice integral sum(values) * h^d."""
     return float(values.sum() * grid.spacing**grid.dim)
 
-
-def kernel_table_csv(spec: KernelSpec, grid: SpectralGrid, t: float, path) -> None:
-    """Dump kernel values as CSV rows of (x-coordinates..., value)."""
-    vals = eval_kernel(spec, grid, t)
-    ax = grid.axis()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"x{i}" for i in range(grid.dim)] + ["value"]
-        writer.writerow(header)
-        if grid.dim == 1:
-            for xi, v in zip(ax, vals):
-                writer.writerow([repr(float(xi)), repr(float(v))])
-        else:
-            for i, xi in enumerate(ax):
-                for j, yj in enumerate(ax):
-                    writer.writerow([repr(float(xi)), repr(float(yj)), repr(float(vals[i, j]))])

@@ -132,11 +132,6 @@ def estimate_pair_moments(ensemble: FieldEnsemble, pairs: PairSet, p: float) -> 
     return MomentField(p=p, pairs=pairs, estimates=est, stderr=err)
 
 
-def _interior_time_range(ensemble: FieldEnsemble):
-    idx = np.sort(ensemble.time_indices)
-    return idx[0], idx[-1]
-
-
 def sample_pairs_within_cylinder(ensemble: FieldEnsemble, cylinder: ParabolicCylinder,
                                  count: int, seed: int = 0) -> PairSet:
     """Uniform independent pairs of lattice points inside a cylinder.
@@ -166,17 +161,16 @@ def sample_pairs_within_cylinder(ensemble: FieldEnsemble, cylinder: ParabolicCyl
                    delta, np.full(count, np.nan))
 
 
-def sample_pairs_dyadic(ensemble: FieldEnsemble, lags, count: int, seed: int = 0,
-                        base_time_index: int | None = None,
-                        center_fraction: float = 0.5) -> PairSet:
+def sample_pairs_dyadic(ensemble: FieldEnsemble, lags, count: int, seed: int = 0) -> PairSet:
     """Pairs at controlled parabolic lags.
 
     For each lag delta, half the pairs are pure-time (same x, t separation
     snapped to round(delta^2/dt) steps) and half pure-space (same t,
     |x - y| snapped to round(delta/h) lattice spacings).  Base points are
-    drawn from the central ``center_fraction`` of the box and from saved
-    times that keep the partner on the saved lattice.  Achieved deltas are
-    recorded next to the requested ones.
+    drawn from the central half of the box and from saved times that keep
+    the partner on the saved lattice.  Achieved deltas are recorded next to
+    the requested ones.  A lag whose pure-space pairs do not fit inside the
+    central half raises PairOffGrid before anything is sampled.
     """
     if count < 1:
         raise EmptyRequest("count must be >= 1")
@@ -188,16 +182,15 @@ def sample_pairs_dyadic(ensemble: FieldEnsemble, lags, count: int, seed: int = 0
     coords = _lattice_coords(ensemble)
 
     rows = {k: [] for k in ("ti1", "si1", "ti2", "si2", "req")}
-
-    def central_indices():
-        lo = int(n * (0.5 - center_fraction / 2.0))
-        hi = int(n * (0.5 + center_fraction / 2.0))
-        return lo, hi
-
-    lo, hi = central_indices()
-    for lag in lags:
+    lo, hi = n // 4, 3 * n // 4
+    widths = [max(1, round(lag / h)) for lag in lags]
+    for lag, spacings in zip(lags, widths):
+        if spacings >= hi - lo:
+            raise PairOffGrid(
+                f"lag {lag:g} spans {spacings} lattice spacings, but the central "
+                f"window holding the base points is {hi - lo} spacings wide")
+    for lag, spacings in zip(lags, widths):
         steps = max(1, round(lag * lag / dt))
-        spacings = max(1, round(lag / h))
         time_bases = [i for i in sorted(saved) if (i + steps) in saved]
         n_time = count // 2
         n_space = count - n_time
@@ -241,16 +234,3 @@ def sample_pairs_dyadic(ensemble: FieldEnsemble, lags, count: int, seed: int = 0
     return PairSet(ti1, si1, ti2, si2, t1, x1, t2, x2, delta,
                    np.array(rows["req"], dtype=float))
 
-
-def sample_pairs(ensemble: FieldEnsemble, rule: str, count: int, seed: int = 0,
-                 cylinder: ParabolicCylinder | None = None, lags=None, **kw) -> PairSet:
-    """Dispatch on the sampling rule: "within-cylinder" or "dyadic-lag"."""
-    if rule == "within-cylinder":
-        if cylinder is None:
-            raise ValueError("within-cylinder rule needs a cylinder")
-        return sample_pairs_within_cylinder(ensemble, cylinder, count, seed)
-    if rule == "dyadic-lag":
-        if lags is None:
-            raise ValueError("dyadic-lag rule needs lags")
-        return sample_pairs_dyadic(ensemble, lags, count, seed, **kw)
-    raise ValueError(f"unknown pair sampling rule {rule!r}")

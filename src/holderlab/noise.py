@@ -9,7 +9,6 @@ parallel and still reproduce bit-identically.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -91,7 +90,6 @@ class NoiseSpec:
     steps: int
     seed: int = 0
     jump: JumpSpec | None = None
-    p0: float = 4.0
 
     def __post_init__(self):
         if self.kind not in ("brownian", "poisson"):
@@ -102,8 +100,6 @@ class NoiseSpec:
             raise ValueError("need at least 2 time steps")
         if self.kind == "poisson" and self.jump is None:
             raise ValueError("poisson noise needs a JumpSpec")
-        if self.p0 <= 2.0:
-            raise ValueError("p0 must exceed 2")
 
     @property
     def dt(self) -> float:
@@ -207,20 +203,6 @@ def compensated_integral(path: NoisePath, h) -> float:
     return jump_sum - comp
 
 
-def compensated_path(path: NoisePath, h, t_grid: np.ndarray) -> np.ndarray:
-    """I(t) on a time grid: running jump sum minus running compensator."""
-    if path.kind != "poisson":
-        raise ValueError("compensated_path needs a poisson path")
-    contributions = np.array([h(t, z) for t, z in zip(path.times, path.marks)])
-    order = np.searchsorted(path.times, t_grid, side="right")
-    csum = np.concatenate([[0.0], np.cumsum(contributions)])
-    jump_part = csum[order]
-    rate = np.array([_mark_average(h, t, path.jump.mark) for t in t_grid])
-    rate *= path.jump.intensity
-    comp = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t_grid))])
-    return jump_part - comp
-
-
 def ito_integral(path: NoisePath, h) -> float:
     """Left-endpoint Ito sum of a deterministic integrand h(t) against a
     Brownian path: sum_k h(t_k) dW_k."""
@@ -262,16 +244,3 @@ def compensated_ensemble(spec: NoiseSpec, h, M: int, stream_offset: int = 0) -> 
         out[m] = vals.sum() - comp
     return out
 
-
-def dump_path_csv(path: NoisePath, out) -> None:
-    """Debug dump: (t, increment) for Brownian, (tau, mark) for Poisson."""
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if path.kind == "brownian":
-            writer.writerow(["t", "increment"])
-            for i, dw in enumerate(path.increments):
-                writer.writerow([repr(i * path.dt), repr(float(dw))])
-        else:
-            writer.writerow(["tau", "mark"])
-            for t, z in zip(path.times, path.marks):
-                writer.writerow([repr(float(t)), repr(float(z))])

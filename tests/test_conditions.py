@@ -156,12 +156,6 @@ def test_audit_report_roundtrip(tmp_path):
     assert report.n0_estimate > 0
     assert all(v >= 0 and np.isfinite(v) for _, v in report.increment_lhs)
 
-    report.write_json(tmp_path / "report.json")
-    paths = report.write_csv(str(tmp_path / "conditions"))
-    assert len(paths) == 3
-    header = open(paths[0]).readline().strip()
-    assert header == "scale,lhs"
-
 
 def test_power_variant_scaling():
     # inner power q = 4 on the tail: integrand still 1 for the unit-mass

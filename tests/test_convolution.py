@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -174,16 +175,6 @@ def test_adaptedness_events_after_t_do_not_matter():
         assert np.allclose(ens.values[m, 0, :], manual, atol=1e-10)
 
 
-def test_realization_csv(tmp_path):
-    g = TestFunctionSpec(family="constant", amplitude=1.0)
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
-    out = tmp_path / "r0.csv"
-    ens.realization_csv(0, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,x0,value"
-    assert len(lines) == 1 + 2 * GRID.points
-
-
 def test_ensemble_save_load_roundtrip(tmp_path):
     g = TestFunctionSpec(family="parabolic-power", beta=0.4)
     ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=3,
@@ -197,6 +188,15 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     assert back.kernel == ens.kernel
     assert back.g == ens.g
     assert back.noise.seed == ens.noise.seed
+
+    # sidecars written before NoiseSpec.p0 was removed still load
+    side = json.loads((tmp_path / "ens.json").read_text())
+    assert "p0" not in side["noise"]
+    side["noise"]["p0"] = 4.0
+    (tmp_path / "ens.json").write_text(json.dumps(side))
+    old = FieldEnsemble.load(prefix)
+    assert old.noise == ens.noise
+    assert np.array_equal(old.values, ens.values)
 
 
 def test_dim2_smoke():

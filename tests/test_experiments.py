@@ -1,14 +1,19 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import holderlab.experiments as experiments
 from holderlab.cli import main
 from holderlab.errors import ConfigError
 from holderlab.experiments import (
     ExperimentConfig,
+    build_regularity,
     default_config,
     emit_plot_data,
-    ExperimentReport,
     load_config,
     run_experiment,
 )
@@ -134,9 +139,7 @@ def test_verdict_structure(tmp_path):
 
 
 def test_emit_plot_data_empty_report(tmp_path):
-    report = ExperimentReport(experiment="kernel-audit", config={},
-                              verdicts=[], modules={}, seed=0)
-    written = emit_plot_data(report, tmp_path / "plots")
+    written = emit_plot_data({}, tmp_path / "plots")
     assert written == []
     manifest = json.loads((tmp_path / "plots" / "manifest.json").read_text())
     assert manifest["files"] == []
@@ -161,9 +164,32 @@ def test_cli_audit_exit_zero(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_cli_config_error_exit_two(tmp_path):
-    path = _write(tmp_path, {"experiment": "kernel-audit", "nope": True})
-    assert main(["run", "--config", str(path)]) == 2
+def _with(base, section, **fields):
+    return dict(base, **{section: dict(base.get(section, {}), **fields)})
+
+
+BAD_REGULARITY = {
+    "unknown-key": (dict(SMALL_BROWNIAN, nope=True), "unknown keys"),
+    "dim-2": (_with(SMALL_BROWNIAN, "kernel", dim=2), "config.kernel.dim"),
+    "float16": (_with(SMALL_BROWNIAN, "simulation", store_dtype="float16"),
+                "config.simulation.store_dtype"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_REGULARITY))
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
+    # the config is rejected before any quadrature or simulation starts
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("pipeline ran on a rejected config")
+
+    for name in ("audit_conditions", "convolve_brownian", "convolve_poisson"):
+        monkeypatch.setattr(experiments, name, must_not_run)
+    config, field = BAD_REGULARITY[bad]
+    path = _write(tmp_path, config)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o" / "ensemble.bin").exists()
 
 
 def test_cli_verdict_failure_exit_one(tmp_path):
@@ -206,12 +232,22 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert rep["rng"]["seed"] == 123
 
 
-def test_cli_simulate_moments_seminorm_chain(tmp_path):
+def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     path = _write(tmp_path, SMALL_BROWNIAN)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "ensemble.bin").exists()
     side = json.loads((tmp_path / "ensemble.json").read_text())
     assert side["dtype"] == "float32"
+    # the CLI stores exactly what the shared builder describes
+    pieces = build_regularity(load_config(path))
+    assert side["time_indices"] == pieces.saved
+    assert side["shape"] == [SMALL_BROWNIAN["simulation"]["ensemble"], len(pieces.saved),
+                             SMALL_BROWNIAN["simulation"]["grid_points"]]
+    # lag 4 spans 256 spacings of h = 1/64: wider than the central window
+    capsys.readouterr()
+    assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
+                 "--lag-k-min", "-2", "--lag-k-max", "1", "--out", str(tmp_path)]) == 3
+    assert "PairOffGrid: lag 4 spans 256 lattice spacings" in capsys.readouterr().err
     assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
                  "--lag-k-min", "1", "--lag-k-max", "4", "--pairs", "32",
                  "--out", str(tmp_path)]) == 0
@@ -229,3 +265,79 @@ def test_cli_emit_plots_roundtrip(tmp_path):
                  "--out", str(tmp_path / "p")])
     assert code == 0
     assert (tmp_path / "p" / "manifest.json").exists()
+
+
+# --- config -> pipeline builder ------------------------------------------
+
+_WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                   st.lists(st.integers(), max_size=2),
+                   st.sampled_from([float("nan"), float("inf")]))
+
+
+def _field(good):
+    # mostly well-typed values, so many configs reach the builder's own checks
+    return st.integers(0, 9).flatmap(lambda i: _WRONG if i == 0 else good)
+
+
+def _section(**fields):
+    return st.fixed_dictionaries({}, optional={k: _field(v) for k, v in fields.items()})
+
+
+REGULARITY_CONFIGS = st.fixed_dictionaries(
+    {"experiment": st.sampled_from(["brownian-regularity", "poisson-regularity"])},
+    optional={
+        "seed": _field(st.integers(0, 2**32)),
+        "kernel": _section(alpha=st.floats(-0.5, 2.5), epsilon=st.floats(-0.5, 1.0),
+                           dim=st.sampled_from([0, 1, 1, 1, 2, 3])),
+        "simulation": _section(
+            horizon=st.floats(-1.0, 4.0), steps=st.integers(-2, 4096),
+            grid_points=st.sampled_from([-2, 0, 63, 64, 512, 1024]),
+            grid_length=st.floats(-1.0, 8.0), ensemble=st.integers(-2, 4096),
+            store_dtype=st.sampled_from(["float32", "float64", "float16", "int8", ""])),
+        "noise": _section(
+            intensity=st.floats(-1.0, 20.0), mark_parameter=st.floats(-1.0, 3.0),
+            mark_family=st.sampled_from(["two-sided-exponential", "gaussian", "cauchy"])),
+        "moments": _section(
+            p=st.floats(0.5, 4.0), beta=st.floats(-0.2, 1.2), amplitude=st.floats(-2.0, 2.0),
+            lag_k_min=st.integers(-1100, 12), lag_k_max=st.integers(-3, 12),
+            pairs_per_lag=st.integers(-2, 512)),
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=REGULARITY_CONFIGS)
+def test_regularity_configs_build_or_config_error(tmp_path_factory, data):
+    # any other exception escaping load or build fails the test
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    path.write_text(json.dumps(data))
+    try:
+        pieces = build_regularity(load_config(path))
+    except ConfigError:
+        return
+    assert pieces.kernel.dim == 1 and pieces.grid.dim == 1
+    assert pieces.dtype in ("float32", "float64")
+    assert pieces.lags and 0 <= pieces.saved[0] and pieces.saved[-1] <= pieces.noise.steps
+
+
+def test_benchmark_tracer_targets_resolve(tmp_path):
+    # perfbench/tracer.py wraps these names from outside the package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _, _ in tracer.TARGETS:
+        obj = importlib.import_module(f"holderlab.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"holderlab.{module}.{attr}"
+
+    # the builder's simulate step looks convolve_* up at call time, so a
+    # traced run still records it
+    cfg = load_config(_write(tmp_path, SMALL_BROWNIAN))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        build_regularity(cfg).simulate(2)
+    finally:
+        t.uninstall()
+    assert [s[0] for s in t.spans].count("convolution.convolve") == 1

@@ -18,7 +18,6 @@ from holderlab.kernels import (
     eval_kernel_periodized,
     eval_gradient_magnitude,
     gaussian_kernel,
-    kernel_table_csv,
     lattice_mass,
     stable_tail_bound,
 )
@@ -228,16 +227,6 @@ def test_gradient_magnitude_matches_gaussian():
     expected = np.abs(ax) / (2.0 * t) * gaussian_kernel(t, np.abs(ax), 1)
     mask = expected > 1e-8
     assert np.allclose(gm[mask], expected[mask], rtol=1e-6)
-
-
-def test_kernel_table_csv(tmp_path):
-    spec = KernelSpec(alpha=2.0)
-    grid = SpectralGrid(length=4.0, points=64, dim=1)
-    out = tmp_path / "kernel.csv"
-    kernel_table_csv(spec, grid, 1.0, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x0,value"
-    assert len(lines) == 65
 
 
 def test_grid_validation():

@@ -9,7 +9,6 @@ from holderlab.errors import EmptyCylinder, EmptyRequest, EnsembleTooSmall, Pair
 from holderlab.kernels import KernelSpec, SpectralGrid
 from holderlab.moments import (
     estimate_pair_moments,
-    sample_pairs,
     sample_pairs_dyadic,
     sample_pairs_within_cylinder,
 )
@@ -101,6 +100,15 @@ def test_pair_off_grid(unit_ensemble):
         estimate_pair_moments(unit_ensemble, pairs, 2.0)
 
 
+def test_lag_wider_than_central_window():
+    # h = 1/64: lag 0.5 is 32 spacings, the whole central half of 64 points
+    grid = SpectralGrid(length=0.5, points=64)
+    ens = convolve_brownian(KERNEL, grid, G_UNIT, NOISE, M=2, save_times=[64, 80])
+    with pytest.raises(PairOffGrid, match=r"lag 0.5 spans 32 lattice spacings.* 32 "):
+        sample_pairs_dyadic(ens, [0.25, 0.5], 8)
+    assert sample_pairs_dyadic(ens, [0.25], 8).size == 8
+
+
 def test_empty_request(unit_ensemble):
     with pytest.raises(EmptyRequest):
         sample_pairs_dyadic(unit_ensemble, [0.25], 0)
@@ -130,16 +138,6 @@ def test_dyadic_lag_snapping(unit_ensemble):
     lags = [2.0**-k for k in range(1, 5)]
     pairs = sample_pairs_dyadic(unit_ensemble, lags, 64, seed=12)
     assert np.max(np.abs(pairs.delta - pairs.requested_delta)) < 1e-12
-
-
-def test_rule_dispatch(unit_ensemble):
-    cyl = ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25)
-    a = sample_pairs(unit_ensemble, "within-cylinder", 16, seed=1, cylinder=cyl)
-    assert a.size == 16
-    b = sample_pairs(unit_ensemble, "dyadic-lag", 16, seed=1, lags=[0.25])
-    assert b.size == 16
-    with pytest.raises(ValueError):
-        sample_pairs(unit_ensemble, "sobol", 16)
 
 
 def test_triangle_consistency_p2(unit_ensemble):

@@ -9,11 +9,9 @@ from holderlab.noise import (
     NoiseSpec,
     compensated_ensemble,
     compensated_integral,
-    compensated_path,
     compensator_integral,
     ito_ensemble,
     ito_integral,
-    dump_path_csv,
     sample_path,
 )
 
@@ -148,26 +146,3 @@ def test_kunita_moment_ratio_stable():
     r2 = sup_i4(1600, 800) / rhs
     assert np.isfinite(r1) and np.isfinite(r2)
     assert abs(r1 - r2) / max(r1, r2) < 0.5
-
-
-def test_compensated_path_on_grid():
-    spec = NoiseSpec(kind="poisson", horizon=1.0, steps=16, seed=5,
-                     jump=JumpSpec(intensity=3.0, mark=MarkLaw("gaussian", 1.0)))
-    path = sample_path(spec, 0)
-    grid = np.linspace(0.0, 1.0, 65)
-    vals = compensated_path(path, lambda t, z: z * z, grid)
-    # terminal value agrees with the scalar op
-    total = compensated_integral(path, lambda t, z: z * z)
-    assert vals[-1] == pytest.approx(total, rel=1e-3, abs=1e-3)
-    assert vals[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_path_dump_csv(tmp_path):
-    dump_path_csv(sample_path(BROWNIAN, 0), tmp_path / "w.csv")
-    lines = (tmp_path / "w.csv").read_text().strip().splitlines()
-    assert lines[0] == "t,increment"
-    assert len(lines) == BROWNIAN.steps + 1
-
-    dump_path_csv(sample_path(POISSON, 0), tmp_path / "n.csv")
-    lines = (tmp_path / "n.csv").read_text().strip().splitlines()
-    assert lines[0] == "tau,mark"
