@@ -10,7 +10,11 @@ The kernel factor of the most recent time slab is evaluated at lag dt/2
 singularity while keeping first-order weak accuracy.  Poisson events are
 binned into time slabs and contribute from the first lattice time strictly
 after the event; the compensator is subtracted slab-by-slab with the same
-lag rule, which makes every realization exactly centered.
+lag rule, which makes every realization exactly centered.  The ensemble is
+filled in one forward pass: lag symbols of lags j >= 2 are geometric,
+exp(-j dt |xi|^alpha), so the spectral sum decays from one saved time to the
+next and only new slabs are added (exponential Euler), at cost
+O(M * F * max saved index) for M realizations and F spectral modes.
 
 Realizations are pure functions of (seed, stream_index); the ensemble
 array is filled in disjoint per-realization rows, so generation is safe to
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, PairOffGrid
 from .kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending
 from .noise import NoiseSpec, sample_path
 
@@ -188,9 +192,8 @@ def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) ->
 
 
 def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float, n_t: int) -> np.ndarray:
-    """DFT of g(r_k, .) for every slab time r_k, flattened frequencies.
-
-    Returns shape (n_t, F) or (1, F) when g does not depend on time.
+    """DFT of g(r_k, .) for every slab time r_k, flattened frequencies,
+    shape (n_t, F); a broadcast view of one row when g does not depend on time.
     """
     shape = (grid.points,) * grid.dim
     if grid.dim == 1:
@@ -202,9 +205,9 @@ def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float, n_t: int) ->
         vals = g.evaluate(t, coords).reshape(shape)
         return np.fft.rfftn(np.fft.ifftshift(vals)).reshape(-1)
 
-    if not g.time_dependent:
-        return spec_at(0.0)[None, :]
     base = spec_at(0.0)
+    if not g.time_dependent:
+        return np.broadcast_to(base, (n_t, base.size))
     out = np.tile(base, (n_t, 1))
     # parabolic-power: only the zero mode moves with time, by A * t^(b/2) * n^d
     n_total = np.prod(shape)
@@ -256,6 +259,9 @@ def _resolve_time_indices(save_times, dt: float, n_t: int) -> np.ndarray:
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
               noise: NoiseSpec, M: int, save_times, dtype=np.float64) -> FieldEnsemble:
+    """One pass over the saved indices in ascending order: from cur to i the sum
+    over slabs k <= i - 2 decays by exp(-(i - cur) dt |xi|^alpha) and gains the new
+    slabs, then the midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i)."""
     if kernel.dim != grid.dim:
         raise GridMismatch(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     if M < 1:
@@ -268,15 +274,23 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     ghat = _g_spectrum(g, grid, dt, n_t)
     w = _time_weights(noise, g, M)
 
-    freq_shape = _freq_radius(grid).shape
+    radius = _freq_radius(grid)
+    rate = np.repeat(-dt * radius.reshape(-1) ** kernel.alpha, 2)
     out = np.zeros((M, idx.size) + (grid.points,) * grid.dim, dtype=dtype)
-    for pos, i in enumerate(idx):
+    # re/im-interleaved sum over slabs k <= cur - 2 of w[:, k] Q[cur - k] ghat[k]
+    running = np.zeros((M, rate.size))
+    cur = 0
+    for pos in np.argsort(idx, kind="stable"):
+        i = int(idx[pos])
         if i == 0:
             continue  # zero initial data
-        gh = ghat[:i] if ghat.shape[0] > 1 else ghat
-        a = q[i:0:-1] * gh  # A[k, f] = Q[i-k, f] * ghat[k, f]
-        u_hat = w[:, :i] @ a.real + 1j * (w[:, :i] @ a.imag)
-        out[:, pos] = irfft_ascending(u_hat.reshape((M,) + freq_shape), grid)
+        start = max(cur - 1, 0)
+        a = q[i - start:1:-1] * ghat[start:i - 1]  # A[k, f] = Q[i-k, f] ghat[k, f]
+        running *= np.exp((i - cur) * rate)
+        running += w[:, start:i - 1] @ a.view(np.float64)
+        cur = i
+        u_hat = running.view(complex) + np.outer(w[:, i - 1], q[1] * ghat[i - 1])
+        irfft_ascending(u_hat.reshape((M,) + radius.shape), grid, out=out[:, pos])
 
     return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,
                          kernel=kernel, g=g, noise=noise)
@@ -310,44 +324,39 @@ def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionS
     weights and c = intensity * E[g1(z)^2] for compensated Poisson weights.
 
     idx/pos are arrays of lattice time indices and flattened spatial
-    indices (ascending coordinate order) of the two pair members.
+    indices (ascending coordinate order) of the two pair members; indices off
+    the lattice raise GridMismatch (time) or PairOffGrid (space).  As g moves
+    in time only in its zero mode, F_i[k] = P[i - k] + (ghat[k, 0] - ghat[0, 0])
+    Q[i - k, 0] / n^d with one profile P[j] = irfft(Q[j] ghat[0]) per lag.
     """
     n_t = noise.steps
     dt = noise.dt
-    q = _lag_symbols(kernel, grid, dt, n_t)
-    ghat = _g_spectrum(g, grid, dt, n_t)
-    shape = (grid.points,) * grid.dim
-    freq_shape = _freq_radius(grid).shape
+    n_space = grid.points ** grid.dim
+    idx1, pos1, idx2, pos2 = (np.asarray(a, dtype=int) for a in (idx1, pos1, idx2, pos2))
+    k_max = int(_resolve_time_indices(np.concatenate([idx1, idx2]), dt, n_t).max(initial=0))
+    pos = np.concatenate([pos1, pos2])
+    if np.any((pos < 0) | (pos >= n_space)):
+        raise PairOffGrid(f"pair spatial indices {pos.min()}..{pos.max()} leave [0, {n_space})")
 
     if noise.kind == "brownian":
         weight_var = dt
     else:
         weight_var = noise.jump.intensity * g.mark_second_moment(noise.jump.mark) * dt
 
-    def profile_rows(i):
-        """F_i[k, :] for k < i, spatial values in ascending order."""
-        if i == 0:
-            return np.zeros((0,) + shape)
-        gh = ghat[:i] if ghat.shape[0] > 1 else np.broadcast_to(ghat, (i, ghat.shape[1]))
-        a = q[i:0:-1] * gh
-        return irfft_ascending(a.reshape((i,) + freq_shape), grid)
+    q = _lag_symbols(kernel, grid, dt, n_t)[:k_max + 1]
+    ghat = _g_spectrum(g, grid, dt, n_t)
+    profiles = irfft_ascending((q * ghat[0]).reshape((-1,) + _freq_radius(grid).shape), grid)
+    profiles = profiles.reshape(k_max + 1, n_space)
+    shift = (ghat[:k_max, 0] - ghat[0, 0]).real / n_space
 
-    idx1 = np.asarray(idx1, dtype=int)
-    idx2 = np.asarray(idx2, dtype=int)
-    n_space = int(np.prod(shape))
-    cache = {}
-    for i in np.unique(np.concatenate([idx1, idx2])):
-        cache[int(i)] = profile_rows(int(i)).reshape(int(i), n_space)
+    def rows(i, x):  # F_i[k, x] for a chunk of points, zero for slabs k >= i as Q[0] = 0
+        j = np.maximum(i[:, None] - np.arange(k_max), 0)
+        return profiles[j, x[:, None]] + shift * q[j, 0]
 
     out = np.empty(idx1.size)
-    for n, (i1, j1, i2, j2) in enumerate(zip(idx1, np.asarray(pos1, dtype=int),
-                                             idx2, np.asarray(pos2, dtype=int))):
-        f1 = cache[int(i1)][:, j1]
-        f2 = cache[int(i2)][:, j2]
-        k = max(f1.size, f2.size)
-        a = np.zeros(k)
-        a[:f1.size] = f1
-        b = np.zeros(k)
-        b[:f2.size] = f2
-        out[n] = weight_var * np.sum((a - b) ** 2)
+    chunk = max(1, 2**18 // max(k_max, 1))  # bounds the (pairs, slabs) temporaries
+    for lo in range(0, idx1.size, chunk):
+        sl = slice(lo, lo + chunk)
+        diff = rows(idx1[sl], pos1[sl]) - rows(idx2[sl], pos2[sl])
+        out[sl] = weight_var * np.einsum("nk,nk->n", diff, diff)
     return out

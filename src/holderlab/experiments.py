@@ -249,7 +249,7 @@ def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig):
     return audit_conditions(probe)
 
 
-def _run_kernel_audit(config: ExperimentConfig):
+def _run_kernel_audit(config: ExperimentConfig, progress: dict):
     kc = config.kernel
     kernel = KernelSpec(alpha=kc.alpha, epsilon=kc.epsilon, dim=kc.dim)
     predicted = (kc.alpha - 2.0 * kc.epsilon) / kc.alpha
@@ -269,7 +269,7 @@ def _run_kernel_audit(config: ExperimentConfig):
     return verdicts, modules
 
 
-def _run_fractional_sweep(config: ExperimentConfig):
+def _run_fractional_sweep(config: ExperimentConfig, progress: dict):
     tol = config.tolerances.sweep_exponent
     verdicts, modules = [], {}
     for alpha, eps in config.sweep.cases:
@@ -290,9 +290,9 @@ def _run_fractional_sweep(config: ExperimentConfig):
 
 def _regularity_saved_indices(steps: int, lag_steps, n_bases: int = 8):
     """Economical saved-time set: base times spread over the interior
-    [T/4, 3T/4] plus each base's lag partners.  Keeps the per-time
-    convolution count at n_bases * (len(lag_steps) + 1) instead of a dense
-    lattice."""
+    [T/4, 3T/4] plus each base's lag partners.  Keeps the per-time inverse
+    transforms and the stored ensemble at n_bases * (len(lag_steps) + 1)
+    times instead of a dense lattice."""
     lo, hi = steps // 4, 3 * steps // 4
     max_step = max(lag_steps)
     span = max(hi - lo - max_step, 1)
@@ -367,14 +367,15 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     return RegularityPieces(kernel, grid, noise, g, lags, saved, sim.store_dtype)
 
 
-def _run_regularity(config: ExperimentConfig):
+def _run_regularity(config: ExperimentConfig, progress: dict):
+    progress["stage"] = "setup"
     pieces = build_regularity(config)
     kernel, lags = pieces.kernel, pieces.lags
     kc, mom = config.kernel, config.moments
     tolerances = config.tolerances
     beta = mom.beta
 
-    # stage 1: kernel audit; the field prediction uses these fitted slopes
+    progress["stage"] = "audit"  # the field prediction uses its fitted slopes
     audit = _audit_one(kernel, beta, config.conditions)
     kernel_gamma = (kc.alpha - 2.0 * kc.epsilon) / kc.alpha
     gamma_pred = min(audit.gamma1, audit.gamma2, beta)
@@ -391,11 +392,12 @@ def _run_regularity(config: ExperimentConfig):
     ]
     modules = {"conditions": audit.to_dict()}
 
-    # stage 2: simulate
+    progress["stage"] = "simulate"
     ensemble = pieces.simulate(config.simulation.ensemble)
 
-    # stage 3: pair moments at dyadic lags
+    progress["stage"] = "pairs"
     pairs = sample_pairs_dyadic(ensemble, lags, mom.pairs_per_lag, seed=config.seed)
+    progress["stage"] = "moments"
     mfield = estimate_pair_moments(ensemble, pairs, mom.p)
     per_lag = []
     for lag in lags:
@@ -408,13 +410,14 @@ def _run_regularity(config: ExperimentConfig):
             "max": float(mfield.estimates[sel].max()),
             "n_pairs": int(sel.sum()),
         })
+    progress["stage"] = "fit"
     fit_mc = fit_exponent([(row["lag"], row["mean"]) for row in per_lag])
     gamma_mc = fit_mc.slope / mom.p
 
-    # stage 4: exact second-moment oracle on the same pairs (p = 2 route)
     gamma_oracle = None
     oracle_rows = None
     if mom.p == 2.0:
+        progress["stage"] = "oracle"
         oracle = second_moment_pairs(kernel, pieces.grid, pieces.g, pieces.noise,
                                      pairs.t_idx1, pairs.s_idx1,
                                      pairs.t_idx2, pairs.s_idx2)
@@ -422,10 +425,11 @@ def _run_regularity(config: ExperimentConfig):
         for lag in lags:
             sel = pairs.requested_delta == lag
             oracle_rows.append({"lag": lag, "mean": float(oracle[sel].mean())})
+        progress["stage"] = "fit"
         fit_oracle = fit_exponent([(r["lag"], r["mean"]) for r in oracle_rows])
         gamma_oracle = fit_oracle.slope / 2.0
 
-    # stage 5: boundedness of the normalized moments (the upper-bound claim);
+    # boundedness of the normalized moments (the upper-bound claim);
     # lags[0] is the largest lag, so ratios must not grow past its value
     ratios = [row["mean"] / row["lag"] ** (mom.p * gamma_pred) for row in per_lag]
     ref = ratios[0]
@@ -460,7 +464,7 @@ def _run_regularity(config: ExperimentConfig):
     return verdicts, modules
 
 
-def _run_embedding_check(config: ExperimentConfig):
+def _run_embedding_check(config: ExperimentConfig, progress: dict):
     cam = config.campanato
     gamma = cam.gamma
     dim = config.kernel.dim
@@ -527,19 +531,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
 
     When out_dir (or config.out) is set, writes report.json, timing.json,
     and the plot-data CSV bundle there; on failure flushes a FAILED.json
-    marker naming the stage, then re-raises.
+    marker naming the stage that failed, then re-raises.
     """
     out = Path(out_dir or config.out) if (out_dir or config.out) else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     t_start = time.time()
-    stage = "setup"
+    # runners overwrite the stage as they enter their sub-stages
+    progress = {"stage": config.experiment}
     try:
-        stage = config.experiment
-        verdicts, modules = _RUNNERS[config.experiment](config)
+        verdicts, modules = _RUNNERS[config.experiment](config, progress)
     except HolderLabError as exc:
         if out is not None:
-            marker = {"stage": stage, "error": type(exc).__name__,
+            marker = {"stage": progress["stage"], "error": type(exc).__name__,
                       "message": str(exc),
                       "invalid_config": isinstance(exc, ConfigError)}
             with open(out / "FAILED.json", "w") as fh:

@@ -7,12 +7,17 @@ import pytest
 from holderlab.convolution import (
     FieldEnsemble,
     TestFunctionSpec,
+    _g_spectrum,
+    _lag_symbols,
+    _resolve_time_indices,
+    _time_weights,
     convolve_brownian,
     convolve_poisson,
     second_moment_pairs,
 )
-from holderlab.errors import GridMismatch
-from holderlab.kernels import KernelSpec, SpectralGrid
+from holderlab.errors import GridMismatch, PairOffGrid
+from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending
+from holderlab.moments import sample_pairs_dyadic
 from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path
 
 KERNEL = KernelSpec(alpha=2.0)
@@ -209,3 +214,123 @@ def test_dim2_smoke():
     w = sample_path(noise, 1).increments[:16].sum()
     assert ens.values.shape == (2, 1, grid.points, grid.points)
     assert np.allclose(ens.values[1, 0], w, rtol=1e-10, atol=1e-14)
+
+
+def _reference_convolve(kernel, grid, g, noise, M, save_times):
+    """The Ito sum rebuilt from slab 0 at every saved index, in save order."""
+    n_t, dt = noise.steps, noise.dt
+    idx = _resolve_time_indices(save_times, dt, n_t)
+    q = _lag_symbols(kernel, grid, dt, n_t)
+    ghat = _g_spectrum(g, grid, dt, n_t)
+    w = _time_weights(noise, g, M)
+    freq_shape = _freq_radius(grid).shape
+    out = np.zeros((M, idx.size) + (grid.points,) * grid.dim)
+    for pos, i in enumerate(idx):
+        if i == 0:
+            continue
+        gh = ghat[:i] if ghat.shape[0] > 1 else ghat
+        a = q[i:0:-1] * gh
+        u_hat = w[:, :i] @ a.real + 1j * (w[:, :i] @ a.imag)
+        out[:, pos] = irfft_ascending(u_hat.reshape((M,) + freq_shape), grid)
+    return idx, out
+
+
+NOISE_2D = NoiseSpec(kind="brownian", horizon=0.5, steps=32, seed=1)
+FRACTIONAL = KernelSpec(alpha=1.5, epsilon=0.3)
+FRACTIONAL_GRID = SpectralGrid.for_times(1.5, 1, t_min=BROWNIAN.dt / 2.0, length=4.0)
+ENGINE_CASES = {
+    "brownian-constant-unsorted": (
+        KERNEL, GRID, TestFunctionSpec(family="constant", amplitude=1.0),
+        BROWNIAN, [64, 3, 0, 64, 17, 1, 128]),
+    "brownian-spatial-eps-all": (
+        FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="spatial-power", beta=0.4),
+        BROWNIAN, None),
+    "brownian-parabolic-eps-times": (
+        FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
+        BROWNIAN, [0.5, 0.25, 0.0, 0.5, 1.0]),
+    "poisson-parabolic-unsorted": (
+        KERNEL, GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
+        POISSON, [100, 2, 2, 0, 57, 128]),
+    "poisson-spatial-eps-one-marks": (
+        FRACTIONAL, FRACTIONAL_GRID,
+        TestFunctionSpec(family="spatial-power", beta=0.3, mark_family="one"),
+        POISSON, [128, 31, 32, 0]),
+    "dim2-parabolic": (
+        KernelSpec(alpha=2.0, dim=2),
+        SpectralGrid.for_times(2.0, 2, t_min=NOISE_2D.dt / 2.0, length=4.0),
+        TestFunctionSpec(family="parabolic-power", beta=0.5),
+        NOISE_2D, [16, 0, 5, 16, 32]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_forward_pass_matches_per_time_sum(case):
+    kernel, grid, g, noise, save_times = ENGINE_CASES[case]
+    convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
+    ens = convolve(kernel, grid, g, noise, M=5, save_times=save_times)
+    idx, ref = _reference_convolve(kernel, grid, g, noise, 5, save_times)
+    assert np.array_equal(ens.time_indices, idx)
+    assert ens.values.shape == ref.shape
+    assert np.max(np.abs(ens.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
+    """Exact second moments from one i-row profile cache per time index."""
+    n_t, dt = noise.steps, noise.dt
+    q = _lag_symbols(kernel, grid, dt, n_t)
+    ghat = _g_spectrum(g, grid, dt, n_t)
+    freq_shape = _freq_radius(grid).shape
+    n_space = grid.points ** grid.dim
+    if noise.kind == "brownian":
+        weight_var = dt
+    else:
+        weight_var = noise.jump.intensity * g.mark_second_moment(noise.jump.mark) * dt
+    cache = {}
+    for i in np.unique(np.concatenate([idx1, idx2])):
+        i = int(i)
+        gh = ghat[:i] if ghat.shape[0] > 1 else np.broadcast_to(ghat, (i, ghat.shape[1]))
+        rows = irfft_ascending((q[i:0:-1] * gh).reshape((i,) + freq_shape), grid)
+        cache[i] = rows.reshape(i, n_space)
+    out = np.empty(len(idx1))
+    for n, (i1, j1, i2, j2) in enumerate(zip(idx1, pos1, idx2, pos2)):
+        f1, f2 = cache[int(i1)][:, j1], cache[int(i2)][:, j2]
+        a = np.zeros(max(f1.size, f2.size))
+        b = np.zeros_like(a)
+        a[:f1.size] = f1
+        b[:f2.size] = f2
+        out[n] = weight_var * np.sum((a - b) ** 2)
+    return out
+
+
+@pytest.mark.parametrize("case", ["brownian-parabolic-eps-times",
+                                  "poisson-parabolic-unsorted",
+                                  "poisson-spatial-eps-one-marks",
+                                  "dim2-parabolic"])
+def test_oracle_profiles_match_per_time_cache(case):
+    kernel, grid, g, noise, _ = ENGINE_CASES[case]
+    saved = list(range(0, noise.steps + 1, 2))
+    ens = FieldEnsemble(values=np.zeros((1, len(saved)) + (grid.points,) * grid.dim),
+                        time_indices=np.array(saved), dt=noise.dt, grid=grid,
+                        kernel=kernel, g=g, noise=noise)
+    lags = [0.5 ** k for k in range(2, 5)]
+    pairs = sample_pairs_dyadic(ens, lags, 20, seed=3)
+    assert np.any(pairs.t_idx1 != pairs.t_idx2)
+    # one pair touching the initial time, where the field has no slabs yet
+    args = [np.append(a, a[0]) for a in
+            (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)]
+    args[0][-1] = 0
+    got = second_moment_pairs(kernel, grid, g, noise, *args)
+    ref = _reference_second_moments(kernel, grid, g, noise, *args)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_oracle_rejects_indices_off_the_lattice():
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    ok = ([64], [100], [32], [120])
+    assert second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *ok)[0] > 0.0
+    for which, bad, error in [(0, BROWNIAN.steps + 1, GridMismatch), (2, -1, GridMismatch),
+                              (1, GRID.points, PairOffGrid), (3, -1, PairOffGrid)]:
+        args = [list(a) for a in ok]
+        args[which] = [bad]
+        with pytest.raises(error):
+            second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *args)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import holderlab.experiments as experiments
 from holderlab.cli import main
-from holderlab.errors import ConfigError
+from holderlab.errors import AliasingViolation, ConfigError
 from holderlab.experiments import (
     ExperimentConfig,
     build_regularity,
@@ -111,6 +111,19 @@ def test_embedding_check_invalid_theta(tmp_path):
     marker = json.loads((tmp_path / "bad" / "FAILED.json").read_text())
     assert marker["invalid_config"]
     assert not (tmp_path / "bad" / "report.json").exists()
+
+
+def test_failed_marker_names_the_failing_stage(tmp_path):
+    # 64 points on [-4, 4) cannot resolve the kernel symbol at lag dt/2
+    data = json.loads(json.dumps(SMALL_BROWNIAN))
+    data["simulation"]["grid_points"] = 64
+    cfg = load_config(_write(tmp_path, data))
+    with pytest.raises(AliasingViolation):
+        run_experiment(cfg, out_dir=tmp_path / "bad")
+    marker = json.loads((tmp_path / "bad" / "FAILED.json").read_text())
+    assert marker["stage"] == "simulate"
+    assert marker["error"] == "AliasingViolation"
+    assert not marker["invalid_config"]
 
 
 @pytest.mark.parametrize("config", ALL_SMALL,
