@@ -11,10 +11,9 @@ singularity while keeping first-order weak accuracy.  Poisson events are
 binned into time slabs and contribute from the first lattice time strictly
 after the event; the compensator is subtracted slab-by-slab with the same
 lag rule, which makes every realization exactly centered.  The ensemble is
-filled in one forward pass: lag symbols of lags j >= 2 are geometric,
-exp(-j dt |xi|^alpha), so the spectral sum decays from one saved time to the
-next and only new slabs are added (exponential Euler), at cost
-O(M * F * max saved index) for M realizations and F spectral modes.
+filled in one forward pass: lag symbols of lags j >= 2 are geometric, exp(-j dt |xi|^alpha),
+so the spectral sum decays from one saved time to the next and only new slabs are added
+(exponential Euler), at cost O(M * F * max saved index) for M realizations and F modes.
 
 Realizations are pure functions of (seed, stream_index); the ensemble
 array is filled in disjoint per-realization rows, so generation is safe to
@@ -192,9 +191,8 @@ def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) ->
 
 
 def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float, n_t: int) -> np.ndarray:
-    """DFT of g(r_k, .) for every slab time r_k, flattened frequencies,
-    shape (n_t, F); a broadcast view of one row when g does not depend on time.
-    """
+    """DFT of g(r_k, .) for every slab time r_k, flattened frequencies, shape
+    (n_t, F); a broadcast view of one row when g does not depend on time."""
     shape = (grid.points,) * grid.dim
     if grid.dim == 1:
         coords = np.abs(grid.axis())
@@ -259,9 +257,9 @@ def _resolve_time_indices(save_times, dt: float, n_t: int) -> np.ndarray:
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
               noise: NoiseSpec, M: int, save_times, dtype=np.float64) -> FieldEnsemble:
-    """One pass over the saved indices in ascending order: from cur to i the sum
-    over slabs k <= i - 2 decays by exp(-(i - cur) dt |xi|^alpha) and gains the new
-    slabs, then the midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i)."""
+    """One pass over the saved indices in ascending order: from cur to i the sum over slabs
+    k <= i - 2 decays by exp(-(i - cur) dt |xi|^alpha) and gains the new slabs, then the
+    midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i)."""
     if kernel.dim != grid.dim:
         raise GridMismatch(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     if M < 1:
@@ -324,19 +322,25 @@ def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionS
     weights and c = intensity * E[g1(z)^2] for compensated Poisson weights.
 
     idx/pos are arrays of lattice time indices and flattened spatial
-    indices (ascending coordinate order) of the two pair members; indices off
-    the lattice raise GridMismatch (time) or PairOffGrid (space).  As g moves
-    in time only in its zero mode, F_i[k] = P[i - k] + (ghat[k, 0] - ghat[0, 0])
-    Q[i - k, 0] / n^d with one profile P[j] = irfft(Q[j] ghat[0]) per lag.
+    indices (ascending coordinate order) of the two pair members; indices off the
+    lattice or not whole raise GridMismatch (time) or PairOffGrid (space).  As g
+    moves in time only in its zero mode, F_i[k] = P[i - k] + (ghat[k, 0] -
+    ghat[0, 0]) Q[i - k, 0] / n^d with one profile P[j] = irfft(Q[j] ghat[0]) per lag.
     """
     n_t = noise.steps
     dt = noise.dt
     n_space = grid.points ** grid.dim
-    idx1, pos1, idx2, pos2 = (np.asarray(a, dtype=int) for a in (idx1, pos1, idx2, pos2))
-    k_max = int(_resolve_time_indices(np.concatenate([idx1, idx2]), dt, n_t).max(initial=0))
-    pos = np.concatenate([pos1, pos2])
-    if np.any((pos < 0) | (pos >= n_space)):
-        raise PairOffGrid(f"pair spatial indices {pos.min()}..{pos.max()} leave [0, {n_space})")
+
+    def lattice(a, top, error):  # whole numbers in [0, top]: 64.7 or -1 must not read a row
+        a = np.asarray(a)
+        whole = np.all(np.isfinite(a) & (a == np.round(a)))
+        if a.size and not (whole and a.min() >= 0 and a.max() <= top):
+            raise error(f"pair indices {a.min()}..{a.max()} are not whole numbers in [0, {top}]")
+        return a.astype(int)
+
+    idx1, idx2 = lattice(idx1, n_t, GridMismatch), lattice(idx2, n_t, GridMismatch)
+    pos1, pos2 = lattice(pos1, n_space - 1, PairOffGrid), lattice(pos2, n_space - 1, PairOffGrid)
+    k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
 
     if noise.kind == "brownian":
         weight_var = dt

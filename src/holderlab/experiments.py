@@ -537,8 +537,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     t_start = time.time()
-    # runners overwrite the stage as they enter their sub-stages
-    progress = {"stage": config.experiment}
+    progress = {"stage": config.experiment}  # runners update it per sub-stage
     try:
         verdicts, modules = _RUNNERS[config.experiment](config, progress)
     except HolderLabError as exc:

@@ -180,18 +180,15 @@ def _freq_radius(grid: SpectralGrid) -> np.ndarray:
 
 
 def irfft_ascending(freq: np.ndarray, grid: SpectralGrid, out=None) -> np.ndarray:
-    """Inverse rfft over the trailing grid.dim axes of ``freq`` (rfftn layout,
-    after any leading batch axes), shifted so coordinates ascend from -L, into
-    ``out`` when given (cast to its dtype) or a new float64 array."""
+    """Inverse rfft over the trailing grid.dim axes of ``freq`` (rfftn layout, after any
+    leading batch axes), shifted so coordinates ascend from -L, into ``out`` if given."""
     axes = tuple(range(-grid.dim, 0))
     vals = np.fft.irfftn(freq, s=(grid.points,) * grid.dim, axes=axes)
-    if out is None:
-        return np.fft.fftshift(vals, axes=axes)
-    h = grid.points // 2  # points are even: half b of each axis takes half 1 - b
-    for halves in np.ndindex((2,) * grid.dim):
-        out[(...,) + tuple(slice(h * b, h * b + h) for b in halves)] = \
-            vals[(...,) + tuple(slice(h - h * b, 2 * h - h * b) for b in halves)]
-    return out
+    h = grid.points // 2  # points are even: the shift swaps the two halves of each axis
+    for ax in axes:
+        halves = [vals[(..., s) + (slice(None),) * (-1 - ax)] for s in (slice(h, None), slice(h))]
+        vals = np.concatenate(halves, axis=ax, out=out if ax == -1 else None)
+    return vals
 
 
 def symbol(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:

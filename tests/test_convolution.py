@@ -16,7 +16,7 @@ from holderlab.convolution import (
     second_moment_pairs,
 )
 from holderlab.errors import GridMismatch, PairOffGrid
-from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending
+from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius
 from holderlab.moments import sample_pairs_dyadic
 from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path
 
@@ -216,6 +216,12 @@ def test_dim2_smoke():
     assert np.allclose(ens.values[1, 0], w, rtol=1e-10, atol=1e-14)
 
 
+def _irfft_fftshift(freq, grid):
+    """Inverse rfft then numpy's fftshift, independent of irfft_ascending's half swap."""
+    axes = tuple(range(-grid.dim, 0))
+    return np.fft.fftshift(np.fft.irfftn(freq, s=(grid.points,) * grid.dim, axes=axes), axes=axes)
+
+
 def _reference_convolve(kernel, grid, g, noise, M, save_times):
     """The Ito sum rebuilt from slab 0 at every saved index, in save order."""
     n_t, dt = noise.steps, noise.dt
@@ -231,7 +237,7 @@ def _reference_convolve(kernel, grid, g, noise, M, save_times):
         gh = ghat[:i] if ghat.shape[0] > 1 else ghat
         a = q[i:0:-1] * gh
         u_hat = w[:, :i] @ a.real + 1j * (w[:, :i] @ a.imag)
-        out[:, pos] = irfft_ascending(u_hat.reshape((M,) + freq_shape), grid)
+        out[:, pos] = _irfft_fftshift(u_hat.reshape((M,) + freq_shape), grid)
     return idx, out
 
 
@@ -289,7 +295,7 @@ def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     for i in np.unique(np.concatenate([idx1, idx2])):
         i = int(i)
         gh = ghat[:i] if ghat.shape[0] > 1 else np.broadcast_to(ghat, (i, ghat.shape[1]))
-        rows = irfft_ascending((q[i:0:-1] * gh).reshape((i,) + freq_shape), grid)
+        rows = _irfft_fftshift((q[i:0:-1] * gh).reshape((i,) + freq_shape), grid)
         cache[i] = rows.reshape(i, n_space)
     out = np.empty(len(idx1))
     for n, (i1, j1, i2, j2) in enumerate(zip(idx1, pos1, idx2, pos2)):
@@ -328,8 +334,12 @@ def test_oracle_rejects_indices_off_the_lattice():
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     ok = ([64], [100], [32], [120])
     assert second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *ok)[0] > 0.0
+    assert second_moment_pairs(KERNEL, GRID, g, BROWNIAN, [64.0], [100.0], [32], [120]) == \
+        second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *ok)
     for which, bad, error in [(0, BROWNIAN.steps + 1, GridMismatch), (2, -1, GridMismatch),
-                              (1, GRID.points, PairOffGrid), (3, -1, PairOffGrid)]:
+                              (1, GRID.points, PairOffGrid), (3, -1, PairOffGrid),
+                              (0, 64.7, GridMismatch), (2, np.nan, GridMismatch),
+                              (1, 100.5, PairOffGrid), (3, np.inf, PairOffGrid)]:
         args = [list(a) for a in ok]
         args[which] = [bad]
         with pytest.raises(error):
