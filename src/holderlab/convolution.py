@@ -15,14 +15,15 @@ filled in one forward pass: lag symbols of lags j >= 2 are geometric, exp(-j dt 
 so the spectral sum decays from one saved time to the next and only new slabs are added
 (exponential Euler), at cost O(M * F * max saved index) for M realizations and F modes.
 
-Realizations are pure functions of (seed, stream_index); the ensemble
-array is filled in disjoint per-realization rows, so generation is safe to
-parallelize.
+Two sinks differ only in where a saved time's field goes: the whole field (FieldEnsemble,
+for `holderlab simulate`) or u at given lattice points only (PointEnsemble, for the
+regularity presets).  Realizations are pure functions of (seed, stream_index).
 """
 
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestFunctionSpec:
         return law.second_moment if self.mark_family == "identity" else 1.0
 
 
+class Lattice(typing.NamedTuple):
+    """Saved space-time lattice: time indices (units of dt) on a spatial grid."""
+
+    dt: float
+    grid: SpectralGrid
+    time_indices: np.ndarray
+
+
 @dataclass
 class FieldEnsemble:
     """M realizations of the field on saved lattice times.
@@ -110,19 +119,20 @@ class FieldEnsemble:
     noise: NoiseSpec
 
     @property
-    def n_realizations(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def times(self) -> np.ndarray:
         return self.time_indices * self.dt
 
-    def time_position(self, index: int) -> int:
-        """Position of lattice time index within the saved axis."""
-        hits = np.nonzero(self.time_indices == index)[0]
-        if hits.size == 0:
-            raise GridMismatch(f"time index {index} not saved in ensemble")
-        return int(hits[0])
+    def at(self, t_idx, s_idx) -> np.ndarray:
+        """u at (time index, flattened spatial index) points, shape (M, n), realization
+        axis contiguous."""
+        s_idx = np.asarray(s_idx)
+        vals = self.values.reshape(self.values.shape[0], self.time_indices.size, -1)
+        hits = self.time_indices == np.asarray(t_idx)[:, None]
+        if not hits.any(axis=1).all():
+            raise GridMismatch(f"time indices {np.setdiff1d(t_idx, self.time_indices)} not saved")
+        if np.any(s_idx < 0) or np.any(s_idx >= vals.shape[2]):
+            raise PairOffGrid("spatial index outside the lattice")
+        return vals[:, hits.argmax(axis=1), s_idx]  # first saved position of each time
 
     def save(self, prefix: str) -> None:
         """Flat binary dump plus a JSON sidecar describing it."""
@@ -174,6 +184,35 @@ class FieldEnsemble:
             g=TestFunctionSpec(**side["g"]),
             noise=noise,
         )
+
+
+@dataclass
+class PointEnsemble:
+    """values[m, n] = u_m(point_times[n], point_space[n]), stored point-major (realizations
+    contiguous, as FieldEnsemble.at gathers); time_indices are the saved times visited."""
+
+    values: np.ndarray
+    point_times: np.ndarray
+    point_space: np.ndarray
+    time_indices: np.ndarray
+
+    def at(self, t_idx, s_idx) -> np.ndarray:
+        """u at held points, shape (M, n); a point not held raises PairOffGrid."""
+        column = {key: n for n, key in enumerate(zip(self.point_times.tolist(),
+                                                     self.point_space.tolist()))}
+        keys = list(zip(np.asarray(t_idx).tolist(), np.asarray(s_idx).tolist()))
+        if not all(key in column for key in keys):
+            raise PairOffGrid("pair points not held by the point ensemble")
+        return self.values[:, [column[key] for key in keys]]
+
+
+def _whole(a, top: int, error) -> np.ndarray:
+    """Indices as ints; anything but whole numbers in [0, top] (64.7, -1) raises error."""
+    a = np.asarray(a)
+    whole = np.all(np.isfinite(a) & (a == np.round(a)))
+    if a.size and not (whole and a.min() >= 0 and a.max() <= top):
+        raise error(f"indices {a.min()}..{a.max()} are not whole numbers in [0, {top}]")
+    return a.astype(int)
 
 
 def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) -> np.ndarray:
@@ -256,10 +295,11 @@ def _resolve_time_indices(save_times, dt: float, n_t: int) -> np.ndarray:
 
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-              noise: NoiseSpec, M: int, save_times, dtype=np.float64) -> FieldEnsemble:
+              noise: NoiseSpec, M: int, save_times, dtype=np.float64, points=None):
     """One pass over the saved indices in ascending order: from cur to i the sum over slabs
     k <= i - 2 decays by exp(-(i - cur) dt |xi|^alpha) and gains the new slabs, then the
-    midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i)."""
+    midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i).  points = (time indices,
+    spatial indices), each on a saved time and on the grid, keeps only u there."""
     if kernel.dim != grid.dim:
         raise GridMismatch(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     if M < 1:
@@ -267,6 +307,15 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     n_t = noise.steps
     dt = noise.dt
     idx = _resolve_time_indices(save_times, dt, n_t)
+    shape = (grid.points,) * grid.dim
+    if points is not None:
+        n_space = grid.points ** grid.dim
+        t_pts = _whole(points[0], n_t, GridMismatch)
+        s_pts = _whole(points[1], n_space - 1, PairOffGrid)
+        if not np.isin(t_pts, idx).all():
+            raise GridMismatch(f"point times {sorted(set(t_pts) - set(idx))} are not saved")
+        # ascending coordinate s is entry src[s] of the unshifted inverse transform
+        src = np.fft.fftshift(np.arange(n_space).reshape(shape)).reshape(-1)[s_pts]
 
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
@@ -274,7 +323,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
 
     radius = _freq_radius(grid)
     rate = np.repeat(-dt * radius.reshape(-1) ** kernel.alpha, 2)
-    out = np.zeros((M, idx.size) + (grid.points,) * grid.dim, dtype=dtype)
+    out = np.zeros((M, idx.size) + shape if points is None else (t_pts.size, M), dtype=dtype)
     # re/im-interleaved sum over slabs k <= cur - 2 of w[:, k] Q[cur - k] ghat[k]
     running = np.zeros((M, rate.size))
     cur = 0
@@ -287,29 +336,37 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         running *= np.exp((i - cur) * rate)
         running += w[:, start:i - 1] @ a.view(np.float64)
         cur = i
-        u_hat = running.view(complex) + np.outer(w[:, i - 1], q[1] * ghat[i - 1])
-        irfft_ascending(u_hat.reshape((M,) + radius.shape), grid, out=out[:, pos])
-
+        u_hat = np.outer(w[:, i - 1], q[1] * ghat[i - 1])
+        u_hat += running.view(complex)  # in place: one (M, F) temporary fewer
+        u_hat = u_hat.reshape((M,) + radius.shape)
+        if points is None:
+            irfft_ascending(u_hat, grid, out=out[:, pos])
+        else:
+            on = t_pts == i
+            field = np.fft.irfftn(u_hat, s=shape, axes=tuple(range(-grid.dim, 0))).reshape(M, -1)
+            out[on] = field[:, src[on]].T
+    if points is not None:
+        return PointEnsemble(out.T, t_pts, s_pts, idx)
     return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,
                          kernel=kernel, g=g, noise=noise)
 
 
 def convolve_brownian(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                       noise: NoiseSpec, M: int, save_times=None,
-                      dtype=np.float64) -> FieldEnsemble:
+                      dtype=np.float64, points=None):
     """Ensemble of Brownian-driven convolutions u = sum_k [p * g](.) dW_k."""
     if noise.kind != "brownian":
         raise GridMismatch("convolve_brownian needs brownian noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, dtype)
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype, points)
 
 
 def convolve_poisson(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                      noise: NoiseSpec, M: int, save_times=None,
-                     dtype=np.float64) -> FieldEnsemble:
+                     dtype=np.float64, points=None):
     """Ensemble of compensated-Poisson-driven convolutions."""
     if noise.kind != "poisson":
         raise GridMismatch("convolve_poisson needs poisson noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, dtype)
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype, points)
 
 
 def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
@@ -331,15 +388,8 @@ def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionS
     dt = noise.dt
     n_space = grid.points ** grid.dim
 
-    def lattice(a, top, error):  # whole numbers in [0, top]: 64.7 or -1 must not read a row
-        a = np.asarray(a)
-        whole = np.all(np.isfinite(a) & (a == np.round(a)))
-        if a.size and not (whole and a.min() >= 0 and a.max() <= top):
-            raise error(f"pair indices {a.min()}..{a.max()} are not whole numbers in [0, {top}]")
-        return a.astype(int)
-
-    idx1, idx2 = lattice(idx1, n_t, GridMismatch), lattice(idx2, n_t, GridMismatch)
-    pos1, pos2 = lattice(pos1, n_space - 1, PairOffGrid), lattice(pos2, n_space - 1, PairOffGrid)
+    idx1, idx2 = _whole(idx1, n_t, GridMismatch), _whole(idx2, n_t, GridMismatch)
+    pos1, pos2 = _whole(pos1, n_space - 1, PairOffGrid), _whole(pos2, n_space - 1, PairOffGrid)
     k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
 
     if noise.kind == "brownian":

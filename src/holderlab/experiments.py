@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import time
 import typing
 from dataclasses import dataclass, field
@@ -34,7 +35,8 @@ import numpy as np
 from . import __version__
 from .campanato import Box, DomainSpec, campanato_seminorm, embedding_exponent
 from .conditions import ConditionProbe, audit_conditions, dyadic_pairs, fit_exponent
-from .convolution import TestFunctionSpec, convolve_brownian, convolve_poisson, second_moment_pairs
+from .convolution import (Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson,
+                          second_moment_pairs)
 from .errors import ConfigError, HolderLabError, ThetaOutOfEmbeddingRange
 from .kernels import KernelSpec, SpectralGrid
 from .moments import estimate_pair_moments, sample_pairs_dyadic
@@ -291,8 +293,9 @@ def _run_fractional_sweep(config: ExperimentConfig, progress: dict):
 def _regularity_saved_indices(steps: int, lag_steps, n_bases: int = 8):
     """Economical saved-time set: base times spread over the interior
     [T/4, 3T/4] plus each base's lag partners.  Keeps the per-time inverse
-    transforms and the stored ensemble at n_bases * (len(lag_steps) + 1)
-    times instead of a dense lattice."""
+    transforms at n_bases * (len(lag_steps) + 1) times instead of a dense
+    lattice; the presets' pairs lie on these times, and `holderlab simulate`
+    stores the whole field on them."""
     lo, hi = steps // 4, 3 * steps // 4
     max_step = max(lag_steps)
     span = max(hi - lo - max_step, 1)
@@ -313,13 +316,32 @@ class RegularityPieces(typing.NamedTuple):
     noise: NoiseSpec
     g: TestFunctionSpec
     lags: list    # dyadic parabolic lags 2^-k, largest first
-    saved: list   # lattice time indices the ensemble keeps
-    dtype: str    # ensemble storage dtype, "float32" or "float64"
+    saved: list   # lattice time indices the pass visits; the pairs lie on them
+    dtype: str    # storage dtype of the field values, "float32" or "float64"
 
-    def simulate(self, M: int):
+    @property
+    def lattice(self) -> Lattice:
+        return Lattice(self.noise.dt, self.grid, np.array(self.saved))
+
+    def require_memory(self, M: int, held: int) -> None:
+        """ConfigError if a sink of `held` values per realization, the (M, n_t) slab weights
+        and three (M, 2F) float64 arrays (running sum, one saved time's spectrum, its inverse
+        transform) would exceed physical memory; allocates nothing."""
+        n = self.grid.points  # 1-D, so 2F = n + 2
+        need = M * (held * np.dtype(self.dtype).itemsize + 8 * (self.noise.steps + 3 * (n + 2)))
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > memory:
+            raise ConfigError(f"config.simulation.ensemble / config.simulation.grid_points: "
+                              f"{M} realizations on {n} points need {need / 2**30:.1f} GiB, "
+                              f"more than the {memory / 2**30:.1f} GiB of physical memory")
+
+    def simulate(self, M: int, points=None):
+        """The whole field on the saved times, or u at points only, after require_memory."""
+        self.require_memory(M, len(self.saved) * self.grid.points if points is None
+                            else len(points[0]))
         convolve = convolve_brownian if self.noise.kind == "brownian" else convolve_poisson
         return convolve(self.kernel, self.grid, self.g, self.noise, M=M,
-                        save_times=self.saved, dtype=self.dtype)
+                        save_times=self.saved, dtype=self.dtype, points=points)
 
 
 def _spec(path: str, cls, *args, **kwargs):
@@ -372,6 +394,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     pieces = build_regularity(config)
     kernel, lags = pieces.kernel, pieces.lags
     kc, mom = config.kernel, config.moments
+    pieces.require_memory(config.simulation.ensemble, 2 * mom.pairs_per_lag * len(lags))
     tolerances = config.tolerances
     beta = mom.beta
 
@@ -392,13 +415,12 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     ]
     modules = {"conditions": audit.to_dict()}
 
+    progress["stage"] = "pairs"  # pairs depend only on the lattice: draw them first
+    pairs = sample_pairs_dyadic(pieces.lattice, lags, mom.pairs_per_lag, seed=config.seed)
     progress["stage"] = "simulate"
-    ensemble = pieces.simulate(config.simulation.ensemble)
-
-    progress["stage"] = "pairs"
-    pairs = sample_pairs_dyadic(ensemble, lags, mom.pairs_per_lag, seed=config.seed)
+    values = pieces.simulate(config.simulation.ensemble, points=pairs.points)
     progress["stage"] = "moments"
-    mfield = estimate_pair_moments(ensemble, pairs, mom.p)
+    mfield = estimate_pair_moments(values, pairs, mom.p)
     per_lag = []
     for lag in lags:
         sel = pairs.requested_delta == lag
@@ -407,6 +429,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
             "mean": float(mfield.estimates[sel].mean()),
             "stderr": float(mfield.estimates[sel].std(ddof=1)
                             / np.sqrt(max(sel.sum(), 2))),
+            "stderr_realizations": mfield.realization_stderr[lag],
             "max": float(mfield.estimates[sel].max()),
             "n_pairs": int(sel.sum()),
         })

@@ -3,21 +3,21 @@
 Pair subsampling replaces the full double integral over a cylinder by
 uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
-Everything is read-only over the ensemble, so per-pair estimation is free
-to run concurrently; outputs are assembled in pair order.
+Pairs depend only on the saved lattice, so they can be drawn before simulating;
+the estimator reads a FieldEnsemble or a PointEnsemble alike, in pair order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .campanato import ParabolicCylinder, parabolic_distance
-from .convolution import FieldEnsemble
+from .convolution import Lattice
 from .errors import EmptyCylinder, EmptyRequest, EnsembleTooSmall, PairOffGrid
 
 MIN_ENSEMBLE = 30
@@ -48,6 +48,12 @@ class PairSet:
     def size(self) -> int:
         return self.t_idx1.size
 
+    @property
+    def points(self):
+        """(time indices, space indices) of the first members, then the second members."""
+        return (np.concatenate([self.t_idx1, self.t_idx2]),
+                np.concatenate([self.s_idx1, self.s_idx2]))
+
     def swapped(self) -> "PairSet":
         return PairSet(self.t_idx2, self.s_idx2, self.t_idx1, self.s_idx1,
                        self.t2, self.x2, self.t1, self.x1,
@@ -56,12 +62,14 @@ class PairSet:
 
 @dataclass
 class MomentField:
-    """Per-pair moment estimates with Monte Carlo standard errors."""
+    """Per-pair moment estimates with Monte Carlo standard errors; per requested lag, the
+    std (ddof=1) over m of the lag's mean of |u_m(X) - u_m(Y)|^p, over sqrt(M)."""
 
     p: float
     pairs: PairSet
     estimates: np.ndarray
     stderr: np.ndarray
+    realization_stderr: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -93,46 +101,37 @@ class MomentField:
             fh.write("\n")
 
 
-def _lattice_coords(ensemble: FieldEnsemble):
-    ax = ensemble.grid.axis()
-    if ensemble.grid.dim == 1:
+def _lattice_coords(lattice: Lattice):
+    ax = lattice.grid.axis()
+    if lattice.grid.dim == 1:
         return ax[:, None]
     x, y = np.meshgrid(ax, ax, indexing="ij")
     return np.column_stack([x.ravel(), y.ravel()])
 
 
-def estimate_pair_moments(ensemble: FieldEnsemble, pairs: PairSet, p: float) -> MomentField:
-    """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors.
+def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
+    """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from a
+    FieldEnsemble or a PointEnsemble holding the pair points.
 
     Deterministic given the ensemble; symmetric in the pair order.
     """
     if p < 1.0:
         raise ValueError("moment order p must be >= 1")
-    M = ensemble.n_realizations
+    M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")
-    vals = ensemble.values.reshape(M, ensemble.time_indices.size, -1)
-    n_space = vals.shape[2]
-
-    def positions(t_idx, s_idx):
-        pos = np.empty(t_idx.size, dtype=int)
-        for n, i in enumerate(t_idx):
-            pos[n] = ensemble.time_position(int(i))
-        if np.any(s_idx < 0) or np.any(s_idx >= n_space):
-            raise PairOffGrid("spatial index outside the lattice")
-        return pos
-
-    pos1 = positions(pairs.t_idx1, pairs.s_idx1)
-    pos2 = positions(pairs.t_idx2, pairs.s_idx2)
-    diff = (vals[:, pos1, pairs.s_idx1].astype(np.float64)
-            - vals[:, pos2, pairs.s_idx2].astype(np.float64))
+    diff = (ensemble.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)
+            - ensemble.at(pairs.t_idx2, pairs.s_idx2).astype(np.float64))
     powed = np.abs(diff) ** p
     est = powed.mean(axis=0)
     err = powed.std(axis=0, ddof=1) / np.sqrt(M)
-    return MomentField(p=p, pairs=pairs, estimates=est, stderr=err)
+    lags = np.unique(pairs.requested_delta[~np.isnan(pairs.requested_delta)])
+    by_lag = {float(lag): float(powed[:, pairs.requested_delta == lag].mean(axis=1).std(ddof=1)
+                                / np.sqrt(M)) for lag in lags}
+    return MomentField(p=p, pairs=pairs, estimates=est, stderr=err, realization_stderr=by_lag)
 
 
-def sample_pairs_within_cylinder(ensemble: FieldEnsemble, cylinder: ParabolicCylinder,
+def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
                                  count: int, seed: int = 0) -> PairSet:
     """Uniform independent pairs of lattice points inside a cylinder.
 
@@ -142,26 +141,26 @@ def sample_pairs_within_cylinder(ensemble: FieldEnsemble, cylinder: ParabolicCyl
     if count < 1:
         raise EmptyRequest("count must be >= 1")
     t0, x0, c = cylinder.center.t, np.atleast_1d(cylinder.center.x), cylinder.radius
-    times = ensemble.times
+    times = lattice.time_indices * lattice.dt
     ok_t = np.nonzero(np.abs(times - t0) < c * c)[0]
-    coords = _lattice_coords(ensemble)
+    coords = _lattice_coords(lattice)
     dist = np.sqrt(((coords - x0[None, :]) ** 2).sum(axis=1))
     ok_x = np.nonzero(dist < c)[0]
     if ok_t.size == 0 or ok_x.size == 0:
         raise EmptyCylinder(f"no saved lattice points inside {cylinder}")
     rng = Generator(Philox(key=[seed, 0xC1]))
-    ti = ensemble.time_indices[rng.choice(ok_t, 2 * count)]
+    ti = lattice.time_indices[rng.choice(ok_t, 2 * count)]
     xi = rng.choice(ok_x, 2 * count)
     t_idx1, t_idx2 = ti[:count], ti[count:]
     s_idx1, s_idx2 = xi[:count], xi[count:]
-    t1, t2 = t_idx1 * ensemble.dt, t_idx2 * ensemble.dt
+    t1, t2 = t_idx1 * lattice.dt, t_idx2 * lattice.dt
     x1, x2 = coords[s_idx1], coords[s_idx2]
     delta = parabolic_distance(t1, x1, t2, x2)
     return PairSet(t_idx1, s_idx1, t_idx2, s_idx2, t1, x1, t2, x2,
                    delta, np.full(count, np.nan))
 
 
-def sample_pairs_dyadic(ensemble: FieldEnsemble, lags, count: int, seed: int = 0) -> PairSet:
+def sample_pairs_dyadic(lattice: Lattice, lags, count: int, seed: int = 0) -> PairSet:
     """Pairs at controlled parabolic lags.
 
     For each lag delta, half the pairs are pure-time (same x, t separation
@@ -170,16 +169,18 @@ def sample_pairs_dyadic(ensemble: FieldEnsemble, lags, count: int, seed: int = 0
     drawn from the central half of the box and from saved times that keep
     the partner on the saved lattice.  Achieved deltas are recorded next to
     the requested ones.  A lag whose pure-space pairs do not fit inside the
-    central half raises PairOffGrid before anything is sampled.
+    central half raises PairOffGrid before anything is sampled.  Only the
+    lattice is read (a FieldEnsemble serves as one), so pairs can be drawn
+    before simulating.
     """
     if count < 1:
         raise EmptyRequest("count must be >= 1")
-    dt, h = ensemble.dt, ensemble.grid.spacing
-    n = ensemble.grid.points
-    dim = ensemble.grid.dim
+    dt, h = lattice.dt, lattice.grid.spacing
+    n = lattice.grid.points
+    dim = lattice.grid.dim
     rng = Generator(Philox(key=[seed, 0xD7]))
-    saved = set(int(i) for i in ensemble.time_indices)
-    coords = _lattice_coords(ensemble)
+    saved = set(int(i) for i in lattice.time_indices)
+    coords = _lattice_coords(lattice)
 
     rows = {k: [] for k in ("ti1", "si1", "ti2", "si2", "req")}
     lo, hi = n // 4, 3 * n // 4

@@ -6,6 +6,7 @@ import pytest
 
 from holderlab.convolution import (
     FieldEnsemble,
+    PointEnsemble,
     TestFunctionSpec,
     _g_spectrum,
     _lag_symbols,
@@ -344,3 +345,54 @@ def test_oracle_rejects_indices_off_the_lattice():
         args[which] = [bad]
         with pytest.raises(error):
             second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *args)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_point_sink_equals_the_full_field_gathered(case, dtype):
+    kernel, grid, g, noise, save_times = ENGINE_CASES[case]
+    convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
+    full = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=dtype)
+    rng = np.random.default_rng(1)
+    t = rng.choice(full.time_indices, 40)
+    s = rng.integers(0, grid.points ** grid.dim, 40)
+    # every case saves time index 0, where u = 0; the last point repeats the first
+    t, s = np.append(t, [0, t[0]]), np.append(s, [7, s[0]])
+    pts = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=dtype,
+                   points=(t, s))
+    assert isinstance(pts, PointEnsemble)
+    assert pts.values.dtype == dtype and pts.values.shape == (5, t.size)
+    assert pts.values.strides[0] == pts.values.itemsize  # realization axis contiguous
+    assert np.array_equal(pts.time_indices, full.time_indices)
+    vals = full.values.reshape(5, full.time_indices.size, -1)
+    pos = [int(np.flatnonzero(full.time_indices == i)[0]) for i in t]
+    assert np.array_equal(pts.values, vals[:, pos, s])
+    assert not pts.values[:, -2].any()
+    assert np.array_equal(pts.values[:, -1], pts.values[:, 0])
+    assert np.array_equal(pts.at(t[::-1], s[::-1]), full.at(t[::-1], s[::-1]))
+
+
+def test_point_sink_rejects_points_off_the_saved_lattice():
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+
+    def run(t, s):
+        return convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64],
+                                 dtype=np.float32, points=(t, s))
+
+    held = run([64, 64.0, 0], [3, 200, 255])
+    assert held.values.shape == (2, 3)
+    for t, s, error in [([32], [3], GridMismatch),  # on the lattice but not saved
+                        ([64.5], [3], GridMismatch), ([BROWNIAN.steps + 1], [3], GridMismatch),
+                        ([-1], [3], GridMismatch), ([np.nan], [3], GridMismatch),
+                        ([64], [GRID.points], PairOffGrid), ([64], [-1], PairOffGrid),
+                        ([64], [3.5], PairOffGrid), ([64], [np.inf], PairOffGrid)]:
+        with pytest.raises(error):
+            run(t, s)
+    with pytest.raises(PairOffGrid):
+        held.at([64], [4])  # a lattice point the sink did not keep
+    full = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
+    with pytest.raises(GridMismatch):
+        full.at([32], [3])
+    with pytest.raises(PairOffGrid):
+        full.at([64], [GRID.points])
+    assert np.array_equal(full.at([64, 0], [3, 3]), full.values[:, [1, 0], 3])

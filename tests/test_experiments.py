@@ -1,8 +1,10 @@
 import importlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from holderlab.experiments import (
     load_config,
     run_experiment,
 )
+from holderlab.moments import sample_pairs_dyadic
 
 SMALL_AUDIT = {
     "experiment": "kernel-audit",
@@ -354,3 +357,88 @@ def test_benchmark_tracer_targets_resolve(tmp_path):
     finally:
         t.uninstall()
     assert [s[0] for s in t.spans].count("convolution.convolve") == 1
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+@pytest.mark.parametrize("config", [SMALL_BROWNIAN, SMALL_POISSON],
+                         ids=["brownian", "poisson"])
+def test_regularity_preset_runs_under_the_benchmark_tracer(tmp_path, config):
+    # perfbench/tracer.py reads .values and .time_indices of what convolve_* returns
+    cfg = load_config(_write(tmp_path, config))
+    pieces = build_regularity(cfg)
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.run_id = config["experiment"]
+    t.install()
+    try:
+        run_experiment(cfg, out_dir=tmp_path / "out")
+    finally:
+        t.uninstall()
+    names = [s[0] for s in t.spans]
+    assert names.count("convolution.convolve") == 1
+    assert names.count("moments.estimate") == 1
+    layers = t.summary(config["experiment"])
+    n_pairs = config["moments"]["pairs_per_lag"] * len(pieces.lags)
+    M = config["simulation"]["ensemble"]
+    assert layers["convolution.realizations"] == M
+    assert layers["convolution.saved_times"] == len(pieces.saved)
+    assert layers["convolution.ensemble_bytes"] == M * 2 * n_pairs * 4  # float32 pair values
+    assert layers["moments.pairs"] == n_pairs
+    assert layers["convolution.oracle_pairs"] == n_pairs
+
+
+def test_regularity_run_never_holds_the_full_field(tmp_path):
+    data = json.loads(json.dumps(SMALL_BROWNIAN))
+    data["simulation"]["ensemble"] = 400
+    cfg = load_config(_write(tmp_path, data))
+    pieces = build_regularity(cfg)
+    full_block = 400 * len(pieces.saved) * pieces.grid.points * 4  # float32 (M, saved, n)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_block
+
+
+def test_lattice_pairs_equal_pairs_drawn_from_the_simulated_ensemble(tmp_path):
+    cfg = load_config(_write(tmp_path, SMALL_BROWNIAN))
+    pieces = build_regularity(cfg)
+    ens = pieces.simulate(2)
+    a = sample_pairs_dyadic(pieces.lattice, pieces.lags, 48, seed=cfg.seed)
+    b = sample_pairs_dyadic(ens, pieces.lags, 48, seed=cfg.seed)
+    for name in ("t_idx1", "s_idx1", "t_idx2", "s_idx2", "t1", "x1", "t2", "x2",
+                 "delta", "requested_delta"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("simulation", [{"ensemble": 10**8}, {"grid_points": 2**24}])
+def test_simulation_beyond_physical_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                             simulation):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work started before the memory check")
+
+    monkeypatch.setattr(experiments, "convolve_brownian", not_reached)
+    monkeypatch.setattr(experiments, "sample_pairs_dyadic", not_reached)
+    monkeypatch.setattr(experiments, "_audit_one", not_reached)
+    path = _write(tmp_path, {"experiment": "brownian-regularity", "simulation": simulation})
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config.simulation.ensemble / config.simulation.grid_points" in err
+    assert "physical memory" in err
+    assert not (tmp_path / "out" / "ensemble.bin").exists()
+
+    small = json.loads(json.dumps(SMALL_BROWNIAN))
+    small["simulation"].update(simulation)
+    with pytest.raises(ConfigError, match="physical memory"):
+        run_experiment(load_config(_write(tmp_path, small)), out_dir=tmp_path / "run")
+    marker = json.loads((tmp_path / "run" / "FAILED.json").read_text())
+    assert marker["stage"] == "setup" and marker["invalid_config"]

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from holderlab.campanato import ParabolicCylinder, SpaceTimePoint
-from holderlab.convolution import TestFunctionSpec, convolve_brownian
+from holderlab.convolution import Lattice, TestFunctionSpec, convolve_brownian
 from holderlab.errors import EmptyCylinder, EmptyRequest, EnsembleTooSmall, PairOffGrid
 from holderlab.kernels import KernelSpec, SpectralGrid
 from holderlab.moments import (
+    PairSet,
     estimate_pair_moments,
     sample_pairs_dyadic,
     sample_pairs_within_cylinder,
@@ -174,3 +176,54 @@ def test_moment_field_csv_json(tmp_path, unit_ensemble):
     lines = (tmp_path / "m.csv").read_text().strip().splitlines()
     assert lines[0] == "t,x,s,y,delta,estimate,stderr"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_point_values_give_the_full_ensemble_estimates_bit_for_bit(dtype):
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    saved = list(range(64, 193, 8))
+    lags = [0.25, 0.125, 0.0625]
+    full = convolve_brownian(KERNEL, GRID, g, NOISE, M=300, save_times=saved, dtype=dtype)
+    pairs = sample_pairs_dyadic(full, lags, 64, seed=4)
+    pts = convolve_brownian(KERNEL, GRID, g, NOISE, M=300, save_times=saved, dtype=dtype,
+                            points=pairs.points)
+    assert pts.values.nbytes == 300 * 2 * pairs.size * np.dtype(dtype).itemsize
+    for p in (1.0, 2.0, 3.5):
+        a = estimate_pair_moments(full, pairs, p)
+        b = estimate_pair_moments(pts, pairs, p)
+        assert np.array_equal(a.estimates, b.estimates)
+        assert np.array_equal(a.stderr, b.stderr)
+        assert a.realization_stderr == b.realization_stderr
+
+
+def test_realization_stderr_is_the_spread_of_per_realization_lag_means():
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    saved = list(range(64, 193, 8))
+    M = 200
+    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=M, save_times=saved)
+    lags = [0.25, 0.125]
+    pairs = sample_pairs_dyadic(ens, lags, 32, seed=9)
+    field = estimate_pair_moments(ens, pairs, 2.0)
+    assert sorted(field.realization_stderr) == sorted(lags)
+    diff = ens.at(pairs.t_idx1, pairs.s_idx1) - ens.at(pairs.t_idx2, pairs.s_idx2)
+    for lag in lags:
+        sel = pairs.requested_delta == lag
+        lag_means = (diff[:, sel] ** 2).mean(axis=1)  # one lag mean per realization
+        want = lag_means.std(ddof=1) / math.sqrt(M)
+        assert field.realization_stderr[lag] == pytest.approx(want, rel=1e-12)
+        assert field.realization_stderr[lag] > 0.0
+    # within-cylinder pairs request no lag
+    cyl = ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25)
+    cyl_pairs = sample_pairs_within_cylinder(ens, cyl, 16, seed=1)
+    assert estimate_pair_moments(ens, cyl_pairs, 2.0).realization_stderr == {}
+
+
+def test_pairs_from_the_lattice_equal_pairs_from_an_ensemble(unit_ensemble):
+    lattice = Lattice(unit_ensemble.dt, unit_ensemble.grid, unit_ensemble.time_indices)
+    lags = [2.0**-k for k in range(1, 5)]
+    cyl = ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25)
+    for draw in (lambda src: sample_pairs_dyadic(src, lags, 64, seed=12),
+                 lambda src: sample_pairs_within_cylinder(src, cyl, 64, seed=12)):
+        a, b = draw(unit_ensemble), draw(lattice)
+        for f in dataclasses.fields(PairSet):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
