@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .kernels import KernelSpec, SpectralGrid, eval_kernel, check_sharp_bounds
+from .kernels import KernelSpec, SpectralGrid, eval_kernel
 from .noise import NoiseSpec, NoisePath, MarkLaw, JumpSpec, sample_path, compensated_integral
 from .conditions import ConditionProbe, ConditionReport, fit_exponent
 from .convolution import TestFunctionSpec, FieldEnsemble, convolve_brownian, convolve_poisson
@@ -13,9 +13,7 @@ from .campanato import (
     ParabolicCylinder,
     DomainSpec,
     parabolic_distance,
-    a_type_constant,
     campanato_seminorm,
-    holder_seminorm,
     embedding_exponent,
     inclusion_holds,
 )
@@ -24,7 +22,6 @@ __all__ = [
     "KernelSpec",
     "SpectralGrid",
     "eval_kernel",
-    "check_sharp_bounds",
     "NoiseSpec",
     "NoisePath",
     "MarkLaw",
@@ -46,9 +43,7 @@ __all__ = [
     "ParabolicCylinder",
     "DomainSpec",
     "parabolic_distance",
-    "a_type_constant",
     "campanato_seminorm",
-    "holder_seminorm",
     "embedding_exponent",
     "inclusion_holds",
 ]

@@ -1,4 +1,4 @@
-"""Parabolic geometry and Campanato/Holder seminorm machinery.
+"""Parabolic geometry and Campanato seminorm machinery.
 
 The metric is delta(X, Y) = max(|x - y|, |t - s|^(1/2)); its balls are the
 parabolic cylinders Q_c(t0, x0) = (t0 - c^2, t0 + c^2) x B_c(x0).  Domains
@@ -15,10 +15,7 @@ and the sup reductions are order-free.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +23,6 @@ from numpy.random import Generator, Philox
 
 from .errors import (
     DimensionMismatch,
-    RadiusExceedsDiameter,
     SamplingBudgetTooSmall,
     ThetaOutOfEmbeddingRange,
 )
@@ -76,12 +72,6 @@ def parabolic_distance(t1, x1, t2, x2) -> np.ndarray | float:
         space = np.abs(x1 - x2)
     out = np.maximum(space, np.sqrt(np.abs(t1 - t2)))
     return float(out) if out.ndim == 0 else out
-
-
-def point_distance(X: SpaceTimePoint, Y: SpaceTimePoint) -> float:
-    if X.dim != Y.dim:
-        raise DimensionMismatch(f"dims differ: {X.dim} vs {Y.dim}")
-    return float(parabolic_distance(X.t, X.x_array()[None, :], Y.t, Y.x_array()[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -274,20 +264,6 @@ class DomainSpec:
                 total += t_ov * area
         return total
 
-    def intersection_measure_qmc(self, cyl: ParabolicCylinder, n: int = 65536) -> float:
-        """Quasi-Monte Carlo fallback (Halton), ~1e-3 relative for smooth cuts."""
-        from scipy.stats import qmc
-
-        c = cyl.radius
-        t0, x0 = cyl.center.t, cyl.center.x_array()
-        sampler = qmc.Halton(d=1 + self.dim, scramble=False)
-        u = sampler.random(n)
-        ts = t0 - c * c + 2.0 * c * c * u[:, 0]
-        xs = x0[None, :] - c + 2.0 * c * u[:, 1:]
-        inside = self.contains(ts, xs) & cyl.contains(ts, xs)
-        box_vol = 2.0 * c * c * (2.0 * c) ** self.dim
-        return box_vol * inside.mean()
-
     def sample_points(self, rng: Generator, n: int):
         """Uniform points of the domain (boxes weighted by measure)."""
         weights = np.array([b.measure for b in self.boxes])
@@ -303,25 +279,6 @@ class DomainSpec:
         return np.concatenate(ts), np.vstack(xs)
 
 
-def a_type_constant(domain: DomainSpec, centers, radii) -> float:
-    """min over sampled (X, rho) of |D cap Q_rho(X)| / |Q_rho(X)|.
-
-    A lower estimate of the domain's A-type constant.  Centers must lie in
-    the domain and radii must not exceed its parabolic diameter.
-    """
-    diam = domain.diameter
-    worst = 1.0
-    for X in centers:
-        if not domain.contains(np.array([X.t]), X.x_array()[None, :])[0]:
-            raise ValueError(f"center {X} is not inside the domain")
-        for rho in radii:
-            if rho > diam:
-                raise RadiusExceedsDiameter(f"rho={rho} exceeds diameter {diam}")
-            cyl = ParabolicCylinder(X, rho)
-            worst = min(worst, domain.intersection_measure(cyl) / cyl.measure)
-    return worst
-
-
 # --- seminorm reports -----------------------------------------------------
 
 @dataclass
@@ -329,16 +286,14 @@ class SeminormReport:
     """Per-scale seminorm statistics and the fitted scaling exponent.
 
     per_scale holds the sup over sampled cylinder centers of the
-    measure-normalized pairwise average (Campanato) or the max increment
-    ratio (Holder).  fitted_theta comes from regressing the raw (not
-    normalized) per-scale pairwise average against log |Q_c|; fitted_gamma
-    is the Holder exponent implied by it (or fitted directly for Holder
-    reports).
+    measure-normalized pairwise average.  fitted_theta comes from regressing
+    the raw (not normalized) per-scale pairwise average against log |Q_c|;
+    fitted_gamma is the Holder exponent implied by it.
     """
 
     kind: str
     p: float
-    parameter: float  # theta for campanato reports, alpha for holder
+    parameter: float  # theta
     scales: list
     per_scale: list
     per_scale_meandev: list | None = None
@@ -368,19 +323,6 @@ class SeminormReport:
             "seminorm": self.seminorm,
             "notes": self.notes,
         }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scale", "value", "raw_value"])
-            raws = self.raw_per_scale or [float("nan")] * len(self.scales)
-            for s, v, r in zip(self.scales, self.per_scale, raws):
-                writer.writerow([repr(float(s)), repr(float(v)), repr(float(r))])
 
 
 def _cylinder_samples(rng, domain: DomainSpec, cyl: ParabolicCylinder, budget: int):
@@ -519,70 +461,6 @@ def campanato_from_pair_moments(groups, p: float, theta: float) -> SeminormRepor
         raw_per_scale=[by_scale[s]["raw"] for s in scales],
         seminorm=max(by_scale[s]["sup"] for s in scales) ** (1.0 / p),
     )
-    return report
-
-
-def holder_seminorm(u, domain: DomainSpec, alpha: float, budget: int = 256,
-                    scales=None, seed: int = 0) -> SeminormReport:
-    """Sampled Holder seminorm sup |u(X) - u(Y)| / delta(X, Y)^alpha.
-
-    Pairs are drawn at controlled dyadic separations (pure-space and
-    pure-time offsets from uniform base points); the reported value is the
-    max ratio over all sampled pairs, a lower estimate of the sup.
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if alpha > 1.0:
-        warnings.warn("alpha > 1 requested: the seminorm vanishes for "
-                      "differentiable fields; proceeding", stacklevel=2)
-    if scales is None:
-        top = domain.diameter / 4.0
-        scales = [top * 2.0**-k for k in range(5)]
-    scales = sorted(scales, reverse=True)
-    rng = Generator(Philox(key=[seed, 0xB0]))
-
-    best = 0.0
-    per_scale, max_inc = [], []
-    for c in scales:
-        ts, xs = domain.sample_points(rng, budget)
-        # pure-space partners
-        direction = rng.normal(size=(budget, domain.dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        xs2 = xs + c * direction
-        keep = domain.contains(ts, xs2)
-        ratios, incs = [], []
-        if np.any(keep):
-            v1 = np.asarray(u(ts[keep], xs[keep]), dtype=float)
-            v2 = np.asarray(u(ts[keep], xs2[keep]), dtype=float)
-            d = parabolic_distance(ts[keep], xs[keep], ts[keep], xs2[keep])
-            ratios.append(np.abs(v1 - v2) / d**alpha)
-            incs.append(np.abs(v1 - v2))
-        # pure-time partners
-        ts2 = ts + c * c * rng.choice([-1.0, 1.0], budget)
-        keep = domain.contains(ts2, xs)
-        if np.any(keep):
-            v1 = np.asarray(u(ts[keep], xs[keep]), dtype=float)
-            v2 = np.asarray(u(ts2[keep], xs[keep]), dtype=float)
-            d = parabolic_distance(ts[keep], xs[keep], ts2[keep], xs[keep])
-            ratios.append(np.abs(v1 - v2) / d**alpha)
-            incs.append(np.abs(v1 - v2))
-        scale_best = float(np.max(np.concatenate(ratios))) if ratios else 0.0
-        scale_inc = float(np.max(np.concatenate(incs))) if incs else 0.0
-        per_scale.append(scale_best)
-        max_inc.append(scale_inc)
-        best = max(best, scale_best)
-
-    report = SeminormReport(
-        kind="holder", p=1.0, parameter=alpha, scales=list(scales),
-        per_scale=per_scale, raw_per_scale=max_inc, seminorm=best,
-        notes={"budget": budget},
-    )
-    from .conditions import fit_exponent
-
-    if len(scales) >= 4 and all(v > 0 for v in max_inc):
-        fit = fit_exponent(list(zip(scales, max_inc)))
-        report.fitted_gamma = fit.slope
-        report.fitted_gamma_stderr = fit.stderr
     return report
 
 

@@ -24,6 +24,8 @@ from .experiments import (
     emit_plot_data,
     load_config,
     run_experiment,
+    write_json,
+    write_table,
 )
 from .moments import estimate_pair_moments, sample_pairs_dyadic, sample_pairs_within_cylinder
 
@@ -101,6 +103,11 @@ def _cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
+def _joined(x) -> str:
+    """A spatial point as one CSV cell: its coordinates' reprs joined by ';'."""
+    return ";".join(repr(float(v)) for v in x)
+
+
 def _cmd_moments(args) -> int:
     ens = FieldEnsemble.load(args.ensemble)
     lags = [2.0**-k for k in range(args.lag_k_min, args.lag_k_max + 1)]
@@ -109,8 +116,11 @@ def _cmd_moments(args) -> int:
     field = estimate_pair_moments(ens, pairs, args.p)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    field.write_csv(out / "moments.csv")
-    field.write_json(out / "moments.json")
+    ps = field.pairs
+    write_table(out / "moments.csv", ["t", "x", "s", "y", "delta", "estimate", "stderr"],
+                zip(ps.t1, map(_joined, ps.x1), ps.t2, map(_joined, ps.x2), ps.delta,
+                    field.estimates, field.stderr))
+    write_json(out / "moments.json", field.to_dict())
     print(f"moment field written to {out / 'moments.csv'}")
     return EXIT_PASS
 
@@ -135,8 +145,9 @@ def _cmd_seminorm(args) -> int:
     report = campanato_from_pair_moments(groups, p, theta)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    report.write_json(out / "seminorm.json")
-    report.write_csv(out / "seminorm.csv")
+    write_json(out / "seminorm.json", report.to_dict())
+    write_table(out / "seminorm.csv", ["scale", "value", "raw_value"],
+                zip(report.scales, report.per_scale, report.raw_per_scale))
     print(f"seminorm report written to {out / 'seminorm.json'}")
     return EXIT_PASS
 

@@ -73,14 +73,6 @@ class TestFunctionSpec:
     def time_dependent(self) -> bool:
         return self.family == "parabolic-power"
 
-    @property
-    def holder_constant(self) -> float:
-        if self.family == "constant":
-            return 0.0
-        if self.family == "spatial-power":
-            return self.amplitude
-        return 2.0 * self.amplitude
-
     def mark_transform(self, z: np.ndarray) -> np.ndarray:
         if self.mark_family == "identity":
             return np.asarray(z, dtype=float)
@@ -145,7 +137,7 @@ class FieldEnsemble:
             "grid": {"length": self.grid.length, "points": self.grid.points,
                      "dim": self.grid.dim},
             "kernel": {"alpha": self.kernel.alpha, "epsilon": self.kernel.epsilon,
-                       "dim": self.kernel.dim, "method": self.kernel.method},
+                       "dim": self.kernel.dim},
             "g": {"family": self.g.family, "beta": self.g.beta,
                   "amplitude": self.g.amplitude, "mark_family": self.g.mark_family},
             "noise": {"kind": self.noise.kind, "horizon": self.noise.horizon,
@@ -180,7 +172,8 @@ class FieldEnsemble:
             time_indices=np.array(side["time_indices"], dtype=int),
             dt=side["dt"],
             grid=SpectralGrid(**side["grid"]),
-            kernel=KernelSpec(**side["kernel"]),
+            kernel=KernelSpec(side["kernel"]["alpha"], side["kernel"]["epsilon"],
+                              side["kernel"]["dim"]),
             g=TestFunctionSpec(**side["g"]),
             noise=noise,
         )
@@ -345,6 +338,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
             on = t_pts == i
             field = np.fft.irfftn(u_hat, s=shape, axes=tuple(range(-grid.dim, 0))).reshape(M, -1)
             out[on] = field[:, src[on]].T
+            del field  # held into the next saved time, it adds an (M, n) array to peak RSS
     if points is not None:
         return PointEnsemble(out.T, t_pts, s_pts, idx)
     return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,

@@ -24,11 +24,6 @@ class UnsupportedClosedForm(HolderLabError):
     """Closed-form evaluation requested outside its validity set."""
 
 
-class UnsupportedOrder(HolderLabError):
-    """Pointwise bound check requested for an unsupported derivative order
-    or for the Gaussian tail branch."""
-
-
 # --- quadrature of kernel conditions ----------------------------------
 
 class QuadratureNotConverged(HolderLabError):
@@ -82,10 +77,6 @@ class EmptyCylinder(HolderLabError):
 
 class DimensionMismatch(HolderLabError):
     """Space-time points with different spatial dimensions."""
-
-
-class RadiusExceedsDiameter(HolderLabError):
-    """Cylinder radius larger than the domain diameter."""
 
 
 class SamplingBudgetTooSmall(HolderLabError):

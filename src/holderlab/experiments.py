@@ -236,8 +236,21 @@ class ExperimentReport:
             "passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+def write_json(path, obj) -> None:
+    """obj as indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_table(path, header, rows) -> None:
+    """CSV with a header row; string cells are written as given, numbers as repr(float)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
 
 
 # --- preset pipelines -----------------------------------------------------
@@ -565,12 +578,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         verdicts, modules = _RUNNERS[config.experiment](config, progress)
     except HolderLabError as exc:
         if out is not None:
-            marker = {"stage": progress["stage"], "error": type(exc).__name__,
-                      "message": str(exc),
-                      "invalid_config": isinstance(exc, ConfigError)}
-            with open(out / "FAILED.json", "w") as fh:
-                json.dump(marker, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(out / "FAILED.json",
+                       {"stage": progress["stage"], "error": type(exc).__name__,
+                        "message": str(exc), "invalid_config": isinstance(exc, ConfigError)})
         raise
     report = ExperimentReport(
         experiment=config.experiment,
@@ -580,11 +590,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         seed=config.seed,
     )
     if out is not None:
-        with open(out / "report.json", "w") as fh:
-            fh.write(report.to_json())
-        with open(out / "timing.json", "w") as fh:
-            json.dump({"wall_clock_seconds": time.time() - t_start}, fh)
-            fh.write("\n")
+        write_json(out / "report.json", report.to_dict())
+        write_json(out / "timing.json", {"wall_clock_seconds": time.time() - t_start})
         emit_plot_data(report.modules, out / "plots")
     return report
 
@@ -596,19 +603,7 @@ def emit_plot_data(modules: dict, out_dir) -> list:
     Returns the list of written paths; reports with no fitted relationships
     produce an empty bundle (manifest only).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def write_rows(name, header, rows):
-        path = out / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(v)) for v in row])
-        written.append(str(path))
-
+    tables = {}  # file stem -> (header, rows)
     for key, mod in sorted(modules.items()):
         if key.startswith("conditions"):
             for cond in ("increment", "tail", "mass"):
@@ -621,7 +616,7 @@ def emit_plot_data(modules: dict, out_dir) -> list:
                     pred = (np.exp(fit["intercept"]) * s ** fit["slope"]
                             if fit else float("nan"))
                     rows.append((s, v, pred))
-                write_rows(f"{key}_{cond}", ["scale", "lhs", "fit"], rows)
+                tables[f"{key}_{cond}"] = (["scale", "lhs", "fit"], rows)
         elif key == "moments":
             fit = mod["fit"]
             rows = []
@@ -633,14 +628,18 @@ def emit_plot_data(modules: dict, out_dir) -> list:
                         if orow["lag"] == row["lag"]:
                             oracle = orow["mean"]
                 rows.append((row["lag"], row["mean"], row["stderr"], pred, oracle))
-            write_rows("moments_lag", ["lag", "moment", "stderr", "fit", "oracle"], rows)
+            tables["moments_lag"] = (["lag", "moment", "stderr", "fit", "oracle"], rows)
         elif key == "campanato":
             rows = list(zip(mod["scales"], mod["per_scale"],
                             mod["raw_per_scale"] or [float("nan")] * len(mod["scales"])))
-            write_rows("campanato_scales", ["scale", "normalized_sup", "raw_sup"], rows)
+            tables["campanato_scales"] = (["scale", "normalized_sup", "raw_sup"], rows)
 
-    manifest = {"files": sorted(written)}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, (header, rows) in tables.items():
+        path = out / f"{name}.csv"
+        write_table(path, header, rows)
+        written.append(str(path))
+    write_json(out / "manifest.json", {"files": sorted(written)})
     return written

@@ -20,20 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import (
-    AliasingViolation,
-    NonPositiveTime,
-    UnsupportedClosedForm,
-    UnsupportedOrder,
-)
+from .errors import AliasingViolation, NonPositiveTime, UnsupportedClosedForm
 
 # exp(-ALIAS_LOG) = 1e-12: decay required of the symbol at the largest
 # resolved frequency before truncating the Fourier integral.
 ALIAS_LOG = -math.log(1e-12)
-
-# Absolute floor below which spectral values are treated as noise in
-# pointwise bound checks.
-SPECTRAL_FLOOR = 1e-10
 
 _CLOSED_FORMS = {(2.0, 0.0): "gauss", (1.0, 0.0): "cauchy"}
 
@@ -45,13 +36,11 @@ class KernelSpec:
     alpha   : order of the generator, in (0, 2].
     epsilon : fractional derivative order applied as |xi|^epsilon, >= 0.
     dim     : spatial dimension (1 or 2).
-    method  : "spectral" or "closed-form".
     """
 
     alpha: float
     epsilon: float = 0.0
     dim: int = 1
-    method: str = "spectral"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
@@ -60,20 +49,6 @@ class KernelSpec:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.method not in ("spectral", "closed-form"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "closed-form" and not self.has_closed_form:
-            raise UnsupportedClosedForm(
-                "closed form only for (alpha=2, epsilon=0) and "
-                f"(alpha=1, epsilon=0, dim=1); got {self}"
-            )
-
-    @property
-    def has_closed_form(self) -> bool:
-        key = (self.alpha, self.epsilon)
-        if key == (2.0, 0.0):
-            return True
-        return key == (1.0, 0.0) and self.dim == 1
 
 
 @dataclass(frozen=True)
@@ -226,30 +201,17 @@ def cauchy_kernel(t: float, x: np.ndarray) -> np.ndarray:
     return t / (math.pi * (t * t + x * x))
 
 
-def _closed_eval(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
-    kind = _CLOSED_FORMS.get((spec.alpha, spec.epsilon))
-    if kind == "gauss":
-        return gaussian_kernel(t, grid.radius(), spec.dim)
-    if kind == "cauchy" and spec.dim == 1:
-        return cauchy_kernel(t, grid.axis())
-    raise UnsupportedClosedForm(f"no closed form for {spec}")
-
-
 def eval_kernel(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
     """Kernel values on the spatial lattice (coordinates ascending from -L).
 
-    Spectral method returns the periodized kernel: the inverse discrete
-    Fourier transform of the symbol, normalized so that
+    The values are the periodized kernel: the inverse discrete Fourier
+    transform of the symbol, normalized so that
     sum(values) * h^d == symbol(0) (= 1 for epsilon = 0).
     """
     if t <= 0.0:
         raise NonPositiveTime(f"t must be positive, got {t}")
     if spec.dim != grid.dim:
         raise ValueError(f"kernel dim {spec.dim} != grid dim {grid.dim}")
-    if spec.method == "closed-form":
-        if not spec.has_closed_form:
-            raise UnsupportedClosedForm(f"no closed form for {spec}")
-        return _closed_eval(spec, grid, t)
     grid.require_alias(spec.alpha, t)
     return _spectral_eval(spec, grid, t)
 
@@ -287,97 +249,6 @@ def eval_kernel_periodized(spec: KernelSpec, grid: SpectralGrid, t: float) -> np
                 total += gaussian_kernel(t, r, 2)
         return total
     raise UnsupportedClosedForm(f"no closed form for {spec}")
-
-
-def eval_gradient_magnitude(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
-    """|grad_x p(t, x)| on the lattice, computed with i*xi_j multipliers.
-
-    Requires epsilon = 0 (the gradient of the plain kernel).
-    """
-    if spec.epsilon != 0.0:
-        raise UnsupportedOrder("gradient is defined for the epsilon=0 kernel")
-    if t <= 0.0:
-        raise NonPositiveTime(f"t must be positive, got {t}")
-    grid.require_alias(spec.alpha, t)
-    n, h = grid.points, grid.spacing
-    full = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    if grid.dim == 1:
-        sym = np.exp(-t * np.abs(full) ** spec.alpha) * (1j * full)
-        g = np.fft.ifft(sym).real / h
-        return np.abs(np.fft.fftshift(g))
-    fx, fy = full[:, None], full[None, :]
-    r = np.sqrt(fx * fx + fy * fy)
-    base = np.exp(-t * r**spec.alpha)
-    gx = np.fft.ifftn(base * 1j * fx).real / h**2
-    gy = np.fft.ifftn(base * 1j * fy).real / h**2
-    return np.fft.fftshift(np.sqrt(gx * gx + gy * gy))
-
-
-def stable_tail_bound(t: float, r: np.ndarray, dim: int, alpha: float) -> np.ndarray:
-    """min(t / |x|^(d+alpha), t^(-d/alpha)): the two-sided envelope of the
-    heavy-tailed kernel (alpha < 2)."""
-    with np.errstate(divide="ignore"):
-        tail = t / r ** (dim + alpha)
-    return np.minimum(tail, t ** (-dim / alpha))
-
-
-def stable_gradient_bound(t: float, r: np.ndarray, dim: int, alpha: float) -> np.ndarray:
-    """|x| * min(t / |x|^(d+2+alpha), t^(-(d+2)/alpha)): envelope of |grad p|."""
-    with np.errstate(divide="ignore"):
-        tail = t / r ** (dim + 2 + alpha)
-    return r * np.minimum(tail, t ** (-(dim + 2) / alpha))
-
-
-@dataclass
-class BoundReport:
-    """Result of a pointwise envelope check."""
-
-    min_ratio: float
-    max_ratio: float
-    c_tolerance: float
-    n_points: int
-    passed: bool
-
-
-def check_sharp_bounds(
-    spec: KernelSpec,
-    grid: SpectralGrid,
-    t: float,
-    c_tolerance: float,
-) -> BoundReport:
-    """Check kernel values against the two-sided min(.,.) envelope.
-
-    For epsilon = 0 the kernel itself is compared with
-    min(t/|x|^(d+alpha), t^(-d/alpha)); for epsilon = 1 the gradient
-    magnitude is compared with the first-derivative envelope.  The ratio
-    is collected on the sub-lattice 0 < |x| <= L/2 (wrap-around suppressed)
-    where the spectral value exceeds the 1e-10 accuracy floor, and the
-    check passes when every ratio lies in [1/c, c].
-    """
-    if c_tolerance <= 1.0:
-        raise ValueError("c_tolerance must exceed 1")
-    if spec.epsilon not in (0.0, 1.0):
-        raise UnsupportedOrder("pointwise envelopes available for epsilon in {0, 1}")
-    if spec.alpha >= 2.0:
-        raise UnsupportedOrder("the polynomial tail branch needs alpha < 2")
-    r = grid.radius()
-    if spec.epsilon == 0.0:
-        vals = eval_kernel(KernelSpec(spec.alpha, 0.0, spec.dim), grid, t)
-        bound = stable_tail_bound(t, r, spec.dim, spec.alpha)
-    else:
-        vals = eval_gradient_magnitude(KernelSpec(spec.alpha, 0.0, spec.dim), grid, t)
-        bound = stable_gradient_bound(t, r, spec.dim, spec.alpha)
-    mask = (r > 0) & (r <= grid.length / 2.0) & (np.abs(vals) > SPECTRAL_FLOOR)
-    ratios = vals[mask] / bound[mask]
-    lo, hi = float(ratios.min()), float(ratios.max())
-    ok = (lo >= 1.0 / c_tolerance) and (hi <= c_tolerance)
-    return BoundReport(
-        min_ratio=lo,
-        max_ratio=hi,
-        c_tolerance=c_tolerance,
-        n_points=int(mask.sum()),
-        passed=ok,
-    )
 
 
 def lattice_mass(values: np.ndarray, grid: SpectralGrid) -> float:

@@ -9,8 +9,6 @@ the estimator reads a FieldEnsemble or a PointEnsemble alike, in pair order.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,21 +69,6 @@ class MomentField:
     stderr: np.ndarray
     realization_stderr: dict = field(default_factory=dict)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "s", "y", "delta", "estimate", "stderr"])
-            for i in range(self.pairs.size):
-                writer.writerow([
-                    repr(float(self.pairs.t1[i])),
-                    ";".join(repr(float(v)) for v in np.atleast_1d(self.pairs.x1[i])),
-                    repr(float(self.pairs.t2[i])),
-                    ";".join(repr(float(v)) for v in np.atleast_1d(self.pairs.x2[i])),
-                    repr(float(self.pairs.delta[i])),
-                    repr(float(self.estimates[i])),
-                    repr(float(self.stderr[i])),
-                ])
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
@@ -94,11 +77,6 @@ class MomentField:
             "estimate": [float(v) for v in self.estimates],
             "stderr": [float(v) for v in self.stderr],
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _lattice_coords(lattice: Lattice):
@@ -120,9 +98,10 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")
-    diff = (ensemble.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)
-            - ensemble.at(pairs.t_idx2, pairs.s_idx2).astype(np.float64))
-    powed = np.abs(diff) ** p
+    powed = ensemble.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)  # one (M, n) work array
+    powed -= ensemble.at(pairs.t_idx2, pairs.s_idx2)
+    np.abs(powed, out=powed)
+    powed **= p
     est = powed.mean(axis=0)
     err = powed.std(axis=0, ddof=1) / np.sqrt(M)
     lags = np.unique(pairs.requested_delta[~np.isnan(pairs.requested_delta)])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,33 +9,30 @@ from holderlab.campanato import (
     DomainSpec,
     ParabolicCylinder,
     SpaceTimePoint,
-    a_type_constant,
     campanato_from_pair_moments,
     campanato_seminorm,
     disk_rect_area,
     embedding_exponent,
-    holder_seminorm,
     inclusion_holds,
     parabolic_distance,
-    point_distance,
     unit_ball_volume,
 )
 from holderlab.errors import (
     DimensionMismatch,
-    RadiusExceedsDiameter,
     SamplingBudgetTooSmall,
     ThetaOutOfEmbeddingRange,
 )
+from holderlab.experiments import write_json, write_table
 
 UNIT_BOX = DomainSpec([Box(0.0, 1.0, [0.0], [1.0])])
 
 
 def test_metric_values():
-    assert point_distance(SpaceTimePoint(0, [0.0]), SpaceTimePoint(0, [0.0])) == 0.0
-    assert point_distance(SpaceTimePoint(0, [0.0]), SpaceTimePoint(1, [2.0])) == 2.0
-    assert point_distance(SpaceTimePoint(0, [0.0]), SpaceTimePoint(0.04, [0.1])) == pytest.approx(0.2)
+    assert parabolic_distance(0, [[0.0]], 0, [[0.0]])[0] == 0.0
+    assert parabolic_distance(0, [[0.0]], 1, [[2.0]])[0] == 2.0
+    assert parabolic_distance(0, [[0.0]], 0.04, [[0.1]])[0] == pytest.approx(0.2)
     with pytest.raises(DimensionMismatch):
-        point_distance(SpaceTimePoint(0, [0.0]), SpaceTimePoint(0, [0.0, 1.0]))
+        parabolic_distance(0, [[0.0]], 0, [[0.0, 1.0]])
 
 
 def test_metric_axioms_random_triples():
@@ -69,24 +67,33 @@ def test_domain_validation_and_geometry():
     assert d.diameter == pytest.approx(math.sqrt(3.0))
 
 
-def test_a_type_interior_and_corner():
-    center = SpaceTimePoint(0.5, [0.5])
-    assert a_type_constant(UNIT_BOX, [center], [0.1, 0.2]) == pytest.approx(1.0)
-    corner = SpaceTimePoint(0.0, [0.0])
-    a = a_type_constant(UNIT_BOX, [corner], [0.05])
-    assert a == pytest.approx(0.25, abs=1e-12)
-    # any sample set gives A <= 1
+def test_intersection_measure_interior_and_corner():
+    # |D cap Q| / |Q|: 1 for an interior cylinder, 1/4 at a space-time corner
+    def ratio(X, rho):
+        cyl = ParabolicCylinder(X, rho)
+        return UNIT_BOX.intersection_measure(cyl) / cyl.measure
+
+    for rho in (0.1, 0.2):
+        assert ratio(SpaceTimePoint(0.5, [0.5]), rho) == pytest.approx(1.0)
+    assert ratio(SpaceTimePoint(0.0, [0.0]), 0.05) == pytest.approx(0.25, abs=1e-12)
     rng = np.random.default_rng(5)
     ts, xs = UNIT_BOX.sample_points(rng, 16)
-    pts = [SpaceTimePoint(t, x) for t, x in zip(ts, xs)]
-    assert a_type_constant(UNIT_BOX, pts, [0.03, 0.1]) <= 1.0 + 1e-12
+    for t, x in zip(ts, xs):
+        for rho in (0.03, 0.1):
+            assert ratio(SpaceTimePoint(t, x), rho) <= 1.0 + 1e-12
 
 
-def test_a_type_guards():
-    with pytest.raises(RadiusExceedsDiameter):
-        a_type_constant(UNIT_BOX, [SpaceTimePoint(0.5, [0.5])], [5.0])
-    with pytest.raises(ValueError):
-        a_type_constant(UNIT_BOX, [SpaceTimePoint(2.0, [0.5])], [0.1])
+def _intersection_measure_qmc(domain, cyl, n):
+    """|D cap Q| from unscrambled Halton points in Q's bounding box."""
+    from scipy.stats import qmc
+
+    c = cyl.radius
+    t0, x0 = cyl.center.t, cyl.center.x_array()
+    u = qmc.Halton(d=1 + domain.dim, scramble=False).random(n)
+    ts = t0 - c * c + 2.0 * c * c * u[:, 0]
+    xs = x0[None, :] - c + 2.0 * c * u[:, 1:]
+    inside = domain.contains(ts, xs) & cyl.contains(ts, xs)
+    return 2.0 * c * c * (2.0 * c) ** domain.dim * inside.mean()
 
 
 def test_disk_rect_area_against_qmc():
@@ -100,7 +107,7 @@ def test_disk_rect_area_against_qmc():
     for (t0, x0), c in rng_cases:
         cyl = ParabolicCylinder(SpaceTimePoint(t0, x0), c)
         exact = dom.intersection_measure(cyl)
-        approx = dom.intersection_measure_qmc(cyl, n=1 << 17)
+        approx = _intersection_measure_qmc(dom, cyl, n=1 << 17)
         assert exact == pytest.approx(approx, rel=4e-3, abs=1e-5)
     # disk fully inside a rectangle: area = pi r^2
     assert disk_rect_area(0.0, 0.0, 1.0, -2, 2, -2, 2) == pytest.approx(math.pi, rel=1e-12)
@@ -170,28 +177,6 @@ def test_embedding_recovery_for_cusp_field():
         rep.fitted_gamma, rel=1e-12)
 
 
-def test_holder_seminorm_linear_field():
-    rep = holder_seminorm(lambda ts, xs: xs[:, 0], UNIT_BOX, 1.0,
-                          budget=512, seed=3)
-    assert rep.seminorm == pytest.approx(1.0, abs=0.02)
-
-
-def test_holder_seminorm_sqrt_time():
-    # u = sqrt(t): |u(t) - u(s)| <= |t - s|^(1/2) <= delta, so the ratio
-    # at alpha = 1 stays below 1
-    rep = holder_seminorm(lambda ts, xs: np.sqrt(np.abs(ts)), UNIT_BOX, 1.0,
-                          budget=512, seed=4)
-    assert 0.0 < rep.seminorm <= 1.0 + 1e-9
-
-
-def test_holder_constant_field_and_warning():
-    rep = holder_seminorm(lambda ts, xs: np.zeros(ts.shape), UNIT_BOX, 0.7,
-                          budget=128, seed=5)
-    assert rep.seminorm == 0.0
-    with pytest.warns(UserWarning):
-        holder_seminorm(lambda ts, xs: xs[:, 0], UNIT_BOX, 1.5, budget=128, seed=6)
-
-
 def test_embedding_exponent_range():
     assert embedding_exponent(2.0, 1.0 + 2.0 / 3.0, 1) == pytest.approx(1.0)
     gamma = 0.5
@@ -247,8 +232,11 @@ def test_seminorm_report_io(tmp_path):
     rep = campanato_seminorm(lambda ts, xs: xs[:, 0], UNIT_BOX, 2.0, 1.0,
                              scales=[0.2, 0.1, 0.05, 0.025], budget=96,
                              n_centers=6, seed=9)
-    rep.write_json(tmp_path / "r.json")
-    rep.write_csv(tmp_path / "r.csv")
+    write_json(tmp_path / "r.json", rep.to_dict())
+    write_table(tmp_path / "r.csv", ["scale", "value", "raw_value"],
+                zip(rep.scales, rep.per_scale, rep.raw_per_scale))
     lines = (tmp_path / "r.csv").read_text().strip().splitlines()
     assert lines[0] == "scale,value,raw_value"
     assert len(lines) == 5
+    assert [float(line.split(",")[1]) for line in lines[1:]] == [float(v) for v in rep.per_scale]
+    assert json.loads((tmp_path / "r.json").read_text()) == rep.to_dict()

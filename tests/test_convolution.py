@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ def test_g_family_validation():
         TestFunctionSpec(mark_family="cubed")
     g = TestFunctionSpec(family="parabolic-power", beta=0.5, amplitude=2.0)
     assert g.evaluate(0.0, np.array([0.0]))[0] == 0.0  # vanishes at the origin
-    assert g.holder_constant == 4.0
 
 
 def test_zero_g_zero_field():
@@ -195,13 +195,16 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     assert back.g == ens.g
     assert back.noise.seed == ens.noise.seed
 
-    # sidecars written before NoiseSpec.p0 was removed still load
+    # sidecars written before NoiseSpec.p0 and KernelSpec.method were removed still load
     side = json.loads((tmp_path / "ens.json").read_text())
     assert "p0" not in side["noise"]
+    assert sorted(side["kernel"]) == ["alpha", "dim", "epsilon"]
     side["noise"]["p0"] = 4.0
+    side["kernel"]["method"] = "closed-form"
     (tmp_path / "ens.json").write_text(json.dumps(side))
     old = FieldEnsemble.load(prefix)
     assert old.noise == ens.noise
+    assert old.kernel == ens.kernel
     assert np.array_equal(old.values, ens.values)
 
 
@@ -396,3 +399,22 @@ def test_point_sink_rejects_points_off_the_saved_lattice():
     with pytest.raises(PairOffGrid):
         full.at([64], [GRID.points])
     assert np.array_equal(full.at([64, 0], [3, 3]), full.values[:, [1, 0], 3])
+
+
+@pytest.mark.parametrize("points", [True, False])
+def test_forward_pass_holds_three_spectral_arrays(points):
+    # beyond its sink and slab weights the pass holds the running sum, one saved time's
+    # spectrum and its inverse transform: the three (M, 2F) float64 arrays that
+    # RegularityPieces.require_memory counts
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    M, saved = 2000, list(range(32, 129, 8))
+    pts = (np.repeat(saved, 4), np.tile([10, 100, 128, 200], len(saved))) if points else None
+    tracemalloc.start()
+    try:
+        ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=M, save_times=saved,
+                                dtype=np.float32, points=pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - ens.values.nbytes - M * BROWNIAN.steps * 8
+    assert held < 3.5 * M * (GRID.points + 2) * 8

@@ -18,6 +18,8 @@ from holderlab.experiments import (
     emit_plot_data,
     load_config,
     run_experiment,
+    write_json,
+    write_table,
 )
 from holderlab.moments import sample_pairs_dyadic
 
@@ -161,6 +163,21 @@ def test_emit_plot_data_empty_report(tmp_path):
     assert manifest["files"] == []
 
 
+def test_write_table_and_write_json(tmp_path):
+    write_table(tmp_path / "t.csv", ["a", "b"], [(1, 0.1), ("x;y", float("nan"))])
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n1.0,0.1\r\nx;y,nan\r\n"
+    write_json(tmp_path / "o.json", {"b": [1.5], "a": None})
+    assert (tmp_path / "o.json").read_text() == '{\n  "a": null,\n  "b": [\n    1.5\n  ]\n}\n'
+
+
+def test_write_table_numpy_cells_and_no_rows(tmp_path):
+    # numpy scalars are written as the repr of the float they widen to
+    write_table(tmp_path / "t.csv", ["t", "v"], [(np.int64(3), np.float32(0.1))])
+    assert (tmp_path / "t.csv").read_bytes() == b"t,v\r\n3.0,0.10000000149011612\r\n"
+    write_table(tmp_path / "e.csv", ["t", "v"], iter(()))
+    assert (tmp_path / "e.csv").read_bytes() == b"t,v\r\n"
+
+
 def test_emit_plot_lags_match_config(tmp_path):
     cfg = load_config(_write(tmp_path, SMALL_BROWNIAN))
     report = run_experiment(cfg, out_dir=tmp_path / "out")
@@ -267,11 +284,20 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
                  "--lag-k-min", "1", "--lag-k-max", "4", "--pairs", "32",
                  "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "moments.csv").exists()
+    lines = (tmp_path / "moments.csv").read_text().splitlines()
+    assert lines[0] == "t,x,s,y,delta,estimate,stderr"
+    assert len(lines) == 1 + 4 * 32
+    moments = json.loads((tmp_path / "moments.json").read_text())
+    assert len(moments["estimate"]) == 4 * 32
     assert main(["seminorm", "--ensemble", str(tmp_path / "ensemble"),
                  "--scale-k-min", "2", "--scale-k-max", "4",
                  "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "seminorm.json").exists()
+    seminorm = json.loads((tmp_path / "seminorm.json").read_text())
+    assert seminorm["kind"] == "campanato"
+    lines = (tmp_path / "seminorm.csv").read_text().splitlines()
+    assert lines[0] == "scale,value,raw_value"
+    assert seminorm["scales"]
+    assert len(lines) == 1 + len(seminorm["scales"])
 
 
 def test_cli_emit_plots_roundtrip(tmp_path):

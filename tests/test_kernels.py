@@ -1,25 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from holderlab.errors import (
-    AliasingViolation,
-    NonPositiveTime,
-    UnsupportedClosedForm,
-    UnsupportedOrder,
-)
+from holderlab.errors import AliasingViolation, NonPositiveTime, UnsupportedClosedForm
 from holderlab.kernels import (
     KernelSpec,
     SpectralGrid,
-    check_sharp_bounds,
+    cauchy_kernel,
     eval_kernel,
     eval_kernel_periodized,
-    eval_gradient_magnitude,
-    gaussian_kernel,
     lattice_mass,
-    stable_tail_bound,
 )
 
 
@@ -30,11 +23,14 @@ def test_kernel_spec_validation():
         KernelSpec(alpha=2.5)
     with pytest.raises(ValueError):
         KernelSpec(alpha=1.0, epsilon=-0.1)
-    with pytest.raises(UnsupportedClosedForm):
-        KernelSpec(alpha=1.5, method="closed-form")
-    with pytest.raises(UnsupportedClosedForm):
-        KernelSpec(alpha=1.0, dim=2, method="closed-form")
-    KernelSpec(alpha=1.0, dim=1, method="closed-form")  # valid
+    with pytest.raises(TypeError):  # evaluation is always spectral
+        KernelSpec(alpha=1.0, method="closed-form")
+
+
+def test_kernel_spec_fields():
+    # the order, the regularisation and the dimension fix a kernel; nothing else
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["alpha", "epsilon", "dim"]
+    assert KernelSpec(alpha=1.0) == KernelSpec(alpha=1.0, epsilon=0.0, dim=1)
 
 
 def test_gaussian_center_value():
@@ -67,7 +63,7 @@ def test_cauchy_closed_form_vs_spectral():
 
     # free-space comparison window: the wrap-around error of the heavy tail
     # scales like (x/L)^2, so stay well inside the box
-    closed = eval_kernel(KernelSpec(alpha=1.0, method="closed-form"), grid, 0.5)
+    closed = cauchy_kernel(0.5, ax)
     central = np.abs(ax) <= 1.5
     assert np.allclose(vals[central], closed[central], rtol=1e-4)
 
@@ -158,30 +154,9 @@ def test_fractional_multiplier_mass_vanishes():
     assert abs(lattice_mass(vals, grid)) < 1e-12
 
 
-def test_bound_crossover_identity():
-    # the two envelope branches meet at |x| = t^(1/alpha)
-    t, alpha, d = 0.7, 1.5, 1
-    x = np.array([t ** (1.0 / alpha)])
-    tail = t / x ** (d + alpha)
-    flat = t ** (-d / alpha)
-    assert tail[0] == pytest.approx(flat, rel=1e-12)
-    assert stable_tail_bound(t, x, d, alpha)[0] == pytest.approx(flat, rel=1e-12)
-
-
-def test_sharp_bounds_cauchy_exact():
-    # exact Cauchy density ratios: p/bound in [1/pi 1/2, 1/pi] subset of [0.1, 10]
-    report = check_sharp_bounds(KernelSpec(alpha=1.0),
-                                SpectralGrid.for_times(1.0, 1, t_min=1.0),
-                                1.0, 10.0)
-    assert report.passed
-    assert report.min_ratio > 0.1 and report.max_ratio < 1.0
-
-
-def test_sharp_bounds_small_time_heavy_tail():
+def test_heavy_tail_small_time_vs_fourier_inversion():
     t, alpha = 0.01, 0.5
     grid = SpectralGrid.for_times(alpha, 1, t_min=t, length=8.0 * 1.0)
-    report = check_sharp_bounds(KernelSpec(alpha=alpha), grid, t, 50.0)
-    assert report.passed
 
     # oracle: adaptive Fourier inversion at 20 sample points; the spectral
     # values are periodized, so wrap in the oracle's images (near ones by
@@ -207,26 +182,6 @@ def test_sharp_bounds_small_time_heavy_tail():
         ref += tail_const * period ** (-1.0 - alpha) * (
             zeta(1.0 + alpha, n_img + 1 - frac) + zeta(1.0 + alpha, n_img + 1 + frac))
         assert vals[j] == pytest.approx(ref, rel=5e-3)
-
-
-def test_sharp_bounds_rejects_unsupported():
-    grid = SpectralGrid.for_times(1.0, 1, t_min=1.0)
-    with pytest.raises(UnsupportedOrder):
-        check_sharp_bounds(KernelSpec(alpha=2.0), grid, 1.0, 10.0)
-    with pytest.raises(UnsupportedOrder):
-        check_sharp_bounds(KernelSpec(alpha=1.0, epsilon=0.5), grid, 1.0, 10.0)
-
-
-def test_gradient_magnitude_matches_gaussian():
-    # |p'(t,x)| = |x|/(2t) p(t,x) for the Gaussian
-    spec = KernelSpec(alpha=2.0)
-    t = 0.3
-    grid = SpectralGrid.for_times(2.0, 1, t_min=t)
-    gm = eval_gradient_magnitude(spec, grid, t)
-    ax = grid.axis()
-    expected = np.abs(ax) / (2.0 * t) * gaussian_kernel(t, np.abs(ax), 1)
-    mask = expected > 1e-8
-    assert np.allclose(gm[mask], expected[mask], rtol=1e-6)
 
 
 def test_grid_validation():

@@ -1,11 +1,13 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from holderlab.campanato import ParabolicCylinder, SpaceTimePoint
-from holderlab.convolution import Lattice, TestFunctionSpec, convolve_brownian
+from holderlab.cli import main
+from holderlab.convolution import FieldEnsemble, Lattice, TestFunctionSpec, convolve_brownian
 from holderlab.errors import EmptyCylinder, EmptyRequest, EnsembleTooSmall, PairOffGrid
 from holderlab.kernels import KernelSpec, SpectralGrid
 from holderlab.moments import (
@@ -168,14 +170,41 @@ def test_triangle_consistency_p2(unit_ensemble):
     assert xz <= 2.0 * (xy + yz) + slack
 
 
-def test_moment_field_csv_json(tmp_path, unit_ensemble):
-    pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 8, seed=3)
-    field = estimate_pair_moments(unit_ensemble, pairs, 2.0)
-    field.write_csv(tmp_path / "m.csv")
-    field.write_json(tmp_path / "m.json")
-    lines = (tmp_path / "m.csv").read_text().strip().splitlines()
+def test_moment_field_csv_json(tmp_path):
+    # the CLI writes the moment field through the shared table and JSON writers;
+    # both files carry the estimates of the same pairs exactly
+    ens = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=40, save_times=list(range(64, 193, 8)))
+    prefix = str(tmp_path / "ens")
+    ens.save(prefix)
+    assert main(["moments", "--ensemble", prefix, "--p", "2", "--lag-k-min", "2",
+                 "--lag-k-max", "2", "--pairs", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
+    loaded = FieldEnsemble.load(prefix)
+    field = estimate_pair_moments(loaded, sample_pairs_dyadic(loaded, [0.25], 8, seed=3), 2.0)
+    lines = (tmp_path / "moments.csv").read_text().strip().splitlines()
     assert lines[0] == "t,x,s,y,delta,estimate,stderr"
     assert len(lines) == 9
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[5]) for r in rows] == field.estimates.tolist()
+    assert [float(r[6]) for r in rows] == field.stderr.tolist()
+    back = json.loads((tmp_path / "moments.json").read_text())
+    assert back["estimate"] == field.estimates.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_estimates_match_the_direct_reduction(p, dtype):
+    # the one in-place work array gives the same bits as |u(X) - u(Y)|^p built
+    # from separate float64 temporaries
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=64, save_times=list(range(64, 193, 8)),
+                            dtype=dtype)
+    pairs = sample_pairs_dyadic(ens, [0.25, 0.125], 16, seed=5)
+    field = estimate_pair_moments(ens, pairs, p)
+    diff = (ens.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)
+            - ens.at(pairs.t_idx2, pairs.s_idx2).astype(np.float64))
+    powed = np.abs(diff) ** p
+    assert np.array_equal(field.estimates, powed.mean(axis=0))
+    assert np.array_equal(field.stderr, powed.std(axis=0, ddof=1) / np.sqrt(64))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
