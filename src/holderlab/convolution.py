@@ -15,9 +15,9 @@ filled in one forward pass: lag symbols of lags j >= 2 are geometric, exp(-j dt 
 so the spectral sum decays from one saved time to the next and only new slabs are added
 (exponential Euler), at cost O(M * F * max saved index) for M realizations and F modes.
 
-Two sinks differ only in where a saved time's field goes: the whole field (FieldEnsemble,
-for `holderlab simulate`) or u at given lattice points only (PointEnsemble, for the
-regularity presets).  Realizations are pure functions of (seed, stream_index).
+That pass stores the whole field (FieldEnsemble, for `holderlab simulate`).  The presets'
+pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D for their Monte Carlo
+(PairEnsemble) and exact oracle alike.  Realizations are pure functions of (seed, stream_index).
 """
 
 from __future__ import annotations
@@ -126,6 +126,12 @@ class FieldEnsemble:
             raise PairOffGrid("spatial index outside the lattice")
         return vals[:, hits.argmax(axis=1), s_idx]  # first saved position of each time
 
+    def differences(self, pairs) -> np.ndarray:
+        """u(X) - u(Y) for each pair of a PairSet, as a new float64 (M, n) array."""
+        diff = self.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)
+        diff -= self.at(pairs.t_idx2, pairs.s_idx2)
+        return diff
+
     def save(self, prefix: str) -> None:
         """Flat binary dump plus a JSON sidecar describing it."""
         self.values.tofile(f"{prefix}.bin")
@@ -180,23 +186,20 @@ class FieldEnsemble:
 
 
 @dataclass
-class PointEnsemble:
-    """values[m, n] = u_m(point_times[n], point_space[n]), stored point-major (realizations
-    contiguous, as FieldEnsemble.at gathers); time_indices are the saved times visited."""
+class PairEnsemble:
+    """values[m, n] = u_m(X_n) - u_m(Y_n) in the storage dtype, realization axis contiguous,
+    for the pairs (t1, s1, t2, s2) it was built for; time_indices are the saved times."""
 
     values: np.ndarray
-    point_times: np.ndarray
-    point_space: np.ndarray
+    pairs: tuple
     time_indices: np.ndarray
 
-    def at(self, t_idx, s_idx) -> np.ndarray:
-        """u at held points, shape (M, n); a point not held raises PairOffGrid."""
-        column = {key: n for n, key in enumerate(zip(self.point_times.tolist(),
-                                                     self.point_space.tolist()))}
-        keys = list(zip(np.asarray(t_idx).tolist(), np.asarray(s_idx).tolist()))
-        if not all(key in column for key in keys):
-            raise PairOffGrid("pair points not held by the point ensemble")
-        return self.values[:, [column[key] for key in keys]]
+    def differences(self, pairs) -> np.ndarray:
+        """The held differences as a new float64 (M, n) array; other pairs raise PairOffGrid."""
+        asked = (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
+        if not all(np.array_equal(a, b) for a, b in zip(asked, self.pairs)):
+            raise PairOffGrid("pairs not held by the pair ensemble")
+        return self.values.astype(np.float64)
 
 
 def _whole(a, top: int, error) -> np.ndarray:
@@ -270,45 +273,41 @@ def _time_weights(noise: NoiseSpec, g: TestFunctionSpec, M: int) -> np.ndarray:
 
 def _resolve_time_indices(save_times, dt: float, n_t: int) -> np.ndarray:
     if save_times is None:
-        idx = np.arange(n_t + 1)
-    else:
-        idx = []
-        for t in save_times:
-            if isinstance(t, (int, np.integer)):
-                i = int(t)
-            else:
-                i = int(round(t / dt))
-                if abs(t - i * dt) > 1e-9 * max(1.0, abs(t)):
-                    raise GridMismatch(f"time {t} is not on the lattice (dt={dt})")
-            if not 0 <= i <= n_t:
-                raise GridMismatch(f"time index {i} outside [0, {n_t}]")
-            idx.append(i)
-        idx = np.array(idx, dtype=int)
-    return idx
+        return np.arange(n_t + 1)
+    idx = []
+    for t in save_times:
+        if isinstance(t, (int, np.integer)):
+            i = int(t)
+        else:
+            i = int(round(t / dt))
+            if abs(t - i * dt) > 1e-9 * max(1.0, abs(t)):
+                raise GridMismatch(f"time {t} is not on the lattice (dt={dt})")
+        if not 0 <= i <= n_t:
+            raise GridMismatch(f"time index {i} outside [0, {n_t}]")
+        idx.append(i)
+    return np.array(idx, dtype=int)
 
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-              noise: NoiseSpec, M: int, save_times, dtype=np.float64, points=None):
+              noise: NoiseSpec, M: int, save_times, dtype=np.float64, pairs=None):
     """One pass over the saved indices in ascending order: from cur to i the sum over slabs
     k <= i - 2 decays by exp(-(i - cur) dt |xi|^alpha) and gains the new slabs, then the
-    midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i).  points = (time indices,
-    spatial indices), each on a saved time and on the grid, keeps only u there."""
+    midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i).  pairs = (t1, s1, t2, s2),
+    lattice indices of pair members on saved times, skips the pass: u(X) - u(Y) = D w."""
     if kernel.dim != grid.dim:
         raise GridMismatch(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     if M < 1:
         raise ValueError("need at least one realization")
-    n_t = noise.steps
-    dt = noise.dt
+    n_t, dt = noise.steps, noise.dt
     idx = _resolve_time_indices(save_times, dt, n_t)
-    shape = (grid.points,) * grid.dim
-    if points is not None:
-        n_space = grid.points ** grid.dim
-        t_pts = _whole(points[0], n_t, GridMismatch)
-        s_pts = _whole(points[1], n_space - 1, PairOffGrid)
-        if not np.isin(t_pts, idx).all():
-            raise GridMismatch(f"point times {sorted(set(t_pts) - set(idx))} are not saved")
-        # ascending coordinate s is entry src[s] of the unshifted inverse transform
-        src = np.fft.fftshift(np.arange(n_space).reshape(shape)).reshape(-1)[s_pts]
+    if pairs is not None:
+        times = np.concatenate([np.ravel(pairs[0]), np.ravel(pairs[2])])
+        if not np.isin(times, idx).all():
+            raise GridMismatch(f"pair times {np.setdiff1d(times, idx)} are not saved times")
+        diff = _slab_differences(kernel, grid, g, noise, *pairs)
+        w = _time_weights(noise, g, M)[:, :diff.shape[1]]
+        values = (diff @ w.T).T.astype(dtype, copy=False)
+        return PairEnsemble(values, tuple(np.array(a) for a in pairs), idx)
 
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
@@ -316,7 +315,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
 
     radius = _freq_radius(grid)
     rate = np.repeat(-dt * radius.reshape(-1) ** kernel.alpha, 2)
-    out = np.zeros((M, idx.size) + shape if points is None else (t_pts.size, M), dtype=dtype)
+    out = np.zeros((M, idx.size) + (grid.points,) * grid.dim, dtype=dtype)
     # re/im-interleaved sum over slabs k <= cur - 2 of w[:, k] Q[cur - k] ghat[k]
     running = np.zeros((M, rate.size))
     cur = 0
@@ -331,80 +330,70 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         cur = i
         u_hat = np.outer(w[:, i - 1], q[1] * ghat[i - 1])
         u_hat += running.view(complex)  # in place: one (M, F) temporary fewer
-        u_hat = u_hat.reshape((M,) + radius.shape)
-        if points is None:
-            irfft_ascending(u_hat, grid, out=out[:, pos])
-        else:
-            on = t_pts == i
-            field = np.fft.irfftn(u_hat, s=shape, axes=tuple(range(-grid.dim, 0))).reshape(M, -1)
-            out[on] = field[:, src[on]].T
-            del field  # held into the next saved time, it adds an (M, n) array to peak RSS
-    if points is not None:
-        return PointEnsemble(out.T, t_pts, s_pts, idx)
+        irfft_ascending(u_hat.reshape((M,) + radius.shape), grid, out=out[:, pos])
     return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,
                          kernel=kernel, g=g, noise=noise)
 
 
 def convolve_brownian(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                       noise: NoiseSpec, M: int, save_times=None,
-                      dtype=np.float64, points=None):
+                      dtype=np.float64, pairs=None):
     """Ensemble of Brownian-driven convolutions u = sum_k [p * g](.) dW_k."""
     if noise.kind != "brownian":
         raise GridMismatch("convolve_brownian needs brownian noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, dtype, points)
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype, pairs)
 
 
 def convolve_poisson(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                      noise: NoiseSpec, M: int, save_times=None,
-                     dtype=np.float64, points=None):
+                     dtype=np.float64, pairs=None):
     """Ensemble of compensated-Poisson-driven convolutions."""
     if noise.kind != "poisson":
         raise GridMismatch("convolve_poisson needs poisson noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, dtype, points)
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype, pairs)
 
 
-def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-                        noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
-    """Exact second moments E|u(X) - u(Y)|^2 of the discretized field.
+def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
+                      noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
+    """D[n, k] = F_i1[k, x1] - F_i2[k, x2], the weight of slab k in u(X_n) - u(Y_n) for the
+    Ito sum u(t_i, x) = sum_k F_i[k, x] w_k; shape (n_pairs, largest time index).
 
-    No Monte Carlo: for the Ito sum u(t_i, x) = sum_k F_i[k, x] w_k with
-    independent centered slab weights, E|u(X) - u(Y)|^2 equals
-    c * dt * sum_k (F_i1[k, x1] - F_i2[k, x2])^2 with c = 1 for Brownian
-    weights and c = intensity * E[g1(z)^2] for compensated Poisson weights.
-
-    idx/pos are arrays of lattice time indices and flattened spatial
-    indices (ascending coordinate order) of the two pair members; indices off the
-    lattice or not whole raise GridMismatch (time) or PairOffGrid (space).  As g
-    moves in time only in its zero mode, F_i[k] = P[i - k] + (ghat[k, 0] -
-    ghat[0, 0]) Q[i - k, 0] / n^d with one profile P[j] = irfft(Q[j] ghat[0]) per lag.
-    """
+    idx/pos: time indices and flattened ascending spatial indices of the pair members; off
+    the lattice or not whole, they raise GridMismatch (time) or PairOffGrid (space).  As g
+    moves in time only in its zero mode, F_i[k] = P[i - k] + (ghat[k, 0] - ghat[0, 0])
+    Q[i - k, 0] / n^d with one profile P[j] = irfft(Q[j] ghat[0]) per lag."""
     n_t = noise.steps
-    dt = noise.dt
     n_space = grid.points ** grid.dim
-
     idx1, idx2 = _whole(idx1, n_t, GridMismatch), _whole(idx2, n_t, GridMismatch)
     pos1, pos2 = _whole(pos1, n_space - 1, PairOffGrid), _whole(pos2, n_space - 1, PairOffGrid)
     k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
 
-    if noise.kind == "brownian":
-        weight_var = dt
-    else:
-        weight_var = noise.jump.intensity * g.mark_second_moment(noise.jump.mark) * dt
-
-    q = _lag_symbols(kernel, grid, dt, n_t)[:k_max + 1]
-    ghat = _g_spectrum(g, grid, dt, n_t)
+    n_lags = max(k_max, 1)
+    q = _lag_symbols(kernel, grid, noise.dt, n_lags)
+    ghat = _g_spectrum(g, grid, noise.dt, n_lags)
     profiles = irfft_ascending((q * ghat[0]).reshape((-1,) + _freq_radius(grid).shape), grid)
-    profiles = profiles.reshape(k_max + 1, n_space)
+    profiles = profiles.reshape(n_lags + 1, n_space)
     shift = (ghat[:k_max, 0] - ghat[0, 0]).real / n_space
 
     def rows(i, x):  # F_i[k, x] for a chunk of points, zero for slabs k >= i as Q[0] = 0
         j = np.maximum(i[:, None] - np.arange(k_max), 0)
         return profiles[j, x[:, None]] + shift * q[j, 0]
 
-    out = np.empty(idx1.size)
-    chunk = max(1, 2**18 // max(k_max, 1))  # bounds the (pairs, slabs) temporaries
+    diff = np.empty((idx1.size, k_max))
+    chunk = max(1, 2**18 // n_lags)  # bounds the (pairs, slabs) temporaries
     for lo in range(0, idx1.size, chunk):
         sl = slice(lo, lo + chunk)
-        diff = rows(idx1[sl], pos1[sl]) - rows(idx2[sl], pos2[sl])
-        out[sl] = weight_var * np.einsum("nk,nk->n", diff, diff)
-    return out
+        np.subtract(rows(idx1[sl], pos1[sl]), rows(idx2[sl], pos2[sl]), out=diff[sl])
+    return diff
+
+
+def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
+                        noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
+    """Exact second moments E|u(X) - u(Y)|^2 of the discretized field, no Monte Carlo: with
+    independent centered slab weights it is c * dt * sum_k D_k^2 for the D of
+    _slab_differences (same arguments and checks), c = 1 for Brownian weights and
+    c = intensity * E[g1(z)^2] for compensated Poisson weights."""
+    weight_var = noise.dt if noise.kind == "brownian" else (
+        noise.jump.intensity * g.mark_second_moment(noise.jump.mark) * noise.dt)
+    diff = _slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2)
+    return weight_var * np.einsum("nk,nk->n", diff, diff)

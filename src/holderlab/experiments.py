@@ -24,7 +24,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import time
 import typing
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from .conditions import ConditionProbe, audit_conditions, dyadic_pairs, fit_expo
 from .convolution import (Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson,
                           second_moment_pairs)
 from .errors import ConfigError, HolderLabError, ThetaOutOfEmbeddingRange
-from .kernels import KernelSpec, SpectralGrid
+from .kernels import KernelSpec, SpectralGrid, physical_memory
 from .moments import estimate_pair_moments, sample_pairs_dyadic
 from .noise import JumpSpec, MarkLaw, NoiseSpec
 
@@ -256,8 +255,8 @@ def write_table(path, header, rows) -> None:
 # --- preset pipelines -----------------------------------------------------
 
 def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig):
-    probe = ConditionProbe(
-        kernel=kernel, beta=beta, power=cond.power,
+    probe = _spec(
+        "config: condition probe", ConditionProbe, kernel=kernel, beta=beta, power=cond.power,
         time_pairs=dyadic_pairs(cond.s_base, cond.lag_k_min, cond.lag_k_max),
         mesh_points=cond.mesh_points,
     )
@@ -305,10 +304,9 @@ def _run_fractional_sweep(config: ExperimentConfig, progress: dict):
 
 def _regularity_saved_indices(steps: int, lag_steps, n_bases: int = 8):
     """Economical saved-time set: base times spread over the interior
-    [T/4, 3T/4] plus each base's lag partners.  Keeps the per-time inverse
-    transforms at n_bases * (len(lag_steps) + 1) times instead of a dense
-    lattice; the presets' pairs lie on these times, and `holderlab simulate`
-    stores the whole field on them."""
+    [T/4, 3T/4] plus each base's lag partners, n_bases * (len(lag_steps) + 1)
+    times at most; the presets' pairs lie on them, and `holderlab simulate`
+    stores the whole field there."""
     lo, hi = steps // 4, 3 * steps // 4
     max_step = max(lag_steps)
     span = max(hi - lo - max_step, 1)
@@ -336,31 +334,41 @@ class RegularityPieces(typing.NamedTuple):
     def lattice(self) -> Lattice:
         return Lattice(self.noise.dt, self.grid, np.array(self.saved))
 
-    def require_memory(self, M: int, held: int) -> None:
-        """ConfigError if a sink of `held` values per realization, the (M, n_t) slab weights
-        and three (M, 2F) float64 arrays (running sum, one saved time's spectrum, its inverse
-        transform) would exceed physical memory; allocates nothing."""
-        n = self.grid.points  # 1-D, so 2F = n + 2
-        need = M * (held * np.dtype(self.dtype).itemsize + 8 * (self.noise.steps + 3 * (n + 2)))
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    def require_memory(self, M: int, n_pairs: int | None = None) -> int:
+        """Bytes the simulation holds at most, counted without allocating; ConfigError past
+        physical memory.  Always: (M, n_t) slab weights, (n_t + 1, F) lag symbols (twice while
+        built), complex (n_t, F) g spectrum.  Full field: the sink, four (M, 2F) arrays and one
+        step's new slabs.  Pairs, for the last saved index k: the (n_pairs, k) differences,
+        (k + 1, n) profiles with transforms and chunks, the (M, n_pairs) product and copy."""
+        n, n_t, k = self.grid.points, self.noise.steps, self.saved[-1]  # 1-D: 2F = n + 2
+        item = np.dtype(self.dtype).itemsize
+        need = 8 * M * n_t + 16 * (n_t + 1) * (n + 2)
+        if n_pairs is None:
+            need += M * (len(self.saved) * n * item + 32 * (n + 2)) + 8 * n_t * (n + 2)
+        else:
+            need += (M * n_pairs * (8 + item) + 8 * k * n_pairs
+                     + 32 * (k + 1) * (n + 2) + 48 * max(2**18, k))
+        memory = physical_memory()
         if need > memory:
             raise ConfigError(f"config.simulation.ensemble / config.simulation.grid_points: "
                               f"{M} realizations on {n} points need {need / 2**30:.1f} GiB, "
                               f"more than the {memory / 2**30:.1f} GiB of physical memory")
+        return need
 
-    def simulate(self, M: int, points=None):
-        """The whole field on the saved times, or u at points only, after require_memory."""
-        self.require_memory(M, len(self.saved) * self.grid.points if points is None
-                            else len(points[0]))
+    def simulate(self, M: int, pairs=None):
+        """The field on the saved times, or u(X) - u(Y) of a PairSet, after require_memory."""
+        self.require_memory(M, None if pairs is None else pairs.size)
+        if pairs is not None:
+            pairs = (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
         convolve = convolve_brownian if self.noise.kind == "brownian" else convolve_poisson
         return convolve(self.kernel, self.grid, self.g, self.noise, M=M,
-                        save_times=self.saved, dtype=self.dtype, points=points)
+                        save_times=self.saved, dtype=self.dtype, pairs=pairs)
 
 
 def _spec(path: str, cls, *args, **kwargs):
     try:
         return cls(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:  # a SpectralGrid past memory
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -368,14 +376,18 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     """Turn a regularity config into pipeline pieces, for the presets and
     the CLI alike, without running quadrature or allocating arrays.  What
     the pipeline cannot honour (kernel.dim != 1, a store_dtype other than
-    float32/float64, no lags, lags off the time lattice, a value a spec
-    rejects) raises ConfigError naming the field."""
+    float32/float64, no realizations, a moment order below 1, no lags, lags off
+    the time lattice, a value a spec rejects) raises ConfigError naming the field."""
     kc, sim, mom, nc = config.kernel, config.simulation, config.moments, config.noise
     if kc.dim != 1:
         raise ConfigError(f"config.kernel.dim: the regularity presets are 1-D, got {kc.dim}")
     if sim.store_dtype not in ("float32", "float64"):
         raise ConfigError("config.simulation.store_dtype: expected 'float32' or "
                           f"'float64', got {sim.store_dtype!r}")
+    if sim.ensemble < 1:
+        raise ConfigError(f"config.simulation.ensemble: need a realization, got {sim.ensemble}")
+    if not mom.p >= 1.0:
+        raise ConfigError(f"config.moments.p: the moment order must be >= 1, got {mom.p}")
     kernel = _spec("config.kernel", KernelSpec, alpha=kc.alpha, epsilon=kc.epsilon, dim=1)
     grid = _spec("config.simulation", SpectralGrid, length=sim.grid_length,
                  points=sim.grid_points, dim=1)
@@ -407,7 +419,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     pieces = build_regularity(config)
     kernel, lags = pieces.kernel, pieces.lags
     kc, mom = config.kernel, config.moments
-    pieces.require_memory(config.simulation.ensemble, 2 * mom.pairs_per_lag * len(lags))
+    pieces.require_memory(config.simulation.ensemble, mom.pairs_per_lag * len(lags))
     tolerances = config.tolerances
     beta = mom.beta
 
@@ -431,7 +443,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     progress["stage"] = "pairs"  # pairs depend only on the lattice: draw them first
     pairs = sample_pairs_dyadic(pieces.lattice, lags, mom.pairs_per_lag, seed=config.seed)
     progress["stage"] = "simulate"
-    values = pieces.simulate(config.simulation.ensemble, points=pairs.points)
+    values = pieces.simulate(config.simulation.ensemble, pairs=pairs)
     progress["stage"] = "moments"
     mfield = estimate_pair_moments(values, pairs, mom.p)
     per_lag = []
@@ -454,13 +466,10 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     oracle_rows = None
     if mom.p == 2.0:
         progress["stage"] = "oracle"
-        oracle = second_moment_pairs(kernel, pieces.grid, pieces.g, pieces.noise,
-                                     pairs.t_idx1, pairs.s_idx1,
-                                     pairs.t_idx2, pairs.s_idx2)
-        oracle_rows = []
-        for lag in lags:
-            sel = pairs.requested_delta == lag
-            oracle_rows.append({"lag": lag, "mean": float(oracle[sel].mean())})
+        oracle = second_moment_pairs(kernel, pieces.grid, pieces.g, pieces.noise, pairs.t_idx1,
+                                     pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
+        oracle_rows = [{"lag": lag, "mean": float(oracle[pairs.requested_delta == lag].mean())}
+                       for lag in lags]
         progress["stage"] = "fit"
         fit_oracle = fit_exponent([(r["lag"], r["mean"]) for r in oracle_rows])
         gamma_oracle = fit_oracle.slope / 2.0

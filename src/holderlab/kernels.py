@@ -14,13 +14,15 @@ mutate their inputs, so concurrent evaluation across times is safe.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import AliasingViolation, NonPositiveTime, UnsupportedClosedForm
+from .errors import AliasingViolation, ConfigError, NonPositiveTime, UnsupportedClosedForm
 
 # exp(-ALIAS_LOG) = 1e-12: decay required of the symbol at the largest
 # resolved frequency before truncating the Fourier integral.
@@ -70,6 +72,11 @@ class SpectralGrid:
             raise ValueError("points per axis must be even and >= 4")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
+        need, memory = 8 * self.points**self.dim, physical_memory()
+        if need > memory:
+            raise ConfigError(f"{self.points} points per axis in d={self.dim}: one real array is "
+                              f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB "
+                              "of physical memory")
 
     @property
     def spacing(self) -> float:
@@ -134,6 +141,11 @@ class SpectralGrid:
         if n % 2:
             n = next_fast_len(n + 1, real=True)
         return cls(length=length, points=n, dim=dim)
+
+
+@functools.cache  # the condition quadrature builds tens of thousands of grids
+def physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _rfft_freqs(grid: SpectralGrid):

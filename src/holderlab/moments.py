@@ -4,7 +4,7 @@ Pair subsampling replaces the full double integral over a cylinder by
 uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
 Pairs depend only on the saved lattice, so they can be drawn before simulating;
-the estimator reads a FieldEnsemble or a PointEnsemble alike, in pair order.
+the estimator reads u(X) - u(Y) from a FieldEnsemble or a PairEnsemble built for them.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ class PairSet:
     def size(self) -> int:
         return self.t_idx1.size
 
-    @property
-    def points(self):
-        """(time indices, space indices) of the first members, then the second members."""
-        return (np.concatenate([self.t_idx1, self.t_idx2]),
-                np.concatenate([self.s_idx1, self.s_idx2]))
-
     def swapped(self) -> "PairSet":
         return PairSet(self.t_idx2, self.s_idx2, self.t_idx1, self.s_idx1,
                        self.t2, self.x2, self.t1, self.x1,
@@ -89,7 +83,7 @@ def _lattice_coords(lattice: Lattice):
 
 def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from a
-    FieldEnsemble or a PointEnsemble holding the pair points.
+    FieldEnsemble or a PairEnsemble built for these pairs.
 
     Deterministic given the ensemble; symmetric in the pair order.
     """
@@ -98,8 +92,7 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")
-    powed = ensemble.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)  # one (M, n) work array
-    powed -= ensemble.at(pairs.t_idx2, pairs.s_idx2)
+    powed = ensemble.differences(pairs)  # one (M, n) float64 work array
     np.abs(powed, out=powed)
     powed **= p
     est = powed.mean(axis=0)

@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from holderlab.convolution import (
     FieldEnsemble,
-    PointEnsemble,
+    PairEnsemble,
     TestFunctionSpec,
     _g_spectrum,
     _lag_symbols,
@@ -18,6 +19,7 @@ from holderlab.convolution import (
     second_moment_pairs,
 )
 from holderlab.errors import GridMismatch, PairOffGrid
+from holderlab.experiments import RegularityPieces
 from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius
 from holderlab.moments import sample_pairs_dyadic
 from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path
@@ -350,49 +352,64 @@ def test_oracle_rejects_indices_off_the_lattice():
             second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *args)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def _pair_set(t1, s1, t2, s2):
+    return SimpleNamespace(t_idx1=np.asarray(t1), s_idx1=np.asarray(s1),
+                           t_idx2=np.asarray(t2), s_idx2=np.asarray(s2))
+
+
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_point_sink_equals_the_full_field_gathered(case, dtype):
+def test_pair_sink_equals_the_full_field_differences(case):
+    # the two engines check each other: the forward pass's field, gathered at the pair
+    # members, against the slab differences applied to the same slab weights
     kernel, grid, g, noise, save_times = ENGINE_CASES[case]
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
-    full = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=dtype)
+    full = convolve(kernel, grid, g, noise, M=5, save_times=save_times)
     rng = np.random.default_rng(1)
-    t = rng.choice(full.time_indices, 40)
-    s = rng.integers(0, grid.points ** grid.dim, 40)
-    # every case saves time index 0, where u = 0; the last point repeats the first
-    t, s = np.append(t, [0, t[0]]), np.append(s, [7, s[0]])
-    pts = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=dtype,
-                   points=(t, s))
-    assert isinstance(pts, PointEnsemble)
-    assert pts.values.dtype == dtype and pts.values.shape == (5, t.size)
-    assert pts.values.strides[0] == pts.values.itemsize  # realization axis contiguous
-    assert np.array_equal(pts.time_indices, full.time_indices)
-    vals = full.values.reshape(5, full.time_indices.size, -1)
-    pos = [int(np.flatnonzero(full.time_indices == i)[0]) for i in t]
-    assert np.array_equal(pts.values, vals[:, pos, s])
-    assert not pts.values[:, -2].any()
-    assert np.array_equal(pts.values[:, -1], pts.values[:, 0])
-    assert np.array_equal(pts.at(t[::-1], s[::-1]), full.at(t[::-1], s[::-1]))
+    t1, t2 = rng.choice(full.time_indices, (2, 40))
+    s1, s2 = rng.integers(0, grid.points ** grid.dim, (2, 40))
+    # every case saves time index 0, where u = 0; the last pair is one point twice
+    t1, s1 = np.append(t1, [0, t1[0]]), np.append(s1, [7, s1[0]])
+    t2, s2 = np.append(t2, [0, t1[0]]), np.append(s2, [9, s1[0]])
+    pairs = (t1, s1, t2, s2)
+    want = full.differences(_pair_set(*pairs))
+    exact = convolve(kernel, grid, g, noise, M=5, save_times=save_times, pairs=pairs)
+    got = exact.differences(_pair_set(*pairs))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert not got[:, -2:].any()
+    stored = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=np.float32,
+                      pairs=pairs)
+    assert np.array_equal(stored.values, exact.values.astype(np.float32))
+    for ens, dtype in ((exact, np.float64), (stored, np.float32)):
+        assert isinstance(ens, PairEnsemble)
+        assert ens.values.dtype == dtype and ens.values.shape == (5, t1.size)
+        assert ens.values.strides[0] == ens.values.itemsize  # realization axis contiguous
+        assert np.array_equal(ens.time_indices, full.time_indices)
 
 
-def test_point_sink_rejects_points_off_the_saved_lattice():
+def test_pair_sink_rejects_pairs_off_the_saved_lattice():
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
 
-    def run(t, s):
+    def run(t, s, first=True):
+        other = ([0] * len(t), [5] * len(s))
+        pairs = (t, s) + other if first else other + (t, s)
         return convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64],
-                                 dtype=np.float32, points=(t, s))
+                                 dtype=np.float32, pairs=pairs)
 
     held = run([64, 64.0, 0], [3, 200, 255])
     assert held.values.shape == (2, 3)
+    assert held.differences(_pair_set([64, 64, 0], [3, 200, 255], [0] * 3, [5] * 3)).any()
     for t, s, error in [([32], [3], GridMismatch),  # on the lattice but not saved
                         ([64.5], [3], GridMismatch), ([BROWNIAN.steps + 1], [3], GridMismatch),
                         ([-1], [3], GridMismatch), ([np.nan], [3], GridMismatch),
                         ([64], [GRID.points], PairOffGrid), ([64], [-1], PairOffGrid),
                         ([64], [3.5], PairOffGrid), ([64], [np.inf], PairOffGrid)]:
-        with pytest.raises(error):
-            run(t, s)
-    with pytest.raises(PairOffGrid):
-        held.at([64], [4])  # a lattice point the sink did not keep
+        for first in (True, False):
+            with pytest.raises(error):
+                run(t, s, first)
+    for other in (_pair_set([64, 64, 0], [3, 200, 254], [0] * 3, [5] * 3),  # a pair not held
+                  _pair_set([0] * 3, [5] * 3, [64, 64, 0], [3, 200, 255])):  # held, swapped
+        with pytest.raises(PairOffGrid):
+            held.differences(other)
     full = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
     with pytest.raises(GridMismatch):
         full.at([32], [3])
@@ -401,20 +418,36 @@ def test_point_sink_rejects_points_off_the_saved_lattice():
     assert np.array_equal(full.at([64, 0], [3, 3]), full.values[:, [1, 0], 3])
 
 
-@pytest.mark.parametrize("points", [True, False])
-def test_forward_pass_holds_three_spectral_arrays(points):
+def test_forward_pass_holds_three_spectral_arrays():
     # beyond its sink and slab weights the pass holds the running sum, one saved time's
-    # spectrum and its inverse transform: the three (M, 2F) float64 arrays that
+    # spectrum and its inverse transform: three (M, 2F) float64 arrays, within what
     # RegularityPieces.require_memory counts
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     M, saved = 2000, list(range(32, 129, 8))
-    pts = (np.repeat(saved, 4), np.tile([10, 100, 128, 200], len(saved))) if points else None
+    pieces = RegularityPieces(KERNEL, GRID, BROWNIAN, g, [0.25], saved, "float32")
     tracemalloc.start()
     try:
-        ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=M, save_times=saved,
-                                dtype=np.float32, points=pts)
+        ens = pieces.simulate(M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     held = peak - ens.values.nbytes - M * BROWNIAN.steps * 8
     assert held < 3.5 * M * (GRID.points + 2) * 8
+    assert peak <= pieces.require_memory(M)
+
+
+@pytest.mark.parametrize("M", [40, 2000])
+@pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
+def test_pair_path_peak_stays_within_the_counted_memory(noise, M):
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    pieces = RegularityPieces(KERNEL, GRID, noise, g, [0.25, 0.125], list(range(32, 129, 8)),
+                              "float32")
+    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 256, seed=2)
+    tracemalloc.start()
+    try:
+        ens = pieces.simulate(M, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.values.shape == (M, pairs.size)
+    assert peak <= pieces.require_memory(M, pairs.size)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from holderlab.errors import AliasingViolation, NonPositiveTime, UnsupportedClosedForm
+import holderlab.kernels as kernels
+from holderlab.errors import AliasingViolation, ConfigError, NonPositiveTime, UnsupportedClosedForm
 from holderlab.kernels import (
     KernelSpec,
     SpectralGrid,
@@ -191,3 +192,18 @@ def test_grid_validation():
         SpectralGrid(length=1.0, points=63)
     with pytest.raises(NonPositiveTime):
         SpectralGrid.for_times(2.0, 1, t_min=0.0)
+
+
+def test_grid_beyond_physical_memory_is_a_config_error(monkeypatch):
+    # checked from the point count alone: none of these grids allocates anything
+    with pytest.raises(ConfigError, match="physical memory"):  # 1.5e12 points per axis
+        SpectralGrid.for_times(0.3, 1, t_min=0.01)
+    # alpha = 0.4 asks for 2.05e9 points, 15 GiB per real array: over an 8 GiB machine
+    monkeypatch.setattr(kernels, "physical_memory", lambda: 8 * 2**30)
+    with pytest.raises(ConfigError, match="2048000000 points per axis in d=1: one real array is "
+                                          "15.3 GiB, more than the 8.0 GiB"):
+        SpectralGrid.for_times(0.4, 1, t_min=0.01)
+    with pytest.raises(ConfigError, match="in d=2"):  # 2^32 points, 32 GiB
+        SpectralGrid(length=1.0, points=2**16, dim=2)
+    assert SpectralGrid(length=1.0, points=2**16, dim=1).points == 2**16
+    assert SpectralGrid.for_times(2.0, 2, t_min=0.01).dim == 2
