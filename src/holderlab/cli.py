@@ -44,9 +44,17 @@ def _resolve_seed(args) -> int | None:
     return int(env) if env else None
 
 
+def _read(flag: str, path, load):
+    """load(path); a file that cannot be opened is a ConfigError naming the flag and path."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
+
+
 def _config_from_args(args, preset=None) -> ExperimentConfig:
     if args.config:
-        cfg = load_config(args.config)
+        cfg = _read("--config", args.config, load_config)
         if preset is not None and cfg.experiment != preset:
             raise ConfigError(
                 f"config requests {cfg.experiment!r} but the subcommand "
@@ -109,8 +117,11 @@ def _joined(x) -> str:
 
 
 def _cmd_moments(args) -> int:
-    ens = FieldEnsemble.load(args.ensemble)
     lags = [2.0**-k for k in range(args.lag_k_min, args.lag_k_max + 1)]
+    if not lags:
+        raise ConfigError(f"--lag-k-min {args.lag_k_min} > --lag-k-max {args.lag_k_max} "
+                          "leaves no lags")
+    ens = _read("--ensemble", args.ensemble, FieldEnsemble.load)
     seed = _resolve_seed(args) or 0
     pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
     field = estimate_pair_moments(ens, pairs, args.p)
@@ -126,7 +137,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
-    ens = FieldEnsemble.load(args.ensemble)
+    ens = _read("--ensemble", args.ensemble, FieldEnsemble.load)
     seed = _resolve_seed(args) or 0
     p = args.p
     theta = args.theta
@@ -153,9 +164,8 @@ def _cmd_seminorm(args) -> int:
 
 
 def _cmd_emit_plots(args) -> int:
-    with open(args.report) as fh:
-        modules = json.load(fh)["modules"]
-    written = emit_plot_data(modules, args.out or "plots")
+    report = _read("--report", args.report, lambda path: json.loads(Path(path).read_text()))
+    written = emit_plot_data(report["modules"], args.out or "plots")
     print(f"{len(written)} plot files written")
     return EXIT_PASS
 

@@ -28,12 +28,14 @@ from scipy.fft import next_fast_len
 from scipy.stats import linregress
 
 from .errors import (
+    ConfigError,
     InsufficientPoints,
     MomentDivergence,
     NonPositiveData,
     QuadratureNotConverged,
 )
-from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, irfft_ascending, symbol
+from .kernels import (ALIAS_LOG, KernelSpec, SpectralGrid, irfft_ascending, physical_memory,
+                      symbol)
 
 # Box half-width in units of the kernel scale tau^(1/alpha).  Large enough
 # that the truncated |z|^beta-weighted tail is ~1% for the heavy-tailed
@@ -55,15 +57,26 @@ RICHARDSON_FAIL = 0.05
 # Grading exponent kappa of the outer mesh r_j = s - s (j/J)^kappa.
 MESH_GRADING = 3.0
 
+# Real float64 arrays of its lattice that one weighted L1 norm holds at its peak: the
+# values, their modulus, |z|, |z|^beta and their product (tracemalloc: 4.5 to 5.6).
+LATTICE_ARRAYS = 6
+
 
 def _adapted_grid(spec: KernelSpec, tau_small: float, tau_big: float) -> SpectralGrid:
-    """Lattice resolving the symbol at tau_small on a box holding tau_big."""
+    """Lattice resolving the symbol at tau_small on a box holding tau_big; ConfigError,
+    before anything is allocated, when LATTICE_ARRAYS of its arrays exceed physical memory."""
     length = BOX_MULT * tau_big ** (1.0 / spec.alpha)
     xi_need = (ALIAS_LOG / tau_small) ** (1.0 / spec.alpha)
     n = max(64, OVERSAMPLE * math.ceil(2.0 * length * xi_need / math.pi))
     n = next_fast_len(n, real=True)
     if n % 2:
         n = next_fast_len(n + 1, real=True)
+    need, memory = LATTICE_ARRAYS * 8 * n**spec.dim, physical_memory()
+    if need > memory:
+        raise ConfigError(f"alpha={spec.alpha:g}, kernel scales {tau_small:.4g} to "
+                          f"{tau_big:.4g}: {n} points per axis in d={spec.dim}, and a weighted "
+                          f"L1 norm on them holds {need / 2**30:.1f} GiB, more than the "
+                          f"{memory / 2**30:.1f} GiB of physical memory")
     return SpectralGrid(length=length, points=n, dim=spec.dim)
 
 

@@ -16,8 +16,9 @@ so the spectral sum decays from one saved time to the next and only new slabs ar
 (exponential Euler), at cost O(M * F * max saved index) for M realizations and F modes.
 
 That pass stores the whole field (FieldEnsemble, for `holderlab simulate`).  The presets'
-pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D for their Monte Carlo
-(PairEnsemble) and exact oracle alike.  Realizations are pure functions of (seed, stream_index).
+pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D once for both their
+Monte Carlo values and their exact second moments (PairEnsemble).  Realizations are pure
+functions of (seed, stream_index).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, PairOffGrid
-from .kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending
+from .kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending, symbol
 from .noise import NoiseSpec, sample_path
 
 
@@ -188,11 +189,13 @@ class FieldEnsemble:
 @dataclass
 class PairEnsemble:
     """values[m, n] = u_m(X_n) - u_m(Y_n) in the storage dtype, realization axis contiguous,
-    for the pairs (t1, s1, t2, s2) it was built for; time_indices are the saved times."""
+    for the pairs (t1, s1, t2, s2) it was built for; time_indices are the saved times.
+    second_moments[n] = E|u(X_n) - u(Y_n)|^2 exactly, from the same slab differences."""
 
     values: np.ndarray
     pairs: tuple
     time_indices: np.ndarray
+    second_moments: np.ndarray
 
     def differences(self, pairs) -> np.ndarray:
         """The held differences as a new float64 (M, n) array; other pairs raise PairOffGrid."""
@@ -215,12 +218,9 @@ def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) ->
     """Q[j, f]: kernel symbol at lag j*dt (midpoint dt/2 for j=1), flattened
     frequency axis.  Q[0] is zero: no same-slab contribution (Ito rule)."""
     grid.require_alias(kernel.alpha, dt / 2.0)
-    r = _freq_radius(grid).reshape(-1)
     lags = dt * np.arange(n_t + 1, dtype=float)
     lags[1] = dt / 2.0
-    q = np.exp(-np.outer(lags, r**kernel.alpha))
-    if kernel.epsilon > 0.0:
-        q *= r**kernel.epsilon
+    q = symbol(kernel, grid, lags).reshape(n_t + 1, -1)
     q[0] = 0.0
     return q
 
@@ -307,7 +307,8 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         diff = _slab_differences(kernel, grid, g, noise, *pairs)
         w = _time_weights(noise, g, M)[:, :diff.shape[1]]
         values = (diff @ w.T).T.astype(dtype, copy=False)
-        return PairEnsemble(values, tuple(np.array(a) for a in pairs), idx)
+        return PairEnsemble(values, tuple(np.array(a) for a in pairs), idx,
+                            _isometry(g, noise, diff))
 
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
@@ -387,13 +388,19 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
     return diff
 
 
-def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-                        noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
-    """Exact second moments E|u(X) - u(Y)|^2 of the discretized field, no Monte Carlo: with
-    independent centered slab weights it is c * dt * sum_k D_k^2 for the D of
-    _slab_differences (same arguments and checks), c = 1 for Brownian weights and
-    c = intensity * E[g1(z)^2] for compensated Poisson weights."""
+def _isometry(g: TestFunctionSpec, noise: NoiseSpec, diff: np.ndarray) -> np.ndarray:
+    """E|u(X_n) - u(Y_n)|^2 = Var(w_k) sum_k D[n, k]^2 for independent centered slab
+    weights: Var(w_k) = dt for Brownian ones, intensity * E[g1(z)^2] * dt for compensated
+    Poisson ones."""
     weight_var = noise.dt if noise.kind == "brownian" else (
         noise.jump.intensity * g.mark_second_moment(noise.jump.mark) * noise.dt)
-    diff = _slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2)
     return weight_var * np.einsum("nk,nk->n", diff, diff)
+
+
+def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
+                        noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
+    """Exact second moments E|u(X) - u(Y)|^2 of the discretized field, no Monte Carlo, for
+    the D of _slab_differences (same arguments and checks); the pair branch of _convolve
+    carries the same values as PairEnsemble.second_moments."""
+    return _isometry(g, noise, _slab_differences(kernel, grid, g, noise, idx1, pos1,
+                                                 idx2, pos2))

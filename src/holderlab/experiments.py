@@ -34,8 +34,7 @@ import numpy as np
 from . import __version__
 from .campanato import Box, DomainSpec, campanato_seminorm, embedding_exponent
 from .conditions import ConditionProbe, audit_conditions, dyadic_pairs, fit_exponent
-from .convolution import (Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson,
-                          second_moment_pairs)
+from .convolution import Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson
 from .errors import ConfigError, HolderLabError, ThetaOutOfEmbeddingRange
 from .kernels import KernelSpec, SpectralGrid, physical_memory
 from .moments import estimate_pair_moments, sample_pairs_dyadic
@@ -465,12 +464,9 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     gamma_oracle = None
     oracle_rows = None
     if mom.p == 2.0:
-        progress["stage"] = "oracle"
-        oracle = second_moment_pairs(kernel, pieces.grid, pieces.g, pieces.noise, pairs.t_idx1,
-                                     pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
+        oracle = values.second_moments  # exact, from the simulation's slab differences
         oracle_rows = [{"lag": lag, "mean": float(oracle[pairs.requested_delta == lag].mean())}
                        for lag in lags]
-        progress["stage"] = "fit"
         fit_oracle = fit_exponent([(r["lag"], r["mean"]) for r in oracle_rows])
         gamma_oracle = fit_oracle.slope / 2.0
 

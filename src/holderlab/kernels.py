@@ -148,22 +148,13 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _rfft_freqs(grid: SpectralGrid):
-    """Angular frequency axes matching rfftn layout (last axis halved)."""
-    n, h = grid.points, grid.spacing
-    full = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    half = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
-    if grid.dim == 1:
-        return (half,)
-    return (full, half)
-
-
 def _freq_radius(grid: SpectralGrid) -> np.ndarray:
-    freqs = _rfft_freqs(grid)
+    """|xi| on the rfftn lattice (last axis halved)."""
+    half = 2.0 * math.pi * np.fft.rfftfreq(grid.points, d=grid.spacing)
     if grid.dim == 1:
-        return np.abs(freqs[0])
-    fx, fy = freqs
-    return np.sqrt(fx[:, None] ** 2 + fy[None, :] ** 2)
+        return half
+    full = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    return np.sqrt(full[:, None] ** 2 + half[None, :] ** 2)
 
 
 def irfft_ascending(freq: np.ndarray, grid: SpectralGrid, out=None) -> np.ndarray:
@@ -178,12 +169,13 @@ def irfft_ascending(freq: np.ndarray, grid: SpectralGrid, out=None) -> np.ndarra
     return vals
 
 
-def symbol(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
-    """Fourier symbol |xi|^epsilon * exp(-t |xi|^alpha) on the rfft lattice."""
+def symbol(spec: KernelSpec, grid: SpectralGrid, t) -> np.ndarray:
+    """Fourier symbol |xi|^epsilon * exp(-t |xi|^alpha) on the rfft lattice; for an array
+    of times, one lattice per time (shape t.shape + lattice shape)."""
     r = _freq_radius(grid)
-    sym = np.exp(-t * r**spec.alpha)
+    sym = np.exp(np.multiply.outer(np.negative(t), r**spec.alpha))
     if spec.epsilon > 0.0:
-        sym = sym * r**spec.epsilon
+        sym *= r**spec.epsilon
     return sym
 
 

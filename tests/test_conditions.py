@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import holderlab.conditions as conditions
+import holderlab.kernels as kernels
 from holderlab.conditions import (
+    LATTICE_ARRAYS,
     ConditionProbe,
+    _adapted_grid,
     audit_conditions,
     condition_increment,
     condition_mass,
@@ -12,13 +17,15 @@ from holderlab.conditions import (
     dyadic_pairs,
     fit_exponent,
     weighted_l1,
+    weighted_l1_increment,
 )
 from holderlab.errors import (
+    ConfigError,
     InsufficientPoints,
     MomentDivergence,
     NonPositiveData,
 )
-from holderlab.kernels import KernelSpec
+from holderlab.kernels import KernelSpec, SpectralGrid
 
 
 def gaussian_probe(beta=0.3, **kw):
@@ -111,6 +118,48 @@ def test_weighted_l1_power_law():
     v1 = weighted_l1(spec, 0.1, 0.0)
     v2 = weighted_l1(spec, 0.1 / 16.0, 0.0)
     assert v2 / v1 == pytest.approx(16.0**0.25, rel=1e-2)
+
+
+def test_condition_lattice_beyond_physical_memory_is_a_config_error(monkeypatch):
+    # alpha = 0.55 across a ratio of 256 asks for 612,220,032 points: one real array (4.6 GiB)
+    # fits an 8 GiB machine, the LATTICE_ARRAYS a weighted L1 norm holds (27.4 GiB) do not
+    monkeypatch.setattr(kernels, "physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(conditions, "physical_memory", lambda: 8 * 2**30)
+    spec = KernelSpec(alpha=0.55)
+    assert SpectralGrid(length=1.0, points=612_220_032).points == 612_220_032
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the lattice was allocated before the memory check")
+
+    monkeypatch.setattr(conditions, "symbol", not_reached)
+    with pytest.raises(ConfigError, match="612220032 points per axis in d=1, and a weighted L1 "
+                                          "norm on them holds 27.4 GiB, more than the 8.0 GiB"):
+        _adapted_grid(spec, 1.0, 256.0)
+    with pytest.raises(ConfigError, match="physical memory"):
+        weighted_l1_increment(spec, 1.0, 255.0, 0.5)
+    assert _adapted_grid(spec, 1.0, 1.0).points == 25600  # one kernel scale: a small lattice
+
+
+@pytest.mark.parametrize("spec, sigma, delta", [(KernelSpec(alpha=1.0, epsilon=0.3), 1.0, 20.0),
+                                                (KernelSpec(alpha=1.0), 1.0, 1.0),
+                                                (KernelSpec(alpha=2.0, dim=2), 1.0, 1.0)],
+                         ids=["d1-eps", "d1-small", "d2"])
+def test_weighted_l1_peak_stays_within_the_counted_lattice_arrays(spec, sigma, delta):
+    def peak(norm, *args):
+        tracemalloc.start()
+        try:
+            norm(spec, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def counted(tau_big):
+        grid = _adapted_grid(spec, sigma, tau_big)
+        return LATTICE_ARRAYS * 8 * grid.points**grid.dim
+
+    for beta in (0.0, 0.5):
+        assert peak(weighted_l1_increment, sigma, delta, beta) <= counted(sigma + delta)
+        assert peak(weighted_l1, sigma, beta) <= counted(sigma)
 
 
 def test_fit_exponent_exact_power_laws():

@@ -20,7 +20,7 @@ from holderlab.convolution import (
 )
 from holderlab.errors import GridMismatch, PairOffGrid
 from holderlab.experiments import RegularityPieces
-from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius
+from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, symbol
 from holderlab.moments import sample_pairs_dyadic
 from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path
 
@@ -286,6 +286,15 @@ def test_forward_pass_matches_per_time_sum(case):
     assert np.max(np.abs(ens.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("case", ["brownian-parabolic-eps-times", "dim2-parabolic"])
+def test_lag_symbols_are_the_scalar_symbol_calls_bitwise(case):
+    kernel, grid, _, noise, _ = ENGINE_CASES[case]
+    dt, n_t = noise.dt, 12
+    want = [np.zeros(_freq_radius(grid).size), symbol(kernel, grid, dt / 2.0).reshape(-1)]
+    want += [symbol(kernel, grid, j * dt).reshape(-1) for j in range(2, n_t + 1)]
+    assert np.array_equal(_lag_symbols(kernel, grid, dt, n_t), np.array(want))
+
+
 def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     """Exact second moments from one i-row profile cache per time index."""
     n_t, dt = noise.steps, noise.dt
@@ -379,7 +388,9 @@ def test_pair_sink_equals_the_full_field_differences(case):
     stored = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=np.float32,
                       pairs=pairs)
     assert np.array_equal(stored.values, exact.values.astype(np.float32))
+    oracle = second_moment_pairs(kernel, grid, g, noise, *pairs)
     for ens, dtype in ((exact, np.float64), (stored, np.float32)):
+        assert np.array_equal(ens.second_moments, oracle)  # the same D, the same isometry
         assert isinstance(ens, PairEnsemble)
         assert ens.values.dtype == dtype and ens.values.shape == (5, t1.size)
         assert ens.values.strides[0] == ens.values.itemsize  # realization axis contiguous

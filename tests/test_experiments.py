@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holderlab.convolution as convolution
 import holderlab.errors as errors
 import holderlab.experiments as experiments
 from holderlab.cli import main
@@ -287,6 +288,10 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
                  "--lag-k-min", "-2", "--lag-k-max", "1", "--out", str(tmp_path)]) == 3
     assert "PairOffGrid: lag 4 spans 256 lattice spacings" in capsys.readouterr().err
     assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
+                 "--lag-k-min", "5", "--lag-k-max", "1", "--out", str(tmp_path)]) == 2
+    assert "--lag-k-min 5 > --lag-k-max 1 leaves no lags" in capsys.readouterr().err
+    assert not (tmp_path / "moments.csv").exists()
+    assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
                  "--lag-k-min", "1", "--lag-k-max", "4", "--pairs", "32",
                  "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "moments.csv").read_text().splitlines()
@@ -312,6 +317,18 @@ def test_cli_emit_plots_roundtrip(tmp_path):
                  "--out", str(tmp_path / "p")])
     assert code == 0
     assert (tmp_path / "p" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--config"), ("audit-kernel", "--config"), ("simulate", "--config"),
+    ("moments", "--ensemble"), ("seminorm", "--ensemble"), ("emit-plots", "--report"),
+])
+def test_cli_missing_input_file_exit_two(tmp_path, capsys, command, flag):
+    # exit 1 means a verdict failed; a file that is not there is a configuration error
+    missing = str(tmp_path / "missing" / "input")
+    assert main([command, flag, missing, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {flag} {missing}: No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --- config -> pipeline builder ------------------------------------------
@@ -409,12 +426,17 @@ def test_regularity_configs_run_or_exit_with_their_code(tmp_path_factory, data):
         assert code == (2 if marker["invalid_config"] else 3), err.getvalue()
 
 
-def test_benchmark_tracer_targets_resolve(tmp_path):
-    # perfbench/tracer.py wraps these names from outside the package
+def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_resolve(tmp_path):
+    # perfbench/tracer.py wraps these names from outside the package
+    tracer = _load_tracer()
     for module, attr, _, _ in tracer.TARGETS:
         obj = importlib.import_module(f"holderlab.{module}")
         for part in attr.split("."):
@@ -433,20 +455,16 @@ def test_benchmark_tracer_targets_resolve(tmp_path):
     assert [s[0] for s in t.spans].count("convolution.convolve") == 1
 
 
-def _load_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
-
-
 @pytest.mark.parametrize("config", [SMALL_BROWNIAN, SMALL_POISSON],
                          ids=["brownian", "poisson"])
-def test_regularity_preset_runs_under_the_benchmark_tracer(tmp_path, config):
+def test_regularity_preset_runs_under_the_benchmark_tracer(tmp_path, monkeypatch, config):
     # perfbench/tracer.py reads .values and .time_indices of what convolve_* returns
     cfg = load_config(_write(tmp_path, config))
     pieces = build_regularity(cfg)
+    built = []  # the Monte Carlo values and the oracle share one slab-difference matrix
+    slab_differences = convolution._slab_differences
+    monkeypatch.setattr(convolution, "_slab_differences",
+                        lambda *args: built.append(1) or slab_differences(*args))
     tracer = _load_tracer()
     t = tracer.Tracer()
     t.run_id = config["experiment"]
@@ -465,7 +483,8 @@ def test_regularity_preset_runs_under_the_benchmark_tracer(tmp_path, config):
     assert layers["convolution.saved_times"] == len(pieces.saved)
     assert layers["convolution.ensemble_bytes"] == M * n_pairs * 4  # float32 differences
     assert layers["moments.pairs"] == n_pairs
-    assert layers["convolution.oracle_pairs"] == n_pairs
+    assert layers["convolution.oracle_pairs"] == 0  # the oracle comes with the pair values
+    assert len(built) == 1
 
 
 def test_regularity_run_never_holds_the_full_field(tmp_path):

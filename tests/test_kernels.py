@@ -14,6 +14,7 @@ from holderlab.kernels import (
     eval_kernel,
     eval_kernel_periodized,
     lattice_mass,
+    symbol,
 )
 
 
@@ -207,3 +208,27 @@ def test_grid_beyond_physical_memory_is_a_config_error(monkeypatch):
         SpectralGrid(length=1.0, points=2**16, dim=2)
     assert SpectralGrid(length=1.0, points=2**16, dim=1).points == 2**16
     assert SpectralGrid.for_times(2.0, 2, t_min=0.01).dim == 2
+
+
+GRIDS_1D_2D = [SpectralGrid(length=3.0, points=1000, dim=1),
+               SpectralGrid(length=2.0, points=96, dim=2)]
+
+
+@pytest.mark.parametrize("grid", GRIDS_1D_2D, ids=["d1", "d2"])
+def test_freq_radius_is_the_full_and_half_axis_formula_bitwise(grid):
+    n, h = grid.points, grid.spacing
+    full = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
+    half = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
+    want = np.abs(half) if grid.dim == 1 else np.sqrt(full[:, None] ** 2 + half[None, :] ** 2)
+    assert np.array_equal(kernels._freq_radius(grid), want)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+@pytest.mark.parametrize("grid", GRIDS_1D_2D, ids=["d1", "d2"])
+def test_symbol_over_an_array_of_times_stacks_the_scalar_calls_bitwise(grid, epsilon):
+    spec = KernelSpec(alpha=1.5, epsilon=epsilon, dim=grid.dim)
+    times = np.array([[0.5, 0.01, 2e-4], [1.0, 0.125, 0.0]])
+    stacked = symbol(spec, grid, times)
+    assert stacked.shape == times.shape + kernels._freq_radius(grid).shape
+    for index in np.ndindex(times.shape):
+        assert np.array_equal(stacked[index], symbol(spec, grid, float(times[index])))
