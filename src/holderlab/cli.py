@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .campanato import campanato_from_pair_moments, ParabolicCylinder, SpaceTimePoint
 from .convolution import FieldEnsemble
-from .errors import ConfigError, HolderLabError
+from .errors import ConfigError, EmptyCylinder, HolderLabError
 from .experiments import (
     ExperimentConfig,
     build_regularity,
@@ -149,10 +149,14 @@ def _cmd_seminorm(args) -> int:
         cyl = ParabolicCylinder(SpaceTimePoint(t_mid, [0.0] * ens.grid.dim), c)
         try:
             pairs = sample_pairs_within_cylinder(ens, cyl, args.pairs, seed=seed + k)
-        except HolderLabError:
+        except EmptyCylinder:
             continue
         field = estimate_pair_moments(ens, pairs, p)
         groups.append((c, cyl.measure, float(field.estimates.mean())))
+    if not groups:
+        raise ConfigError(f"--scale-k-min {args.scale_k_min} .. --scale-k-max "
+                          f"{args.scale_k_max} leaves no cylinder holding two saved lattice "
+                          f"points (lattice spacing {ens.grid.spacing:g})")
     report = campanato_from_pair_moments(groups, p, theta)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -164,8 +168,12 @@ def _cmd_seminorm(args) -> int:
 
 
 def _cmd_emit_plots(args) -> int:
-    report = _read("--report", args.report, lambda path: json.loads(Path(path).read_text()))
-    written = emit_plot_data(report["modules"], args.out or "plots")
+    report = _read("--report", args.report, lambda path: Path(path).read_text())
+    try:
+        written = emit_plot_data(json.loads(report)["modules"], args.out or "plots")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # not a holderlab report
+        raise ConfigError(f"--report {args.report}: not a holderlab report "
+                          f"({type(exc).__name__}: {exc})") from exc
     print(f"{len(written)} plot files written")
     return EXIT_PASS
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridMismatch, PairOffGrid
 from .kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending, symbol
-from .noise import NoiseSpec, sample_path
+from .noise import NoiseSpec, slab_cumulant, slab_weights
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,6 @@ class TestFunctionSpec:
     @property
     def time_dependent(self) -> bool:
         return self.family == "parabolic-power"
-
-    def mark_transform(self, z: np.ndarray) -> np.ndarray:
-        if self.mark_family == "identity":
-            return np.asarray(z, dtype=float)
-        return np.ones_like(np.asarray(z, dtype=float))
-
-    def mark_mean(self, law) -> float:
-        return law.mean if self.mark_family == "identity" else 1.0
-
-    def mark_second_moment(self, law) -> float:
-        return law.second_moment if self.mark_family == "identity" else 1.0
 
 
 class Lattice(typing.NamedTuple):
@@ -249,28 +238,6 @@ def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float, n_t: int) ->
     return out
 
 
-def _time_weights(noise: NoiseSpec, g: TestFunctionSpec, M: int) -> np.ndarray:
-    """w[m, k]: the realization's weight of time slab k.
-
-    Brownian: the increments dW_k.  Poisson: sum of g1(z) over the slab's
-    events minus the slab compensator intensity * E[g1] * dt.
-    """
-    n_t = noise.steps
-    w = np.empty((M, n_t))
-    if noise.kind == "brownian":
-        for m in range(M):
-            w[m] = sample_path(noise, m).increments
-        return w
-    comp = noise.jump.intensity * g.mark_mean(noise.jump.mark) * noise.dt
-    for m in range(M):
-        path = sample_path(noise, m)
-        slabs = np.floor(path.times / noise.dt).astype(int)
-        slabs = np.clip(slabs, 0, n_t - 1)
-        w[m] = np.bincount(slabs, weights=g.mark_transform(path.marks),
-                           minlength=n_t) - comp
-    return w
-
-
 def _resolve_time_indices(save_times, dt: float, n_t: int) -> np.ndarray:
     if save_times is None:
         return np.arange(n_t + 1)
@@ -305,14 +272,14 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         if not np.isin(times, idx).all():
             raise GridMismatch(f"pair times {np.setdiff1d(times, idx)} are not saved times")
         diff = _slab_differences(kernel, grid, g, noise, *pairs)
-        w = _time_weights(noise, g, M)[:, :diff.shape[1]]
+        w = slab_weights(noise, g.mark_family, M)[:, :diff.shape[1]]
         values = (diff @ w.T).T.astype(dtype, copy=False)
         return PairEnsemble(values, tuple(np.array(a) for a in pairs), idx,
                             _isometry(g, noise, diff))
 
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
-    w = _time_weights(noise, g, M)
+    w = slab_weights(noise, g.mark_family, M)
 
     radius = _freq_radius(grid)
     rate = np.repeat(-dt * radius.reshape(-1) ** kernel.alpha, 2)
@@ -389,12 +356,9 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
 
 
 def _isometry(g: TestFunctionSpec, noise: NoiseSpec, diff: np.ndarray) -> np.ndarray:
-    """E|u(X_n) - u(Y_n)|^2 = Var(w_k) sum_k D[n, k]^2 for independent centered slab
-    weights: Var(w_k) = dt for Brownian ones, intensity * E[g1(z)^2] * dt for compensated
-    Poisson ones."""
-    weight_var = noise.dt if noise.kind == "brownian" else (
-        noise.jump.intensity * g.mark_second_moment(noise.jump.mark) * noise.dt)
-    return weight_var * np.einsum("nk,nk->n", diff, diff)
+    """E|u(X_n) - u(Y_n)|^2 = kappa2 sum_k D[n, k]^2 for independent centered slab weights
+    of variance kappa2 = slab_cumulant(noise, g.mark_family, 2)."""
+    return slab_cumulant(noise, g.mark_family, 2) * np.einsum("nk,nk->n", diff, diff)
 
 
 def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,

@@ -70,7 +70,7 @@ class EmptyRequest(HolderLabError):
 
 
 class EmptyCylinder(HolderLabError):
-    """A sampling cylinder contains no lattice points."""
+    """A sampling cylinder contains fewer than two lattice points."""
 
 
 # --- campanato geometry --------------------------------------------------

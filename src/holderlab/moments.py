@@ -108,7 +108,8 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
     """Uniform independent pairs of lattice points inside a cylinder.
 
     Both members are drawn uniformly from the saved lattice points lying in
-    (t0 - c^2, t0 + c^2) x B_c(x0).
+    (t0 - c^2, t0 + c^2) x B_c(x0); fewer than two of them (a cylinder narrower
+    than the lattice spacing) raise EmptyCylinder, as every pair would be zero.
     """
     if count < 1:
         raise EmptyRequest("count must be >= 1")
@@ -118,8 +119,9 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
     coords = _lattice_coords(lattice)
     dist = np.sqrt(((coords - x0[None, :]) ** 2).sum(axis=1))
     ok_x = np.nonzero(dist < c)[0]
-    if ok_t.size == 0 or ok_x.size == 0:
-        raise EmptyCylinder(f"no saved lattice points inside {cylinder}")
+    if ok_t.size * ok_x.size < 2:
+        raise EmptyCylinder(f"{ok_t.size * ok_x.size} saved lattice points inside {cylinder}, "
+                            "fewer than a pair needs")
     rng = Generator(Philox(key=[seed, 0xC1]))
     ti = lattice.time_indices[rng.choice(ok_t, 2 * count)]
     xi = rng.choice(ok_x, 2 * count)

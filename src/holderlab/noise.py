@@ -2,6 +2,8 @@
 
 Two kinds of paths: Brownian increments on a uniform time lattice, and
 marked compound-Poisson event lists with their compensator description.
+slab_weights bins either into one weight per time slab, and slab_cumulant
+gives that weight's cumulants, which fix every moment of the Ito sums.
 Paths are pure functions of (seed, stream_index) through the counter-based
 Philox generator, so ensembles can be generated in any order or in
 parallel and still reproduce bit-identically.
@@ -59,10 +61,6 @@ class MarkLaw:
         if self.family == "two-sided-exponential":
             return math.gamma(q + 1.0) / self.parameter**q
         return self.parameter**q * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
-
-    @property
-    def mean(self) -> float:
-        return 0.0  # both families are symmetric
 
     @property
     def second_moment(self) -> float:
@@ -192,15 +190,7 @@ def compensated_integral(path: NoisePath, h) -> float:
     if path.kind != "poisson":
         raise ValueError("compensated_integral needs a poisson path")
     jump_sum = float(sum(h(t, z) for t, z in zip(path.times, path.marks)))
-    comp = compensator_integral(h, path.horizon, path.jump, n_time=96)
-    check = compensator_integral(h, path.horizon, path.jump, n_time=64)
-    # 1e-6 relative with an absolute floor so exactly-compensated (odd) h
-    # does not trip on roundoff around zero
-    if abs(comp - check) > 1e-6 * max(abs(comp), 1e-3):
-        raise CompensatorQuadratureFailure(
-            f"compensator unstable under node refinement: {comp} vs {check}"
-        )
-    return jump_sum - comp
+    return jump_sum - _checked_compensator(h, path.horizon, path.jump)
 
 
 def ito_integral(path: NoisePath, h) -> float:
@@ -214,17 +204,58 @@ def ito_integral(path: NoisePath, h) -> float:
     return float(hv @ path.increments)
 
 
-def ito_ensemble(spec: NoiseSpec, h, M: int, stream_offset: int = 0) -> np.ndarray:
-    """Ito sums of a deterministic integrand over M independent paths."""
-    t = spec.dt * np.arange(spec.steps)
-    hv = np.asarray(h(t), dtype=float)
-    out = np.empty(M)
+def slab_cumulant(spec: NoiseSpec, mark_family: str, n: int) -> float:
+    """n-th cumulant of one time slab's uncompensated weight: dt at n = 2 (else 0) for the
+    Brownian increment, intensity * E[g1(z)^n] * dt for the sum of g1(z) over the slab's
+    Poisson events, with g1(z) = 1 ("one") or z ("identity": odd n give 0, as both mark
+    laws are symmetric)."""
+    if spec.kind == "brownian":
+        return spec.dt if n == 2 else 0.0
+    if mark_family == "one":
+        m_n = 1.0
+    else:
+        m_n = 0.0 if n % 2 else spec.jump.mark.abs_moment(float(n))
+    return spec.jump.intensity * m_n * spec.dt
+
+
+def slab_weights(spec: NoiseSpec, mark_family: str, M: int) -> np.ndarray:
+    """w[m, k]: slab k's weight in realization m (stream m), centered by its first
+    cumulant: the increment dW_k, or the sum of g1(z) over the events binned into
+    slab k minus slab_cumulant(spec, mark_family, 1)."""
+    n_t = spec.steps
+    comp = slab_cumulant(spec, mark_family, 1)
+    w = np.empty((M, n_t))
     for m in range(M):
-        out[m] = hv @ sample_path(spec, stream_offset + m).increments
-    return out
+        path = sample_path(spec, m)
+        if spec.kind == "brownian":
+            w[m] = path.increments
+            continue
+        slabs = np.clip(np.floor(path.times / spec.dt).astype(int), 0, n_t - 1)
+        marks = path.marks if mark_family == "identity" else None
+        w[m] = np.bincount(slabs, weights=marks, minlength=n_t) - comp
+    return w
 
 
-def compensated_ensemble(spec: NoiseSpec, h, M: int, stream_offset: int = 0) -> np.ndarray:
+def ito_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
+    """Ito sums of a deterministic integrand over M independent paths."""
+    if spec.kind != "brownian":
+        raise ValueError("ito_ensemble needs brownian noise")
+    t = spec.dt * np.arange(spec.steps)
+    return slab_weights(spec, "identity", M) @ np.asarray(h(t), dtype=float)
+
+
+def _checked_compensator(h, horizon: float, jump: JumpSpec) -> float:
+    """compensator_integral at 96 time nodes, checked against 64 to 1e-6 relative; the
+    absolute floor keeps an exactly compensated (odd) h from tripping on roundoff."""
+    comp = compensator_integral(h, horizon, jump, n_time=96)
+    check = compensator_integral(h, horizon, jump, n_time=64)
+    if abs(comp - check) > 1e-6 * max(abs(comp), 1e-3):
+        raise CompensatorQuadratureFailure(
+            f"compensator unstable under node refinement: {comp} vs {check}")
+    return comp
+
+
+def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
     """Compensated integrals I(T) over M independent Poisson paths.
 
     h(t, z) must broadcast over numpy arrays.  The compensator is shared
@@ -232,15 +263,10 @@ def compensated_ensemble(spec: NoiseSpec, h, M: int, stream_offset: int = 0) -> 
     """
     if spec.kind != "poisson":
         raise ValueError("compensated_ensemble needs poisson noise")
-    comp = compensator_integral(h, spec.horizon, spec.jump, n_time=96)
-    check = compensator_integral(h, spec.horizon, spec.jump, n_time=64)
-    if abs(comp - check) > 1e-6 * max(abs(comp), 1e-3):
-        raise CompensatorQuadratureFailure(
-            f"compensator unstable under node refinement: {comp} vs {check}")
+    comp = _checked_compensator(h, spec.horizon, spec.jump)
     out = np.empty(M)
     for m in range(M):
-        path = sample_path(spec, stream_offset + m)
+        path = sample_path(spec, m)
         vals = np.asarray(h(path.times, path.marks), dtype=float)
         out[m] = vals.sum() - comp
     return out
-

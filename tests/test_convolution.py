@@ -13,7 +13,6 @@ from holderlab.convolution import (
     _g_spectrum,
     _lag_symbols,
     _resolve_time_indices,
-    _time_weights,
     convolve_brownian,
     convolve_poisson,
     second_moment_pairs,
@@ -22,7 +21,14 @@ from holderlab.errors import GridMismatch, PairOffGrid
 from holderlab.experiments import RegularityPieces
 from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, symbol
 from holderlab.moments import sample_pairs_dyadic
-from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path
+from holderlab.noise import (
+    JumpSpec,
+    MarkLaw,
+    NoiseSpec,
+    sample_path,
+    slab_cumulant,
+    slab_weights,
+)
 
 KERNEL = KernelSpec(alpha=2.0)
 GRID = SpectralGrid(length=4.0, points=256, dim=1)
@@ -234,7 +240,7 @@ def _reference_convolve(kernel, grid, g, noise, M, save_times):
     idx = _resolve_time_indices(save_times, dt, n_t)
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
-    w = _time_weights(noise, g, M)
+    w = slab_weights(noise, g.mark_family, M)
     freq_shape = _freq_radius(grid).shape
     out = np.zeros((M, idx.size) + (grid.points,) * grid.dim)
     for pos, i in enumerate(idx):
@@ -295,6 +301,29 @@ def test_lag_symbols_are_the_scalar_symbol_calls_bitwise(case):
     assert np.array_equal(_lag_symbols(kernel, grid, dt, n_t), np.array(want))
 
 
+@pytest.mark.parametrize("mark_family", ["identity", "one"])
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_slab_weights_and_cumulants_are_the_per_kind_formulas_bitwise(case, mark_family):
+    # the compensator lambda E[g1] dt and the variance dt or lambda E[g1^2] dt, spelled out
+    noise, M = ENGINE_CASES[case][3], 3
+    if noise.kind == "brownian":
+        mean, var = 0.0, noise.dt
+        w = np.stack([sample_path(noise, m).increments for m in range(M)])
+    else:
+        law, one = noise.jump.mark, mark_family == "one"
+        mean = noise.jump.intensity * (1.0 if one else 0.0) * noise.dt
+        var = noise.jump.intensity * (1.0 if one else law.second_moment) * noise.dt
+        w = np.empty((M, noise.steps))
+        for m in range(M):
+            path = sample_path(noise, m)
+            slabs = np.clip(np.floor(path.times / noise.dt).astype(int), 0, noise.steps - 1)
+            marks = np.ones_like(path.marks) if one else path.marks
+            w[m] = np.bincount(slabs, weights=marks, minlength=noise.steps) - mean
+    assert slab_cumulant(noise, mark_family, 1).hex() == mean.hex()
+    assert slab_cumulant(noise, mark_family, 2).hex() == var.hex()
+    assert np.array_equal(slab_weights(noise, mark_family, M), w)
+
+
 def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     """Exact second moments from one i-row profile cache per time index."""
     n_t, dt = noise.steps, noise.dt
@@ -305,7 +334,8 @@ def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     if noise.kind == "brownian":
         weight_var = dt
     else:
-        weight_var = noise.jump.intensity * g.mark_second_moment(noise.jump.mark) * dt
+        mark_square = 1.0 if g.mark_family == "one" else noise.jump.mark.abs_moment(2.0)
+        weight_var = noise.jump.intensity * mark_square * dt
     cache = {}
     for i in np.unique(np.concatenate([idx1, idx2])):
         i = int(i)

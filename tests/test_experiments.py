@@ -26,6 +26,7 @@ from holderlab.experiments import (
     write_table,
 )
 from holderlab.moments import sample_pairs_dyadic
+from holderlab.noise import slab_cumulant
 
 SMALL_AUDIT = {
     "experiment": "kernel-audit",
@@ -299,6 +300,19 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 32
     moments = json.loads((tmp_path / "moments.json").read_text())
     assert len(moments["estimate"]) == 4 * 32
+    # h = 1/64: from k = 6 on, a cylinder of radius 2^-k holds one lattice point
+    for k_min, k_max in (("5", "2"), ("6", "9"), ("7", "7")):
+        assert main(["seminorm", "--ensemble", str(tmp_path / "ensemble"),
+                     "--scale-k-min", k_min, "--scale-k-max", k_max,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"--scale-k-min {k_min} .. --scale-k-max {k_max} leaves no cylinder" in err
+        assert "lattice spacing 0.015625" in err
+        assert not (tmp_path / "seminorm.json").exists()
+    assert main(["seminorm", "--ensemble", str(tmp_path / "ensemble"),
+                 "--scale-k-min", "4", "--scale-k-max", "8",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "seminorm.json").read_text())["scales"] == [0.0625, 0.03125]
     assert main(["seminorm", "--ensemble", str(tmp_path / "ensemble"),
                  "--scale-k-min", "2", "--scale-k-max", "4",
                  "--out", str(tmp_path)]) == 0
@@ -317,6 +331,18 @@ def test_cli_emit_plots_roundtrip(tmp_path):
                  "--out", str(tmp_path / "p")])
     assert code == 0
     assert (tmp_path / "p" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1}', "[1, 2]", '{"modules": {"conditions": {"increment": {"pairs": [0.5]}}}}',
+    "not json",
+], ids=["no-modules", "list", "conditions-without-lhs", "not-json"])
+def test_cli_emit_plots_malformed_report_exit_two(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert main(["emit-plots", "--report", str(report), "--out", str(tmp_path / "p")]) == 2
+    assert f"config error: --report {report}: not a holderlab report" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -553,3 +579,26 @@ def test_monte_carlo_lag_means_agree_with_the_oracle(tmp_path, config):
     for row, oracle in zip(moments["per_lag"], moments["oracle_per_lag"], strict=True):
         assert row["lag"] == oracle["lag"]
         assert abs(row["mean"] - oracle["mean"]) <= 3.0 * row["stderr_realizations"], row["lag"]
+
+
+@pytest.mark.parametrize("config", [SMALL_BROWNIAN, SMALL_POISSON], ids=["brownian", "poisson"])
+def test_monte_carlo_lag_means_within_three_exact_standard_errors(tmp_path, config):
+    # a lag mean is (1/M) sum_m w_m^T A w_m with A = D^T D / n over the lag's n pairs; for
+    # independent centered slab weights Var(w^T A w) = 2 k2^2 |A|_F^2 + k4 sum_k A_kk^2
+    cfg = load_config(_write(tmp_path, config))
+    pieces = build_regularity(cfg)
+    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, cfg.moments.pairs_per_lag,
+                                seed=cfg.seed)
+    k2, k4 = (slab_cumulant(pieces.noise, pieces.g.mark_family, n) for n in (2, 4))
+    moments = run_experiment(cfg).modules["moments"]
+    for row, oracle in zip(moments["per_lag"], moments["oracle_per_lag"], strict=True):
+        sel = pairs.requested_delta == row["lag"]
+        d = convolution._slab_differences(pieces.kernel, pieces.grid, pieces.g, pieces.noise,
+                                          pairs.t_idx1[sel], pairs.s_idx1[sel],
+                                          pairs.t_idx2[sel], pairs.s_idx2[sel])
+        n = d.shape[0]
+        frobenius2 = np.sum((d @ d.T) ** 2) / n**2  # |D^T D|_F = |D D^T|_F
+        diagonal2 = np.sum((np.einsum("nk,nk->k", d, d) / n) ** 2)
+        stderr = np.sqrt((2.0 * k2**2 * frobenius2 + k4 * diagonal2) / cfg.simulation.ensemble)
+        assert row["lag"] == oracle["lag"]
+        assert abs(row["mean"] - oracle["mean"]) <= 3.0 * stderr, row["lag"]

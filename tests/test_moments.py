@@ -134,6 +134,10 @@ def test_empty_cylinder(unit_ensemble):
     cyl = ParabolicCylinder(SpaceTimePoint(0.9, [3.9]), 0.01)
     with pytest.raises(EmptyCylinder):
         sample_pairs_within_cylinder(unit_ensemble, cyl, 8)
+    # radius 2^-7 is below h = 1/64 and c^2 below the saved-time spacing: one point
+    lone = ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 2.0**-7)
+    with pytest.raises(EmptyCylinder, match="^1 saved lattice points"):
+        sample_pairs_within_cylinder(unit_ensemble, lone, 8)
 
 
 def test_dyadic_lag_snapping(unit_ensemble):

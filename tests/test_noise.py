@@ -13,6 +13,8 @@ from holderlab.noise import (
     ito_ensemble,
     ito_integral,
     sample_path,
+    slab_cumulant,
+    slab_weights,
 )
 
 BROWNIAN = NoiseSpec(kind="brownian", horizon=1.0, steps=100, seed=2024)
@@ -104,7 +106,7 @@ def test_compensated_integral_isometry():
 def test_compensated_integral_matches_ensemble_helper():
     h = lambda t, z: z * math.cos(t)
     one = compensated_integral(sample_path(POISSON, 17), h)
-    many = compensated_ensemble(POISSON, lambda t, z: z * np.cos(t), 18, stream_offset=0)
+    many = compensated_ensemble(POISSON, lambda t, z: z * np.cos(t), 18)
     assert one == pytest.approx(many[17], rel=1e-10)
 
 
@@ -122,6 +124,28 @@ def test_ito_isometry():
     assert abs(sq.mean() - 0.5) < 3.0 * sq.std() / math.sqrt(sq.size)
     single = ito_integral(sample_path(BROWNIAN, 7), lambda t: math.cos(2.0 * math.pi * t))
     assert single == pytest.approx(vals[7], rel=1e-10)
+    with pytest.raises(ValueError, match="brownian"):
+        ito_ensemble(POISSON, h, 2)
+
+
+@pytest.mark.parametrize("spec, mark_family", [(BROWNIAN, "identity"), (POISSON, "identity"),
+                                               (POISSON, "one")])
+def test_slab_weight_moments_match_the_cumulants(spec, mark_family):
+    # centered weights: E w = 0, E w^2 = kappa2, E w^4 = kappa4 + 3 kappa2^2
+    w = slab_weights(spec, mark_family, 4000).ravel()
+    k2, k4 = slab_cumulant(spec, mark_family, 2), slab_cumulant(spec, mark_family, 4)
+    for x, target in ((w, 0.0), (w**2, k2), (w**4, k4 + 3.0 * k2**2)):
+        assert abs(x.mean() - target) < 3.0 * x.std() / math.sqrt(x.size)
+
+
+def test_slab_cumulants_in_closed_form():
+    assert [slab_cumulant(BROWNIAN, "identity", n) for n in (1, 2, 3, 4)] == [
+        0.0, BROWNIAN.dt, 0.0, 0.0]
+    lam_dt = POISSON.jump.intensity * POISSON.dt
+    assert [slab_cumulant(POISSON, "one", n) for n in (1, 2, 3, 4)] == [lam_dt] * 4
+    # two-sided exponential, rate 1: E z^2 = 2, E z^4 = 24, odd moments vanish
+    assert [slab_cumulant(POISSON, "identity", n) for n in (1, 2, 3, 4)] == pytest.approx(
+        [0.0, 2.0 * lam_dt, 0.0, 24.0 * lam_dt], rel=1e-14)
 
 
 def test_kunita_moment_ratio_stable():
