@@ -16,7 +16,7 @@ and the sup reductions are order-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -306,23 +306,7 @@ class SeminormReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "parameter": self.parameter,
-            "scales": [float(s) for s in self.scales],
-            "per_scale": [float(v) for v in self.per_scale],
-            "per_scale_meandev": None if self.per_scale_meandev is None
-            else [float(v) for v in self.per_scale_meandev],
-            "raw_per_scale": None if self.raw_per_scale is None
-            else [float(v) for v in self.raw_per_scale],
-            "fitted_theta": self.fitted_theta,
-            "fitted_theta_stderr": self.fitted_theta_stderr,
-            "fitted_gamma": self.fitted_gamma,
-            "fitted_gamma_stderr": self.fitted_gamma_stderr,
-            "seminorm": self.seminorm,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _cylinder_samples(rng, domain: DomainSpec, cyl: ParabolicCylinder, budget: int):

@@ -116,7 +116,13 @@ def _joined(x) -> str:
     return ";".join(repr(float(v)) for v in x)
 
 
+def _require_pairs(args) -> None:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs {args.pairs}: need at least one pair")
+
+
 def _cmd_moments(args) -> int:
+    _require_pairs(args)
     lags = [2.0**-k for k in range(args.lag_k_min, args.lag_k_max + 1)]
     if not lags:
         raise ConfigError(f"--lag-k-min {args.lag_k_min} > --lag-k-max {args.lag_k_max} "
@@ -137,6 +143,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
+    _require_pairs(args)
     ens = _read("--ensemble", args.ensemble, FieldEnsemble.load)
     seed = _resolve_seed(args) or 0
     p = args.p

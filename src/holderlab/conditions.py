@@ -21,7 +21,7 @@ are independent and safe to run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -220,16 +220,6 @@ class FitResult:
     value_decades: float
     narrow_span: bool
 
-    def to_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "n_points": self.n_points,
-            "value_decades": self.value_decades,
-            "narrow_span": self.narrow_span,
-        }
-
 
 def fit_exponent(pairs) -> FitResult:
     """Fit value ~ C * scale^slope by OLS in log-log coordinates.
@@ -284,10 +274,10 @@ class ConditionReport:
             "power": self.power,
             "increment": {"pairs": [lag for lag, _ in self.increment_lhs],
                           "lhs": [v for _, v in self.increment_lhs],
-                          "fit": self.fit_increment.to_dict() if self.fit_increment else None},
+                          "fit": asdict(self.fit_increment) if self.fit_increment else None},
             "tail": {"pairs": [lag for lag, _ in self.tail_lhs],
                      "lhs": [v for _, v in self.tail_lhs],
-                     "fit": self.fit_tail.to_dict() if self.fit_tail else None},
+                     "fit": asdict(self.fit_tail) if self.fit_tail else None},
             "mass": {"times": [s for s, _ in self.mass_lhs],
                      "lhs": [v for _, v in self.mass_lhs]},
             "n0_estimate": self.n0_estimate,

@@ -238,23 +238,6 @@ def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float, n_t: int) ->
     return out
 
 
-def _resolve_time_indices(save_times, dt: float, n_t: int) -> np.ndarray:
-    if save_times is None:
-        return np.arange(n_t + 1)
-    idx = []
-    for t in save_times:
-        if isinstance(t, (int, np.integer)):
-            i = int(t)
-        else:
-            i = int(round(t / dt))
-            if abs(t - i * dt) > 1e-9 * max(1.0, abs(t)):
-                raise GridMismatch(f"time {t} is not on the lattice (dt={dt})")
-        if not 0 <= i <= n_t:
-            raise GridMismatch(f"time index {i} outside [0, {n_t}]")
-        idx.append(i)
-    return np.array(idx, dtype=int)
-
-
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
               noise: NoiseSpec, M: int, save_times, dtype=np.float64, pairs=None):
     """One pass over the saved indices in ascending order: from cur to i the sum over slabs
@@ -266,7 +249,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     if M < 1:
         raise ValueError("need at least one realization")
     n_t, dt = noise.steps, noise.dt
-    idx = _resolve_time_indices(save_times, dt, n_t)
+    idx = np.arange(n_t + 1) if save_times is None else _whole(save_times, n_t, GridMismatch)
     if pairs is not None:
         times = np.concatenate([np.ravel(pairs[0]), np.ravel(pairs[2])])
         if not np.isin(times, idx).all():

@@ -49,7 +49,7 @@ class KernelConfig:
 
 @dataclass
 class ConditionsConfig:
-    betas: tuple = (0.0,)
+    betas: tuple[float, ...] = (0.0,)
     power: float = 2.0
     s_base: float = 0.5
     lag_k_min: int = 3
@@ -60,7 +60,8 @@ class ConditionsConfig:
 @dataclass
 class SweepConfig:
     # (alpha, epsilon) pairs for fractional-sweep
-    cases: tuple = ((1.0, 0.0), (1.0, 0.25), (1.5, 0.0), (1.5, 0.3), (2.0, 0.5))
+    cases: tuple[tuple[float, float], ...] = ((1.0, 0.0), (1.0, 0.25), (1.5, 0.0), (1.5, 0.3),
+                                              (2.0, 0.5))
 
 
 @dataclass
@@ -129,12 +130,30 @@ class ExperimentConfig:
                               f"choose one of {', '.join(PRESETS)}")
 
 
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), tuple: (tuple,)}
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _checked(hint, value, path):
+    """A JSON value as the field type takes it: float also takes ints, X | None takes null,
+    tuple[X, ...] and tuple[X, Y] take lists; anything else, bools and non-finite numbers
+    among it, raises ConfigError naming path."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _checked(args[0], value, path)
+    if typing.get_origin(hint) is tuple:
+        items = args[:1] * len(value) if args[-1] is Ellipsis and isinstance(value, list) else args
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ConfigError(f"{path}: expected {hint}, got {value!r}")
+        return tuple(_checked(h, v, f"{path}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
+    if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint])
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return value
 
 
 def _build_dataclass(cls, data, path="config"):
     """Strict dict -> dataclass: unknown keys and mistyped or non-finite
-    scalars are errors, not warnings."""
+    values are errors, not warnings."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)
@@ -143,17 +162,9 @@ def _build_dataclass(cls, data, path="config"):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        hint = hints[key]
-        if dataclasses.is_dataclass(hint):
-            kwargs[key] = _build_dataclass(hint, value, f"{path}.{key}")
-            continue
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        accepted = _JSON_TYPES.get(hint)
-        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)
-                         or isinstance(value, float) and not math.isfinite(value)):
-            raise ConfigError(f"{path}.{key}: expected {hint.__name__}, got {value!r}")
-        kwargs[key] = value
+        hint, where = hints[key], f"{path}.{key}"
+        kwargs[key] = (_build_dataclass(hint, value, where) if dataclasses.is_dataclass(hint)
+                       else _checked(hint, value, where))
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -205,10 +216,11 @@ class Verdict:
     passed: bool
     detail: str = ""
 
-    def to_dict(self):
-        return {"claim": self.claim, "predicted": self.predicted,
-                "fitted": self.fitted, "tolerance": self.tolerance,
-                "passed": bool(self.passed), "detail": self.detail}
+    @classmethod
+    def within(cls, claim, predicted, fitted, tolerance, detail="") -> "Verdict":
+        """Passes when fitted lies within tolerance of predicted; no fit fails."""
+        passed = fitted is not None and bool(abs(fitted - predicted) <= tolerance)
+        return cls(claim, predicted, fitted, tolerance, passed, detail)
 
 
 @dataclass
@@ -227,7 +239,7 @@ class ExperimentReport:
         return {
             "experiment": self.experiment,
             "config": self.config,
-            "verdicts": [v.to_dict() for v in self.verdicts],
+            "verdicts": [dataclasses.asdict(v) for v in self.verdicts],
             "modules": self.modules,
             "rng": {"seed": self.seed, "generator": "philox"},
             "version": __version__,
@@ -253,64 +265,69 @@ def write_table(path, header, rows) -> None:
 
 # --- preset pipelines -----------------------------------------------------
 
-def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig):
-    probe = _spec(
-        "config: condition probe", ConditionProbe, kernel=kernel, beta=beta, power=cond.power,
-        time_pairs=dyadic_pairs(cond.s_base, cond.lag_k_min, cond.lag_k_max),
-        mesh_points=cond.mesh_points,
-    )
-    return audit_conditions(probe)
+def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig, tol: float, claims):
+    """The condition audit of kernel at beta, and its verdicts, named by the two claims,
+    that gamma1 and gamma2 lie within tol of (alpha - 2 eps)/alpha."""
+    pairs = dyadic_pairs(cond.s_base, cond.lag_k_min, cond.lag_k_max)
+    if len(pairs) < 4:
+        raise ConfigError(f"config.conditions: lag_k_min {cond.lag_k_min} .. lag_k_max "
+                          f"{cond.lag_k_max} gives {len(pairs)} lags; the exponent fits need 4")
+    probe = _spec("config: condition probe", ConditionProbe, kernel=kernel, beta=beta,
+                  power=cond.power, time_pairs=pairs, mesh_points=cond.mesh_points)
+    rep = audit_conditions(probe)
+    predicted = (kernel.alpha - 2.0 * kernel.epsilon) / kernel.alpha
+    return rep, [Verdict.within(claim, predicted, fitted, tol)
+                 for claim, fitted in zip(claims, (rep.gamma1, rep.gamma2))]
+
+
+def _betas(cond: ConditionsConfig) -> tuple:
+    if not cond.betas:
+        raise ConfigError("config.conditions.betas: the audit needs a Holder order, got none")
+    return cond.betas
 
 
 def _run_kernel_audit(config: ExperimentConfig, progress: dict):
     kc = config.kernel
-    kernel = KernelSpec(alpha=kc.alpha, epsilon=kc.epsilon, dim=kc.dim)
-    predicted = (kc.alpha - 2.0 * kc.epsilon) / kc.alpha
-    tol = config.tolerances.exponent
+    kernel = _spec("config.kernel", KernelSpec, alpha=kc.alpha, epsilon=kc.epsilon, dim=kc.dim)
     verdicts, modules = [], {}
-    for beta in config.conditions.betas:
-        rep = _audit_one(kernel, beta, config.conditions)
+    for beta in _betas(config.conditions):
+        rep, checks = _audit_one(kernel, beta, config.conditions, config.tolerances.exponent,
+                                 (f"increment exponent gamma1 (beta={beta:g})",
+                                  f"tail exponent gamma2 (beta={beta:g})"))
         modules[f"conditions_beta_{beta:g}"] = rep.to_dict()
-        verdicts.append(Verdict(
-            claim=f"increment exponent gamma1 (beta={beta:g})",
-            predicted=predicted, fitted=rep.gamma1, tolerance=tol,
-            passed=abs(rep.gamma1 - predicted) <= tol))
-        verdicts.append(Verdict(
-            claim=f"tail exponent gamma2 (beta={beta:g})",
-            predicted=predicted, fitted=rep.gamma2, tolerance=tol,
-            passed=abs(rep.gamma2 - predicted) <= tol))
+        verdicts += checks
     return verdicts, modules
 
 
 def _run_fractional_sweep(config: ExperimentConfig, progress: dict):
-    tol = config.tolerances.sweep_exponent
+    if not config.sweep.cases:
+        raise ConfigError("config.sweep.cases: the sweep needs an (alpha, epsilon) pair, got none")
     verdicts, modules = [], {}
-    for alpha, eps in config.sweep.cases:
-        kernel = KernelSpec(alpha=alpha, epsilon=eps, dim=config.kernel.dim)
-        predicted = (alpha - 2.0 * eps) / alpha
-        rep = _audit_one(kernel, config.conditions.betas[0], config.conditions)
+    for i, (alpha, eps) in enumerate(config.sweep.cases):
+        kernel = _spec(f"config.sweep.cases[{i}] / config.kernel.dim", KernelSpec, alpha=alpha,
+                       epsilon=eps, dim=config.kernel.dim)
+        rep, checks = _audit_one(kernel, _betas(config.conditions)[0], config.conditions,
+                                 config.tolerances.sweep_exponent,
+                                 (f"increment exponent (alpha={alpha:g}, eps={eps:g})",
+                                  f"tail exponent (alpha={alpha:g}, eps={eps:g})"))
         modules[f"conditions_a{alpha:g}_e{eps:g}"] = rep.to_dict()
-        verdicts.append(Verdict(
-            claim=f"increment exponent (alpha={alpha:g}, eps={eps:g})",
-            predicted=predicted, fitted=rep.gamma1, tolerance=tol,
-            passed=abs(rep.gamma1 - predicted) <= tol))
-        verdicts.append(Verdict(
-            claim=f"tail exponent (alpha={alpha:g}, eps={eps:g})",
-            predicted=predicted, fitted=rep.gamma2, tolerance=tol,
-            passed=abs(rep.gamma2 - predicted) <= tol))
+        verdicts += checks
     return verdicts, modules
 
 
-def _regularity_saved_indices(steps: int, lag_steps, n_bases: int = 8):
-    """Economical saved-time set: base times spread over the interior
-    [T/4, 3T/4] plus each base's lag partners, n_bases * (len(lag_steps) + 1)
+# Base times of the regularity presets' saved-time set.
+SAVED_BASES = 8
+
+
+def _regularity_saved_indices(steps: int, lag_steps):
+    """Economical saved-time set: SAVED_BASES base times spread over the interior
+    [T/4, 3T/4] plus each base's lag partners, SAVED_BASES * (len(lag_steps) + 1)
     times at most; the presets' pairs lie on them, and `holderlab simulate`
     stores the whole field there."""
     lo, hi = steps // 4, 3 * steps // 4
     max_step = max(lag_steps)
     span = max(hi - lo - max_step, 1)
-    bases = sorted({lo + round(j * span / max(n_bases - 1, 1))
-                    for j in range(n_bases)})
+    bases = sorted({lo + round(j * span / (SAVED_BASES - 1)) for j in range(SAVED_BASES)})
     saved = set(bases)
     for b in bases:
         for s in lag_steps:
@@ -417,26 +434,16 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     progress["stage"] = "setup"
     pieces = build_regularity(config)
     kernel, lags = pieces.kernel, pieces.lags
-    kc, mom = config.kernel, config.moments
+    mom = config.moments
     pieces.require_memory(config.simulation.ensemble, mom.pairs_per_lag * len(lags))
     tolerances = config.tolerances
     beta = mom.beta
 
     progress["stage"] = "audit"  # the field prediction uses its fitted slopes
-    audit = _audit_one(kernel, beta, config.conditions)
-    kernel_gamma = (kc.alpha - 2.0 * kc.epsilon) / kc.alpha
+    audit, verdicts = _audit_one(kernel, beta, config.conditions, tolerances.exponent,
+                                 ("kernel increment exponent gamma1",
+                                  "kernel tail exponent gamma2"))
     gamma_pred = min(audit.gamma1, audit.gamma2, beta)
-
-    verdicts = [
-        Verdict(claim="kernel increment exponent gamma1",
-                predicted=kernel_gamma, fitted=audit.gamma1,
-                tolerance=tolerances.exponent,
-                passed=abs(audit.gamma1 - kernel_gamma) <= tolerances.exponent),
-        Verdict(claim="kernel tail exponent gamma2",
-                predicted=kernel_gamma, fitted=audit.gamma2,
-                tolerance=tolerances.exponent,
-                passed=abs(audit.gamma2 - kernel_gamma) <= tolerances.exponent),
-    ]
     modules = {"conditions": audit.to_dict()}
 
     progress["stage"] = "pairs"  # pairs depend only on the lattice: draw them first
@@ -478,25 +485,21 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
 
     modules["moments"] = {
         "p": mom.p, "beta": beta, "per_lag": per_lag,
-        "fit": fit_mc.to_dict(), "fitted_gamma": gamma_mc,
+        "fit": dataclasses.asdict(fit_mc), "fitted_gamma": gamma_mc,
         "oracle_per_lag": oracle_rows,
         "fitted_gamma_oracle": gamma_oracle,
         "gamma_predicted": gamma_pred,
         "normalized_ratios": ratios,
     }
 
-    verdicts.append(Verdict(
-        claim="field exponent (Monte Carlo) equals min(gamma1, gamma2, beta)",
-        predicted=gamma_pred, fitted=gamma_mc, tolerance=tolerances.exponent,
-        passed=abs(gamma_mc - gamma_pred) <= tolerances.exponent,
-        detail="sharpness of the moment bound at the predicted exponent"))
+    verdicts.append(Verdict.within(
+        "field exponent (Monte Carlo) equals min(gamma1, gamma2, beta)", gamma_pred, gamma_mc,
+        tolerances.exponent, "sharpness of the moment bound at the predicted exponent"))
     if gamma_oracle is not None:
-        verdicts.append(Verdict(
-            claim="field exponent (exact quadrature) equals min(gamma1, gamma2, beta)",
-            predicted=gamma_pred, fitted=gamma_oracle,
-            tolerance=tolerances.oracle_exponent,
-            passed=abs(gamma_oracle - gamma_pred) <= tolerances.oracle_exponent,
-            detail="no-Monte-Carlo route via the discrete isometry"))
+        verdicts.append(Verdict.within(
+            "field exponent (exact quadrature) equals min(gamma1, gamma2, beta)", gamma_pred,
+            gamma_oracle, tolerances.oracle_exponent,
+            "no-Monte-Carlo route via the discrete isometry"))
     verdicts.append(Verdict(
         claim="moment bound E|du|^p <= N delta^(p gamma) holds across lags",
         predicted=gamma_pred, fitted=max(ratios) / ref, tolerance=tolerances.bound_margin,
@@ -510,6 +513,18 @@ def _run_embedding_check(config: ExperimentConfig, progress: dict):
     gamma = cam.gamma
     dim = config.kernel.dim
     p = cam.p
+    if dim not in (1, 2):
+        raise ConfigError(f"config.kernel.dim: embedding-check runs on the unit interval or "
+                          f"square, d = 1 or 2, got {dim}")
+    if not p >= 1.0:
+        raise ConfigError(f"config.campanato.p: the moment order must be >= 1, got {p}")
+    if cam.n_centers < 1 or not cam.top_scale > 0.0:
+        raise ConfigError(f"config.campanato: need n_centers >= 1 and top_scale > 0, got "
+                          f"{cam.n_centers} and {cam.top_scale}")
+    if 16 * cam.budget**2 > physical_memory():  # the pairwise differences and their powers
+        raise ConfigError(f"config.campanato.budget: {cam.budget} points per cylinder hold "
+                          f"{16 * cam.budget**2 / 2**30:.1f} GiB of pairwise differences, more "
+                          "than physical memory")
     theta = cam.theta if cam.theta is not None else 1.0 + gamma * p / (dim + 2.0)
     # validates the embedding range; theta <= 1 marks the config invalid
     try:
@@ -517,16 +532,10 @@ def _run_embedding_check(config: ExperimentConfig, progress: dict):
     except ThetaOutOfEmbeddingRange as exc:
         raise ConfigError(f"invalid-config: {exc}") from exc
 
-    if dim == 1:
-        domain = DomainSpec([Box(0.0, 1.0, [0.0], [1.0])])
+    domain = DomainSpec([Box(0.0, 1.0, [0.0] * dim, [1.0] * dim)])
 
-        def u(ts, xs):
-            return np.abs(xs[:, 0]) ** gamma + ts ** (gamma / 2.0)
-    else:
-        domain = DomainSpec([Box(0.0, 1.0, [0.0, 0.0], [1.0, 1.0])])
-
-        def u(ts, xs):
-            return np.linalg.norm(xs, axis=1) ** gamma + ts ** (gamma / 2.0)
+    def u(ts, xs):
+        return np.linalg.norm(xs, axis=1) ** gamma + ts ** (gamma / 2.0)
 
     scales = [cam.top_scale * 2.0**-k for k in range(cam.n_scales)]
     rep = campanato_seminorm(u, domain, p, theta, scales=scales,
@@ -535,13 +544,10 @@ def _run_embedding_check(config: ExperimentConfig, progress: dict):
     modules = {"campanato": rep.to_dict()}
     tol = config.tolerances.exponent
     verdicts = [
-        Verdict(claim="campanato scaling recovers the cusp Holder exponent",
-                predicted=gamma, fitted=rep.fitted_gamma, tolerance=tol,
-                passed=rep.fitted_gamma is not None
-                and abs(rep.fitted_gamma - gamma) <= tol),
-        Verdict(claim="embedding exponent round trip theta -> alpha",
-                predicted=gamma, fitted=alpha_embed, tolerance=1e-12,
-                passed=abs(alpha_embed - gamma) <= 1e-12),
+        Verdict.within("campanato scaling recovers the cusp Holder exponent", gamma,
+                       rep.fitted_gamma, tol),
+        Verdict.within("embedding exponent round trip theta -> alpha", gamma, alpha_embed,
+                       1e-12),
         Verdict(claim="theta = 1 rejected by the embedding range check",
                 predicted=None, fitted=None, tolerance=None,
                 passed=_theta_one_rejected(p, dim)),
@@ -624,15 +630,10 @@ def emit_plot_data(modules: dict, out_dir) -> list:
                 tables[f"{key}_{cond}"] = (["scale", "lhs", "fit"], rows)
         elif key == "moments":
             fit = mod["fit"]
-            rows = []
-            for row in mod["per_lag"]:
-                pred = np.exp(fit["intercept"]) * row["lag"] ** fit["slope"]
-                oracle = float("nan")
-                if mod.get("oracle_per_lag"):
-                    for orow in mod["oracle_per_lag"]:
-                        if orow["lag"] == row["lag"]:
-                            oracle = orow["mean"]
-                rows.append((row["lag"], row["mean"], row["stderr"], pred, oracle))
+            oracle = {row["lag"]: row["mean"] for row in mod.get("oracle_per_lag") or ()}
+            rows = [(row["lag"], row["mean"], row["stderr"],
+                     np.exp(fit["intercept"]) * row["lag"] ** fit["slope"],
+                     oracle.get(row["lag"], float("nan"))) for row in mod["per_lag"]]
             tables["moments_lag"] = (["lag", "moment", "stderr", "fit", "oracle"], rows)
         elif key == "campanato":
             rows = list(zip(mod["scales"], mod["per_scale"],

@@ -12,7 +12,6 @@ from holderlab.convolution import (
     TestFunctionSpec,
     _g_spectrum,
     _lag_symbols,
-    _resolve_time_indices,
     convolve_brownian,
     convolve_poisson,
     second_moment_pairs,
@@ -237,7 +236,7 @@ def _irfft_fftshift(freq, grid):
 def _reference_convolve(kernel, grid, g, noise, M, save_times):
     """The Ito sum rebuilt from slab 0 at every saved index, in save order."""
     n_t, dt = noise.steps, noise.dt
-    idx = _resolve_time_indices(save_times, dt, n_t)
+    idx = np.arange(n_t + 1) if save_times is None else np.array(save_times)
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _g_spectrum(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M)
@@ -265,7 +264,7 @@ ENGINE_CASES = {
         BROWNIAN, None),
     "brownian-parabolic-eps-times": (
         FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
-        BROWNIAN, [0.5, 0.25, 0.0, 0.5, 1.0]),
+        BROWNIAN, [64, 32, 0, 64, 128]),  # t = 0.5, 0.25, 0, 0.5, 1 on dt = 1/128
     "poisson-parabolic-unsorted": (
         KERNEL, GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
         POISSON, [100, 2, 2, 0, 57, 128]),

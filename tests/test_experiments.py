@@ -213,6 +213,8 @@ BAD_REGULARITY = {
                 "config.simulation.store_dtype"),
     "grid-past-memory": (_with(SMALL_BROWNIAN, "simulation", grid_points=2**40),
                          "config.simulation: 1099511627776 points per axis"),
+    "theta-not-a-number": (_with(SMALL_EMBED, "campanato", theta="abc"),
+                           "config.campanato.theta: expected float, got 'abc'"),
 }
 
 
@@ -230,6 +232,34 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o" / "ensemble.bin").exists()
+
+
+@pytest.mark.parametrize("config, field", [
+    (_with(SMALL_EMBED, "kernel", dim=3), "config.kernel.dim"),
+    (_with(SMALL_EMBED, "campanato", p=0.5), "config.campanato.p"),
+    (_with(SMALL_EMBED, "campanato", n_centers=0), "config.campanato"),
+    (_with(SMALL_AUDIT, "kernel", alpha=3), "config.kernel"),
+    (_with(SMALL_AUDIT, "conditions", betas=[]), "config.conditions.betas"),
+    (_with(SMALL_SWEEP, "sweep", cases=[[3.0, 0.0]]), "config.sweep.cases"),
+    (_with(SMALL_BROWNIAN, "conditions", lag_k_max=6), "config.conditions: lag_k_min 4"),
+], ids=["embed-dim-3", "embed-p-half", "embed-no-centers", "audit-alpha-3", "audit-no-betas",
+        "sweep-alpha-3", "regularity-three-lags"])
+def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, field):
+    path = _write(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    marker = json.loads((tmp_path / "o" / "FAILED.json").read_text())
+    assert marker["invalid_config"] and marker["message"].startswith(field)
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["moments", "seminorm"])
+def test_cli_zero_pairs_exit_two_before_the_ensemble_is_read(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing" / "ensemble")
+    assert main([command, "--ensemble", missing, "--pairs", "0",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error: --pairs 0: need at least one pair" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_verdict_failure_exit_one(tmp_path):
@@ -424,9 +454,47 @@ def test_regularity_configs_build_or_config_error(tmp_path_factory, data):
     assert pieces.lags and 0 <= pieces.saved[0] and pieces.saved[-1] <= pieces.noise.steps
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=SMALL_REGULARITY_CONFIGS)
-def test_regularity_configs_run_or_exit_with_their_code(tmp_path_factory, data):
+# kernel-audit, fractional-sweep and embedding-check configs, well-typed and mostly valid, at
+# sizes a full run finishes in about a second: alpha >= 0.9 or out of range, no 2-D audit
+# (5.7 s), mesh_points <= 64 and lags 4..7 (0.73 s for one audit at alpha = 0.9)
+def _mostly(good, bad):
+    return st.sampled_from([good] * 7 + [bad]).flatmap(lambda strategy: strategy)
+
+
+_AUDIT_ALPHA = _mostly(st.floats(0.9, 2.0), st.sampled_from([-0.5, 0.0, 2.5]))
+_AUDIT_EPSILON = _mostly(st.floats(0.0, 0.4), st.floats(-0.5, 1.0))
+_AUDIT_CONDITIONS = st.fixed_dictionaries(
+    {"lag_k_min": st.just(4), "lag_k_max": st.just(7),
+     "mesh_points": _mostly(st.sampled_from([32, 64]), st.just(8))},
+    optional={"betas": _mostly(st.lists(st.floats(0.0, 0.8), min_size=1, max_size=2),
+                               st.lists(st.floats(-0.2, 1.2), max_size=1)),
+              "power": _mostly(st.floats(1.0, 4.0), st.floats(0.0, 1.0))})
+_AUDIT_KERNEL = st.fixed_dictionaries({}, optional={
+    "alpha": _AUDIT_ALPHA, "epsilon": _AUDIT_EPSILON,
+    "dim": _mostly(st.just(1), st.sampled_from([0, 3]))})
+SMALL_AUDIT_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"experiment": st.just("kernel-audit"), "kernel": _AUDIT_KERNEL,
+                           "conditions": _AUDIT_CONDITIONS}),
+    st.fixed_dictionaries({"experiment": st.just("fractional-sweep"), "kernel": _AUDIT_KERNEL,
+                           "conditions": _AUDIT_CONDITIONS,
+                           "sweep": st.fixed_dictionaries({"cases": _mostly(
+                               st.lists(st.tuples(_AUDIT_ALPHA, _AUDIT_EPSILON), min_size=1,
+                                        max_size=1), st.just([]))})}),
+    st.fixed_dictionaries(
+        {"experiment": st.just("embedding-check"),
+         "kernel": st.fixed_dictionaries({}, optional={
+             "dim": _mostly(st.sampled_from([1, 2]), st.sampled_from([0, 3]))})},
+        optional={"seed": st.integers(0, 2**32), "campanato": st.fixed_dictionaries({}, optional={
+            "p": _mostly(st.floats(1.0, 4.0), st.floats(0.0, 1.0)), "gamma": st.floats(-0.2, 1.2),
+            "theta": st.one_of(st.none(), st.floats(0.5, 3.0)),
+            "budget": _mostly(st.sampled_from([64, 128]), st.just(32)),
+            "n_centers": _mostly(st.sampled_from([1, 12]), st.sampled_from([-1, 0])),
+            "n_scales": st.sampled_from([0, 3, 5]),
+            "top_scale": _mostly(st.sampled_from([0.05, 0.2]), st.sampled_from([-0.1, 0.0]))})}),
+)
+
+
+def _run_exits_with_its_code(tmp_path_factory, data):
     # a drawn config runs, exiting 0 or 1 by its verdicts, or fails with a typed error:
     # exit 2 for a ConfigError, 3 for any other HolderLabError; other exceptions fail here
     out = tmp_path_factory.mktemp("run")
@@ -450,6 +518,18 @@ def test_regularity_configs_run_or_exit_with_their_code(tmp_path_factory, data):
         marker = json.loads((out / "FAILED.json").read_text())
         assert issubclass(getattr(errors, marker["error"]), HolderLabError)
         assert code == (2 if marker["invalid_config"] else 3), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=SMALL_REGULARITY_CONFIGS)
+def test_regularity_configs_run_or_exit_with_their_code(tmp_path_factory, data):
+    _run_exits_with_its_code(tmp_path_factory, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=SMALL_AUDIT_CONFIGS)
+def test_audit_and_embedding_configs_run_or_exit_with_their_code(tmp_path_factory, data):
+    _run_exits_with_its_code(tmp_path_factory, data)
 
 
 def _load_tracer():
