@@ -21,6 +21,7 @@ from .experiments import (
     ExperimentConfig,
     build_regularity,
     default_config,
+    dyadic,
     emit_plot_data,
     load_config,
     run_experiment,
@@ -50,6 +51,16 @@ def _read(flag: str, path, load):
         return load(path)
     except OSError as exc:
         raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
+
+
+def _read_ensemble(prefix) -> FieldEnsemble:
+    """FieldEnsemble.load(prefix); files it cannot make an ensemble of, a sidecar without a
+    key or a .bin of another shape, are a ConfigError naming --ensemble and the path."""
+    try:
+        return _read("--ensemble", prefix, FieldEnsemble.load)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"--ensemble {prefix}: not a holderlab ensemble "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 def _config_from_args(args, preset=None) -> ExperimentConfig:
@@ -123,11 +134,8 @@ def _require_pairs(args) -> None:
 
 def _cmd_moments(args) -> int:
     _require_pairs(args)
-    lags = [2.0**-k for k in range(args.lag_k_min, args.lag_k_max + 1)]
-    if not lags:
-        raise ConfigError(f"--lag-k-min {args.lag_k_min} > --lag-k-max {args.lag_k_max} "
-                          "leaves no lags")
-    ens = _read("--ensemble", args.ensemble, FieldEnsemble.load)
+    lags = dyadic("--lag-k-min / --lag-k-max", args.lag_k_min, args.lag_k_max)
+    ens = _read_ensemble(args.ensemble)
     seed = _resolve_seed(args) or 0
     pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
     field = estimate_pair_moments(ens, pairs, args.p)
@@ -144,15 +152,15 @@ def _cmd_moments(args) -> int:
 
 def _cmd_seminorm(args) -> int:
     _require_pairs(args)
-    ens = _read("--ensemble", args.ensemble, FieldEnsemble.load)
+    scales = dyadic("--scale-k-min / --scale-k-max", args.scale_k_min, args.scale_k_max)
+    ens = _read_ensemble(args.ensemble)
     seed = _resolve_seed(args) or 0
     p = args.p
     theta = args.theta
     groups = []
     times = ens.times
     t_mid = float(times[len(times) // 2])
-    for k in range(args.scale_k_min, args.scale_k_max + 1):
-        c = 2.0**-k
+    for k, c in enumerate(scales, start=args.scale_k_min):
         cyl = ParabolicCylinder(SpaceTimePoint(t_mid, [0.0] * ens.grid.dim), c)
         try:
             pairs = sample_pairs_within_cylinder(ens, cyl, args.pairs, seed=seed + k)

@@ -14,6 +14,8 @@ lag rule, which makes every realization exactly centered.  The ensemble is
 filled in one forward pass: lag symbols of lags j >= 2 are geometric, exp(-j dt |xi|^alpha),
 so the spectral sum decays from one saved time to the next and only new slabs are added
 (exponential Euler), at cost O(M * F * max saved index) for M realizations and F modes.
+g moves in time only by a term constant in space, so both engines factor its spectrum
+into one base spectrum and a shift of the zero mode per slab (_g_spectrum).
 
 That pass stores the whole field (FieldEnsemble, for `holderlab simulate`).  The presets'
 pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D once for both their
@@ -61,18 +63,14 @@ class TestFunctionSpec:
         if self.mark_family not in ("identity", "one"):
             raise ValueError(f"unknown mark family {self.mark_family!r}")
 
-    def evaluate(self, t: float, x: np.ndarray) -> np.ndarray:
-        """g(t, x) on an array of spatial coordinates (radius for d=2)."""
+    def evaluate(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+        """g(t, x) at times t (a scalar or an array of x's shape) and radii |x|."""
         a = self.amplitude
         if self.family == "constant":
             return np.full_like(np.asarray(x, dtype=float), a)
         if self.family == "spatial-power":
             return a * np.abs(x) ** self.beta
         return a * (np.abs(x) ** self.beta + t ** (self.beta / 2.0))
-
-    @property
-    def time_dependent(self) -> bool:
-        return self.family == "parabolic-power"
 
 
 class Lattice(typing.NamedTuple):
@@ -214,36 +212,25 @@ def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) ->
     return q
 
 
-def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float, n_t: int) -> np.ndarray:
-    """DFT of g(r_k, .) for every slab time r_k, flattened frequencies, shape
-    (n_t, F); a broadcast view of one row when g does not depend on time."""
-    shape = (grid.points,) * grid.dim
-    if grid.dim == 1:
-        coords = np.abs(grid.axis())
-    else:
-        coords = grid.radius()
-
-    def spec_at(t):
-        vals = g.evaluate(t, coords).reshape(shape)
-        return np.fft.rfftn(np.fft.ifftshift(vals)).reshape(-1)
-
-    base = spec_at(0.0)
-    if not g.time_dependent:
-        return np.broadcast_to(base, (n_t, base.size))
-    out = np.tile(base, (n_t, 1))
-    # parabolic-power: only the zero mode moves with time, by A * t^(b/2) * n^d
-    n_total = np.prod(shape)
-    for k in range(n_t):
-        out[k, 0] = base[0] + g.amplitude * (k * dt) ** (g.beta / 2.0) * n_total
-    return out
+def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float,
+                n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(base, zero): base is the DFT of g(0, .), flattened frequencies, and zero[k] =
+    (g(r_k, 0) - g(0, 0)) n^d for slab times r_k = k dt.  Every family moves in time only by
+    a term constant in space, so the DFT of g(r_k, .) is base plus zero[k] in its zero mode."""
+    base = np.fft.rfftn(np.fft.ifftshift(g.evaluate(0.0, grid.radius()))).reshape(-1)
+    r = dt * np.arange(n_t)
+    zero = (g.evaluate(r, np.zeros(n_t)) - g.evaluate(0.0, 0.0)) * grid.points ** grid.dim
+    return base, zero
 
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
               noise: NoiseSpec, M: int, save_times, dtype=np.float64, pairs=None):
-    """One pass over the saved indices in ascending order: from cur to i the sum over slabs
-    k <= i - 2 decays by exp(-(i - cur) dt |xi|^alpha) and gains the new slabs, then the
-    midpoint slab k = i - 1 joins as a rank-1 term.  O(M F max i).  pairs = (t1, s1, t2, s2),
-    lattice indices of pair members on saved times, skips the pass: u(X) - u(Y) = D w."""
+    """One pass over the saved indices in ascending order: from cur to i the real sum
+    R = sum over slabs k <= i - 2 of w_k Q[i - k] decays by exp(-(i - cur) dt |xi|^alpha) and
+    gains the new slabs; then u_hat_i = base (R + w_{i-1} Q[1]), the midpoint slab k = i - 1
+    as a rank-1 term, plus sum_k w_k Q[i - k, 0] zero[k] in the zero mode.  O(M F max i).
+    pairs = (t1, s1, t2, s2), lattice indices of pair members on saved times, skips the
+    pass: u(X) - u(Y) = D w."""
     if kernel.dim != grid.dim:
         raise GridMismatch(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
     if M < 1:
@@ -261,26 +248,25 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                             _isometry(g, noise, diff))
 
     q = _lag_symbols(kernel, grid, dt, n_t)
-    ghat = _g_spectrum(g, grid, dt, n_t)
+    base, zero = _g_spectrum(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M)
 
     radius = _freq_radius(grid)
-    rate = np.repeat(-dt * radius.reshape(-1) ** kernel.alpha, 2)
+    rate = -dt * radius.reshape(-1) ** kernel.alpha
     out = np.zeros((M, idx.size) + (grid.points,) * grid.dim, dtype=dtype)
-    # re/im-interleaved sum over slabs k <= cur - 2 of w[:, k] Q[cur - k] ghat[k]
-    running = np.zeros((M, rate.size))
+    running = np.zeros((M, rate.size))  # sum over slabs k <= cur - 2 of w[:, k] Q[cur - k]
+    u_hat = np.empty((M, rate.size), dtype=complex)
     cur = 0
     for pos in np.argsort(idx, kind="stable"):
         i = int(idx[pos])
         if i == 0:
             continue  # zero initial data
         start = max(cur - 1, 0)
-        a = q[i - start:1:-1] * ghat[start:i - 1]  # A[k, f] = Q[i-k, f] ghat[k, f]
         running *= np.exp((i - cur) * rate)
-        running += w[:, start:i - 1] @ a.view(np.float64)
+        running += w[:, start:i - 1] @ q[i - start:1:-1]
         cur = i
-        u_hat = np.outer(w[:, i - 1], q[1] * ghat[i - 1])
-        u_hat += running.view(complex)  # in place: one (M, F) temporary fewer
+        np.multiply(running + np.outer(w[:, i - 1], q[1]), base, out=u_hat)
+        u_hat[:, 0] += w[:, :i] @ (q[i:0:-1, 0] * zero[:i])
         irfft_ascending(u_hat.reshape((M,) + radius.shape), grid, out=out[:, pos])
     return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,
                          kernel=kernel, g=g, noise=noise)
@@ -311,8 +297,8 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
 
     idx/pos: time indices and flattened ascending spatial indices of the pair members; off
     the lattice or not whole, they raise GridMismatch (time) or PairOffGrid (space).  As g
-    moves in time only in its zero mode, F_i[k] = P[i - k] + (ghat[k, 0] - ghat[0, 0])
-    Q[i - k, 0] / n^d with one profile P[j] = irfft(Q[j] ghat[0]) per lag."""
+    moves in time only in its zero mode, F_i[k] = P[i - k] + zero[k] Q[i - k, 0] / n^d with
+    one profile P[j] = irfft(Q[j] base) per lag, (base, zero) from _g_spectrum."""
     n_t = noise.steps
     n_space = grid.points ** grid.dim
     idx1, idx2 = _whole(idx1, n_t, GridMismatch), _whole(idx2, n_t, GridMismatch)
@@ -321,10 +307,10 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
 
     n_lags = max(k_max, 1)
     q = _lag_symbols(kernel, grid, noise.dt, n_lags)
-    ghat = _g_spectrum(g, grid, noise.dt, n_lags)
-    profiles = irfft_ascending((q * ghat[0]).reshape((-1,) + _freq_radius(grid).shape), grid)
+    base, zero = _g_spectrum(g, grid, noise.dt, n_lags)
+    profiles = irfft_ascending((q * base).reshape((-1,) + _freq_radius(grid).shape), grid)
     profiles = profiles.reshape(n_lags + 1, n_space)
-    shift = (ghat[:k_max, 0] - ghat[0, 0]).real / n_space
+    shift = zero[:k_max] / n_space
 
     def rows(i, x):  # F_i[k, x] for a chunk of points, zero for slabs k >= i as Q[0] = 0
         j = np.maximum(i[:, None] - np.arange(k_max), 0)

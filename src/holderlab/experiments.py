@@ -33,12 +33,12 @@ import numpy as np
 
 from . import __version__
 from .campanato import Box, DomainSpec, campanato_seminorm, embedding_exponent
-from .conditions import ConditionProbe, audit_conditions, dyadic_pairs, fit_exponent
+from .conditions import MESH_GRADING, ConditionProbe, audit_conditions, fit_exponent
 from .convolution import Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson
 from .errors import ConfigError, HolderLabError, ThetaOutOfEmbeddingRange
-from .kernels import KernelSpec, SpectralGrid, physical_memory
+from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, physical_memory
 from .moments import estimate_pair_moments, sample_pairs_dyadic
-from .noise import JumpSpec, MarkLaw, NoiseSpec
+from .noise import PATH_ARRAYS, JumpSpec, MarkLaw, NoiseSpec, event_block
 
 @dataclass
 class KernelConfig:
@@ -263,17 +263,43 @@ def write_table(path, header, rows) -> None:
             writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
 
 
+def dyadic(field: str, k_min: int, k_max: int, top: float = 1.0) -> list:
+    """top * 2^-k for k = k_min, ..., k_max; ConfigError naming field, the config fields or
+    CLI flags that set the range, when it is empty or an end overflows or underflows to 0."""
+    if k_min > k_max:
+        raise ConfigError(f"{field}: k from {k_min} to {k_max} leaves no scales")
+    for k in (k_min, k_max):
+        try:
+            scale = top * 2.0**-k
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            value = f"2^{-k}" if top == 1.0 else f"{top:g} * 2^{-k}"
+            raise ConfigError(f"{field}: at k = {k}, {value} "
+                              f"{'overflows' if scale else 'underflows to 0'}")
+    return [top * 2.0**-k for k in range(k_min, k_max + 1)]
+
+
 # --- preset pipelines -----------------------------------------------------
 
 def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig, tol: float, claims):
     """The condition audit of kernel at beta, and its verdicts, named by the two claims,
     that gamma1 and gamma2 lie within tol of (alpha - 2 eps)/alpha."""
-    pairs = dyadic_pairs(cond.s_base, cond.lag_k_min, cond.lag_k_max)
-    if len(pairs) < 4:
+    lags = dyadic("config.conditions.lag_k_min / lag_k_max", cond.lag_k_min, cond.lag_k_max)
+    if len(lags) < 4:
         raise ConfigError(f"config.conditions: lag_k_min {cond.lag_k_min} .. lag_k_max "
-                          f"{cond.lag_k_max} gives {len(pairs)} lags; the exponent fits need 4")
+                          f"{cond.lag_k_max} gives {len(lags)} lags; the exponent fits need 4")
     probe = _spec("config: condition probe", ConditionProbe, kernel=kernel, beta=beta,
-                  power=cond.power, time_pairs=pairs, mesh_points=cond.mesh_points)
+                  power=cond.power, time_pairs=[(cond.s_base, cond.s_base + lag) for lag in lags],
+                  mesh_points=cond.mesh_points)
+    # the graded meshes reach kernel times down to this; its aliasing cutoff must be finite
+    finest = min(cond.s_base, lags[-1]) * (0.5 / cond.mesh_points) ** MESH_GRADING
+    with np.errstate(divide="ignore", over="ignore"):
+        cutoff = (ALIAS_LOG / np.float64(finest)) ** (1.0 / kernel.alpha)
+    if not np.isfinite(cutoff):
+        raise ConfigError(f"config.conditions.s_base: {cond.s_base!r} takes the audit to kernel "
+                          f"time {finest!r}, where alpha={kernel.alpha:g} needs frequencies "
+                          "past the float range")
     rep = audit_conditions(probe)
     predicted = (kernel.alpha - 2.0 * kernel.epsilon) / kernel.alpha
     return rep, [Verdict.within(claim, predicted, fitted, tol)
@@ -350,25 +376,32 @@ class RegularityPieces(typing.NamedTuple):
     def lattice(self) -> Lattice:
         return Lattice(self.noise.dt, self.grid, np.array(self.saved))
 
-    def require_memory(self, M: int, n_pairs: int | None = None) -> int:
+    def require_memory(self, M: int, n_pairs: int | None = None) -> float:
         """Bytes the simulation holds at most, counted without allocating; ConfigError past
         physical memory.  Always: (M, n_t) slab weights, (n_t + 1, F) lag symbols (twice while
-        built), complex (n_t, F) g spectrum.  Full field: the sink, four (M, 2F) arrays and one
-        step's new slabs.  Pairs, for the last saved index k: the (n_pairs, k) differences,
-        (k + 1, n) profiles with transforms and chunks, the (M, n_pairs) product and copy."""
+        built), the largest Poisson path.  Full field: the sink, the real (M, F) running sum
+        and one temporary of it, the complex (M, F) spectrum and its inverse transform, and one
+        step's new lag symbols.  Pairs, for the last saved index k: the (n_pairs, k)
+        differences, (k + 1, n) profiles with transforms and chunks, the (M, n_pairs) product
+        and copy."""
         n, n_t, k = self.grid.points, self.noise.steps, self.saved[-1]  # 1-D: 2F = n + 2
         item = np.dtype(self.dtype).itemsize
-        need = 8 * M * n_t + 16 * (n_t + 1) * (n + 2)
+        need = 8 * M * n_t + 8 * (n_t + 1) * (n + 2)
         if n_pairs is None:
-            need += M * (len(self.saved) * n * item + 32 * (n + 2)) + 8 * n_t * (n + 2)
+            need += M * (len(self.saved) * n * item + 24 * (n + 2)) + 4 * n_t * (n + 2)
         else:
             need += (M * n_pairs * (8 + item) + 8 * k * n_pairs
                      + 32 * (k + 1) * (n + 2) + 48 * max(2**18, k))
+        fields, what = "config.simulation.ensemble / config.simulation.grid_points", ""
+        if self.noise.kind == "poisson":
+            events = event_block(self.noise)
+            need += PATH_ARRAYS * 8 * events
+            fields, what = fields + " / config.noise.intensity", f" and {events:.3g} events"
         memory = physical_memory()
         if need > memory:
-            raise ConfigError(f"config.simulation.ensemble / config.simulation.grid_points: "
-                              f"{M} realizations on {n} points need {need / 2**30:.1f} GiB, "
-                              f"more than the {memory / 2**30:.1f} GiB of physical memory")
+            raise ConfigError(f"{fields}: {M} realizations on {n} points{what} need "
+                              f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB "
+                              "of physical memory")
         return need
 
     def simulate(self, M: int, pairs=None):
@@ -416,13 +449,11 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
                   steps=sim.steps, seed=config.seed, jump=jump)
     g = _spec("config.moments", TestFunctionSpec, family="parabolic-power", beta=mom.beta,
               amplitude=mom.amplitude, mark_family="identity")
-    try:
-        lags = [2.0**-k for k in range(mom.lag_k_min, mom.lag_k_max + 1)]
-        lag_steps = [max(1, round(lag * lag / noise.dt)) for lag in lags]
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ConfigError(f"config.moments.lag_k_min: {mom.lag_k_min}: {exc}") from exc
-    if not lags:
-        raise ConfigError("config.moments: lag_k_min > lag_k_max leaves no lags")
+    lags = dyadic("config.moments.lag_k_min / lag_k_max", mom.lag_k_min, mom.lag_k_max)
+    if lags[0] * lags[0] > sim.horizon:  # a parabolic lag delta spans the time delta^2
+        raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans the time "
+                          f"{lags[0] * lags[0]:g}, more than the horizon {sim.horizon:g}")
+    lag_steps = [max(1, round(lag * lag / noise.dt)) for lag in lags]
     saved = _regularity_saved_indices(sim.steps, lag_steps)
     if saved[-1] > sim.steps:
         raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans {lag_steps[0]} "
@@ -537,7 +568,7 @@ def _run_embedding_check(config: ExperimentConfig, progress: dict):
     def u(ts, xs):
         return np.linalg.norm(xs, axis=1) ** gamma + ts ** (gamma / 2.0)
 
-    scales = [cam.top_scale * 2.0**-k for k in range(cam.n_scales)]
+    scales = dyadic("config.campanato.n_scales", 0, cam.n_scales - 1, cam.top_scale)
     rep = campanato_seminorm(u, domain, p, theta, scales=scales,
                              budget=cam.budget, n_centers=cam.n_centers,
                              seed=config.seed)

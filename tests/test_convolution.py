@@ -17,7 +17,7 @@ from holderlab.convolution import (
     second_moment_pairs,
 )
 from holderlab.errors import GridMismatch, PairOffGrid
-from holderlab.experiments import RegularityPieces
+from holderlab.experiments import RegularityPieces, build_regularity, default_config
 from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, symbol
 from holderlab.moments import sample_pairs_dyadic
 from holderlab.noise import (
@@ -233,20 +233,25 @@ def _irfft_fftshift(freq, grid):
     return np.fft.fftshift(np.fft.irfftn(freq, s=(grid.points,) * grid.dim, axes=axes), axes=axes)
 
 
+def _slab_spectra(g, grid, dt, n):
+    """DFT of g(k dt, .) for each slab k < n, each built on its own, flattened frequencies."""
+    return np.array([np.fft.rfftn(np.fft.ifftshift(g.evaluate(k * dt, grid.radius()))).ravel()
+                     for k in range(n)])
+
+
 def _reference_convolve(kernel, grid, g, noise, M, save_times):
     """The Ito sum rebuilt from slab 0 at every saved index, in save order."""
     n_t, dt = noise.steps, noise.dt
     idx = np.arange(n_t + 1) if save_times is None else np.array(save_times)
     q = _lag_symbols(kernel, grid, dt, n_t)
-    ghat = _g_spectrum(g, grid, dt, n_t)
+    ghat = _slab_spectra(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M)
     freq_shape = _freq_radius(grid).shape
     out = np.zeros((M, idx.size) + (grid.points,) * grid.dim)
     for pos, i in enumerate(idx):
         if i == 0:
             continue
-        gh = ghat[:i] if ghat.shape[0] > 1 else ghat
-        a = q[i:0:-1] * gh
+        a = q[i:0:-1] * ghat[:i]
         u_hat = w[:, :i] @ a.real + 1j * (w[:, :i] @ a.imag)
         out[:, pos] = _irfft_fftshift(u_hat.reshape((M,) + freq_shape), grid)
     return idx, out
@@ -278,6 +283,16 @@ ENGINE_CASES = {
         TestFunctionSpec(family="parabolic-power", beta=0.5),
         NOISE_2D, [16, 0, 5, 16, 32]),
 }
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_g_spectrum_is_one_base_spectrum_and_a_zero_mode_shift(case):
+    _, grid, g, noise, _ = ENGINE_CASES[case]
+    base, zero = _g_spectrum(g, grid, noise.dt, noise.steps)
+    want = _slab_spectra(g, grid, noise.dt, noise.steps)
+    got = np.tile(base, (noise.steps, 1))
+    got[:, 0] += zero
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * np.max(np.abs(want), axis=1))
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
@@ -327,7 +342,7 @@ def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     """Exact second moments from one i-row profile cache per time index."""
     n_t, dt = noise.steps, noise.dt
     q = _lag_symbols(kernel, grid, dt, n_t)
-    ghat = _g_spectrum(g, grid, dt, n_t)
+    ghat = _slab_spectra(g, grid, dt, n_t)
     freq_shape = _freq_radius(grid).shape
     n_space = grid.points ** grid.dim
     if noise.kind == "brownian":
@@ -338,8 +353,7 @@ def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     cache = {}
     for i in np.unique(np.concatenate([idx1, idx2])):
         i = int(i)
-        gh = ghat[:i] if ghat.shape[0] > 1 else np.broadcast_to(ghat, (i, ghat.shape[1]))
-        rows = _irfft_fftshift((q[i:0:-1] * gh).reshape((i,) + freq_shape), grid)
+        rows = _irfft_fftshift((q[i:0:-1] * ghat[:i]).reshape((i,) + freq_shape), grid)
         cache[i] = rows.reshape(i, n_space)
     out = np.empty(len(idx1))
     for n, (i1, j1, i2, j2) in enumerate(zip(idx1, pos1, idx2, pos2)):
@@ -458,21 +472,26 @@ def test_pair_sink_rejects_pairs_off_the_saved_lattice():
     assert np.array_equal(full.at([64, 0], [3, 3]), full.values[:, [1, 0], 3])
 
 
-def test_forward_pass_holds_three_spectral_arrays():
-    # beyond its sink and slab weights the pass holds the running sum, one saved time's
-    # spectrum and its inverse transform: three (M, 2F) float64 arrays, within what
-    # RegularityPieces.require_memory counts
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    M, saved = 2000, list(range(32, 129, 8))
-    pieces = RegularityPieces(KERNEL, GRID, BROWNIAN, g, [0.25], saved, "float32")
+@pytest.mark.parametrize("preset", [False, True], ids=["small", "brownian-preset"])
+def test_forward_pass_holds_three_spectral_arrays(preset):
+    # beyond its sink and slab weights the pass holds the real running sum, one saved time's
+    # spectrum and its inverse transform, with their temporaries: under 3.5 (M, 2F) float64
+    # arrays, within what RegularityPieces.require_memory counts
+    M = 2000
+    if preset:  # 1,024 points and steps, the preset's saved times
+        pieces = build_regularity(default_config("brownian-regularity"))
+    else:
+        g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+        pieces = RegularityPieces(KERNEL, GRID, BROWNIAN, g, [0.25], list(range(32, 129, 8)),
+                                  "float32")
     tracemalloc.start()
     try:
         ens = pieces.simulate(M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = peak - ens.values.nbytes - M * BROWNIAN.steps * 8
-    assert held < 3.5 * M * (GRID.points + 2) * 8
+    held = peak - ens.values.nbytes - M * pieces.noise.steps * 8
+    assert held < 3.5 * M * (pieces.grid.points + 2) * 8
     assert peak <= pieces.require_memory(M)
 
 

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import holderlab.convolution as convolution
 import holderlab.errors as errors
 import holderlab.experiments as experiments
+import holderlab.noise as noise
 from holderlab.cli import main
+from holderlab.convolution import FieldEnsemble, TestFunctionSpec
 from holderlab.errors import AliasingViolation, ConfigError, HolderLabError
 from holderlab.experiments import (
     ExperimentConfig,
@@ -25,8 +27,9 @@ from holderlab.experiments import (
     write_json,
     write_table,
 )
+from holderlab.kernels import KernelSpec, SpectralGrid
 from holderlab.moments import sample_pairs_dyadic
-from holderlab.noise import slab_cumulant
+from holderlab.noise import NoiseSpec, slab_cumulant
 
 SMALL_AUDIT = {
     "experiment": "kernel-audit",
@@ -215,6 +218,10 @@ BAD_REGULARITY = {
                          "config.simulation: 1099511627776 points per axis"),
     "theta-not-a-number": (_with(SMALL_EMBED, "campanato", theta="abc"),
                            "config.campanato.theta: expected float, got 'abc'"),
+    "lag-overflows": (_with(SMALL_BROWNIAN, "moments", lag_k_min=-1100),
+                      "config.moments.lag_k_min / lag_k_max: at k = -1100, 2^1100 overflows"),
+    "lag-past-horizon": (_with(SMALL_BROWNIAN, "moments", lag_k_min=-600),
+                         "config.moments.lag_k_min: lag 4.14952e+180 spans the time inf"),
 }
 
 
@@ -242,8 +249,16 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
     (_with(SMALL_AUDIT, "conditions", betas=[]), "config.conditions.betas"),
     (_with(SMALL_SWEEP, "sweep", cases=[[3.0, 0.0]]), "config.sweep.cases"),
     (_with(SMALL_BROWNIAN, "conditions", lag_k_max=6), "config.conditions: lag_k_min 4"),
+    (_with(SMALL_EMBED, "campanato", n_scales=0), "config.campanato.n_scales: k from 0 to -1"),
+    (_with(SMALL_EMBED, "campanato", n_scales=2000), "config.campanato.n_scales: at k = 1999"),
+    (_with(SMALL_AUDIT, "conditions", lag_k_min=-1100),
+     "config.conditions.lag_k_min / lag_k_max: at k = -1100, 2^1100 overflows"),
+    (_with(SMALL_AUDIT, "conditions", s_base=1e-320), "config.conditions.s_base: 1e-320"),
+    (_with(SMALL_POISSON, "noise", mark_parameter=1e-245),
+     "config.noise: mark law parameter 1e-245"),
 ], ids=["embed-dim-3", "embed-p-half", "embed-no-centers", "audit-alpha-3", "audit-no-betas",
-        "sweep-alpha-3", "regularity-three-lags"])
+        "sweep-alpha-3", "regularity-three-lags", "embed-no-scales", "embed-scale-underflows",
+        "audit-lag-overflows", "audit-s-base-underflows", "mark-variance-underflows"])
 def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, field):
     path = _write(tmp_path, config)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -253,12 +268,51 @@ def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, fiel
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["moments", "seminorm"])
-def test_cli_zero_pairs_exit_two_before_the_ensemble_is_read(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, flags, message", [
+    ("moments", ["--pairs", "0"], "--pairs 0: need at least one pair"),
+    ("seminorm", ["--pairs", "0"], "--pairs 0: need at least one pair"),
+    ("moments", ["--lag-k-min", "5", "--lag-k-max", "1"],
+     "--lag-k-min / --lag-k-max: k from 5 to 1 leaves no scales"),
+    ("moments", ["--lag-k-min", "-1100"],
+     "--lag-k-min / --lag-k-max: at k = -1100, 2^1100 overflows"),
+    ("moments", ["--lag-k-max", "2000"],
+     "--lag-k-min / --lag-k-max: at k = 2000, 2^-2000 underflows to 0"),
+    ("seminorm", ["--scale-k-min", "5", "--scale-k-max", "2"],
+     "--scale-k-min / --scale-k-max: k from 5 to 2 leaves no scales"),
+    ("seminorm", ["--scale-k-min", "-1100"],
+     "--scale-k-min / --scale-k-max: at k = -1100, 2^1100 overflows"),
+    ("seminorm", ["--scale-k-max", "2000"],
+     "--scale-k-min / --scale-k-max: at k = 2000, 2^-2000 underflows to 0"),
+], ids=["moments-zero-pairs", "seminorm-zero-pairs", "lags-empty", "lag-overflows",
+        "lag-underflows", "scales-empty", "scale-overflows", "scale-underflows"])
+def test_cli_flag_errors_exit_two_before_the_ensemble_is_read(tmp_path, capsys, command, flags,
+                                                              message):
     missing = str(tmp_path / "missing" / "ensemble")
-    assert main([command, "--ensemble", missing, "--pairs", "0",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "config error: --pairs 0: need at least one pair" in capsys.readouterr().err
+    assert main([command, "--ensemble", missing, *flags, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["moments", "seminorm"])
+@pytest.mark.parametrize("damage", ["no-kernel", "short-bin"])
+def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
+    noise_spec = NoiseSpec(kind="brownian", horizon=1.0, steps=8, seed=1)
+    ens = FieldEnsemble(values=np.zeros((2, 3, 16), dtype=np.float32),
+                        time_indices=np.array([0, 4, 8]), dt=noise_spec.dt,
+                        grid=SpectralGrid(length=1.0, points=16), kernel=KernelSpec(2.0),
+                        g=TestFunctionSpec(), noise=noise_spec)
+    prefix = str(tmp_path / "ensemble")
+    ens.save(prefix)
+    FieldEnsemble.load(prefix)
+    if damage == "no-kernel":
+        side = json.loads((tmp_path / "ensemble.json").read_text())
+        del side["kernel"]
+        (tmp_path / "ensemble.json").write_text(json.dumps(side))
+    else:
+        ens.values[:, :2].tofile(f"{prefix}.bin")
+    assert main([command, "--ensemble", prefix, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: --ensemble {prefix}: not a holderlab ensemble" in \
+        capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -318,9 +372,6 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
                  "--lag-k-min", "-2", "--lag-k-max", "1", "--out", str(tmp_path)]) == 3
     assert "PairOffGrid: lag 4 spans 256 lattice spacings" in capsys.readouterr().err
-    assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
-                 "--lag-k-min", "5", "--lag-k-max", "1", "--out", str(tmp_path)]) == 2
-    assert "--lag-k-min 5 > --lag-k-max 1 leaves no lags" in capsys.readouterr().err
     assert not (tmp_path / "moments.csv").exists()
     assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
                  "--lag-k-min", "1", "--lag-k-max", "4", "--pairs", "32",
@@ -331,7 +382,7 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     moments = json.loads((tmp_path / "moments.json").read_text())
     assert len(moments["estimate"]) == 4 * 32
     # h = 1/64: from k = 6 on, a cylinder of radius 2^-k holds one lattice point
-    for k_min, k_max in (("5", "2"), ("6", "9"), ("7", "7")):
+    for k_min, k_max in (("6", "9"), ("7", "7")):
         assert main(["seminorm", "--ensemble", str(tmp_path / "ensemble"),
                      "--scale-k-min", k_min, "--scale-k-max", k_max,
                      "--out", str(tmp_path)]) == 2
@@ -522,6 +573,9 @@ def _run_exits_with_its_code(tmp_path_factory, data):
 
 @settings(max_examples=30, deadline=None)
 @given(data=SMALL_REGULARITY_CONFIGS)
+@example(data={"experiment": "poisson-regularity",  # the mark variance underflows to 0
+               "noise": {"mark_parameter": 7.71593441431373e-245},
+               "conditions": SMALL_BROWNIAN["conditions"]})
 def test_regularity_configs_run_or_exit_with_their_code(tmp_path_factory, data):
     _run_exits_with_its_code(tmp_path_factory, data)
 
@@ -620,7 +674,7 @@ def test_lattice_pairs_equal_pairs_drawn_from_the_simulated_ensemble(tmp_path):
 
 
 # the last case passes a count without the tables that do not scale with M (0.76 GB);
-# its lag symbols and g spectrum alone need 206 GB
+# its lag symbols alone need 137 GB (69 GB, twice while they are built)
 @pytest.mark.parametrize("simulation", [{"ensemble": 10**8}, {"grid_points": 2**24},
                                         {"grid_points": 2**20, "steps": 2**14, "ensemble": 30}])
 def test_simulation_beyond_physical_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
@@ -642,6 +696,21 @@ def test_simulation_beyond_physical_memory_is_a_config_error(tmp_path, capsys, m
     small["simulation"].update(simulation)
     with pytest.raises(ConfigError, match="physical memory"):
         run_experiment(load_config(_write(tmp_path, small)), out_dir=tmp_path / "run")
+    marker = json.loads((tmp_path / "run" / "FAILED.json").read_text())
+    assert marker["stage"] == "setup" and marker["invalid_config"]
+
+
+def test_poisson_paths_beyond_physical_memory_are_a_config_error(tmp_path, capsys, monkeypatch):
+    # a path of 1e10 events holds about 640 GB: counted from the intensity, never drawn
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a Poisson path was drawn before the memory check")
+
+    monkeypatch.setattr(noise, "sample_path", not_reached)
+    path = _write(tmp_path, _with(SMALL_POISSON, "noise", intensity=1e10))
+    for command in (["simulate", "--kind-preset", "poisson-regularity"], ["run"]):
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / command[0])]) == 2
+        err = capsys.readouterr().err
+        assert "config.noise.intensity" in err and "1e+10 events" in err
     marker = json.loads((tmp_path / "run" / "FAILED.json").read_text())
     assert marker["stage"] == "setup" and marker["invalid_config"]
 

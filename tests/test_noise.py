@@ -35,6 +35,12 @@ def test_spec_validation():
         JumpSpec(intensity=0.0)
     with pytest.raises(ValueError):
         MarkLaw("cauchy", 1.0)
+    # parameter**2 underflows to 0 (a ZeroDivisionError for the exponential law) or overflows
+    for family in ("two-sided-exponential", "gaussian"):
+        for parameter in (1e-245, 1e200):
+            with pytest.raises(ValueError, match="no positive finite second moment"):
+                MarkLaw(family, parameter)
+        assert MarkLaw(family, 1e-100).second_moment > 0.0
 
 
 def test_same_key_bit_identical():
