@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .kernels import KernelSpec, SpectralGrid, eval_kernel
-from .noise import NoiseSpec, NoisePath, MarkLaw, JumpSpec, sample_path, compensated_integral
+from .noise import NoiseSpec, NoisePath, MarkLaw, JumpSpec, sample_path
 from .conditions import ConditionProbe, ConditionReport, fit_exponent
 from .convolution import TestFunctionSpec, FieldEnsemble, convolve_brownian, convolve_poisson
 from .moments import (MomentField, estimate_pair_moments, sample_pairs_dyadic,
@@ -11,7 +11,7 @@ from .moments import (MomentField, estimate_pair_moments, sample_pairs_dyadic,
 from .campanato import (
     SpaceTimePoint,
     ParabolicCylinder,
-    DomainSpec,
+    Box,
     parabolic_distance,
     campanato_seminorm,
     embedding_exponent,
@@ -27,7 +27,6 @@ __all__ = [
     "MarkLaw",
     "JumpSpec",
     "sample_path",
-    "compensated_integral",
     "ConditionProbe",
     "ConditionReport",
     "fit_exponent",
@@ -41,7 +40,7 @@ __all__ = [
     "sample_pairs_within_cylinder",
     "SpaceTimePoint",
     "ParabolicCylinder",
-    "DomainSpec",
+    "Box",
     "parabolic_distance",
     "campanato_seminorm",
     "embedding_exponent",

@@ -1,9 +1,9 @@
 """Parabolic geometry and Campanato seminorm machinery.
 
 The metric is delta(X, Y) = max(|x - y|, |t - s|^(1/2)); its balls are the
-parabolic cylinders Q_c(t0, x0) = (t0 - c^2, t0 + c^2) x B_c(x0).  Domains
-are finite disjoint unions of axis-aligned space-time boxes, for which
-cylinder intersection measures come out in closed form.  Seminorm suprema
+parabolic cylinders Q_c(t0, x0) = (t0 - c^2, t0 + c^2) x B_c(x0).  The
+domain is one axis-aligned space-time box, for which cylinder intersection
+measures come out in closed form.  Seminorm suprema
 over continua are estimated from finitely many sampled cylinders: reported
 values are lower bounds of the true sup, and the fitted scaling exponent
 across dyadic radii (not the sup itself) is the quantity experiments
@@ -150,6 +150,32 @@ class Box:
             ok &= (x[..., j] >= lo) & (x[..., j] <= hi)
         return ok
 
+    @property
+    def diameter(self) -> float:
+        """Diameter in the parabolic metric."""
+        space = np.linalg.norm(np.array(self.x_hi) - np.array(self.x_lo))
+        return max(math.sqrt(self.t1 - self.t0), float(space))
+
+    def intersection_measure(self, cyl: ParabolicCylinder) -> float:
+        """|D cap Q_c(X)|: the time overlap times an interval (d=1) or disk-box (d=2) one."""
+        if cyl.dim != self.dim:
+            raise DimensionMismatch("cylinder and domain dims differ")
+        c = cyl.radius
+        t0, x0 = cyl.center.t, cyl.center.x_array()
+        t_ov = min(self.t1, t0 + c * c) - max(self.t0, t0 - c * c)
+        if t_ov <= 0.0:
+            return 0.0
+        if self.dim == 1:
+            return t_ov * max(min(self.x_hi[0], x0[0] + c) - max(self.x_lo[0], x0[0] - c), 0.0)
+        return t_ov * disk_rect_area(x0[0], x0[1], c, self.x_lo[0], self.x_hi[0],
+                                     self.x_lo[1], self.x_hi[1])
+
+    def sample_points(self, rng: Generator, n: int):
+        """n uniform points of the box: times (n,) and positions (n, d)."""
+        ts = rng.uniform(self.t0, self.t1, n)
+        return ts, np.column_stack([rng.uniform(lo, hi, n)
+                                    for lo, hi in zip(self.x_lo, self.x_hi)])
+
 
 def _disk_corner_area(r: float, x: float, y: float) -> float:
     """Area of {X^2 + Y^2 <= r^2, X <= x, Y <= y}."""
@@ -194,91 +220,6 @@ def disk_rect_area(cx: float, cy: float, r: float,
     return max(a, 0.0)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Bounded domain: a finite union of pairwise-disjoint boxes."""
-
-    boxes: tuple
-
-    def __init__(self, boxes):
-        boxes = tuple(boxes)
-        if not boxes:
-            raise ValueError("domain needs at least one box")
-        dims = {b.dim for b in boxes}
-        if len(dims) != 1:
-            raise DimensionMismatch("boxes of mixed spatial dimension")
-        for i, a in enumerate(boxes):
-            for b in boxes[i + 1:]:
-                t_ov = min(a.t1, b.t1) - max(a.t0, b.t0)
-                x_ov = all(min(h1, h2) > max(l1, l2)
-                           for l1, h1, l2, h2 in zip(a.x_lo, a.x_hi, b.x_lo, b.x_hi))
-                if t_ov > 0 and x_ov:
-                    raise ValueError("domain boxes must be pairwise disjoint")
-        object.__setattr__(self, "boxes", boxes)
-
-    @property
-    def dim(self) -> int:
-        return self.boxes[0].dim
-
-    @property
-    def measure(self) -> float:
-        return sum(b.measure for b in self.boxes)
-
-    @property
-    def diameter(self) -> float:
-        """Diameter in the parabolic metric."""
-        t_lo = min(b.t0 for b in self.boxes)
-        t_hi = max(b.t1 for b in self.boxes)
-        best = math.sqrt(t_hi - t_lo)
-        lo = np.array([min(b.x_lo[j] for b in self.boxes) for j in range(self.dim)])
-        hi = np.array([max(b.x_hi[j] for b in self.boxes) for j in range(self.dim)])
-        return max(best, float(np.linalg.norm(hi - lo)))
-
-    def contains(self, t, x) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        ok = np.zeros(t.shape, dtype=bool)
-        for b in self.boxes:
-            ok |= b.contains(t, x)
-        return ok
-
-    def intersection_measure(self, cyl: ParabolicCylinder) -> float:
-        """|D cap Q_c(X)|, closed form for every box."""
-        if cyl.dim != self.dim:
-            raise DimensionMismatch("cylinder and domain dims differ")
-        c = cyl.radius
-        t0, x0 = cyl.center.t, cyl.center.x_array()
-        total = 0.0
-        for b in self.boxes:
-            t_ov = min(b.t1, t0 + c * c) - max(b.t0, t0 - c * c)
-            if t_ov <= 0.0:
-                continue
-            if self.dim == 1:
-                lo, hi = b.x_lo[0], b.x_hi[0]
-                x_ov = min(hi, x0[0] + c) - max(lo, x0[0] - c)
-                if x_ov <= 0.0:
-                    continue
-                total += t_ov * x_ov
-            else:
-                area = disk_rect_area(x0[0], x0[1], c,
-                                      b.x_lo[0], b.x_hi[0], b.x_lo[1], b.x_hi[1])
-                total += t_ov * area
-        return total
-
-    def sample_points(self, rng: Generator, n: int):
-        """Uniform points of the domain (boxes weighted by measure)."""
-        weights = np.array([b.measure for b in self.boxes])
-        weights /= weights.sum()
-        counts = rng.multinomial(n, weights)
-        ts, xs = [], []
-        for b, k in zip(self.boxes, counts):
-            if k == 0:
-                continue
-            ts.append(rng.uniform(b.t0, b.t1, k))
-            xs.append(np.column_stack([
-                rng.uniform(lo, hi, k) for lo, hi in zip(b.x_lo, b.x_hi)]))
-        return np.concatenate(ts), np.vstack(xs)
-
-
 # --- seminorm reports -----------------------------------------------------
 
 @dataclass
@@ -309,7 +250,7 @@ class SeminormReport:
         return asdict(self)
 
 
-def _cylinder_samples(rng, domain: DomainSpec, cyl: ParabolicCylinder, budget: int):
+def _cylinder_samples(rng, domain: Box, cyl: ParabolicCylinder, budget: int):
     """Uniform points of D cap Q by rejection from the cylinder's box."""
     c = cyl.radius
     t0, x0 = cyl.center.t, cyl.center.x_array()
@@ -335,7 +276,7 @@ def _pairwise_mean(vals: np.ndarray, p: float) -> float:
     return float(diff.mean())
 
 
-def campanato_seminorm(u, domain: DomainSpec, p: float, theta: float,
+def campanato_seminorm(u, domain: Box, p: float, theta: float,
                        scales=None, budget: int = 256, n_centers: int = 16,
                        seed: int = 0) -> SeminormReport:
     """Sampled Campanato seminorm of a deterministic space-time field.

@@ -161,7 +161,7 @@ def _cmd_seminorm(args) -> int:
     times = ens.times
     t_mid = float(times[len(times) // 2])
     for k, c in enumerate(scales, start=args.scale_k_min):
-        cyl = ParabolicCylinder(SpaceTimePoint(t_mid, [0.0] * ens.grid.dim), c)
+        cyl = ParabolicCylinder(SpaceTimePoint(t_mid, [0.0]), c)
         try:
             pairs = sample_pairs_within_cylinder(ens, cyl, args.pairs, seed=seed + k)
         except EmptyCylinder:
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plots = subs.add_parser("emit-plots", help="CSV plot bundle from a report")
     plots.add_argument("--report", required=True, help="path to report.json")
-    _add_common(plots, with_config=False)
+    plots.add_argument("--out", help="output directory")
     plots.set_defaults(func=_cmd_emit_plots)
 
     return parser

@@ -4,7 +4,8 @@ The field is the Ito (left-endpoint) time discretization of
 
     u(t, x) = int_0^t [ p(t - r, .) * g(r, .) ](x)  dNoise(r)
 
-on a periodic spatial box, with the spatial convolution done spectrally.
+on the periodic interval [-L, L) (the field is 1-D), with the spatial convolution done
+spectrally.
 The kernel factor of the most recent time slab is evaluated at lag dt/2
 (midpoint) instead of its nominal lag dt, which tames the t -> r
 singularity while keeping first-order weak accuracy.  Poisson events are
@@ -83,11 +84,10 @@ class Lattice(typing.NamedTuple):
 
 @dataclass
 class FieldEnsemble:
-    """M realizations of the field on saved lattice times.
+    """M realizations of the 1-D field on saved lattice times.
 
-    values has shape (M, n_times, n_x) in d=1 or (M, n_times, n_x, n_x)
-    in d=2, with spatial coordinates ascending from -L.  u(0, .) = 0 for
-    every realization (zero initial data).
+    values has shape (M, n_times, n_x), with spatial coordinates ascending
+    from -L.  u(0, .) = 0 for every realization (zero initial data).
     """
 
     values: np.ndarray
@@ -148,10 +148,16 @@ class FieldEnsemble:
 
     @classmethod
     def load(cls, prefix: str) -> "FieldEnsemble":
+        """What save wrote; a sidecar whose grid or kernel is not 1-D raises ValueError."""
         from .noise import JumpSpec, MarkLaw
 
         with open(f"{prefix}.json") as fh:
             side = json.load(fh)
+        grid = SpectralGrid(**side["grid"])
+        kernel = KernelSpec(side["kernel"]["alpha"], side["kernel"]["epsilon"],
+                            side["kernel"]["dim"])
+        if grid.dim != 1 or kernel.dim != 1:
+            raise ValueError(f"the field is 1-D, got grid dim {grid.dim}, kernel dim {kernel.dim}")
         values = np.fromfile(f"{prefix}.bin", dtype=side["dtype"]).reshape(side["shape"])
         jump = side["noise"]["jump"]
         noise = NoiseSpec(
@@ -165,9 +171,8 @@ class FieldEnsemble:
             values=values,
             time_indices=np.array(side["time_indices"], dtype=int),
             dt=side["dt"],
-            grid=SpectralGrid(**side["grid"]),
-            kernel=KernelSpec(side["kernel"]["alpha"], side["kernel"]["epsilon"],
-                              side["kernel"]["dim"]),
+            grid=grid,
+            kernel=kernel,
             g=TestFunctionSpec(**side["g"]),
             noise=noise,
         )
@@ -201,25 +206,31 @@ def _whole(a, top: int, error) -> np.ndarray:
     return a.astype(int)
 
 
+def _require_1d(kernel: KernelSpec, grid: SpectralGrid) -> None:
+    """The stochastic field is 1-D: a kernel or grid of another dimension raises GridMismatch."""
+    if kernel.dim != 1 or grid.dim != 1:
+        raise GridMismatch(f"the field is 1-D, got kernel dim {kernel.dim}, grid dim {grid.dim}")
+
+
 def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) -> np.ndarray:
-    """Q[j, f]: kernel symbol at lag j*dt (midpoint dt/2 for j=1), flattened
-    frequency axis.  Q[0] is zero: no same-slab contribution (Ito rule)."""
+    """Q[j, f]: kernel symbol at lag j*dt (midpoint dt/2 for j=1).  Q[0] is zero: no
+    same-slab contribution (Ito rule)."""
     grid.require_alias(kernel.alpha, dt / 2.0)
     lags = dt * np.arange(n_t + 1, dtype=float)
     lags[1] = dt / 2.0
-    q = symbol(kernel, grid, lags).reshape(n_t + 1, -1)
+    q = symbol(kernel, grid, lags)
     q[0] = 0.0
     return q
 
 
 def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float,
                 n_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(base, zero): base is the DFT of g(0, .), flattened frequencies, and zero[k] =
-    (g(r_k, 0) - g(0, 0)) n^d for slab times r_k = k dt.  Every family moves in time only by
-    a term constant in space, so the DFT of g(r_k, .) is base plus zero[k] in its zero mode."""
-    base = np.fft.rfftn(np.fft.ifftshift(g.evaluate(0.0, grid.radius()))).reshape(-1)
+    """(base, zero): base is the DFT of g(0, .) and zero[k] = (g(r_k, 0) - g(0, 0)) n for
+    slab times r_k = k dt.  Every family moves in time only by a term constant in space, so
+    the DFT of g(r_k, .) is base plus zero[k] in its zero mode."""
+    base = np.fft.rfft(np.fft.ifftshift(g.evaluate(0.0, grid.radius())))
     r = dt * np.arange(n_t)
-    zero = (g.evaluate(r, np.zeros(n_t)) - g.evaluate(0.0, 0.0)) * grid.points ** grid.dim
+    zero = (g.evaluate(r, np.zeros(n_t)) - g.evaluate(0.0, 0.0)) * grid.points
     return base, zero
 
 
@@ -231,8 +242,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     as a rank-1 term, plus sum_k w_k Q[i - k, 0] zero[k] in the zero mode.  O(M F max i).
     pairs = (t1, s1, t2, s2), lattice indices of pair members on saved times, skips the
     pass: u(X) - u(Y) = D w."""
-    if kernel.dim != grid.dim:
-        raise GridMismatch(f"kernel dim {kernel.dim} != grid dim {grid.dim}")
+    _require_1d(kernel, grid)
     if M < 1:
         raise ValueError("need at least one realization")
     n_t, dt = noise.steps, noise.dt
@@ -251,9 +261,8 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     base, zero = _g_spectrum(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M)
 
-    radius = _freq_radius(grid)
-    rate = -dt * radius.reshape(-1) ** kernel.alpha
-    out = np.zeros((M, idx.size) + (grid.points,) * grid.dim, dtype=dtype)
+    rate = -dt * _freq_radius(grid) ** kernel.alpha
+    out = np.zeros((M, idx.size, grid.points), dtype=dtype)
     running = np.zeros((M, rate.size))  # sum over slabs k <= cur - 2 of w[:, k] Q[cur - k]
     u_hat = np.empty((M, rate.size), dtype=complex)
     cur = 0
@@ -267,7 +276,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         cur = i
         np.multiply(running + np.outer(w[:, i - 1], q[1]), base, out=u_hat)
         u_hat[:, 0] += w[:, :i] @ (q[i:0:-1, 0] * zero[:i])
-        irfft_ascending(u_hat.reshape((M,) + radius.shape), grid, out=out[:, pos])
+        irfft_ascending(u_hat, grid, out=out[:, pos])
     return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,
                          kernel=kernel, g=g, noise=noise)
 
@@ -295,22 +304,21 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
     """D[n, k] = F_i1[k, x1] - F_i2[k, x2], the weight of slab k in u(X_n) - u(Y_n) for the
     Ito sum u(t_i, x) = sum_k F_i[k, x] w_k; shape (n_pairs, largest time index).
 
-    idx/pos: time indices and flattened ascending spatial indices of the pair members; off
-    the lattice or not whole, they raise GridMismatch (time) or PairOffGrid (space).  As g
-    moves in time only in its zero mode, F_i[k] = P[i - k] + zero[k] Q[i - k, 0] / n^d with
-    one profile P[j] = irfft(Q[j] base) per lag, (base, zero) from _g_spectrum."""
-    n_t = noise.steps
-    n_space = grid.points ** grid.dim
+    idx/pos: time indices and ascending spatial indices of the pair members; off the lattice
+    or not whole, they raise GridMismatch (time) or PairOffGrid (space).  As g moves in time
+    only in its zero mode, F_i[k] = P[i - k] + zero[k] Q[i - k, 0] / n with one profile
+    P[j] = irfft(Q[j] base) per lag, (base, zero) from _g_spectrum."""
+    _require_1d(kernel, grid)
+    n_t, n = noise.steps, grid.points
     idx1, idx2 = _whole(idx1, n_t, GridMismatch), _whole(idx2, n_t, GridMismatch)
-    pos1, pos2 = _whole(pos1, n_space - 1, PairOffGrid), _whole(pos2, n_space - 1, PairOffGrid)
+    pos1, pos2 = _whole(pos1, n - 1, PairOffGrid), _whole(pos2, n - 1, PairOffGrid)
     k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
 
     n_lags = max(k_max, 1)
     q = _lag_symbols(kernel, grid, noise.dt, n_lags)
     base, zero = _g_spectrum(g, grid, noise.dt, n_lags)
-    profiles = irfft_ascending((q * base).reshape((-1,) + _freq_radius(grid).shape), grid)
-    profiles = profiles.reshape(n_lags + 1, n_space)
-    shift = zero[:k_max] / n_space
+    profiles = irfft_ascending(q * base, grid)
+    shift = zero[:k_max] / n
 
     def rows(i, x):  # F_i[k, x] for a chunk of points, zero for slabs k >= i as Q[0] = 0
         j = np.maximum(i[:, None] - np.arange(k_max), 0)

@@ -32,12 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .campanato import Box, DomainSpec, campanato_seminorm, embedding_exponent
+from .campanato import Box, campanato_seminorm, embedding_exponent
 from .conditions import MESH_GRADING, ConditionProbe, audit_conditions, fit_exponent
 from .convolution import Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson
-from .errors import ConfigError, HolderLabError, ThetaOutOfEmbeddingRange
+from .errors import ConfigError, HolderLabError, PairOffGrid, ThetaOutOfEmbeddingRange
 from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, physical_memory
-from .moments import estimate_pair_moments, sample_pairs_dyadic
+from .moments import estimate_pair_moments, lag_offsets, sample_pairs_dyadic
 from .noise import PATH_ARRAYS, JumpSpec, MarkLaw, NoiseSpec, event_block
 
 @dataclass
@@ -328,11 +328,15 @@ def _run_kernel_audit(config: ExperimentConfig, progress: dict):
 def _run_fractional_sweep(config: ExperimentConfig, progress: dict):
     if not config.sweep.cases:
         raise ConfigError("config.sweep.cases: the sweep needs an (alpha, epsilon) pair, got none")
+    beta, *rest = _betas(config.conditions)
+    if rest:
+        raise ConfigError(f"config.conditions.betas: the sweep audits one Holder order, got "
+                          f"{list(config.conditions.betas)}")
     verdicts, modules = [], {}
     for i, (alpha, eps) in enumerate(config.sweep.cases):
         kernel = _spec(f"config.sweep.cases[{i}] / config.kernel.dim", KernelSpec, alpha=alpha,
                        epsilon=eps, dim=config.kernel.dim)
-        rep, checks = _audit_one(kernel, _betas(config.conditions)[0], config.conditions,
+        rep, checks = _audit_one(kernel, beta, config.conditions,
                                  config.tolerances.sweep_exponent,
                                  (f"increment exponent (alpha={alpha:g}, eps={eps:g})",
                                   f"tail exponent (alpha={alpha:g}, eps={eps:g})"))
@@ -425,8 +429,9 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     """Turn a regularity config into pipeline pieces, for the presets and
     the CLI alike, without running quadrature or allocating arrays.  What
     the pipeline cannot honour (kernel.dim != 1, a store_dtype other than
-    float32/float64, no realizations, a moment order below 1, no lags, lags off
-    the time lattice, a value a spec rejects) raises ConfigError naming the field."""
+    float32/float64, no realizations, a moment order below 1, no lags, lags finer than
+    the lattice or too wide for it, a value a spec rejects) raises ConfigError naming the
+    field."""
     kc, sim, mom, nc = config.kernel, config.simulation, config.moments, config.noise
     if kc.dim != 1:
         raise ConfigError(f"config.kernel.dim: the regularity presets are 1-D, got {kc.dim}")
@@ -453,7 +458,10 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     if lags[0] * lags[0] > sim.horizon:  # a parabolic lag delta spans the time delta^2
         raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans the time "
                           f"{lags[0] * lags[0]:g}, more than the horizon {sim.horizon:g}")
-    lag_steps = [max(1, round(lag * lag / noise.dt)) for lag in lags]
+    try:
+        lag_steps = [lag_offsets(lag, noise.dt, grid.spacing)[0] for lag in lags]
+    except PairOffGrid as exc:
+        raise ConfigError(f"config.moments.lag_k_max: {exc}") from exc
     saved = _regularity_saved_indices(sim.steps, lag_steps)
     if saved[-1] > sim.steps:
         raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans {lag_steps[0]} "
@@ -563,7 +571,7 @@ def _run_embedding_check(config: ExperimentConfig, progress: dict):
     except ThetaOutOfEmbeddingRange as exc:
         raise ConfigError(f"invalid-config: {exc}") from exc
 
-    domain = DomainSpec([Box(0.0, 1.0, [0.0] * dim, [1.0] * dim)])
+    domain = Box(0.0, 1.0, [0.0] * dim, [1.0] * dim)
 
     def u(ts, xs):
         return np.linalg.norm(xs, axis=1) ** gamma + ts ** (gamma / 2.0)

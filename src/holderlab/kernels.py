@@ -70,6 +70,9 @@ class SpectralGrid:
             raise ValueError("box half-width must be positive")
         if self.points < 4 or self.points % 2:
             raise ValueError("points per axis must be even and >= 4")
+        if self.spacing == 0.0:
+            raise ValueError(f"box half-width {self.length!r} over {self.points} points "
+                             "underflows the spacing to 0")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         need, memory = 8 * self.points**self.dim, physical_memory()

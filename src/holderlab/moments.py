@@ -5,6 +5,7 @@ uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
 Pairs depend only on the saved lattice, so they can be drawn before simulating;
 the estimator reads u(X) - u(Y) from a FieldEnsemble or a PairEnsemble built for them.
+The lattice, like the field, is 1-D.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from numpy.random import Generator, Philox
 
 from .campanato import ParabolicCylinder, parabolic_distance
 from .convolution import Lattice
-from .errors import EmptyCylinder, EmptyRequest, EnsembleTooSmall, PairOffGrid
+from .errors import DimensionMismatch, EmptyCylinder, EmptyRequest, EnsembleTooSmall, PairOffGrid
 
 MIN_ENSEMBLE = 30
 
@@ -26,7 +27,7 @@ class PairSet:
     """Space-time point pairs addressed by ensemble lattice indices.
 
     time index = position on the full time lattice (units of dt);
-    space index = flattened position in the ascending spatial lattice.
+    space index = position in the ascending spatial lattice.
     delta is the parabolic distance of each pair, requested_delta the
     target lag for dyadic-lag sampling (NaN for within-cylinder pairs).
     """
@@ -36,7 +37,7 @@ class PairSet:
     t_idx2: np.ndarray
     s_idx2: np.ndarray
     t1: np.ndarray
-    x1: np.ndarray  # (n, d)
+    x1: np.ndarray  # (n, 1)
     t2: np.ndarray
     x2: np.ndarray
     delta: np.ndarray
@@ -73,12 +74,16 @@ class MomentField:
         }
 
 
-def _lattice_coords(lattice: Lattice):
-    ax = lattice.grid.axis()
-    if lattice.grid.dim == 1:
-        return ax[:, None]
-    x, y = np.meshgrid(ax, ax, indexing="ij")
-    return np.column_stack([x.ravel(), y.ravel()])
+def lag_offsets(lag: float, dt: float, h: float) -> tuple[int, int]:
+    """(time steps, lattice spacings) of a parabolic lag's pure-time and pure-space pairs:
+    round(lag^2/dt) and round(lag/h), at least 1 (an exact half keeps a one-step snap).  Under
+    half a step or half a spacing, or not finite, they are off the lattice: PairOffGrid."""
+    steps, spacings = lag * lag / dt, lag / h
+    if not (0.5 <= steps < np.inf and 0.5 <= spacings < np.inf):
+        raise PairOffGrid(f"lag {lag:g} spans {steps:.3g} time steps of {dt:g} and "
+                          f"{spacings:.3g} lattice spacings of {h:g}; a lag on the lattice "
+                          "spans at least half of each, and finitely many")
+    return max(1, round(steps)), max(1, round(spacings))
 
 
 def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
@@ -108,17 +113,19 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
     """Uniform independent pairs of lattice points inside a cylinder.
 
     Both members are drawn uniformly from the saved lattice points lying in
-    (t0 - c^2, t0 + c^2) x B_c(x0); fewer than two of them (a cylinder narrower
-    than the lattice spacing) raise EmptyCylinder, as every pair would be zero.
+    (t0 - c^2, t0 + c^2) x (x0 - c, x0 + c); fewer than two of them (a cylinder narrower
+    than the lattice spacing) raise EmptyCylinder, as every pair would be zero.  A cylinder
+    that is not 1-D raises DimensionMismatch.
     """
     if count < 1:
         raise EmptyRequest("count must be >= 1")
-    t0, x0, c = cylinder.center.t, np.atleast_1d(cylinder.center.x), cylinder.radius
+    if cylinder.dim != 1:
+        raise DimensionMismatch(f"the lattice is 1-D, the cylinder {cylinder.dim}-D")
+    t0, (x0,), c = cylinder.center.t, cylinder.center.x, cylinder.radius
     times = lattice.time_indices * lattice.dt
     ok_t = np.nonzero(np.abs(times - t0) < c * c)[0]
-    coords = _lattice_coords(lattice)
-    dist = np.sqrt(((coords - x0[None, :]) ** 2).sum(axis=1))
-    ok_x = np.nonzero(dist < c)[0]
+    coords = lattice.grid.axis()[:, None]
+    ok_x = np.nonzero(np.abs(coords[:, 0] - x0) < c)[0]
     if ok_t.size * ok_x.size < 2:
         raise EmptyCylinder(f"{ok_t.size * ok_x.size} saved lattice points inside {cylinder}, "
                             "fewer than a pair needs")
@@ -139,73 +146,44 @@ def sample_pairs_dyadic(lattice: Lattice, lags, count: int, seed: int = 0) -> Pa
 
     For each lag delta, half the pairs are pure-time (same x, t separation
     snapped to round(delta^2/dt) steps) and half pure-space (same t,
-    |x - y| snapped to round(delta/h) lattice spacings).  Base points are
-    drawn from the central half of the box and from saved times that keep
-    the partner on the saved lattice.  Achieved deltas are recorded next to
-    the requested ones.  A lag whose pure-space pairs do not fit inside the
-    central half raises PairOffGrid before anything is sampled.  Only the
-    lattice is read (a FieldEnsemble serves as one), so pairs can be drawn
-    before simulating.
+    |x - y| snapped to round(delta/h) lattice spacings), both by lag_offsets.
+    Base points are drawn from the central half of the box and from saved
+    times that keep the partner on the saved lattice; per lag, every
+    pure-time draw comes before every pure-space draw.  Achieved deltas are
+    recorded next to the requested ones.  A lag finer than the lattice, or
+    whose pure-space pairs do not fit inside the central half, raises
+    PairOffGrid before anything is sampled.  Only the lattice is read (a
+    FieldEnsemble serves as one), so pairs can be drawn before simulating.
     """
     if count < 1:
         raise EmptyRequest("count must be >= 1")
-    dt, h = lattice.dt, lattice.grid.spacing
-    n = lattice.grid.points
-    dim = lattice.grid.dim
-    rng = Generator(Philox(key=[seed, 0xD7]))
-    saved = set(int(i) for i in lattice.time_indices)
-    coords = _lattice_coords(lattice)
-
-    rows = {k: [] for k in ("ti1", "si1", "ti2", "si2", "req")}
+    dt, h, n = lattice.dt, lattice.grid.spacing, lattice.grid.points
     lo, hi = n // 4, 3 * n // 4
-    widths = [max(1, round(lag / h)) for lag in lags]
-    for lag, spacings in zip(lags, widths):
+    offsets = [lag_offsets(lag, dt, h) for lag in lags]
+    for lag, (_, spacings) in zip(lags, offsets):
         if spacings >= hi - lo:
             raise PairOffGrid(
                 f"lag {lag:g} spans {spacings} lattice spacings, but the central "
                 f"window holding the base points is {hi - lo} spacings wide")
-    for lag, spacings in zip(lags, widths):
-        steps = max(1, round(lag * lag / dt))
-        time_bases = [i for i in sorted(saved) if (i + steps) in saved]
-        n_time = count // 2
-        n_space = count - n_time
-        if time_bases:
-            for _ in range(n_time):
-                i = int(rng.choice(time_bases))
-                if dim == 1:
-                    j = int(rng.integers(lo, hi))
-                else:
-                    j = int(rng.integers(lo, hi)) * n + int(rng.integers(lo, hi))
-                rows["ti1"].append(i)
-                rows["si1"].append(j)
-                rows["ti2"].append(i + steps)
-                rows["si2"].append(j)
-                rows["req"].append(lag)
-        else:
-            n_space = count
-        for _ in range(n_space):
-            i = int(rng.choice(sorted(saved)))
-            if dim == 1:
-                j = int(rng.integers(lo, hi - spacings))
-                j2 = j + spacings
-            else:
-                jx = int(rng.integers(lo, hi - spacings))
-                jy = int(rng.integers(lo, hi))
-                j = jx * n + jy
-                j2 = (jx + spacings) * n + jy
-            rows["ti1"].append(i)
-            rows["si1"].append(j)
-            rows["ti2"].append(i)
-            rows["si2"].append(j2)
-            rows["req"].append(lag)
+    rng = Generator(Philox(key=[seed, 0xD7]))
+    on_lattice = set(lattice.time_indices.tolist())
+    saved = sorted(on_lattice)
 
-    ti1 = np.array(rows["ti1"], dtype=int)
-    si1 = np.array(rows["si1"], dtype=int)
-    ti2 = np.array(rows["ti2"], dtype=int)
-    si2 = np.array(rows["si2"], dtype=int)
+    rows = []  # (t_idx1, s_idx1, t_idx2, s_idx2) per pair, lag by lag
+    for steps, spacings in offsets:
+        time_bases = [i for i in saved if i + steps in on_lattice]
+        n_time = count // 2 if time_bases else 0
+        for _ in range(n_time):
+            i, j = int(rng.choice(time_bases)), int(rng.integers(lo, hi))
+            rows.append((i, j, i + steps, j))
+        for _ in range(count - n_time):
+            i, j = int(rng.choice(saved)), int(rng.integers(lo, hi - spacings))
+            rows.append((i, j, i, j + spacings))
+
+    ti1, si1, ti2, si2 = np.array(rows, dtype=int).reshape(-1, 4).T.copy()
+    coords = lattice.grid.axis()[:, None]
     t1, t2 = ti1 * dt, ti2 * dt
     x1, x2 = coords[si1], coords[si2]
     delta = parabolic_distance(t1, x1, t2, x2)
     return PairSet(ti1, si1, ti2, si2, t1, x1, t2, x2, delta,
-                   np.array(rows["req"], dtype=float))
-
+                   np.repeat(np.asarray(lags, dtype=float), count))

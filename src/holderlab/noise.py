@@ -1,9 +1,10 @@
 """Seeded generation of the driving randomness.
 
 Two kinds of paths: Brownian increments on a uniform time lattice, and
-marked compound-Poisson event lists with their compensator description.
-slab_weights bins either into one weight per time slab, and slab_cumulant
-gives that weight's cumulants, which fix every moment of the Ito sums.
+marked compound-Poisson event lists.  slab_weights bins either into one
+weight per time slab, and slab_cumulant gives that weight's cumulants, which
+fix every moment of the Ito sums.  ito_ensemble and compensated_ensemble
+integrate a deterministic integrand against M paths at once.
 Paths are pure functions of (seed, stream_index) through the counter-based
 Philox generator, so ensembles can be generated in any order or in
 parallel and still reproduce bit-identically.
@@ -116,8 +117,7 @@ class NoisePath:
     """One realization of the driving noise.
 
     Brownian: increments[i] over [t_i, t_{i+1}), variance dt each.
-    Poisson: strictly increasing event times in (0, T] with i.i.d. marks,
-    plus the compensator description (intensity, mark law) carried along.
+    Poisson: strictly increasing event times in (0, T] with i.i.d. marks.
     """
 
     kind: str
@@ -126,7 +126,6 @@ class NoisePath:
     increments: np.ndarray | None = None
     times: np.ndarray | None = None
     marks: np.ndarray | None = None
-    jump: JumpSpec | None = None
 
 
 # float64 arrays of event_block(spec) entries that one Poisson path holds at its peak, drawn
@@ -169,10 +168,7 @@ def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:
         times = np.concatenate([times, times[-1] + np.cumsum(gaps)])
     times = times[times <= T]
     marks = spec.jump.mark.sample(rng, times.size)
-    return NoisePath(
-        kind="poisson", horizon=spec.horizon, dt=spec.dt,
-        times=times, marks=marks, jump=spec.jump,
-    )
+    return NoisePath(kind="poisson", horizon=spec.horizon, dt=spec.dt, times=times, marks=marks)
 
 
 def _mark_average(h, t: float, law: MarkLaw) -> float:
@@ -197,31 +193,6 @@ def compensator_integral(h, horizon: float, jump: JumpSpec, n_time: int = 96) ->
     if not math.isfinite(value):
         raise CompensatorQuadratureFailure("compensator quadrature not finite")
     return value
-
-
-def compensated_integral(path: NoisePath, h) -> float:
-    """Compensated Poisson integral of h over [0, T]:
-
-        sum_k h(tau_k, z_k)  -  lambda int_0^T int h(t, z) rho(z) dz dt.
-
-    h must accept scalar (t, z).  The compensator is computed by
-    quadrature; a coarse/fine node-count comparison guards its accuracy.
-    """
-    if path.kind != "poisson":
-        raise ValueError("compensated_integral needs a poisson path")
-    jump_sum = float(sum(h(t, z) for t, z in zip(path.times, path.marks)))
-    return jump_sum - _checked_compensator(h, path.horizon, path.jump)
-
-
-def ito_integral(path: NoisePath, h) -> float:
-    """Left-endpoint Ito sum of a deterministic integrand h(t) against a
-    Brownian path: sum_k h(t_k) dW_k."""
-    if path.kind != "brownian":
-        raise ValueError("ito_integral needs a brownian path")
-    n = path.increments.size
-    t = path.dt * np.arange(n)
-    hv = np.array([h(tk) for tk in t], dtype=float)
-    return float(hv @ path.increments)
 
 
 def slab_cumulant(spec: NoiseSpec, mark_family: str, n: int) -> float:
@@ -264,26 +235,21 @@ def ito_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
     return slab_weights(spec, "identity", M) @ np.asarray(h(t), dtype=float)
 
 
-def _checked_compensator(h, horizon: float, jump: JumpSpec) -> float:
-    """compensator_integral at 96 time nodes, checked against 64 to 1e-6 relative; the
-    absolute floor keeps an exactly compensated (odd) h from tripping on roundoff."""
-    comp = compensator_integral(h, horizon, jump, n_time=96)
-    check = compensator_integral(h, horizon, jump, n_time=64)
-    if abs(comp - check) > 1e-6 * max(abs(comp), 1e-3):
-        raise CompensatorQuadratureFailure(
-            f"compensator unstable under node refinement: {comp} vs {check}")
-    return comp
-
-
 def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
-    """Compensated integrals I(T) over M independent Poisson paths.
+    """Compensated integrals I(T) = sum_k h(tau_k, z_k) - lambda int_0^T int h(t, z) rho(z)
+    dz dt over M independent Poisson paths.
 
-    h(t, z) must broadcast over numpy arrays.  The compensator is shared
-    across paths, so it is computed (and refinement-checked) once.
+    h(t, z) must broadcast over numpy arrays.  The compensator is shared across paths:
+    computed once at 96 time nodes and checked against 64 to 1e-6 relative, where the
+    absolute floor keeps an exactly compensated (odd) h from tripping on roundoff.
     """
     if spec.kind != "poisson":
         raise ValueError("compensated_ensemble needs poisson noise")
-    comp = _checked_compensator(h, spec.horizon, spec.jump)
+    comp = compensator_integral(h, spec.horizon, spec.jump, n_time=96)
+    check = compensator_integral(h, spec.horizon, spec.jump, n_time=64)
+    if abs(comp - check) > 1e-6 * max(abs(comp), 1e-3):
+        raise CompensatorQuadratureFailure(
+            f"compensator unstable under node refinement: {comp} vs {check}")
     out = np.empty(M)
     for m in range(M):
         path = sample_path(spec, m)

@@ -17,7 +17,6 @@ import pytest
 
 from holderlab.campanato import (
     Box,
-    DomainSpec,
     campanato_seminorm,
     embedding_exponent,
     inclusion_holds,
@@ -249,7 +248,7 @@ def test_poisson_regularity_exponent():
 # --- criterion 8: campanato machinery oracles --------------------------------
 
 def test_campanato_machinery_oracles():
-    domain = DomainSpec([Box(0.0, 1.0, [0.0], [1.0])])
+    domain = Box(0.0, 1.0, [0.0], [1.0])
     checks = {}
 
     const = campanato_seminorm(lambda ts, xs: np.full(ts.shape, 2.0),

@@ -6,7 +6,6 @@ import pytest
 
 from holderlab.campanato import (
     Box,
-    DomainSpec,
     ParabolicCylinder,
     SpaceTimePoint,
     campanato_from_pair_moments,
@@ -24,7 +23,7 @@ from holderlab.errors import (
 )
 from holderlab.experiments import write_json, write_table
 
-UNIT_BOX = DomainSpec([Box(0.0, 1.0, [0.0], [1.0])])
+UNIT_BOX = Box(0.0, 1.0, [0.0], [1.0])
 
 
 def test_metric_values():
@@ -59,12 +58,25 @@ def test_cylinder_measure_formula():
 
 def test_domain_validation_and_geometry():
     with pytest.raises(ValueError):
-        DomainSpec([])
+        Box(1, 1, [0], [1])  # empty time interval
     with pytest.raises(ValueError):
-        DomainSpec([Box(0, 1, [0], [1]), Box(0.5, 1.5, [0.5], [2.0])])  # overlap
-    d = DomainSpec([Box(0, 1, [0], [1]), Box(2, 3, [0], [1])])
-    assert d.measure == pytest.approx(2.0)
-    assert d.diameter == pytest.approx(math.sqrt(3.0))
+        Box(0, 1, [0, 1], [1, 1])  # empty second axis
+    with pytest.raises(DimensionMismatch):
+        Box(0, 1, [0], [1, 1])
+    d = Box(0, 3, [0], [1])
+    assert d.measure == pytest.approx(3.0)
+    assert d.diameter == pytest.approx(math.sqrt(3.0))  # the time side dominates
+    with pytest.raises(DimensionMismatch):
+        d.intersection_measure(ParabolicCylinder(SpaceTimePoint(0.5, [0.5, 0.5]), 0.1))
+
+
+def test_box_diameter_in_two_dimensions():
+    # parabolic diameter max(sqrt(t1 - t0), |x_hi - x_lo|): the 3-4-5 diagonal, then time
+    flat = Box(0.0, 1.0, [0.0, 0.0], [3.0, 4.0])
+    assert flat.diameter == 5.0
+    assert flat.measure == 12.0
+    assert Box(0.0, 36.0, [0.0, 0.0], [3.0, 4.0]).diameter == 6.0
+    assert Box(0.0, 1.0, [-1.0, 2.0], [1.0, 4.0]).diameter == pytest.approx(math.sqrt(8.0))
 
 
 def test_intersection_measure_interior_and_corner():
@@ -97,7 +109,7 @@ def _intersection_measure_qmc(domain, cyl, n):
 
 
 def test_disk_rect_area_against_qmc():
-    dom = DomainSpec([Box(0.0, 1.0, [0.0, 0.0], [1.0, 1.0])])
+    dom = Box(0.0, 1.0, [0.0, 0.0], [1.0, 1.0])
     rng_cases = [
         ((0.5, [0.5, 0.5]), 0.3),   # fully inside
         ((0.5, [0.0, 0.0]), 0.4),   # corner quarter

@@ -215,16 +215,21 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     assert np.array_equal(old.values, ens.values)
 
 
-def test_dim2_smoke():
-    # d = 2 path: unit g reproduces W(t) at every lattice node
-    kernel = KernelSpec(alpha=2.0, dim=2)
-    noise = NoiseSpec(kind="brownian", horizon=0.5, steps=32, seed=1)
-    grid = SpectralGrid.for_times(2.0, 2, t_min=noise.dt / 2.0, length=4.0)
-    g = TestFunctionSpec(family="constant", amplitude=1.0)
-    ens = convolve_brownian(kernel, grid, g, noise, M=2, save_times=[16])
-    w = sample_path(noise, 1).increments[:16].sum()
-    assert ens.values.shape == (2, 1, grid.points, grid.points)
-    assert np.allclose(ens.values[1, 0], w, rtol=1e-10, atol=1e-14)
+@pytest.mark.parametrize("kernel_dim, grid_dim", [(2, 2), (1, 2), (2, 1)])
+def test_the_field_is_one_dimensional(kernel_dim, grid_dim):
+    # kernels and grids exist in d = 2 for the audits; the stochastic field does not
+    kernel = KernelSpec(alpha=2.0, dim=kernel_dim)
+    grid = SpectralGrid(length=4.0, points=16, dim=grid_dim)
+    g = TestFunctionSpec(family="constant")
+    pairs = ([64], [3], [0], [3])
+    calls = [lambda: convolve_brownian(kernel, grid, g, BROWNIAN, M=2, save_times=[0, 64]),
+             lambda: convolve_poisson(kernel, grid, g, POISSON, M=2, save_times=[0, 64]),
+             lambda: convolve_brownian(kernel, grid, g, BROWNIAN, M=2, save_times=[0, 64],
+                                       pairs=pairs),
+             lambda: second_moment_pairs(kernel, grid, g, BROWNIAN, *pairs)]
+    for call in calls:
+        with pytest.raises(GridMismatch, match="the field is 1-D"):
+            call()
 
 
 def _irfft_fftshift(freq, grid):
@@ -257,7 +262,6 @@ def _reference_convolve(kernel, grid, g, noise, M, save_times):
     return idx, out
 
 
-NOISE_2D = NoiseSpec(kind="brownian", horizon=0.5, steps=32, seed=1)
 FRACTIONAL = KernelSpec(alpha=1.5, epsilon=0.3)
 FRACTIONAL_GRID = SpectralGrid.for_times(1.5, 1, t_min=BROWNIAN.dt / 2.0, length=4.0)
 ENGINE_CASES = {
@@ -277,11 +281,6 @@ ENGINE_CASES = {
         FRACTIONAL, FRACTIONAL_GRID,
         TestFunctionSpec(family="spatial-power", beta=0.3, mark_family="one"),
         POISSON, [128, 31, 32, 0]),
-    "dim2-parabolic": (
-        KernelSpec(alpha=2.0, dim=2),
-        SpectralGrid.for_times(2.0, 2, t_min=NOISE_2D.dt / 2.0, length=4.0),
-        TestFunctionSpec(family="parabolic-power", beta=0.5),
-        NOISE_2D, [16, 0, 5, 16, 32]),
 }
 
 
@@ -306,7 +305,7 @@ def test_forward_pass_matches_per_time_sum(case):
     assert np.max(np.abs(ens.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("case", ["brownian-parabolic-eps-times", "dim2-parabolic"])
+@pytest.mark.parametrize("case", ["brownian-parabolic-eps-times"])
 def test_lag_symbols_are_the_scalar_symbol_calls_bitwise(case):
     kernel, grid, _, noise, _ = ENGINE_CASES[case]
     dt, n_t = noise.dt, 12
@@ -368,8 +367,7 @@ def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
 
 @pytest.mark.parametrize("case", ["brownian-parabolic-eps-times",
                                   "poisson-parabolic-unsorted",
-                                  "poisson-spatial-eps-one-marks",
-                                  "dim2-parabolic"])
+                                  "poisson-spatial-eps-one-marks"])
 def test_oracle_profiles_match_per_time_cache(case):
     kernel, grid, g, noise, _ = ENGINE_CASES[case]
     saved = list(range(0, noise.steps + 1, 2))

@@ -216,12 +216,16 @@ BAD_REGULARITY = {
                 "config.simulation.store_dtype"),
     "grid-past-memory": (_with(SMALL_BROWNIAN, "simulation", grid_points=2**40),
                          "config.simulation: 1099511627776 points per axis"),
+    "grid-spacing-underflows": (_with(SMALL_BROWNIAN, "simulation", grid_length=5e-324),
+                                "config.simulation: box half-width 5e-324 over 512 points"),
     "theta-not-a-number": (_with(SMALL_EMBED, "campanato", theta="abc"),
                            "config.campanato.theta: expected float, got 'abc'"),
     "lag-overflows": (_with(SMALL_BROWNIAN, "moments", lag_k_min=-1100),
                       "config.moments.lag_k_min / lag_k_max: at k = -1100, 2^1100 overflows"),
     "lag-past-horizon": (_with(SMALL_BROWNIAN, "moments", lag_k_min=-600),
                          "config.moments.lag_k_min: lag 4.14952e+180 spans the time inf"),
+    "lag-finer-than-lattice": (_with(SMALL_BROWNIAN, "moments", lag_k_max=40),
+                               "config.moments.lag_k_max: lag 0.03125 spans 0.25 time steps"),
 }
 
 
@@ -256,9 +260,12 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
     (_with(SMALL_AUDIT, "conditions", s_base=1e-320), "config.conditions.s_base: 1e-320"),
     (_with(SMALL_POISSON, "noise", mark_parameter=1e-245),
      "config.noise: mark law parameter 1e-245"),
+    (_with(SMALL_BROWNIAN, "moments", lag_k_max=40), "config.moments.lag_k_max"),
+    (_with(SMALL_SWEEP, "conditions", betas=[0.0, 0.5]), "config.conditions.betas"),
 ], ids=["embed-dim-3", "embed-p-half", "embed-no-centers", "audit-alpha-3", "audit-no-betas",
         "sweep-alpha-3", "regularity-three-lags", "embed-no-scales", "embed-scale-underflows",
-        "audit-lag-overflows", "audit-s-base-underflows", "mark-variance-underflows"])
+        "audit-lag-overflows", "audit-s-base-underflows", "mark-variance-underflows",
+        "regularity-lag-finer-than-lattice", "sweep-two-betas"])
 def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, field):
     path = _write(tmp_path, config)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -294,7 +301,7 @@ def test_cli_flag_errors_exit_two_before_the_ensemble_is_read(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["moments", "seminorm"])
-@pytest.mark.parametrize("damage", ["no-kernel", "short-bin"])
+@pytest.mark.parametrize("damage", ["no-kernel", "short-bin", "grid-dim-2", "kernel-dim-2"])
 def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
     noise_spec = NoiseSpec(kind="brownian", horizon=1.0, steps=8, seed=1)
     ens = FieldEnsemble(values=np.zeros((2, 3, 16), dtype=np.float32),
@@ -304,12 +311,16 @@ def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
     prefix = str(tmp_path / "ensemble")
     ens.save(prefix)
     FieldEnsemble.load(prefix)
+    side = json.loads((tmp_path / "ensemble.json").read_text())
     if damage == "no-kernel":
-        side = json.loads((tmp_path / "ensemble.json").read_text())
         del side["kernel"]
-        (tmp_path / "ensemble.json").write_text(json.dumps(side))
-    else:
+    elif damage == "short-bin":
         ens.values[:, :2].tofile(f"{prefix}.bin")
+    else:  # the field is 1-D: a 2-D sidecar, even with a .bin of its shape, is not one
+        side[damage.split("-")[0]]["dim"] = 2
+        side["shape"] = [2, 3, 16, 16]
+        np.zeros(side["shape"], dtype=np.float32).tofile(f"{prefix}.bin")
+    (tmp_path / "ensemble.json").write_text(json.dumps(side))
     assert main([command, "--ensemble", prefix, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: --ensemble {prefix}: not a holderlab ensemble" in \
         capsys.readouterr().err
@@ -367,12 +378,15 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert side["time_indices"] == pieces.saved
     assert side["shape"] == [SMALL_BROWNIAN["simulation"]["ensemble"], len(pieces.saved),
                              SMALL_BROWNIAN["simulation"]["grid_points"]]
-    # lag 4 spans 256 spacings of h = 1/64: wider than the central window
+    # lag 4 spans 256 spacings of h = 1/64: wider than the central window; from 2^-5 on, the
+    # lags span under half a time step of 1/256: finer than the lattice
     capsys.readouterr()
-    assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
-                 "--lag-k-min", "-2", "--lag-k-max", "1", "--out", str(tmp_path)]) == 3
-    assert "PairOffGrid: lag 4 spans 256 lattice spacings" in capsys.readouterr().err
-    assert not (tmp_path / "moments.csv").exists()
+    for k_min, k_max, message in (("-2", "1", "lag 4 spans 256 lattice spacings"),
+                                  ("1", "40", "lag 0.03125 spans 0.25 time steps")):
+        assert main(["moments", "--ensemble", str(tmp_path / "ensemble"), "--lag-k-min",
+                     k_min, "--lag-k-max", k_max, "--out", str(tmp_path)]) == 3
+        assert f"PairOffGrid: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
     assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
                  "--lag-k-min", "1", "--lag-k-max", "4", "--pairs", "32",
                  "--out", str(tmp_path)]) == 0
@@ -403,6 +417,16 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert lines[0] == "scale,value,raw_value"
     assert seminorm["scales"]
     assert len(lines) == 1 + len(seminorm["scales"])
+
+
+def test_cli_emit_plots_takes_no_seed(tmp_path, capsys):
+    # emit-plots reads a finished report: a seed would be accepted and ignored
+    report = str(tmp_path / "report.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-plots", "--report", report, "--out", str(tmp_path / "p"), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_cli_emit_plots_roundtrip(tmp_path):
@@ -592,6 +616,17 @@ def _load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def test_package_exports_resolve():
+    # every name holderlab.__all__ lists is importable, once, through a star import
+    import holderlab
+
+    namespace = {}
+    exec("from holderlab import *", namespace)
+    assert len(set(holderlab.__all__)) == len(holderlab.__all__)
+    for name in holderlab.__all__:
+        assert namespace[name] is getattr(holderlab, name)
 
 
 def test_benchmark_tracer_targets_resolve(tmp_path):

@@ -8,11 +8,18 @@ import pytest
 from holderlab.campanato import ParabolicCylinder, SpaceTimePoint
 from holderlab.cli import main
 from holderlab.convolution import FieldEnsemble, Lattice, TestFunctionSpec, convolve_brownian
-from holderlab.errors import EmptyCylinder, EmptyRequest, EnsembleTooSmall, PairOffGrid
+from holderlab.errors import (
+    DimensionMismatch,
+    EmptyCylinder,
+    EmptyRequest,
+    EnsembleTooSmall,
+    PairOffGrid,
+)
 from holderlab.kernels import KernelSpec, SpectralGrid
 from holderlab.moments import (
     PairSet,
     estimate_pair_moments,
+    lag_offsets,
     sample_pairs_dyadic,
     sample_pairs_within_cylinder,
 )
@@ -146,6 +153,41 @@ def test_dyadic_lag_snapping(unit_ensemble):
     lags = [2.0**-k for k in range(1, 5)]
     pairs = sample_pairs_dyadic(unit_ensemble, lags, 64, seed=12)
     assert np.max(np.abs(pairs.delta - pairs.requested_delta)) < 1e-12
+
+
+def test_dyadic_draw_order_is_pinned():
+    # recorded before the sampler lost its d = 2 branches: per lag, the pure-time draws, then
+    # the pure-space ones; lag 0.375 (9 steps) has no time bases, so all its pairs are spatial
+    lattice = Lattice(1 / 64, SpectralGrid(length=1.0, points=16), np.array([8, 12, 16, 24, 40]))
+    pairs = sample_pairs_dyadic(lattice, [0.5, 0.375, 0.25], 5, seed=3)
+    assert pairs.t_idx1.tolist() == [8, 24, 8, 40, 40, 8, 40, 8, 16, 40, 12, 8, 12, 12, 24]
+    assert pairs.s_idx1.tolist() == [7, 4, 5, 4, 6, 7, 8, 8, 5, 5, 6, 10, 5, 6, 7]
+    assert pairs.t_idx2.tolist() == [24, 40, 8, 40, 40, 8, 40, 8, 16, 40, 16, 12, 12, 12, 24]
+    assert pairs.s_idx2.tolist() == [7, 4, 9, 8, 10, 10, 11, 11, 8, 8, 6, 10, 7, 8, 9]
+    assert pairs.requested_delta.tolist() == [0.5] * 5 + [0.375] * 5 + [0.25] * 5
+    assert np.array_equal(pairs.delta, pairs.requested_delta)
+    assert pairs.x1.shape == (15, 1)
+
+
+def test_lags_finer_than_the_lattice_are_rejected():
+    # dt = 1/128, h = 1/8: a lag needs lag^2/dt >= 1/2 and lag/h >= 1/2
+    lattice = Lattice(1 / 128, SpectralGrid(length=1.0, points=16), np.arange(0, 129, 4))
+    assert lag_offsets(0.0625, 1 / 128, 1 / 8) == (1, 1)  # exact ties keep one step
+    assert lag_offsets(0.25, 1 / 128, 1 / 8) == (8, 2)
+    for lag in (0.0625 * 0.999, 2.0**-40):
+        with pytest.raises(PairOffGrid, match="time steps"):
+            sample_pairs_dyadic(lattice, [0.25, lag], 4)
+    with pytest.raises(PairOffGrid):  # 2.6 time steps but 0.4 spacings
+        lag_offsets(0.05, 1 / 1024, 1 / 8)
+    with pytest.raises(PairOffGrid):  # lag^2 overflows: no finite time separation
+        lag_offsets(2.0**600, 1 / 128, 2.0**600)
+    assert sample_pairs_dyadic(lattice, [0.25, 0.0625], 4).size == 8
+
+
+def test_within_cylinder_needs_a_one_dimensional_cylinder(unit_ensemble):
+    cyl = ParabolicCylinder(SpaceTimePoint(0.5, [0.0, 0.0]), 0.25)
+    with pytest.raises(DimensionMismatch):
+        sample_pairs_within_cylinder(unit_ensemble, cyl, 8)
 
 
 def test_triangle_consistency_p2(unit_ensemble):

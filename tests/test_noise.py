@@ -8,10 +8,8 @@ from holderlab.noise import (
     MarkLaw,
     NoiseSpec,
     compensated_ensemble,
-    compensated_integral,
     compensator_integral,
     ito_ensemble,
-    ito_integral,
     sample_path,
     slab_cumulant,
     slab_weights,
@@ -93,8 +91,7 @@ def test_mark_law_moments():
 
 
 def test_compensated_integral_zero_and_mean():
-    path = sample_path(POISSON, 0)
-    assert compensated_integral(path, lambda t, z: 0.0) == 0.0
+    assert not compensated_ensemble(POISSON, lambda t, z: np.zeros_like(z), 3).any()
 
     vals = compensated_ensemble(POISSON, lambda t, z: z, 4000)
     se = vals.std() / math.sqrt(vals.size)
@@ -109,13 +106,6 @@ def test_compensated_integral_isometry():
     assert abs(sq.mean() - target) < 3.0 * sq.std() / math.sqrt(sq.size)
 
 
-def test_compensated_integral_matches_ensemble_helper():
-    h = lambda t, z: z * math.cos(t)
-    one = compensated_integral(sample_path(POISSON, 17), h)
-    many = compensated_ensemble(POISSON, lambda t, z: z * np.cos(t), 18)
-    assert one == pytest.approx(many[17], rel=1e-10)
-
-
 def test_compensator_quadrature_value():
     # h = z^2: compensator = lambda T E[z^2]
     comp = compensator_integral(lambda t, z: z * z, POISSON.horizon, POISSON.jump)
@@ -128,8 +118,9 @@ def test_ito_isometry():
     # continuum oracle int_0^1 cos^2(2 pi t) dt = 1/2
     sq = vals**2
     assert abs(sq.mean() - 0.5) < 3.0 * sq.std() / math.sqrt(sq.size)
-    single = ito_integral(sample_path(BROWNIAN, 7), lambda t: math.cos(2.0 * math.pi * t))
-    assert single == pytest.approx(vals[7], rel=1e-10)
+    # realization m is the left-endpoint sum over path m
+    t = BROWNIAN.dt * np.arange(BROWNIAN.steps)
+    assert vals[7] == pytest.approx(h(t) @ sample_path(BROWNIAN, 7).increments, rel=1e-10)
     with pytest.raises(ValueError, match="brownian"):
         ito_ensemble(POISSON, h, 2)
 
