@@ -24,8 +24,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.stats import linregress
 
 from .errors import (
     ConfigError,
@@ -34,8 +32,8 @@ from .errors import (
     NonPositiveData,
     QuadratureNotConverged,
 )
-from .kernels import (ALIAS_LOG, KernelSpec, SpectralGrid, irfft_ascending, physical_memory,
-                      symbol)
+from .kernels import (ALIAS_LOG, KernelSpec, SpectralGrid, even_fast_len, irfft_ascending,
+                      physical_memory, symbol)
 
 # Box half-width in units of the kernel scale tau^(1/alpha).  Large enough
 # that the truncated |z|^beta-weighted tail is ~1% for the heavy-tailed
@@ -67,10 +65,7 @@ def _adapted_grid(spec: KernelSpec, tau_small: float, tau_big: float) -> Spectra
     before anything is allocated, when LATTICE_ARRAYS of its arrays exceed physical memory."""
     length = BOX_MULT * tau_big ** (1.0 / spec.alpha)
     xi_need = (ALIAS_LOG / tau_small) ** (1.0 / spec.alpha)
-    n = max(64, OVERSAMPLE * math.ceil(2.0 * length * xi_need / math.pi))
-    n = next_fast_len(n, real=True)
-    if n % 2:
-        n = next_fast_len(n + 1, real=True)
+    n = even_fast_len(max(64, OVERSAMPLE * math.ceil(2.0 * length * xi_need / math.pi)))
     need, memory = LATTICE_ARRAYS * 8 * n**spec.dim, physical_memory()
     if need > memory:
         raise ConfigError(f"alpha={spec.alpha:g}, kernel scales {tau_small:.4g} to "
@@ -234,12 +229,17 @@ def fit_exponent(pairs) -> FitResult:
     values = np.array([p[1] for p in pairs], dtype=float)
     if np.any(scales <= 0.0) or np.any(values <= 0.0):
         raise NonPositiveData("scales and values must all be positive")
-    res = linregress(np.log(scales), np.log(values))
+    x, y = np.log(scales), np.log(values)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat  # mean square deviations and product
+    if ssxm == 0.0:
+        raise InsufficientPoints("need two distinct scales")
+    slope = ssxym / ssxm
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     decades = float(np.log10(values.max() / values.min()))
     return FitResult(
-        slope=float(res.slope),
-        intercept=float(res.intercept),
-        stderr=float(res.stderr),
+        slope=float(slope),
+        intercept=float(y.mean() - slope * x.mean()),
+        stderr=float(np.sqrt((1.0 - r**2) * ssym / ssxm / (len(pairs) - 2))),
         n_points=len(pairs),
         value_decades=decades,
         narrow_span=decades < 1.5,

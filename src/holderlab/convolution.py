@@ -106,13 +106,12 @@ class FieldEnsemble:
         """u at (time index, flattened spatial index) points, shape (M, n), realization
         axis contiguous."""
         s_idx = np.asarray(s_idx)
-        vals = self.values.reshape(self.values.shape[0], self.time_indices.size, -1)
         hits = self.time_indices == np.asarray(t_idx)[:, None]
         if not hits.any(axis=1).all():
             raise GridMismatch(f"time indices {np.setdiff1d(t_idx, self.time_indices)} not saved")
-        if np.any(s_idx < 0) or np.any(s_idx >= vals.shape[2]):
+        if np.any(s_idx < 0) or np.any(s_idx >= self.values.shape[2]):
             raise PairOffGrid("spatial index outside the lattice")
-        return vals[:, hits.argmax(axis=1), s_idx]  # first saved position of each time
+        return self.values[:, hits.argmax(axis=1), s_idx]  # first saved position of each time
 
     def differences(self, pairs) -> np.ndarray:
         """u(X) - u(Y) for each pair of a PairSet, as a new float64 (M, n) array."""
@@ -148,7 +147,9 @@ class FieldEnsemble:
 
     @classmethod
     def load(cls, prefix: str) -> "FieldEnsemble":
-        """What save wrote; a sidecar whose grid or kernel is not 1-D raises ValueError."""
+        """What save wrote; ValueError, before the .bin is read, for a sidecar whose grid or
+        kernel is not 1-D, whose dtype is not float32 or float64, or whose shape is not
+        [M >= 1, len(time_indices), grid.points]."""
         from .noise import JumpSpec, MarkLaw
 
         with open(f"{prefix}.json") as fh:
@@ -158,6 +159,12 @@ class FieldEnsemble:
                             side["kernel"]["dim"])
         if grid.dim != 1 or kernel.dim != 1:
             raise ValueError(f"the field is 1-D, got grid dim {grid.dim}, kernel dim {kernel.dim}")
+        if side["dtype"] not in ("float32", "float64"):
+            raise ValueError(f"dtype {side['dtype']!r} is not float32 or float64")
+        m, *rest = side["shape"]
+        if not m >= 1 or rest != [len(side["time_indices"]), grid.points]:
+            raise ValueError(f"shape {side['shape']} is not [M >= 1, "
+                             f"{len(side['time_indices'])} saved times, {grid.points} points]")
         values = np.fromfile(f"{prefix}.bin", dtype=side["dtype"]).reshape(side["shape"])
         jump = side["noise"]["jump"]
         noise = NoiseSpec(

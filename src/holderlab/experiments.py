@@ -49,7 +49,7 @@ class KernelConfig:
 
 @dataclass
 class ConditionsConfig:
-    betas: tuple[float, ...] = (0.0,)
+    betas: tuple[float, ...] | None = None  # the audits read null as (0.0,)
     power: float = 2.0
     s_base: float = 0.5
     lag_k_min: int = 3
@@ -190,6 +190,8 @@ def default_config(preset: str, seed: int = 0) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=preset, seed=seed)
     if preset == "kernel-audit":
         cfg.conditions = ConditionsConfig(betas=(0.0, 0.3, 0.5))
+    elif preset == "fractional-sweep":
+        cfg.conditions = ConditionsConfig(betas=(0.0,))
     elif preset == "brownian-regularity":
         cfg.kernel = KernelConfig(alpha=2.0)
         cfg.simulation = SimulationConfig(horizon=1.0, steps=1024, grid_points=1024,
@@ -307,9 +309,9 @@ def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig, tol: flo
 
 
 def _betas(cond: ConditionsConfig) -> tuple:
-    if not cond.betas:
+    if cond.betas is not None and not cond.betas:
         raise ConfigError("config.conditions.betas: the audit needs a Holder order, got none")
-    return cond.betas
+    return cond.betas or (0.0,)
 
 
 def _run_kernel_audit(config: ExperimentConfig, progress: dict):
@@ -474,6 +476,10 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     pieces = build_regularity(config)
     kernel, lags = pieces.kernel, pieces.lags
     mom = config.moments
+    if config.conditions.betas not in (None, (mom.beta,)):
+        raise ConfigError(f"config.conditions.betas: the regularity presets audit the kernel at "
+                          f"config.moments.beta = {mom.beta:g}; set betas to null or "
+                          f"[{mom.beta:g}], got {list(config.conditions.betas)}")
     pieces.require_memory(config.simulation.ensemble, mom.pairs_per_lag * len(lags))
     tolerances = config.tolerances
     beta = mom.beta

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import AliasingViolation, ConfigError, NonPositiveTime, UnsupportedClosedForm
 
@@ -139,11 +138,21 @@ class SpectralGrid:
         if length is None:
             length = 8.0 * max(t_max ** (1.0 / alpha), 1.0)
         xi_need = (ALIAS_LOG / t_min) ** (1.0 / alpha)
-        n = max(64, math.ceil(2.0 * length * xi_need / math.pi))
-        n = next_fast_len(n, real=True)
-        if n % 2:
-            n = next_fast_len(n + 1, real=True)
+        n = even_fast_len(max(64, math.ceil(2.0 * length * xi_need / math.pi)))
         return cls(length=length, points=n, dim=dim)
+
+
+@functools.cache  # one audit asks for a few hundred sizes tens of thousands of times
+def even_fast_len(n: int) -> int:
+    """Smallest even 2^a 3^b 5^c >= n: FFT radices 2, 3, 5 only, even for irfft_ascending."""
+    best, m5 = 2 * n, 2  # a power of two lies in [n, 2n]
+    while m5 < best:
+        m = m5
+        while m < best:  # m = 2 3^b 5^c, times the least power of two that reaches n
+            best = min(best, m << (-(-n // m) - 1).bit_length())
+            m *= 3
+        m5 *= 5
+    return best
 
 
 @functools.cache  # the condition quadrature builds tens of thousands of grids

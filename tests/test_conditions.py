@@ -185,11 +185,25 @@ def test_fit_exponent_perturbed_power_law():
     assert fit.slope == pytest.approx(slope, rel=1e-12)
 
 
+def test_fit_exponent_is_linregress_bit_for_bit():
+    from scipy.stats import linregress
+
+    rng = np.random.default_rng(17)
+    for n in rng.integers(4, 40, size=300):
+        x = rng.normal(0.0, 3.0, n)
+        y = rng.normal() * x + rng.normal(0.0, rng.uniform(0.0, 2.0), n)
+        fit = fit_exponent(list(zip(np.exp(x), np.exp(y))))
+        ref = linregress(np.log(np.exp(x)), np.log(np.exp(y)))
+        assert (fit.slope, fit.intercept, fit.stderr) == (ref.slope, ref.intercept, ref.stderr)
+
+
 def test_fit_exponent_errors_and_flag():
     with pytest.raises(InsufficientPoints):
         fit_exponent([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
     with pytest.raises(NonPositiveData):
         fit_exponent([(1.0, 1.0), (2.0, -2.0), (3.0, 3.0), (4.0, 4.0)])
+    with pytest.raises(InsufficientPoints, match="distinct scales"):
+        fit_exponent([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0)])
     narrow = fit_exponent([(1.0 + 0.1 * k, 1.0 + 0.01 * k) for k in range(5)])
     assert narrow.narrow_span
     wide = fit_exponent([(2.0**-k, 2.0**-k) for k in range(8)])

@@ -3,6 +3,9 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -262,10 +265,11 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
      "config.noise: mark law parameter 1e-245"),
     (_with(SMALL_BROWNIAN, "moments", lag_k_max=40), "config.moments.lag_k_max"),
     (_with(SMALL_SWEEP, "conditions", betas=[0.0, 0.5]), "config.conditions.betas"),
+    (_with(SMALL_BROWNIAN, "conditions", betas=[0.9]), "config.conditions.betas"),
 ], ids=["embed-dim-3", "embed-p-half", "embed-no-centers", "audit-alpha-3", "audit-no-betas",
         "sweep-alpha-3", "regularity-three-lags", "embed-no-scales", "embed-scale-underflows",
         "audit-lag-overflows", "audit-s-base-underflows", "mark-variance-underflows",
-        "regularity-lag-finer-than-lattice", "sweep-two-betas"])
+        "regularity-lag-finer-than-lattice", "sweep-two-betas", "regularity-beta-not-audited"])
 def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, field):
     path = _write(tmp_path, config)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -301,10 +305,11 @@ def test_cli_flag_errors_exit_two_before_the_ensemble_is_read(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["moments", "seminorm"])
-@pytest.mark.parametrize("damage", ["no-kernel", "short-bin", "grid-dim-2", "kernel-dim-2"])
+@pytest.mark.parametrize("damage", ["no-kernel", "short-bin", "grid-dim-2", "kernel-dim-2",
+                                    "shape-30-4-16", "shape-40-6-8", "dtype-int32"])
 def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
     noise_spec = NoiseSpec(kind="brownian", horizon=1.0, steps=8, seed=1)
-    ens = FieldEnsemble(values=np.zeros((2, 3, 16), dtype=np.float32),
+    ens = FieldEnsemble(values=np.zeros((40, 3, 16), dtype=np.float32),
                         time_indices=np.array([0, 4, 8]), dt=noise_spec.dt,
                         grid=SpectralGrid(length=1.0, points=16), kernel=KernelSpec(2.0),
                         g=TestFunctionSpec(), noise=noise_spec)
@@ -316,9 +321,13 @@ def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
         del side["kernel"]
     elif damage == "short-bin":
         ens.values[:, :2].tofile(f"{prefix}.bin")
+    elif damage.startswith("shape"):  # the .bin holds as many values as the shape says
+        side["shape"] = [int(n) for n in damage.split("-")[1:]]
+    elif damage == "dtype-int32":  # as many bytes as float32
+        side["dtype"] = "int32"
     else:  # the field is 1-D: a 2-D sidecar, even with a .bin of its shape, is not one
         side[damage.split("-")[0]]["dim"] = 2
-        side["shape"] = [2, 3, 16, 16]
+        side["shape"] = [40, 3, 16, 16]
         np.zeros(side["shape"], dtype=np.float32).tofile(f"{prefix}.bin")
     (tmp_path / "ensemble.json").write_text(json.dumps(side))
     assert main([command, "--ensemble", prefix, "--out", str(tmp_path / "o")]) == 2
@@ -629,6 +638,19 @@ def test_package_exports_resolve():
         assert namespace[name] is getattr(holderlab, name)
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter, with this environment (PYTHONDONTWRITEBYTECODE included)
+    import holderlab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(holderlab.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, holderlab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_benchmark_tracer_targets_resolve(tmp_path):
     # perfbench/tracer.py wraps these names from outside the package
     tracer = _load_tracer()
@@ -638,12 +660,24 @@ def test_benchmark_tracer_targets_resolve(tmp_path):
             obj = getattr(obj, part)
         assert callable(obj), f"holderlab.{module}.{attr}"
 
+    def installed(module, attr):  # what install() replaces: the defining namespace's entry
+        owner = importlib.import_module(f"holderlab.{module}")
+        *cls, name = attr.split(".")
+        for part in cls:
+            owner = getattr(owner, part)
+        return vars(owner)[name]
+
+    originals = [installed(module, attr) for module, attr, _, _ in tracer.TARGETS]
     # the builder's simulate step looks convolve_* up at call time, so a
     # traced run still records it
     cfg = load_config(_write(tmp_path, SMALL_BROWNIAN))
     t = tracer.Tracer()
     t.install()
     try:
+        # a target that install() binds nowhere would be traced as zero calls, not as an error
+        replaced = [original for _, _, original in t._patched]
+        assert [target[:2] for target, original in zip(tracer.TARGETS, originals)
+                if not any(r is original for r in replaced)] == []
         build_regularity(cfg).simulate(2)
     finally:
         t.uninstall()

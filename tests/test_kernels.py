@@ -195,6 +195,21 @@ def test_grid_validation():
         SpectralGrid.for_times(2.0, 1, t_min=0.0)
 
 
+def test_even_fast_len_is_scipy_next_fast_len_made_even():
+    from scipy.fft import next_fast_len
+
+    def scipy_even(n):  # the lattice-size rule the grids used while they imported SciPy
+        n = next_fast_len(n, real=True)
+        return next_fast_len(n + 1, real=True) if n % 2 else n
+
+    smooth = {2**a * 3**b * 5**c for a in range(32) for b in range(20) for c in range(14)
+              if 2**a * 3**b * 5**c <= 2**31}
+    # both callers ask for 64 points or more; below that the retry can end odd (25 -> 27)
+    sizes = set(range(64, 2**16 + 1)) | {s + d for s in smooth for d in (-1, 0, 1) if s + d >= 64}
+    even_fast_len = kernels.even_fast_len.__wrapped__  # leave the cache as the audits fill it
+    assert [n for n in sorted(sizes) if even_fast_len(n) != scipy_even(n)] == []
+
+
 def test_grid_beyond_physical_memory_is_a_config_error(monkeypatch):
     # checked from the point count alone: none of these grids allocates anything
     with pytest.raises(ConfigError, match="physical memory"):  # 1.5e12 points per axis
