@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .conditions import fit_exponent
 from .errors import (
     DimensionMismatch,
     SamplingBudgetTooSmall,
@@ -30,6 +31,11 @@ from .errors import (
 
 def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+
+
+def cylinder_measure(c: float, dim: int) -> float:
+    """Lebesgue measure 2 c^2 * omega_d * c^d of a parabolic cylinder of radius c."""
+    return 2.0 * c * c * unit_ball_volume(dim) * c**dim
 
 
 @dataclass(frozen=True)
@@ -91,9 +97,7 @@ class ParabolicCylinder:
 
     @property
     def measure(self) -> float:
-        """Lebesgue measure 2 c^2 * omega_d * c^d."""
-        c = self.radius
-        return 2.0 * c * c * unit_ball_volume(self.dim) * c**self.dim
+        return cylinder_measure(self.radius, self.dim)
 
     def contains(self, t, x) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -285,9 +289,9 @@ def campanato_seminorm(u, domain: Box, p: float, theta: float,
     each dyadic scale and each candidate center the mean-deviation form
     (1/|D cap Q|^theta) int |u - mean|^p and the dominating pairwise form
     (1/|D cap Q|^(1+theta)) int int |u(Y) - u(Z)|^p are estimated from a
-    shared uniform sample, and the sup over centers is reported.  Centers
-    refine toward the previous scale's maximizers so cusp-type fields keep
-    their worst cylinders under shrinking scales.
+    shared uniform sample, and the sup over centers (campanato_from_pair_moments)
+    is reported.  Centers refine toward the previous scale's maximizers so
+    cusp-type fields keep their worst cylinders under shrinking scales.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -301,7 +305,7 @@ def campanato_seminorm(u, domain: Box, p: float, theta: float,
     scales = sorted(scales, reverse=True)
     rng = Generator(Philox(key=[seed, 0xCA]))
 
-    sup_pair, sup_dev, raw_pair = [], [], []
+    groups = []  # (scale, |D cap Q|, pairwise mean, mean deviation) per accepted cylinder
     carried = []
     for c in scales:
         ts, xs = domain.sample_points(rng, n_centers)
@@ -313,7 +317,6 @@ def campanato_seminorm(u, domain: Box, p: float, theta: float,
             keep = domain.contains(jit_t, jit_x)
             candidates.extend(SpaceTimePoint(t, x)
                               for t, x in zip(jit_t[keep], jit_x[keep]))
-        best_pair, best_dev, best_raw = 0.0, 0.0, 0.0
         ranked = []
         for X in candidates:
             cyl = ParabolicCylinder(X, c)
@@ -325,68 +328,50 @@ def campanato_seminorm(u, domain: Box, p: float, theta: float,
                 continue
             vals = np.asarray(u(pts_t, pts_x), dtype=float)
             pw = _pairwise_mean(vals, p)
-            dev = float(np.mean(np.abs(vals - vals.mean()) ** p))
-            norm = meas ** (1.0 - theta)
-            best_pair = max(best_pair, pw * norm)
-            best_dev = max(best_dev, dev * norm)
-            best_raw = max(best_raw, pw)
+            groups.append((c, meas, pw, float(np.mean(np.abs(vals - vals.mean()) ** p))))
             ranked.append((pw, X))
         ranked.sort(key=lambda r: -r[0])
         carried = [X for _, X in ranked[:4]]
-        sup_pair.append(best_pair)
-        sup_dev.append(best_dev)
-        raw_pair.append(best_raw)
 
-    report = SeminormReport(
-        kind="campanato", p=p, parameter=theta, scales=list(scales),
-        per_scale=sup_pair, per_scale_meandev=sup_dev, raw_per_scale=raw_pair,
-        seminorm=max(sup_pair) ** (1.0 / p) if sup_pair else None,
-        notes={"budget": budget, "n_centers": n_centers,
-               "pairwise_dominates_meandev": all(
-                   pw >= dv * (1.0 - 1e-9) for pw, dv in zip(sup_pair, sup_dev))},
-    )
-    _attach_theta_fit(report, domain.dim)
+    report = campanato_from_pair_moments(groups, p, theta)
+    report.notes = {"budget": budget, "n_centers": n_centers,
+                    "pairwise_dominates_meandev": all(
+                        pw >= dv * (1.0 - 1e-9)
+                        for pw, dv in zip(report.per_scale, report.per_scale_meandev))}
+    raw, dim = report.raw_per_scale, domain.dim
+    if len(raw) >= 4 and not any(v <= 0 for v in raw):  # the theta fit
+        fit = fit_exponent([(cylinder_measure(c, dim), v) for c, v in zip(report.scales, raw)])
+        report.fitted_theta = 1.0 + fit.slope
+        report.fitted_theta_stderr = fit.stderr
+        report.fitted_gamma = (dim + 2.0) * fit.slope / p
+        report.fitted_gamma_stderr = (dim + 2.0) * fit.stderr / p
+        report.notes["theta_fit_decades"] = fit.value_decades
     return report
-
-
-def _attach_theta_fit(report: SeminormReport, dim: int) -> None:
-    from .conditions import fit_exponent
-
-    raw = report.raw_per_scale
-    if raw is None or len(raw) < 4 or any(v <= 0 for v in raw):
-        return
-    cylinder_measures = [2.0 * c * c * unit_ball_volume(dim) * c**dim
-                         for c in report.scales]
-    fit = fit_exponent(list(zip(cylinder_measures, raw)))
-    report.fitted_theta = 1.0 + fit.slope
-    report.fitted_theta_stderr = fit.stderr
-    report.fitted_gamma = (dim + 2.0) * fit.slope / report.p
-    report.fitted_gamma_stderr = (dim + 2.0) * fit.stderr / report.p
-    report.notes["theta_fit_decades"] = fit.value_decades
 
 
 def campanato_from_pair_moments(groups, p: float, theta: float) -> SeminormReport:
-    """Campanato report for a stochastic field from cylinder-grouped pair
-    moments.
+    """Campanato report from per-cylinder moments, the one reduction of both routes.
 
-    groups is a list of (scale, cylinder_measure, mean_pair_moment) where
-    mean_pair_moment approximates the double average of E|u(Y) - u(Z)|^p
-    over the cylinder.  Within each scale the sup over cylinders is taken.
+    Each entry of groups is one cylinder: (scale, measure, mean pair moment), or the same
+    with the mean deviation as a fourth value.  Per scale, largest first, the report holds
+    the sup over its cylinders of each moment times measure^(1 - theta), and of the raw pair
+    moment; a scale without cylinders has no row.  per_scale_meandev needs every fourth value.
     """
-    by_scale = {}
-    for scale, meas, value in groups:
-        norm = value * meas ** (1.0 - theta)
-        cur = by_scale.setdefault(scale, {"sup": 0.0, "raw": 0.0})
-        cur["sup"] = max(cur["sup"], norm)
-        cur["raw"] = max(cur["raw"], value)
-    scales = sorted(by_scale, reverse=True)
-    report = SeminormReport(
-        kind="campanato", p=p, parameter=theta, scales=list(scales),
-        per_scale=[by_scale[s]["sup"] for s in scales],
-        raw_per_scale=[by_scale[s]["raw"] for s in scales],
-        seminorm=max(by_scale[s]["sup"] for s in scales) ** (1.0 / p),
-    )
-    return report
+    rows = {}  # scale -> (measure^(1 - theta), pair moment[, mean deviation]) per cylinder
+    for scale, meas, *moments in groups:
+        rows.setdefault(scale, []).append((meas ** (1.0 - theta), *moments))
+    scales = sorted(rows, reverse=True)
+
+    def sup(j: int, normalized: bool = True) -> list:
+        return [max([0.0] + [r[j] * r[0] if normalized else r[j] for r in rows[s]])
+                for s in scales]
+
+    per_scale = sup(1)
+    return SeminormReport(
+        kind="campanato", p=p, parameter=theta, scales=scales, per_scale=per_scale,
+        per_scale_meandev=sup(2) if all(len(g) == 4 for g in groups) else None,
+        raw_per_scale=sup(1, normalized=False),
+        seminorm=max(per_scale) ** (1.0 / p) if per_scale else None)
 
 
 def embedding_exponent(p: float, theta: float, dim: int) -> float:

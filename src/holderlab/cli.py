@@ -46,11 +46,14 @@ def _resolve_seed(args) -> int | None:
 
 
 def _read(flag: str, path, load):
-    """load(path); a file that cannot be opened is a ConfigError naming the flag and path."""
+    """load(path); a file that cannot be opened, or whose JSON cannot be parsed, is a
+    ConfigError naming the flag and path."""
     try:
         return load(path)
     except OSError as exc:
         raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{flag} {path}: not JSON ({exc})") from exc
 
 
 def _read_ensemble(prefix) -> FieldEnsemble:
@@ -122,11 +125,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
-def _joined(x) -> str:
-    """A spatial point as one CSV cell: its coordinates' reprs joined by ';'."""
-    return ";".join(repr(float(v)) for v in x)
-
-
 def _require_pairs(args) -> None:
     if args.pairs < 1:
         raise ConfigError(f"--pairs {args.pairs}: need at least one pair")
@@ -143,8 +141,7 @@ def _cmd_moments(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ps = field.pairs
     write_table(out / "moments.csv", ["t", "x", "s", "y", "delta", "estimate", "stderr"],
-                zip(ps.t1, map(_joined, ps.x1), ps.t2, map(_joined, ps.x2), ps.delta,
-                    field.estimates, field.stderr))
+                zip(ps.t1, ps.x1, ps.t2, ps.x2, ps.delta, field.estimates, field.stderr))
     write_json(out / "moments.json", field.to_dict())
     print(f"moment field written to {out / 'moments.csv'}")
     return EXIT_PASS

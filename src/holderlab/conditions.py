@@ -220,7 +220,7 @@ def fit_exponent(pairs) -> FitResult:
     """Fit value ~ C * scale^slope by OLS in log-log coordinates.
 
     Spans of fitted values below 1.5 decades are flagged (narrow_span),
-    not rejected.
+    not rejected.  Values that are all equal fit exactly, with stderr 0.
     """
     pairs = list(pairs)
     if len(pairs) < 4:
@@ -234,12 +234,15 @@ def fit_exponent(pairs) -> FitResult:
     if ssxm == 0.0:
         raise InsufficientPoints("need two distinct scales")
     slope = ssxym / ssxm
-    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    stderr = 0.0  # equal values: the fit is exact
+    if ssym != 0.0:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+        stderr = float(np.sqrt((1.0 - r**2) * ssym / ssxm / (len(pairs) - 2)))
     decades = float(np.log10(values.max() / values.min()))
     return FitResult(
         slope=float(slope),
         intercept=float(y.mean() - slope * x.mean()),
-        stderr=float(np.sqrt((1.0 - r**2) * ssym / ssxm / (len(pairs) - 2))),
+        stderr=stderr,
         n_points=len(pairs),
         value_decades=decades,
         narrow_span=decades < 1.5,

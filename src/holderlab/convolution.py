@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import GridMismatch, PairOffGrid
 from .kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending, symbol
-from .noise import NoiseSpec, slab_cumulant, slab_weights
+from .noise import JumpSpec, MarkLaw, NoiseSpec, slab_cumulant, slab_weights
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,14 @@ class FieldEnsemble:
 
     values: np.ndarray
     time_indices: np.ndarray
-    dt: float
     grid: SpectralGrid
     kernel: KernelSpec
     g: TestFunctionSpec
     noise: NoiseSpec
+
+    @property
+    def dt(self) -> float:
+        return self.noise.dt
 
     @property
     def times(self) -> np.ndarray:
@@ -120,27 +123,12 @@ class FieldEnsemble:
         return diff
 
     def save(self, prefix: str) -> None:
-        """Flat binary dump plus a JSON sidecar describing it."""
+        """Flat binary dump plus a JSON sidecar: shape, dtype, time indices and the fields of
+        grid, kernel, g and noise (dt is noise.dt)."""
         self.values.tofile(f"{prefix}.bin")
-        sidecar = {
-            "shape": list(self.values.shape),
-            "dtype": str(self.values.dtype),
-            "time_indices": [int(i) for i in self.time_indices],
-            "dt": self.dt,
-            "grid": {"length": self.grid.length, "points": self.grid.points,
-                     "dim": self.grid.dim},
-            "kernel": {"alpha": self.kernel.alpha, "epsilon": self.kernel.epsilon,
-                       "dim": self.kernel.dim},
-            "g": {"family": self.g.family, "beta": self.g.beta,
-                  "amplitude": self.g.amplitude, "mark_family": self.g.mark_family},
-            "noise": {"kind": self.noise.kind, "horizon": self.noise.horizon,
-                      "steps": self.noise.steps, "seed": self.noise.seed,
-                      "jump": None if self.noise.jump is None else {
-                          "intensity": self.noise.jump.intensity,
-                          "mark_family": self.noise.jump.mark.family,
-                          "mark_parameter": self.noise.jump.mark.parameter,
-                      }},
-        }
+        sidecar = {name: asdict(getattr(self, name)) for name in ("grid", "kernel", "g", "noise")}
+        sidecar.update(shape=list(self.values.shape), dtype=str(self.values.dtype),
+                       time_indices=[int(i) for i in self.time_indices])
         with open(f"{prefix}.json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -148,41 +136,38 @@ class FieldEnsemble:
     @classmethod
     def load(cls, prefix: str) -> "FieldEnsemble":
         """What save wrote; ValueError, before the .bin is read, for a sidecar whose grid or
-        kernel is not 1-D, whose dtype is not float32 or float64, or whose shape is not
-        [M >= 1, len(time_indices), grid.points]."""
-        from .noise import JumpSpec, MarkLaw
-
+        kernel is not 1-D, whose time indices are not one or more strictly increasing whole
+        numbers in [0, noise.steps], whose dtype is not float32 or float64, or whose shape is not
+        [M >= 1, len(time_indices), grid.points].  Each spec takes every one of its fields
+        from the sidecar (KeyError if one is missing) and ignores keys it no longer has."""
         with open(f"{prefix}.json") as fh:
             side = json.load(fh)
-        grid = SpectralGrid(**side["grid"])
-        kernel = KernelSpec(side["kernel"]["alpha"], side["kernel"]["epsilon"],
-                            side["kernel"]["dim"])
+        grid = _from_fields(SpectralGrid, side["grid"])
+        kernel = _from_fields(KernelSpec, side["kernel"])
         if grid.dim != 1 or kernel.dim != 1:
             raise ValueError(f"the field is 1-D, got grid dim {grid.dim}, kernel dim {kernel.dim}")
+        jump = side["noise"]["jump"]
+        if jump is not None:
+            jump = _from_fields(JumpSpec, {**jump, "mark": _from_fields(MarkLaw, jump["mark"])})
+        noise = _from_fields(NoiseSpec, {**side["noise"], "jump": jump})
+        time_indices = _whole(side["time_indices"], noise.steps, ValueError)
+        if time_indices.ndim != 1 or not time_indices.size or np.any(np.diff(time_indices) <= 0):
+            raise ValueError(f"time indices {side['time_indices']} are not a non-empty, "
+                             "strictly increasing list")
         if side["dtype"] not in ("float32", "float64"):
             raise ValueError(f"dtype {side['dtype']!r} is not float32 or float64")
         m, *rest = side["shape"]
-        if not m >= 1 or rest != [len(side["time_indices"]), grid.points]:
+        if not m >= 1 or rest != [time_indices.size, grid.points]:
             raise ValueError(f"shape {side['shape']} is not [M >= 1, "
-                             f"{len(side['time_indices'])} saved times, {grid.points} points]")
+                             f"{time_indices.size} saved times, {grid.points} points]")
         values = np.fromfile(f"{prefix}.bin", dtype=side["dtype"]).reshape(side["shape"])
-        jump = side["noise"]["jump"]
-        noise = NoiseSpec(
-            kind=side["noise"]["kind"], horizon=side["noise"]["horizon"],
-            steps=side["noise"]["steps"], seed=side["noise"]["seed"],
-            jump=None if jump is None else JumpSpec(
-                intensity=jump["intensity"],
-                mark=MarkLaw(jump["mark_family"], jump["mark_parameter"])),
-        )
-        return cls(
-            values=values,
-            time_indices=np.array(side["time_indices"], dtype=int),
-            dt=side["dt"],
-            grid=grid,
-            kernel=kernel,
-            g=TestFunctionSpec(**side["g"]),
-            noise=noise,
-        )
+        return cls(values=values, time_indices=time_indices, grid=grid, kernel=kernel,
+                   g=_from_fields(TestFunctionSpec, side["g"]), noise=noise)
+
+
+def _from_fields(cls, data: dict):
+    """cls from data's values of every field cls has; other keys are ignored."""
+    return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -284,8 +269,8 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         np.multiply(running + np.outer(w[:, i - 1], q[1]), base, out=u_hat)
         u_hat[:, 0] += w[:, :i] @ (q[i:0:-1, 0] * zero[:i])
         irfft_ascending(u_hat, grid, out=out[:, pos])
-    return FieldEnsemble(values=out, time_indices=idx, dt=dt, grid=grid,
-                         kernel=kernel, g=g, noise=noise)
+    return FieldEnsemble(values=out, time_indices=idx, grid=grid, kernel=kernel, g=g,
+                         noise=noise)
 
 
 def convolve_brownian(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,

@@ -480,6 +480,12 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
         raise ConfigError(f"config.conditions.betas: the regularity presets audit the kernel at "
                           f"config.moments.beta = {mom.beta:g}; set betas to null or "
                           f"[{mom.beta:g}], got {list(config.conditions.betas)}")
+    if mom.pairs_per_lag < 2:  # each lag's stderr is a std with ddof=1
+        raise ConfigError(f"config.moments.pairs_per_lag: the per-lag standard errors need 2 "
+                          f"pairs per lag, got {mom.pairs_per_lag}")
+    if len(lags) < 4:
+        raise ConfigError(f"config.moments: lag_k_min {mom.lag_k_min} .. lag_k_max "
+                          f"{mom.lag_k_max} gives {len(lags)} lags; the exponent fit needs 4")
     pieces.require_memory(config.simulation.ensemble, mom.pairs_per_lag * len(lags))
     tolerances = config.tolerances
     beta = mom.beta

@@ -28,6 +28,7 @@ class PairSet:
 
     time index = position on the full time lattice (units of dt);
     space index = position in the ascending spatial lattice.
+    t1, x1, t2, x2 are the members' times and lattice coordinates, shape (n,).
     delta is the parabolic distance of each pair, requested_delta the
     target lag for dyadic-lag sampling (NaN for within-cylinder pairs).
     """
@@ -37,7 +38,7 @@ class PairSet:
     t_idx2: np.ndarray
     s_idx2: np.ndarray
     t1: np.ndarray
-    x1: np.ndarray  # (n, 1)
+    x1: np.ndarray
     t2: np.ndarray
     x2: np.ndarray
     delta: np.ndarray
@@ -124,8 +125,8 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
     t0, (x0,), c = cylinder.center.t, cylinder.center.x, cylinder.radius
     times = lattice.time_indices * lattice.dt
     ok_t = np.nonzero(np.abs(times - t0) < c * c)[0]
-    coords = lattice.grid.axis()[:, None]
-    ok_x = np.nonzero(np.abs(coords[:, 0] - x0) < c)[0]
+    coords = lattice.grid.axis()
+    ok_x = np.nonzero(np.abs(coords - x0) < c)[0]
     if ok_t.size * ok_x.size < 2:
         raise EmptyCylinder(f"{ok_t.size * ok_x.size} saved lattice points inside {cylinder}, "
                             "fewer than a pair needs")
@@ -181,7 +182,7 @@ def sample_pairs_dyadic(lattice: Lattice, lags, count: int, seed: int = 0) -> Pa
             rows.append((i, j, i, j + spacings))
 
     ti1, si1, ti2, si2 = np.array(rows, dtype=int).reshape(-1, 4).T.copy()
-    coords = lattice.grid.axis()[:, None]
+    coords = lattice.grid.axis()
     t1, t2 = ti1 * dt, ti2 * dt
     x1, x2 = coords[si1], coords[si2]
     delta = parabolic_distance(t1, x1, t2, x2)

@@ -238,6 +238,12 @@ def test_pair_moment_reducer():
     assert rep.scales == [0.2, 0.1]
     assert rep.per_scale[0] == pytest.approx(5.0 * 1.0 ** (-0.5))
     assert rep.per_scale[1] == pytest.approx(2.0 * 0.5 ** (-0.5))
+    # a mean deviation per cylinder adds its own normalized sups and changes nothing else
+    dev = campanato_from_pair_moments([g + (1.0,) for g in groups], 2.0, 1.5)
+    assert rep.per_scale_meandev is None
+    assert dev.per_scale_meandev == [1.0, 0.5 ** (1.0 - 1.5)]
+    assert (dev.per_scale, dev.raw_per_scale, dev.seminorm) == \
+        (rep.per_scale, rep.raw_per_scale, rep.seminorm)
 
 
 def test_seminorm_report_io(tmp_path):

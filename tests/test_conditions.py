@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,11 @@ def test_fit_exponent_errors_and_flag():
     assert narrow.narrow_span
     wide = fit_exponent([(2.0**-k, 2.0**-k) for k in range(8)])
     assert not wide.narrow_span
+    # equal values fit exactly: stderr 0 and no warning (linregress gives NaN here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = fit_exponent([(1.0 + k, 2.0) for k in range(5)])
+    assert (flat.slope, flat.stderr, flat.value_decades) == (0.0, 0.0, 0.0)
 
 
 def test_audit_report_roundtrip(tmp_path):

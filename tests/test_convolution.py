@@ -202,17 +202,35 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     assert back.g == ens.g
     assert back.noise.seed == ens.noise.seed
 
-    # sidecars written before NoiseSpec.p0 and KernelSpec.method were removed still load
+    # sidecars written before NoiseSpec.p0, KernelSpec.method and the top-level dt (now
+    # noise.dt) were removed still load; a stale dt is not read
     side = json.loads((tmp_path / "ens.json").read_text())
-    assert "p0" not in side["noise"]
+    assert "p0" not in side["noise"] and "dt" not in side
     assert sorted(side["kernel"]) == ["alpha", "dim", "epsilon"]
     side["noise"]["p0"] = 4.0
     side["kernel"]["method"] = "closed-form"
+    side["dt"] = 2.0 * BROWNIAN.dt
     (tmp_path / "ens.json").write_text(json.dumps(side))
     old = FieldEnsemble.load(prefix)
-    assert old.noise == ens.noise
+    assert old.noise == ens.noise and old.dt == BROWNIAN.dt
     assert old.kernel == ens.kernel
     assert np.array_equal(old.values, ens.values)
+
+
+def test_poisson_ensemble_save_load_roundtrip(tmp_path):
+    noise = NoiseSpec(kind="poisson", horizon=1.0, steps=128, seed=4,
+                      jump=JumpSpec(intensity=7.5, mark=MarkLaw("gaussian", 0.6)))
+    g = TestFunctionSpec(family="spatial-power", beta=0.3, mark_family="one")
+    ens = convolve_poisson(KERNEL, GRID, g, noise, M=2, save_times=[32, 128])
+    prefix = str(tmp_path / "ens")
+    ens.save(prefix)
+    side = json.loads((tmp_path / "ens.json").read_text())
+    assert side["noise"]["jump"] == {"intensity": 7.5,
+                                     "mark": {"family": "gaussian", "parameter": 0.6}}
+    back = FieldEnsemble.load(prefix)
+    assert (back.noise, back.g, back.kernel, back.grid) == (noise, g, KERNEL, GRID)
+    assert np.array_equal(back.values, ens.values)
+    assert np.array_equal(back.time_indices, ens.time_indices)
 
 
 @pytest.mark.parametrize("kernel_dim, grid_dim", [(2, 2), (1, 2), (2, 1)])
@@ -372,8 +390,8 @@ def test_oracle_profiles_match_per_time_cache(case):
     kernel, grid, g, noise, _ = ENGINE_CASES[case]
     saved = list(range(0, noise.steps + 1, 2))
     ens = FieldEnsemble(values=np.zeros((1, len(saved)) + (grid.points,) * grid.dim),
-                        time_indices=np.array(saved), dt=noise.dt, grid=grid,
-                        kernel=kernel, g=g, noise=noise)
+                        time_indices=np.array(saved), grid=grid, kernel=kernel, g=g,
+                        noise=noise)
     lags = [0.5 ** k for k in range(2, 5)]
     pairs = sample_pairs_dyadic(ens, lags, 20, seed=3)
     assert np.any(pairs.t_idx1 != pairs.t_idx2)

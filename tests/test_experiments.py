@@ -266,10 +266,14 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
     (_with(SMALL_BROWNIAN, "moments", lag_k_max=40), "config.moments.lag_k_max"),
     (_with(SMALL_SWEEP, "conditions", betas=[0.0, 0.5]), "config.conditions.betas"),
     (_with(SMALL_BROWNIAN, "conditions", betas=[0.9]), "config.conditions.betas"),
+    (_with(SMALL_BROWNIAN, "moments", pairs_per_lag=0), "config.moments.pairs_per_lag"),
+    (_with(SMALL_BROWNIAN, "moments", pairs_per_lag=1), "config.moments.pairs_per_lag"),
+    (_with(SMALL_BROWNIAN, "moments", lag_k_max=3), "config.moments: lag_k_min 1"),
 ], ids=["embed-dim-3", "embed-p-half", "embed-no-centers", "audit-alpha-3", "audit-no-betas",
         "sweep-alpha-3", "regularity-three-lags", "embed-no-scales", "embed-scale-underflows",
         "audit-lag-overflows", "audit-s-base-underflows", "mark-variance-underflows",
-        "regularity-lag-finer-than-lattice", "sweep-two-betas", "regularity-beta-not-audited"])
+        "regularity-lag-finer-than-lattice", "sweep-two-betas", "regularity-beta-not-audited",
+        "regularity-no-pairs", "regularity-one-pair-per-lag", "regularity-three-moment-lags"])
 def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, field):
     path = _write(tmp_path, config)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -306,11 +310,13 @@ def test_cli_flag_errors_exit_two_before_the_ensemble_is_read(tmp_path, capsys, 
 
 @pytest.mark.parametrize("command", ["moments", "seminorm"])
 @pytest.mark.parametrize("damage", ["no-kernel", "short-bin", "grid-dim-2", "kernel-dim-2",
-                                    "shape-30-4-16", "shape-40-6-8", "dtype-int32"])
+                                    "shape-30-4-16", "shape-40-6-8", "dtype-int32",
+                                    "time-4.5", "time-decreasing", "time-past-steps", "time-none",
+                                    "poisson-flat-mark"])
 def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
     noise_spec = NoiseSpec(kind="brownian", horizon=1.0, steps=8, seed=1)
     ens = FieldEnsemble(values=np.zeros((40, 3, 16), dtype=np.float32),
-                        time_indices=np.array([0, 4, 8]), dt=noise_spec.dt,
+                        time_indices=np.array([0, 4, 8]),
                         grid=SpectralGrid(length=1.0, points=16), kernel=KernelSpec(2.0),
                         g=TestFunctionSpec(), noise=noise_spec)
     prefix = str(tmp_path / "ensemble")
@@ -325,15 +331,43 @@ def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
         side["shape"] = [int(n) for n in damage.split("-")[1:]]
     elif damage == "dtype-int32":  # as many bytes as float32
         side["dtype"] = "int32"
+    elif damage.startswith("time"):  # one or more, whole, increasing, at most noise.steps = 8
+        side["time_indices"] = {"time-4.5": [0, 4.5, 8], "time-decreasing": [0, 8, 4],
+                                "time-past-steps": [0, 4, 9], "time-none": []}[damage]
+        if damage == "time-none":  # with a .bin of its shape
+            side["shape"] = [40, 0, 16]
+            np.zeros(0, dtype=np.float32).tofile(f"{prefix}.bin")
+    elif damage == "poisson-flat-mark":  # the jump layout before the mark law nested its fields
+        side["noise"].update(kind="poisson", jump={
+            "intensity": 2.0, "mark_family": "two-sided-exponential", "mark_parameter": 1.0})
     else:  # the field is 1-D: a 2-D sidecar, even with a .bin of its shape, is not one
         side[damage.split("-")[0]]["dim"] = 2
         side["shape"] = [40, 3, 16, 16]
         np.zeros(side["shape"], dtype=np.float32).tofile(f"{prefix}.bin")
     (tmp_path / "ensemble.json").write_text(json.dumps(side))
     assert main([command, "--ensemble", prefix, "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: --ensemble {prefix}: not a holderlab ensemble" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: --ensemble {prefix}: not a holderlab ensemble" in err
+    assert damage != "poisson-flat-mark" or "(KeyError: 'mark')" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_moments_read_dt_from_the_noise(tmp_path):
+    # a sidecar's stray top-level dt (earlier sidecars wrote one) changes nothing
+    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    prefix = str(tmp_path / "ensemble")
+    outputs = []
+    for stale_dt in (None, 2.0 / SMALL_BROWNIAN["simulation"]["steps"]):
+        if stale_dt is not None:
+            side = json.loads((tmp_path / "ensemble.json").read_text())
+            assert "dt" not in side
+            (tmp_path / "ensemble.json").write_text(json.dumps(dict(side, dt=stale_dt)))
+        out = tmp_path / f"o-{stale_dt}"
+        assert main(["moments", "--ensemble", prefix, "--lag-k-max", "4", "--pairs", "16",
+                     "--seed", "5", "--out", str(out)]) == 0
+        outputs.append((out / "moments.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_verdict_failure_exit_one(tmp_path):
@@ -469,6 +503,12 @@ def test_cli_missing_input_file_exit_two(tmp_path, capsys, command, flag):
     assert main([command, flag, missing, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {flag} {missing}: No such file or directory" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    if flag == "--config":  # so is a config that is not JSON
+        bad = tmp_path / "config.json"
+        bad.write_text("{'seed': 1}")
+        assert main([command, flag, str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {flag} {bad}: not JSON (" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # --- config -> pipeline builder ------------------------------------------
@@ -578,9 +618,18 @@ SMALL_AUDIT_CONFIGS = st.one_of(
 )
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run_exits_with_its_code(tmp_path_factory, data):
-    # a drawn config runs, exiting 0 or 1 by its verdicts, or fails with a typed error:
-    # exit 2 for a ConfigError, 3 for any other HolderLabError; other exceptions fail here
+    # a drawn config runs, writing a report that is valid JSON and exiting 0 or 1 by its
+    # verdicts, or fails with a typed error: exit 2 for a ConfigError, 3 for any other
+    # HolderLabError; other exceptions fail here
     out = tmp_path_factory.mktemp("run")
     path = out / "drawn.json"
     path.write_text(json.dumps(data))
@@ -596,7 +645,7 @@ def _run_exits_with_its_code(tmp_path_factory, data):
     if not loads:
         assert code == 2, err.getvalue()
     elif (out / "report.json").exists():
-        assert code == (0 if json.loads((out / "report.json").read_text())["passed"] else 1)
+        assert code == (0 if _strict_json((out / "report.json").read_text())["passed"] else 1)
     else:
         assert (out / "FAILED.json").exists(), f"untyped failure: {err.getvalue()}"
         marker = json.loads((out / "FAILED.json").read_text())
@@ -609,6 +658,8 @@ def _run_exits_with_its_code(tmp_path_factory, data):
 @example(data={"experiment": "poisson-regularity",  # the mark variance underflows to 0
                "noise": {"mark_parameter": 7.71593441431373e-245},
                "conditions": SMALL_BROWNIAN["conditions"]})
+@example(data=_with(SMALL_BROWNIAN, "moments", pairs_per_lag=1))  # stderr over one pair
+@example(data=_with(SMALL_BROWNIAN, "moments", lag_k_max=3))  # three lags, fit needs four
 def test_regularity_configs_run_or_exit_with_their_code(tmp_path_factory, data):
     _run_exits_with_its_code(tmp_path_factory, data)
 

@@ -166,7 +166,7 @@ def test_dyadic_draw_order_is_pinned():
     assert pairs.s_idx2.tolist() == [7, 4, 9, 8, 10, 10, 11, 11, 8, 8, 6, 10, 7, 8, 9]
     assert pairs.requested_delta.tolist() == [0.5] * 5 + [0.375] * 5 + [0.25] * 5
     assert np.array_equal(pairs.delta, pairs.requested_delta)
-    assert pairs.x1.shape == (15, 1)
+    assert pairs.x1.shape == (15,)
 
 
 def test_lags_finer_than_the_lattice_are_rejected():
@@ -203,8 +203,8 @@ def test_triangle_consistency_p2(unit_ensemble):
     def est(a, b):
         pairs = moments.PairSet(
             np.array([a[0]]), np.array([a[1]]), np.array([b[0]]), np.array([b[1]]),
-            np.array([a[0] * ens.dt]), np.array([[0.0]]),
-            np.array([b[0] * ens.dt]), np.array([[0.0]]),
+            np.array([a[0] * ens.dt]), np.array([0.0]),
+            np.array([b[0] * ens.dt]), np.array([0.0]),
             np.array([0.0]), np.array([np.nan]))
         field = estimate_pair_moments(ens, pairs, 2.0)
         return field.estimates[0], field.stderr[0]
