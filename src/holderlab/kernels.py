@@ -144,7 +144,7 @@ class SpectralGrid:
 
 @functools.cache  # one audit asks for a few hundred sizes tens of thousands of times
 def even_fast_len(n: int) -> int:
-    """Smallest even 2^a 3^b 5^c >= n: FFT radices 2, 3, 5 only, even for irfft_ascending."""
+    """Smallest even 2^a 3^b 5^c >= n: FFT radices 2, 3, 5 only, even as SpectralGrid needs."""
     best, m5 = 2 * n, 2  # a power of two lies in [n, 2n]
     while m5 < best:
         m = m5
@@ -185,7 +185,8 @@ def symbol(spec: KernelSpec, grid: SpectralGrid, t) -> np.ndarray:
     """Fourier symbol |xi|^epsilon * exp(-t |xi|^alpha) on the rfft lattice; for an array
     of times, one lattice per time (shape t.shape + lattice shape)."""
     r = _freq_radius(grid)
-    sym = np.exp(np.multiply.outer(np.negative(t), r**spec.alpha))
+    sym = np.multiply.outer(np.negative(t), r**spec.alpha)
+    np.exp(sym, out=sym)
     if spec.epsilon > 0.0:
         sym *= r**spec.epsilon
     return sym

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ import holderlab.conditions as conditions
 import holderlab.kernels as kernels
 from holderlab.conditions import (
     LATTICE_ARRAYS,
+    MESH_GRADING,
+    RATIO_CAP,
     ConditionProbe,
     _adapted_grid,
+    _graded_cells,
     audit_conditions,
     condition_increment,
     condition_mass,
@@ -26,6 +30,7 @@ from holderlab.errors import (
     MomentDivergence,
     NonPositiveData,
 )
+from holderlab.experiments import default_config
 from holderlab.kernels import KernelSpec, SpectralGrid
 
 
@@ -123,7 +128,7 @@ def test_weighted_l1_power_law():
 
 def test_condition_lattice_beyond_physical_memory_is_a_config_error(monkeypatch):
     # alpha = 0.55 across a ratio of 256 asks for 612,220,032 points: one real array (4.6 GiB)
-    # fits an 8 GiB machine, the LATTICE_ARRAYS a weighted L1 norm holds (27.4 GiB) do not
+    # fits an 8 GiB machine, the LATTICE_ARRAYS a weighted L1 norm holds (18.2 GiB) do not
     monkeypatch.setattr(kernels, "physical_memory", lambda: 8 * 2**30)
     monkeypatch.setattr(conditions, "physical_memory", lambda: 8 * 2**30)
     spec = KernelSpec(alpha=0.55)
@@ -134,11 +139,96 @@ def test_condition_lattice_beyond_physical_memory_is_a_config_error(monkeypatch)
 
     monkeypatch.setattr(conditions, "symbol", not_reached)
     with pytest.raises(ConfigError, match="612220032 points per axis in d=1, and a weighted L1 "
-                                          "norm on them holds 27.4 GiB, more than the 8.0 GiB"):
+                                          "norm on them holds 18.2 GiB, more than the 8.0 GiB"):
         _adapted_grid(spec, 1.0, 256.0)
     with pytest.raises(ConfigError, match="physical memory"):
         weighted_l1_increment(spec, 1.0, 255.0, 0.5)
     assert _adapted_grid(spec, 1.0, 1.0).points == 25600  # one kernel scale: a small lattice
+
+
+def shifted_reference(spec, tau_small, tau_big, beta):
+    """The weighted L1 norm on an ascending lattice: numpy's fftshift of the normalized
+    values and the exact |z| = h |i - n/2|."""
+    grid = _adapted_grid(spec, tau_small, tau_big)
+    sym = kernels.symbol(spec, grid, tau_big)
+    if tau_big != tau_small:
+        sym = sym - kernels.symbol(spec, grid, tau_small)
+    n, h, d = grid.points, grid.spacing, grid.dim
+    vals = np.fft.fftshift(np.fft.irfftn(sym, s=(n,) * d, axes=tuple(range(d)))) / h**d
+    z2 = (h * np.abs(np.arange(n) - n // 2)) ** 2
+    weight = 1.0 + np.sqrt(sum(np.ix_(*[z2] * d))) ** beta if beta > 0.0 else 1.0
+    return float((np.abs(vals) * weight).sum() * h**d)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+@pytest.mark.parametrize("alpha, dim, tau", [(1.0, 1, 0.3), (2.0, 2, 1.0)], ids=["d1", "d2"])
+def test_weighted_norms_match_the_shifted_reference(alpha, dim, tau, epsilon, beta):
+    spec = KernelSpec(alpha=alpha, epsilon=epsilon, dim=dim)
+    if dim == 1:  # -L + h i misses 0 at i = n/2 here; the origin must still weigh 0
+        for tau_big in (tau, 2.0 * tau):
+            grid = _adapted_grid(spec, tau, tau_big)
+            assert grid.axis()[grid.points // 2] != 0.0
+    assert weighted_l1(spec, tau, beta) == pytest.approx(
+        shifted_reference(spec, tau, tau, beta), rel=1e-12)
+    assert weighted_l1_increment(spec, tau, tau, beta) == pytest.approx(
+        shifted_reference(spec, tau, 2.0 * tau, beta), rel=1e-12)
+
+
+def implied_counts(probe):
+    """Norm and symbol calls audit_conditions makes on probe's graded meshes."""
+    levels = (probe.mesh_points, max(8, probe.mesh_points // 2))
+    nodes = len(probe.time_pairs) * sum(levels)
+    capped = sum(int(((mids + t - s) / mids > RATIO_CAP).sum()) for s, t in probe.time_pairs
+                 for mids in (_graded_cells(s, level, MESH_GRADING)[0] for level in levels))
+    mass_times = len({s for s, _ in probe.time_pairs} | {max(t for _, t in probe.time_pairs)})
+    plain = nodes + mass_times * sum(levels) + 2 * capped
+    return {"increment": nodes, "tail": nodes, "mass": mass_times * sum(levels),
+            "capped": 2 * capped, "plain": plain, "symbol": plain + 2 * (nodes - capped)}
+
+
+def test_audit_evaluates_the_lattices_its_mesh_implies(monkeypatch):
+    probe = ConditionProbe(kernel=KernelSpec(alpha=1.0), beta=0.3, mesh_points=16,
+                           time_pairs=dyadic_pairs(0.5, 1, 4))
+    symbol, plain, increment = (conditions.symbol, conditions.weighted_l1,
+                                conditions.weighted_l1_increment)
+    seen, inside = Counter(), []
+
+    def count_symbol(*args):
+        seen["symbol"] += 1
+        return symbol(*args)
+
+    def count_plain(spec, tau, beta):
+        seen["plain"] += 1
+        seen["capped" if inside else "tail" if beta else "mass"] += 1
+        return plain(spec, tau, beta)
+
+    def count_increment(*args):
+        seen["increment"] += 1
+        inside.append(True)
+        try:
+            return increment(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(conditions, "symbol", count_symbol)
+    monkeypatch.setattr(conditions, "weighted_l1", count_plain)
+    monkeypatch.setattr(conditions, "weighted_l1_increment", count_increment)
+    audit_conditions(probe)
+    want = implied_counts(probe)
+    assert want["capped"] > 0
+    assert dict(seen) == want
+
+    # the traced self-test of the kernel-audit benchmark pins the same rule's counts
+    config = default_config("kernel-audit", 0)
+    cond = config.conditions
+    pairs = [(cond.s_base, cond.s_base + 2.0**-k)
+             for k in range(cond.lag_k_min, cond.lag_k_max + 1)]
+    audit = [implied_counts(ConditionProbe(kernel=KernelSpec(alpha=config.kernel.alpha), beta=b,
+                                           time_pairs=pairs, mesh_points=cond.mesh_points))
+             for b in cond.betas]
+    assert [sum(c[key] for c in audit) for key in ("increment", "plain", "symbol")] == [
+        9216, 12450, 29952]
 
 
 @pytest.mark.parametrize("spec, sigma, delta", [(KernelSpec(alpha=1.0, epsilon=0.3), 1.0, 20.0),

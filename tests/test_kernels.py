@@ -247,3 +247,14 @@ def test_symbol_over_an_array_of_times_stacks_the_scalar_calls_bitwise(grid, eps
     assert stacked.shape == times.shape + kernels._freq_radius(grid).shape
     for index in np.ndindex(times.shape):
         assert np.array_equal(stacked[index], symbol(spec, grid, float(times[index])))
+
+
+@pytest.mark.parametrize("alpha, epsilon", [(1.5, 0.0), (1.5, 0.3), (2.0, 0.5), (0.7, 0.25)])
+@pytest.mark.parametrize("grid", GRIDS_1D_2D, ids=["d1", "d2"])
+def test_symbol_is_the_exp_times_power_formula_bitwise(grid, alpha, epsilon):
+    # the convolution, the exact oracle and the CLI chain read these bytes
+    spec = KernelSpec(alpha=alpha, epsilon=epsilon, dim=grid.dim)
+    r = kernels._freq_radius(grid)
+    for t in (0.37, np.array([0.5, 0.01, 2e-4, 0.0])):
+        want = np.exp(np.multiply.outer(-t, r**alpha)) * r**epsilon
+        assert np.array_equal(symbol(spec, grid, t), want)
