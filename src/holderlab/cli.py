@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -125,13 +126,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
-def _require_pairs(args) -> None:
+def _check_flags(args) -> None:
+    """--pairs, --p and (seminorm) --theta, before the ensemble is read."""
     if args.pairs < 1:
         raise ConfigError(f"--pairs {args.pairs}: need at least one pair")
+    if not 1.0 <= args.p < math.inf:
+        raise ConfigError(f"--p {args.p}: the moment order must be finite and >= 1")
+    if not 0.0 <= getattr(args, "theta", 0.0) < math.inf:
+        raise ConfigError(f"--theta {args.theta}: the exponent must be finite and >= 0")
 
 
 def _cmd_moments(args) -> int:
-    _require_pairs(args)
+    _check_flags(args)
     lags = dyadic("--lag-k-min / --lag-k-max", args.lag_k_min, args.lag_k_max)
     ens = _read_ensemble(args.ensemble)
     seed = _resolve_seed(args) or 0
@@ -148,12 +154,10 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
-    _require_pairs(args)
+    _check_flags(args)
     scales = dyadic("--scale-k-min / --scale-k-max", args.scale_k_min, args.scale_k_max)
     ens = _read_ensemble(args.ensemble)
     seed = _resolve_seed(args) or 0
-    p = args.p
-    theta = args.theta
     groups = []
     times = ens.times
     t_mid = float(times[len(times) // 2])
@@ -163,13 +167,13 @@ def _cmd_seminorm(args) -> int:
             pairs = sample_pairs_within_cylinder(ens, cyl, args.pairs, seed=seed + k)
         except EmptyCylinder:
             continue
-        field = estimate_pair_moments(ens, pairs, p)
+        field = estimate_pair_moments(ens, pairs, args.p)
         groups.append((c, cyl.measure, float(field.estimates.mean())))
     if not groups:
         raise ConfigError(f"--scale-k-min {args.scale_k_min} .. --scale-k-max "
                           f"{args.scale_k_max} leaves no cylinder holding two saved lattice "
                           f"points (lattice spacing {ens.grid.spacing:g})")
-    report = campanato_from_pair_moments(groups, p, theta)
+    report = campanato_from_pair_moments(groups, args.p, args.theta)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "seminorm.json", report.to_dict())
@@ -254,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HolderLabError as exc:

@@ -18,10 +18,11 @@ so the spectral sum decays from one saved time to the next and only new slabs ar
 g moves in time only by a term constant in space, so both engines factor its spectrum
 into one base spectrum and a shift of the zero mode per slab (_g_spectrum).
 
-That pass stores the whole field (FieldEnsemble, for `holderlab simulate`).  The presets'
-pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D once for both their
-Monte Carlo values and their exact second moments (PairEnsemble).  Realizations are pure
-functions of (seed, stream_index).
+Both engines work in the FFT's native order and shift only into the ascending layout of what
+is stored: the pass fills the whole field (FieldEnsemble, for `holderlab simulate`) at saved
+times strictly increasing as in its sidecar.  The presets' pairs need only u(X) - u(Y) =
+sum_k D_k w_k: _slab_differences builds D once for both their Monte Carlo values and their
+exact second moments (PairEnsemble).  Realizations are pure functions of (seed, stream_index).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import GridMismatch, PairOffGrid
-from .kernels import KernelSpec, SpectralGrid, _freq_radius, irfft_ascending, symbol
+from .kernels import KernelSpec, SpectralGrid, _freq_radius, symbol
 from .noise import JumpSpec, MarkLaw, NoiseSpec, slab_cumulant, slab_weights
 
 
@@ -150,10 +151,7 @@ class FieldEnsemble:
         if jump is not None:
             jump = _from_fields(JumpSpec, {**jump, "mark": _from_fields(MarkLaw, jump["mark"])})
         noise = _from_fields(NoiseSpec, {**side["noise"], "jump": jump})
-        time_indices = _whole(side["time_indices"], noise.steps, ValueError)
-        if time_indices.ndim != 1 or not time_indices.size or np.any(np.diff(time_indices) <= 0):
-            raise ValueError(f"time indices {side['time_indices']} are not a non-empty, "
-                             "strictly increasing list")
+        time_indices = _saved(side["time_indices"], noise.steps, ValueError)
         if side["dtype"] not in ("float32", "float64"):
             raise ValueError(f"dtype {side['dtype']!r} is not float32 or float64")
         m, *rest = side["shape"]
@@ -198,6 +196,15 @@ def _whole(a, top: int, error) -> np.ndarray:
     return a.astype(int)
 
 
+def _saved(a, steps: int, error) -> np.ndarray:
+    """Saved time indices, one or more strictly increasing whole numbers in [0, steps]."""
+    idx = _whole(a, steps, error)
+    if idx.ndim != 1 or not idx.size or np.any(np.diff(idx) <= 0):
+        raise error(f"time indices {np.asarray(a).tolist()} are not a non-empty, strictly "
+                    "increasing list")
+    return idx
+
+
 def _require_1d(kernel: KernelSpec, grid: SpectralGrid) -> None:
     """The stochastic field is 1-D: a kernel or grid of another dimension raises GridMismatch."""
     if kernel.dim != 1 or grid.dim != 1:
@@ -217,10 +224,11 @@ def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) ->
 
 def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float,
                 n_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(base, zero): base is the DFT of g(0, .) and zero[k] = (g(r_k, 0) - g(0, 0)) n for
-    slab times r_k = k dt.  Every family moves in time only by a term constant in space, so
-    the DFT of g(r_k, .) is base plus zero[k] in its zero mode."""
-    base = np.fft.rfft(np.fft.ifftshift(g.evaluate(0.0, grid.radius())))
+    """(base, zero): base is the DFT of g(0, .) in native order and zero[k] = (g(r_k, 0) -
+    g(0, 0)) n for slab times r_k = k dt.  Every family moves in time only by a term constant
+    in space, so the DFT of g(r_k, .) is base plus zero[k] in its zero mode."""
+    j = np.arange(grid.points)
+    base = np.fft.rfft(g.evaluate(0.0, grid.spacing * np.minimum(j, grid.points - j)))
     r = dt * np.arange(n_t)
     zero = (g.evaluate(r, np.zeros(n_t)) - g.evaluate(0.0, 0.0)) * grid.points
     return base, zero
@@ -228,17 +236,17 @@ def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float,
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
               noise: NoiseSpec, M: int, save_times, dtype=np.float64, pairs=None):
-    """One pass over the saved indices in ascending order: from cur to i the real sum
-    R = sum over slabs k <= i - 2 of w_k Q[i - k] decays by exp(-(i - cur) dt |xi|^alpha) and
-    gains the new slabs; then u_hat_i = base (R + w_{i-1} Q[1]), the midpoint slab k = i - 1
-    as a rank-1 term, plus sum_k w_k Q[i - k, 0] zero[k] in the zero mode.  O(M F max i).
-    pairs = (t1, s1, t2, s2), lattice indices of pair members on saved times, skips the
-    pass: u(X) - u(Y) = D w."""
+    """One pass over the saved indices, strictly increasing as in the sidecar: from cur to i
+    the real sum R = sum over slabs k <= i - 2 of w_k Q[i - k] decays by exp(-(i - cur) dt
+    |xi|^alpha) and gains the new slabs; then u_hat_i = base (R + w_{i-1} Q[1]), the midpoint
+    slab k = i - 1 as a rank-1 term, plus sum_k w_k Q[i - k, 0] zero[k] in the zero mode; its
+    native inverse FFT is stored ascending.  O(M F max i).  pairs = (t1, s1, t2, s2), lattice
+    indices of pair members on saved times, skips the pass: u(X) - u(Y) = D w."""
     _require_1d(kernel, grid)
     if M < 1:
         raise ValueError("need at least one realization")
     n_t, dt = noise.steps, noise.dt
-    idx = np.arange(n_t + 1) if save_times is None else _whole(save_times, n_t, GridMismatch)
+    idx = np.arange(n_t + 1) if save_times is None else _saved(save_times, n_t, GridMismatch)
     if pairs is not None:
         times = np.concatenate([np.ravel(pairs[0]), np.ravel(pairs[2])])
         if not np.isin(times, idx).all():
@@ -258,8 +266,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     running = np.zeros((M, rate.size))  # sum over slabs k <= cur - 2 of w[:, k] Q[cur - k]
     u_hat = np.empty((M, rate.size), dtype=complex)
     cur = 0
-    for pos in np.argsort(idx, kind="stable"):
-        i = int(idx[pos])
+    for pos, i in enumerate(idx):
         if i == 0:
             continue  # zero initial data
         start = max(cur - 1, 0)
@@ -268,7 +275,8 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         cur = i
         np.multiply(running + np.outer(w[:, i - 1], q[1]), base, out=u_hat)
         u_hat[:, 0] += w[:, :i] @ (q[i:0:-1, 0] * zero[:i])
-        irfft_ascending(u_hat, grid, out=out[:, pos])
+        np.concatenate(np.split(np.fft.irfft(u_hat, grid.points), 2, axis=1)[::-1], axis=1,
+                       out=out[:, pos])  # the native halves swapped: ascending from -L
     return FieldEnsemble(values=out, time_indices=idx, grid=grid, kernel=kernel, g=g,
                          noise=noise)
 
@@ -291,6 +299,9 @@ def convolve_poisson(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec
     return _convolve(kernel, grid, g, noise, M, save_times, dtype, pairs)
 
 
+PAIR_CHUNK = 2**18  # elements of each (pairs, slabs) temporary of _slab_differences, or one row
+
+
 def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                       noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
     """D[n, k] = F_i1[k, x1] - F_i2[k, x2], the weight of slab k in u(X_n) - u(Y_n) for the
@@ -298,18 +309,18 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
 
     idx/pos: time indices and ascending spatial indices of the pair members; off the lattice
     or not whole, they raise GridMismatch (time) or PairOffGrid (space).  As g moves in time
-    only in its zero mode, F_i[k] = P[i - k] + zero[k] Q[i - k, 0] / n with one profile
-    P[j] = irfft(Q[j] base) per lag, (base, zero) from _g_spectrum."""
+    only in its zero mode, F_i[k] = P[i - k] + zero[k] Q[i - k, 0] / n with one native-order
+    profile P[j] = irfft(Q[j] base) per lag, where position x is index (x + n/2) mod n."""
     _require_1d(kernel, grid)
     n_t, n = noise.steps, grid.points
     idx1, idx2 = _whole(idx1, n_t, GridMismatch), _whole(idx2, n_t, GridMismatch)
-    pos1, pos2 = _whole(pos1, n - 1, PairOffGrid), _whole(pos2, n - 1, PairOffGrid)
+    pos1, pos2 = ((_whole(x, n - 1, PairOffGrid) + n // 2) % n for x in (pos1, pos2))
     k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
 
     n_lags = max(k_max, 1)
     q = _lag_symbols(kernel, grid, noise.dt, n_lags)
     base, zero = _g_spectrum(g, grid, noise.dt, n_lags)
-    profiles = irfft_ascending(q * base, grid)
+    profiles = np.fft.irfft(q * base, n)
     shift = zero[:k_max] / n
 
     def rows(i, x):  # F_i[k, x] for a chunk of points, zero for slabs k >= i as Q[0] = 0
@@ -317,7 +328,7 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
         return profiles[j, x[:, None]] + shift * q[j, 0]
 
     diff = np.empty((idx1.size, k_max))
-    chunk = max(1, 2**18 // n_lags)  # bounds the (pairs, slabs) temporaries
+    chunk = max(1, PAIR_CHUNK // n_lags)
     for lo in range(0, idx1.size, chunk):
         sl = slice(lo, lo + chunk)
         np.subtract(rows(idx1[sl], pos1[sl]), rows(idx2[sl], pos2[sl]), out=diff[sl])

@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__
 from .campanato import Box, campanato_seminorm, embedding_exponent
 from .conditions import MESH_GRADING, ConditionProbe, audit_conditions, fit_exponent
-from .convolution import Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson
+from .convolution import (PAIR_CHUNK, Lattice, TestFunctionSpec, convolve_brownian,
+                          convolve_poisson)
 from .errors import ConfigError, HolderLabError, PairOffGrid, ThetaOutOfEmbeddingRange
 from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, physical_memory
 from .moments import estimate_pair_moments, lag_offsets, sample_pairs_dyadic
@@ -282,15 +283,21 @@ def dyadic(field: str, k_min: int, k_max: int, top: float = 1.0) -> list:
     return [top * 2.0**-k for k in range(k_min, k_max + 1)]
 
 
+def _fit_lags(section: str, cfg) -> list:
+    """config.<section>'s dyadic lags; fewer than the four an exponent fit needs: ConfigError."""
+    lags = dyadic(f"config.{section}.lag_k_min / lag_k_max", cfg.lag_k_min, cfg.lag_k_max)
+    if len(lags) < 4:
+        raise ConfigError(f"config.{section}: lag_k_min {cfg.lag_k_min} .. lag_k_max "
+                          f"{cfg.lag_k_max} gives {len(lags)} lags; the exponent fit needs 4")
+    return lags
+
+
 # --- preset pipelines -----------------------------------------------------
 
 def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig, tol: float, claims):
     """The condition audit of kernel at beta, and its verdicts, named by the two claims,
     that gamma1 and gamma2 lie within tol of (alpha - 2 eps)/alpha."""
-    lags = dyadic("config.conditions.lag_k_min / lag_k_max", cond.lag_k_min, cond.lag_k_max)
-    if len(lags) < 4:
-        raise ConfigError(f"config.conditions: lag_k_min {cond.lag_k_min} .. lag_k_max "
-                          f"{cond.lag_k_max} gives {len(lags)} lags; the exponent fits need 4")
+    lags = _fit_lags("conditions", cond)
     probe = _spec("config: condition probe", ConditionProbe, kernel=kernel, beta=beta,
                   power=cond.power, time_pairs=[(cond.s_base, cond.s_base + lag) for lag in lags],
                   mesh_points=cond.mesh_points)
@@ -397,7 +404,7 @@ class RegularityPieces(typing.NamedTuple):
             need += M * (len(self.saved) * n * item + 24 * (n + 2)) + 4 * n_t * (n + 2)
         else:
             need += (M * n_pairs * (8 + item) + 8 * k * n_pairs
-                     + 32 * (k + 1) * (n + 2) + 48 * max(2**18, k))
+                     + 32 * (k + 1) * (n + 2) + 48 * max(PAIR_CHUNK, k))
         fields, what = "config.simulation.ensemble / config.simulation.grid_points", ""
         if self.noise.kind == "poisson":
             events = event_block(self.noise)
@@ -474,8 +481,7 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
 def _run_regularity(config: ExperimentConfig, progress: dict):
     progress["stage"] = "setup"
     pieces = build_regularity(config)
-    kernel, lags = pieces.kernel, pieces.lags
-    mom = config.moments
+    kernel, mom = pieces.kernel, config.moments
     if config.conditions.betas not in (None, (mom.beta,)):
         raise ConfigError(f"config.conditions.betas: the regularity presets audit the kernel at "
                           f"config.moments.beta = {mom.beta:g}; set betas to null or "
@@ -483,9 +489,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     if mom.pairs_per_lag < 2:  # each lag's stderr is a std with ddof=1
         raise ConfigError(f"config.moments.pairs_per_lag: the per-lag standard errors need 2 "
                           f"pairs per lag, got {mom.pairs_per_lag}")
-    if len(lags) < 4:
-        raise ConfigError(f"config.moments: lag_k_min {mom.lag_k_min} .. lag_k_max "
-                          f"{mom.lag_k_max} gives {len(lags)} lags; the exponent fit needs 4")
+    lags = _fit_lags("moments", mom)
     pieces.require_memory(config.simulation.ensemble, mom.pairs_per_lag * len(lags))
     tolerances = config.tolerances
     beta = mom.beta
@@ -509,8 +513,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
         per_lag.append({
             "lag": lag,
             "mean": float(mfield.estimates[sel].mean()),
-            "stderr": float(mfield.estimates[sel].std(ddof=1)
-                            / np.sqrt(max(sel.sum(), 2))),
+            "stderr": float(mfield.estimates[sel].std(ddof=1) / np.sqrt(sel.sum())),
             "stderr_realizations": mfield.realization_stderr[lag],
             "max": float(mfield.estimates[sel].max()),
             "n_pairs": int(sel.sum()),

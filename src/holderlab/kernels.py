@@ -7,6 +7,8 @@ Fourier multiplier |xi|^epsilon.  Evaluation is on a periodic box
 [-L, L)^d with an FFT, so the spectral values are the periodization of the
 free-space kernel; closed forms (Gaussian for alpha=2, Cauchy for alpha=1
 in d=1) are available both free-space and periodized for cross-checks.
+The condition norms and the Ito convolution stay in the FFT's native order;
+only eval_kernel shifts its values to coordinates ascending from -L.
 
 All functions are pure: they allocate their own work arrays and never
 mutate their inputs, so concurrent evaluation across times is safe.
@@ -98,13 +100,6 @@ class SpectralGrid:
         axes = [self.axis()] * self.dim
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
-    def radius(self) -> np.ndarray:
-        """|x| on the full lattice (ascending order)."""
-        if self.dim == 1:
-            return np.abs(self.axis())
-        x, y = self.meshgrid()
-        return np.sqrt(x * x + y * y)
-
     def require_alias(self, alpha: float, t: float) -> None:
         """Raise AliasingViolation unless exp(-t |xi_max|^alpha) < 1e-12."""
         if t * self.nyquist**alpha < ALIAS_LOG:
@@ -169,18 +164,6 @@ def _freq_radius(grid: SpectralGrid) -> np.ndarray:
     return np.sqrt(full[:, None] ** 2 + half[None, :] ** 2)
 
 
-def irfft_ascending(freq: np.ndarray, grid: SpectralGrid, out=None) -> np.ndarray:
-    """Inverse rfft over the trailing grid.dim axes of ``freq`` (rfftn layout, after any
-    leading batch axes), shifted so coordinates ascend from -L, into ``out`` if given."""
-    axes = tuple(range(-grid.dim, 0))
-    vals = np.fft.irfftn(freq, s=(grid.points,) * grid.dim, axes=axes)
-    h = grid.points // 2  # points are even: the shift swaps the two halves of each axis
-    for ax in axes:
-        halves = [vals[(..., s) + (slice(None),) * (-1 - ax)] for s in (slice(h, None), slice(h))]
-        vals = np.concatenate(halves, axis=ax, out=out if ax == -1 else None)
-    return vals
-
-
 def symbol(spec: KernelSpec, grid: SpectralGrid, t) -> np.ndarray:
     """Fourier symbol |xi|^epsilon * exp(-t |xi|^alpha) on the rfft lattice; for an array
     of times, one lattice per time (shape t.shape + lattice shape)."""
@@ -201,11 +184,6 @@ def _symmetrize(vals: np.ndarray) -> np.ndarray:
         sub = vals[tuple(sl)]
         np.copyto(sub, 0.5 * (sub + np.flip(sub, axis=ax)))
     return vals
-
-
-def _spectral_eval(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
-    sym = symbol(spec, grid, t)
-    return _symmetrize(irfft_ascending(sym, grid) / grid.spacing**grid.dim)
 
 
 def gaussian_kernel(t: float, r: np.ndarray, dim: int) -> np.ndarray:
@@ -230,7 +208,8 @@ def eval_kernel(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:
     if spec.dim != grid.dim:
         raise ValueError(f"kernel dim {spec.dim} != grid dim {grid.dim}")
     grid.require_alias(spec.alpha, t)
-    return _spectral_eval(spec, grid, t)
+    vals = np.fft.irfftn(symbol(spec, grid, t), (grid.points,) * grid.dim, range(grid.dim))
+    return _symmetrize(np.fft.fftshift(vals) / grid.spacing**grid.dim)
 
 
 def eval_kernel_periodized(spec: KernelSpec, grid: SpectralGrid, t: float) -> np.ndarray:

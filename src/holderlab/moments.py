@@ -93,8 +93,8 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
 
     Deterministic given the ensemble; symmetric in the pair order.
     """
-    if p < 1.0:
-        raise ValueError("moment order p must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"moment order p must be finite and >= 1, got {p}")
     M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")

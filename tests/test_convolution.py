@@ -251,14 +251,16 @@ def test_the_field_is_one_dimensional(kernel_dim, grid_dim):
 
 
 def _irfft_fftshift(freq, grid):
-    """Inverse rfft then numpy's fftshift, independent of irfft_ascending's half swap."""
+    """Inverse rfft then numpy's fftshift, independent of the engine's half swap."""
     axes = tuple(range(-grid.dim, 0))
     return np.fft.fftshift(np.fft.irfftn(freq, s=(grid.points,) * grid.dim, axes=axes), axes=axes)
 
 
 def _slab_spectra(g, grid, dt, n):
-    """DFT of g(k dt, .) for each slab k < n, each built on its own, flattened frequencies."""
-    return np.array([np.fft.rfftn(np.fft.ifftshift(g.evaluate(k * dt, grid.radius()))).ravel()
+    """DFT of g(k dt, .) for each slab k < n, each built on its own from the ascending |x|
+    shifted to native order, flattened frequencies."""
+    radius = np.abs(grid.axis())
+    return np.array([np.fft.rfftn(np.fft.ifftshift(g.evaluate(k * dt, radius))).ravel()
                      for k in range(n)])
 
 
@@ -282,23 +284,24 @@ def _reference_convolve(kernel, grid, g, noise, M, save_times):
 
 FRACTIONAL = KernelSpec(alpha=1.5, epsilon=0.3)
 FRACTIONAL_GRID = SpectralGrid.for_times(1.5, 1, t_min=BROWNIAN.dt / 2.0, length=4.0)
+# Saved times are strictly increasing, as the engine requires; the case names are test ids.
 ENGINE_CASES = {
     "brownian-constant-unsorted": (
         KERNEL, GRID, TestFunctionSpec(family="constant", amplitude=1.0),
-        BROWNIAN, [64, 3, 0, 64, 17, 1, 128]),
+        BROWNIAN, [0, 1, 3, 17, 64, 128]),
     "brownian-spatial-eps-all": (
         FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="spatial-power", beta=0.4),
         BROWNIAN, None),
     "brownian-parabolic-eps-times": (
         FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
-        BROWNIAN, [64, 32, 0, 64, 128]),  # t = 0.5, 0.25, 0, 0.5, 1 on dt = 1/128
+        BROWNIAN, [0, 32, 64, 128]),  # t = 0, 0.25, 0.5, 1 on dt = 1/128
     "poisson-parabolic-unsorted": (
         KERNEL, GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
-        POISSON, [100, 2, 2, 0, 57, 128]),
+        POISSON, [0, 2, 57, 100, 128]),
     "poisson-spatial-eps-one-marks": (
         FRACTIONAL, FRACTIONAL_GRID,
         TestFunctionSpec(family="spatial-power", beta=0.3, mark_family="one"),
-        POISSON, [128, 31, 32, 0]),
+        POISSON, [0, 31, 32, 128]),
 }
 
 
@@ -310,6 +313,39 @@ def test_g_spectrum_is_one_base_spectrum_and_a_zero_mode_shift(case):
     got = np.tile(base, (noise.steps, 1))
     got[:, 0] += zero
     assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * np.max(np.abs(want), axis=1))
+
+
+@pytest.mark.parametrize("preset", ["brownian-regularity", "poisson-regularity"])
+def test_g_spectrum_base_is_the_shifted_ascending_transform_bitwise(preset):
+    # on the presets' grids (spacing and half-width binary fractions) the native radius
+    # h min(j, n - j) is the ascending |x| shifted to native order, bit for bit
+    pieces = build_regularity(default_config(preset))
+    grid = pieces.grid
+    for g in (pieces.g, TestFunctionSpec(family="spatial-power", beta=0.3),
+              TestFunctionSpec(family="constant", amplitude=1.5)):
+        base, _ = _g_spectrum(g, grid, pieces.noise.dt, 4)
+        want = np.fft.rfft(np.fft.ifftshift(g.evaluate(0.0, np.abs(grid.axis()))))
+        assert np.array_equal(base, want)
+
+
+@pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
+def test_saved_times_are_the_ones_the_sidecar_loads(tmp_path, noise):
+    # the engine refuses what FieldEnsemble.load refuses, so every ensemble it returns
+    # round-trips through save and load
+    convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    pairs = ([64], [3], [0], [5])
+    for bad in ([64, 32, 32, 0], [0, 64, 32], [0, 32, 32, 64], []):
+        for kwargs in ({}, {"pairs": pairs}):
+            with pytest.raises(GridMismatch, match="strictly increasing"):
+                convolve(KERNEL, GRID, g, noise, M=2, save_times=bad, **kwargs)
+    for saved in ([0, 32.0, 64], [64], None):
+        ens = convolve(KERNEL, GRID, g, noise, M=2, save_times=saved, dtype=np.float32)
+        ens.save(str(tmp_path / "ens"))
+        back = FieldEnsemble.load(str(tmp_path / "ens"))
+        assert np.array_equal(back.values, ens.values)
+        assert np.array_equal(back.time_indices, ens.time_indices)
+        assert (back.grid, back.kernel, back.g, back.noise) == (GRID, KERNEL, g, noise)
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
@@ -435,6 +471,10 @@ def test_pair_sink_equals_the_full_field_differences(case):
     rng = np.random.default_rng(1)
     t1, t2 = rng.choice(full.time_indices, (2, 40))
     s1, s2 = rng.integers(0, grid.points ** grid.dim, (2, 40))
+    # the ends and the middle of the ascending axis, where its map to native order wraps
+    n, last = grid.points, full.time_indices[-1]
+    t1, s1 = np.append(t1, [last] * 2), np.append(s1, [0, n // 2 - 1])
+    t2, s2 = np.append(t2, [last] * 2), np.append(s2, [n - 1, n // 2])
     # every case saves time index 0, where u = 0; the last pair is one point twice
     t1, s1 = np.append(t1, [0, t1[0]]), np.append(s1, [7, s1[0]])
     t2, s2 = np.append(t2, [0, t1[0]]), np.append(s2, [9, s1[0]])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import holderlab.cli as cli
 import holderlab.convolution as convolution
 import holderlab.errors as errors
 import holderlab.experiments as experiments
@@ -298,14 +299,31 @@ def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, fiel
      "--scale-k-min / --scale-k-max: at k = -1100, 2^1100 overflows"),
     ("seminorm", ["--scale-k-max", "2000"],
      "--scale-k-min / --scale-k-max: at k = 2000, 2^-2000 underflows to 0"),
+    ("moments", ["--p", "nan"], "--p nan: the moment order must be finite and >= 1"),
+    ("moments", ["--p", "0.5"], "--p 0.5: the moment order must be finite and >= 1"),
+    ("seminorm", ["--p", "inf"], "--p inf: the moment order must be finite and >= 1"),
+    ("seminorm", ["--theta", "-3"], "--theta -3.0: the exponent must be finite and >= 0"),
+    ("seminorm", ["--theta", "nan"], "--theta nan: the exponent must be finite and >= 0"),
 ], ids=["moments-zero-pairs", "seminorm-zero-pairs", "lags-empty", "lag-overflows",
-        "lag-underflows", "scales-empty", "scale-overflows", "scale-underflows"])
+        "lag-underflows", "scales-empty", "scale-overflows", "scale-underflows", "moments-p-nan",
+        "moments-p-half", "seminorm-p-inf", "seminorm-theta-negative", "seminorm-theta-nan"])
 def test_cli_flag_errors_exit_two_before_the_ensemble_is_read(tmp_path, capsys, command, flags,
                                                               message):
     missing = str(tmp_path / "missing" / "ensemble")
     assert main([command, "--ensemble", missing, *flags, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_untyped_errors_are_not_config_errors(monkeypatch):
+    # exit 2 is a ConfigError and exit 3 any other HolderLabError; a bare ValueError is a
+    # defect of the program, not of its input, and propagates
+    def broken(args):
+        raise ValueError("not a holderlab error")
+
+    monkeypatch.setattr(cli, "_cmd_moments", broken)
+    with pytest.raises(ValueError, match="not a holderlab error"):
+        main(["moments", "--ensemble", "unused"])
 
 
 @pytest.mark.parametrize("command", ["moments", "seminorm"])

@@ -104,6 +104,13 @@ def test_min_ensemble_guard(unit_ensemble):
         estimate_pair_moments(small, pairs, 2.0)
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+def test_moment_order_must_be_finite_and_at_least_one(unit_ensemble, p):
+    pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 8, seed=1)
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        estimate_pair_moments(unit_ensemble, pairs, p)
+
+
 def test_pair_off_grid(unit_ensemble):
     pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 8, seed=2)
     pairs.s_idx1[0] = GRID.points + 5
