@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .conditions import fit_exponent
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     SamplingBudgetTooSmall,
     ThetaOutOfEmbeddingRange,
 )
+from .noise import keyed_rng
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -275,6 +276,14 @@ def _cylinder_samples(rng, domain: Box, cyl: ParabolicCylinder, budget: int):
     return ts, xs
 
 
+def _check_exponents(p: float, theta: float) -> None:
+    """ValueError unless the moment order p is finite and >= 1 and theta finite and >= 0."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+
+
 def _pairwise_mean(vals: np.ndarray, p: float) -> float:
     diff = np.abs(vals[:, None] - vals[None, :]) ** p
     return float(diff.mean())
@@ -293,17 +302,14 @@ def campanato_seminorm(u, domain: Box, p: float, theta: float,
     is reported.  Centers refine toward the previous scale's maximizers so
     cusp-type fields keep their worst cylinders under shrinking scales.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if theta < 0.0:
-        raise ValueError("theta must be >= 0")
+    _check_exponents(p, theta)
     if budget < 64:
         raise SamplingBudgetTooSmall("need at least 64 points per cylinder")
     if scales is None:
         top = domain.diameter / 4.0
         scales = [top * 2.0**-k for k in range(5)]
     scales = sorted(scales, reverse=True)
-    rng = Generator(Philox(key=[seed, 0xCA]))
+    rng = keyed_rng(seed, 0xCA)
 
     groups = []  # (scale, |D cap Q|, pairwise mean, mean deviation) per accepted cylinder
     carried = []
@@ -356,7 +362,9 @@ def campanato_from_pair_moments(groups, p: float, theta: float) -> SeminormRepor
     with the mean deviation as a fourth value.  Per scale, largest first, the report holds
     the sup over its cylinders of each moment times measure^(1 - theta), and of the raw pair
     moment; a scale without cylinders has no row.  per_scale_meandev needs every fourth value.
+    A p that is not finite and >= 1, or a theta that is not finite and >= 0, raises ValueError.
     """
+    _check_exponents(p, theta)
     rows = {}  # scale -> (measure^(1 - theta), pair moment[, mean deviation]) per cylinder
     for scale, meas, *moments in groups:
         rows.setdefault(scale, []).append((meas ** (1.0 - theta), *moments))

@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .campanato import campanato_from_pair_moments, ParabolicCylinder, SpaceTimePoint
 from .convolution import FieldEnsemble
 from .errors import ConfigError, EmptyCylinder, HolderLabError
@@ -29,7 +31,8 @@ from .experiments import (
     write_json,
     write_table,
 )
-from .moments import estimate_pair_moments, sample_pairs_dyadic, sample_pairs_within_cylinder
+from .moments import (PairSet, estimate_pair_moments, sample_pairs_dyadic,
+                      sample_pairs_within_cylinder)
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -58,10 +61,11 @@ def _read(flag: str, path, load):
 
 
 def _read_ensemble(prefix) -> FieldEnsemble:
-    """FieldEnsemble.load(prefix); files it cannot make an ensemble of, a sidecar without a
-    key or a .bin of another shape, are a ConfigError naming --ensemble and the path."""
+    """FieldEnsemble.load(prefix) with its values left in the .bin, read one block at a time;
+    files it cannot make an ensemble of, a sidecar without a key or a .bin of another size,
+    are a ConfigError naming --ensemble and the path."""
     try:
-        return _read("--ensemble", prefix, FieldEnsemble.load)
+        return _read("--ensemble", prefix, lambda p: FieldEnsemble.load(p, in_memory=False))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"--ensemble {prefix}: not a holderlab ensemble "
                           f"({type(exc).__name__}: {exc})") from exc
@@ -117,11 +121,11 @@ def _cmd_audit_kernel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args, preset=args.kind_preset)
-    ens = build_regularity(cfg).simulate(cfg.simulation.ensemble)
+    pieces = build_regularity(cfg)
     out = Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     prefix = str(out / "ensemble")
-    ens.save(prefix)
+    pieces.simulate(cfg.simulation.ensemble, sink=prefix)  # streamed: never the whole field
     print(f"ensemble written to {prefix}.bin / {prefix}.json")
     return EXIT_PASS
 
@@ -158,21 +162,24 @@ def _cmd_seminorm(args) -> int:
     scales = dyadic("--scale-k-min / --scale-k-max", args.scale_k_min, args.scale_k_max)
     ens = _read_ensemble(args.ensemble)
     seed = _resolve_seed(args) or 0
-    groups = []
+    cylinders = []  # (scale, cylinder, pairs) of each cylinder holding two saved points
     times = ens.times
     t_mid = float(times[len(times) // 2])
     for k, c in enumerate(scales, start=args.scale_k_min):
         cyl = ParabolicCylinder(SpaceTimePoint(t_mid, [0.0]), c)
         try:
-            pairs = sample_pairs_within_cylinder(ens, cyl, args.pairs, seed=seed + k)
+            cylinders.append((c, cyl, sample_pairs_within_cylinder(ens, cyl, args.pairs,
+                                                                   seed=seed + k)))
         except EmptyCylinder:
             continue
-        field = estimate_pair_moments(ens, pairs, args.p)
-        groups.append((c, cyl.measure, float(field.estimates.mean())))
-    if not groups:
+    if not cylinders:
         raise ConfigError(f"--scale-k-min {args.scale_k_min} .. --scale-k-max "
                           f"{args.scale_k_max} leaves no cylinder holding two saved lattice "
                           f"points (lattice spacing {ens.grid.spacing:g})")
+    # every cylinder's pairs at once: one read of the .bin
+    field = estimate_pair_moments(ens, PairSet.concatenate([p for _, _, p in cylinders]), args.p)
+    groups = [(c, cyl.measure, float(est.mean())) for (c, cyl, _), est
+              in zip(cylinders, np.split(field.estimates, len(cylinders)))]
     report = campanato_from_pair_moments(groups, args.p, args.theta)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

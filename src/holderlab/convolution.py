@@ -20,16 +20,24 @@ into one base spectrum and a shift of the zero mode per slab (_g_spectrum).
 
 Both engines work in the FFT's native order and shift only into the ascending layout of what
 is stored: the pass fills the whole field (FieldEnsemble, for `holderlab simulate`) at saved
-times strictly increasing as in its sidecar.  The presets' pairs need only u(X) - u(Y) =
-sum_k D_k w_k: _slab_differences builds D once for both their Monte Carlo values and their
-exact second moments (PairEnsemble).  Realizations are pure functions of (seed, stream_index).
+times strictly increasing as in its sidecar, one block of realizations (FIELD_BLOCK bytes of
+stored values) at a time.  It fills the blocks of an array in memory, or streams each finished
+block to the ensemble's .bin (sink): the file is realization-major, so a block is one
+contiguous byte range.  A stored ensemble (StoredField) is read back the same way, one block
+at a time, so no step between `simulate` and `seminorm` holds the whole field.  The presets'
+pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D once for both their
+Monte Carlo values and their exact second moments (PairEnsemble).  Realizations are pure
+functions of (seed, stream_index), and no realization depends on the block it falls in.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import typing
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -83,15 +91,56 @@ class Lattice(typing.NamedTuple):
     time_indices: np.ndarray
 
 
+FIELD_BLOCK = 2**23  # bytes of stored field values in one block of realizations
+PAIR_CHUNK = 2**18  # elements of each (pairs, slabs) temporary of _slab_differences, or one row
+
+
+def block_rows(row_bytes: int) -> int:
+    """The most realizations of one block: FIELD_BLOCK bytes of rows of row_bytes, and at
+    least 3, so that the even split of _row_blocks never leaves a block of one row."""
+    return max(FIELD_BLOCK // row_bytes, 3)
+
+
+def _row_blocks(M: int, row_bytes: int):
+    """(lo, hi) of each block of realizations, in order: ceil(M / B) blocks of sizes as equal as
+    possible for B = block_rows(row_bytes), so none holds more than B rows, nor a single row
+    unless M = 1 (on one row matmul takes a matrix-vector kernel that rounds differently, and
+    a realization would depend on its block)."""
+    count = -(-M // block_rows(row_bytes))
+    for j in range(count):
+        yield M * j // count, M * (j + 1) // count
+
+
+@dataclass(frozen=True)
+class StoredField:
+    """Field values left in a .bin: realization-major (M, n_times, n_x) values of dtype."""
+
+    path: str
+    shape: tuple
+    dtype: np.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Realizations lo .. hi - 1, read as one byte range with np.fromfile (a mapping would
+        count every page it touched in the resident set)."""
+        row = math.prod(self.shape[1:])
+        return np.fromfile(self.path, self.dtype, count=(hi - lo) * row,
+                           offset=lo * row * self.dtype.itemsize).reshape(hi - lo, *self.shape[1:])
+
+
 @dataclass
 class FieldEnsemble:
     """M realizations of the 1-D field on saved lattice times.
 
     values has shape (M, n_times, n_x), with spatial coordinates ascending
-    from -L.  u(0, .) = 0 for every realization (zero initial data).
+    from -L: an array in memory, or a StoredField left in the ensemble's .bin.
+    u(0, .) = 0 for every realization (zero initial data).
     """
 
-    values: np.ndarray
+    values: np.ndarray | StoredField
     time_indices: np.ndarray
     grid: SpectralGrid
     kernel: KernelSpec
@@ -106,41 +155,78 @@ class FieldEnsemble:
     def times(self) -> np.ndarray:
         return self.time_indices * self.dt
 
+    def blocks(self):
+        """(lo, values) of consecutive blocks of realizations: the whole array in memory, or
+        the .bin read one block of _row_blocks at a time."""
+        stored = self.values
+        if not isinstance(stored, StoredField):
+            yield 0, stored
+            return
+        for lo, hi in _row_blocks(stored.shape[0], stored.nbytes // stored.shape[0]):
+            yield lo, stored.rows(lo, hi)
+
     def at(self, t_idx, s_idx) -> np.ndarray:
         """u at (time index, flattened spatial index) points, shape (M, n), realization
-        axis contiguous."""
+        axis contiguous; one pass over the blocks."""
         s_idx = np.asarray(s_idx)
         hits = self.time_indices == np.asarray(t_idx)[:, None]
         if not hits.any(axis=1).all():
             raise GridMismatch(f"time indices {np.setdiff1d(t_idx, self.time_indices)} not saved")
         if np.any(s_idx < 0) or np.any(s_idx >= self.values.shape[2]):
             raise PairOffGrid("spatial index outside the lattice")
-        return self.values[:, hits.argmax(axis=1), s_idx]  # first saved position of each time
+        pos = hits.argmax(axis=1)  # first saved position of each time
+        out = np.empty((s_idx.size, self.values.shape[0]), self.values.dtype).T
+        for lo, block in self.blocks():
+            out[lo:lo + len(block)] = block[:, pos, s_idx]
+        return out
 
     def differences(self, pairs) -> np.ndarray:
-        """u(X) - u(Y) for each pair of a PairSet, as a new float64 (M, n) array."""
-        diff = self.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)
-        diff -= self.at(pairs.t_idx2, pairs.s_idx2)
+        """u(X) - u(Y) for each pair of a PairSet, as a new float64 (M, n) array; both
+        members are gathered in one pass."""
+        n = np.size(pairs.t_idx1)
+        both = self.at(np.concatenate([pairs.t_idx1, pairs.t_idx2]),
+                       np.concatenate([pairs.s_idx1, pairs.s_idx2]))
+        diff = both[:, :n].astype(np.float64)
+        diff -= both[:, n:]
         return diff
 
     def save(self, prefix: str) -> None:
         """Flat binary dump plus a JSON sidecar: shape, dtype, time indices and the fields of
         grid, kernel, g and noise (dt is noise.dt)."""
-        self.values.tofile(f"{prefix}.bin")
+        self._write(prefix, (block for _, block in self.blocks()))
+
+    def _write(self, prefix: str, blocks) -> None:
+        """Write blocks, consecutive realizations of self's shape, to {prefix}.bin and self's
+        sidecar to {prefix}.json, each under a temporary name renamed when complete: the
+        .bin first, the sidecar last, after any older sidecar is removed.  A write that fails
+        or is stopped never leaves a sidecar over a partial .bin."""
         sidecar = {name: asdict(getattr(self, name)) for name in ("grid", "kernel", "g", "noise")}
         sidecar.update(shape=list(self.values.shape), dtype=str(self.values.dtype),
                        time_indices=[int(i) for i in self.time_indices])
-        with open(f"{prefix}.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        partial = [Path(f"{prefix}.bin.partial"), Path(f"{prefix}.json.partial")]
+        try:
+            with open(partial[0], "wb") as fh:
+                for block in blocks:
+                    block.tofile(fh)
+            with open(partial[1], "w") as fh:
+                json.dump(sidecar, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            Path(f"{prefix}.json").unlink(missing_ok=True)
+            os.replace(partial[0], f"{prefix}.bin")
+            os.replace(partial[1], f"{prefix}.json")
+        finally:
+            for path in partial:
+                path.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, prefix: str) -> "FieldEnsemble":
+    def load(cls, prefix: str, in_memory: bool = True) -> "FieldEnsemble":
         """What save wrote; ValueError, before the .bin is read, for a sidecar whose grid or
         kernel is not 1-D, whose time indices are not one or more strictly increasing whole
-        numbers in [0, noise.steps], whose dtype is not float32 or float64, or whose shape is not
-        [M >= 1, len(time_indices), grid.points].  Each spec takes every one of its fields
-        from the sidecar (KeyError if one is missing) and ignores keys it no longer has."""
+        numbers in [0, noise.steps], whose dtype is not float32 or float64, whose shape is not
+        [M >= 1, len(time_indices), grid.points], or whose shape and dtype do not make the
+        size of the .bin.  Each spec takes every one of its fields from the sidecar (KeyError
+        if one is missing) and ignores keys it no longer has.  in_memory=False reads no value:
+        values is the StoredField, read one block of realizations at a time."""
         with open(f"{prefix}.json") as fh:
             side = json.load(fh)
         grid = _from_fields(SpectralGrid, side["grid"])
@@ -158,9 +244,14 @@ class FieldEnsemble:
         if not m >= 1 or rest != [time_indices.size, grid.points]:
             raise ValueError(f"shape {side['shape']} is not [M >= 1, "
                              f"{time_indices.size} saved times, {grid.points} points]")
-        values = np.fromfile(f"{prefix}.bin", dtype=side["dtype"]).reshape(side["shape"])
-        return cls(values=values, time_indices=time_indices, grid=grid, kernel=kernel,
-                   g=_from_fields(TestFunctionSpec, side["g"]), noise=noise)
+        values = StoredField(f"{prefix}.bin", tuple(side["shape"]), np.dtype(side["dtype"]))
+        size = os.path.getsize(values.path)
+        if size != values.nbytes:
+            raise ValueError(f"{values.path} holds {size} bytes, not the {values.nbytes} of "
+                             f"shape {side['shape']} in {side['dtype']}")
+        return cls(values=values.rows(0, m) if in_memory else values, time_indices=time_indices,
+                   grid=grid, kernel=kernel, g=_from_fields(TestFunctionSpec, side["g"]),
+                   noise=noise)
 
 
 def _from_fields(cls, data: dict):
@@ -235,19 +326,20 @@ def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float,
 
 
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-              noise: NoiseSpec, M: int, save_times, dtype=np.float64, pairs=None):
-    """One pass over the saved indices, strictly increasing as in the sidecar: from cur to i
-    the real sum R = sum over slabs k <= i - 2 of w_k Q[i - k] decays by exp(-(i - cur) dt
-    |xi|^alpha) and gains the new slabs; then u_hat_i = base (R + w_{i-1} Q[1]), the midpoint
-    slab k = i - 1 as a rank-1 term, plus sum_k w_k Q[i - k, 0] zero[k] in the zero mode; its
-    native inverse FFT is stored ascending.  O(M F max i).  pairs = (t1, s1, t2, s2), lattice
-    indices of pair members on saved times, skips the pass: u(X) - u(Y) = D w."""
+              noise: NoiseSpec, M: int, save_times, dtype=np.float64, pairs=None, sink=None):
+    """The field of M realizations on the saved indices, strictly increasing as in the sidecar
+    (_field_blocks): in memory, or with sink, a path prefix, written block by block to
+    {sink}.bin and {sink}.json (FieldEnsemble._write) and left there as a StoredField.
+    pairs = (t1, s1, t2, s2), lattice indices of pair members on saved times, skips the pass:
+    u(X) - u(Y) = D w."""
     _require_1d(kernel, grid)
     if M < 1:
         raise ValueError("need at least one realization")
-    n_t, dt = noise.steps, noise.dt
+    n_t = noise.steps
     idx = np.arange(n_t + 1) if save_times is None else _saved(save_times, n_t, GridMismatch)
     if pairs is not None:
+        if sink is not None:
+            raise ValueError("the pair differences are not written to a sink")
         times = np.concatenate([np.ravel(pairs[0]), np.ravel(pairs[2])])
         if not np.isin(times, idx).all():
             raise GridMismatch(f"pair times {np.setdiff1d(times, idx)} are not saved times")
@@ -257,49 +349,79 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         return PairEnsemble(values, tuple(np.array(a) for a in pairs), idx,
                             _isometry(g, noise, diff))
 
+    shape = (M, idx.size, grid.points)
+    if sink is None:
+        out = np.zeros(shape, dtype=dtype)
+        for _ in _field_blocks(kernel, grid, g, noise, idx, out):
+            pass  # each block is filled in place
+        return FieldEnsemble(values=out, time_indices=idx, grid=grid, kernel=kernel, g=g,
+                             noise=noise)
+    ens = FieldEnsemble(values=StoredField(f"{sink}.bin", shape, np.dtype(dtype)),
+                        time_indices=idx, grid=grid, kernel=kernel, g=g, noise=noise)
+    ens._write(sink, _field_blocks(kernel, grid, g, noise, idx, ens.values))
+    return ens
+
+
+def _field_blocks(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
+                  noise: NoiseSpec, idx: np.ndarray, out):
+    """The forward pass, one block of realizations (_row_blocks) at a time; yields each
+    finished block, out[lo:hi] of an (M, idx.size, n) array, or for a StoredField out the
+    rows of one zeroed buffer reused from block to block.  Per block, from cur to i the real
+    sum R = sum over slabs k <= i - 2 of w_k Q[i - k] decays by exp(-(i - cur) dt |xi|^alpha)
+    and gains the new slabs; then u_hat_i = base (R + w_{i-1} Q[1]), the midpoint slab
+    k = i - 1 as a rank-1 term, plus sum_k w_k Q[i - k, 0] zero[k] in the zero mode; its
+    native inverse FFT is stored ascending.  O(M F max i)."""
+    n_t, dt, n = noise.steps, noise.dt, grid.points
+    M = out.shape[0]
     q = _lag_symbols(kernel, grid, dt, n_t)
     base, zero = _g_spectrum(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M)
-
     rate = -dt * _freq_radius(grid) ** kernel.alpha
-    out = np.zeros((M, idx.size, grid.points), dtype=dtype)
-    running = np.zeros((M, rate.size))  # sum over slabs k <= cur - 2 of w[:, k] Q[cur - k]
-    u_hat = np.empty((M, rate.size), dtype=complex)
-    cur = 0
+    # the zero-mode terms, one matrix-vector product per time over all M rows: per block, its
+    # rounding would depend on how many rows the block holds
+    shift = np.zeros((M, idx.size))
     for pos, i in enumerate(idx):
-        if i == 0:
-            continue  # zero initial data
-        start = max(cur - 1, 0)
-        running *= np.exp((i - cur) * rate)
-        running += w[:, start:i - 1] @ q[i - start:1:-1]
-        cur = i
-        np.multiply(running + np.outer(w[:, i - 1], q[1]), base, out=u_hat)
-        u_hat[:, 0] += w[:, :i] @ (q[i:0:-1, 0] * zero[:i])
-        np.concatenate(np.split(np.fft.irfft(u_hat, grid.points), 2, axis=1)[::-1], axis=1,
-                       out=out[:, pos])  # the native halves swapped: ascending from -L
-    return FieldEnsemble(values=out, time_indices=idx, grid=grid, kernel=kernel, g=g,
-                         noise=noise)
+        shift[:, pos] = w[:, :i] @ (q[i:0:-1, 0] * zero[:i])
+
+    bounds = list(_row_blocks(M, idx.size * n * out.dtype.itemsize))
+    streamed = isinstance(out, StoredField)
+    if streamed:
+        out = np.zeros((max(hi - lo for lo, hi in bounds), idx.size, n), out.dtype)
+    for lo, hi in bounds:
+        wb, block = w[lo:hi], out[:hi - lo] if streamed else out[lo:hi]
+        running = np.zeros((hi - lo, rate.size))  # sum over slabs k <= cur - 2 of w_k Q[cur - k]
+        u_hat = np.empty((hi - lo, rate.size), dtype=complex)
+        cur = 0
+        for pos, i in enumerate(idx):
+            if i == 0:
+                continue  # zero initial data
+            start = max(cur - 1, 0)
+            running *= np.exp((i - cur) * rate)
+            running += wb[:, start:i - 1] @ q[i - start:1:-1]
+            cur = i
+            np.multiply(running + np.outer(wb[:, i - 1], q[1]), base, out=u_hat)
+            u_hat[:, 0] += shift[lo:hi, pos]
+            np.concatenate(np.split(np.fft.irfft(u_hat, n), 2, axis=1)[::-1], axis=1,
+                           out=block[:, pos])  # the native halves swapped: ascending from -L
+        yield block
 
 
 def convolve_brownian(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                       noise: NoiseSpec, M: int, save_times=None,
-                      dtype=np.float64, pairs=None):
+                      dtype=np.float64, pairs=None, sink=None):
     """Ensemble of Brownian-driven convolutions u = sum_k [p * g](.) dW_k."""
     if noise.kind != "brownian":
         raise GridMismatch("convolve_brownian needs brownian noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, dtype, pairs)
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype, pairs, sink)
 
 
 def convolve_poisson(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                      noise: NoiseSpec, M: int, save_times=None,
-                     dtype=np.float64, pairs=None):
+                     dtype=np.float64, pairs=None, sink=None):
     """Ensemble of compensated-Poisson-driven convolutions."""
     if noise.kind != "poisson":
         raise GridMismatch("convolve_poisson needs poisson noise")
-    return _convolve(kernel, grid, g, noise, M, save_times, dtype, pairs)
-
-
-PAIR_CHUNK = 2**18  # elements of each (pairs, slabs) temporary of _slab_differences, or one row
+    return _convolve(kernel, grid, g, noise, M, save_times, dtype, pairs, sink)
 
 
 def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,

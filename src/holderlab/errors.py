@@ -65,6 +65,11 @@ class EnsembleTooSmall(HolderLabError):
     """Monte Carlo ensemble below the minimum size for moment estimates."""
 
 
+class MomentOverflow(HolderLabError):
+    """A moment estimate or its standard error is not finite: the field values or their
+    p-th powers overflowed."""
+
+
 class EmptyRequest(HolderLabError):
     """Zero pairs (or points) requested."""
 

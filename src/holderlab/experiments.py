@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import shutil
 import time
 import typing
 from dataclasses import dataclass, field
@@ -34,8 +35,8 @@ import numpy as np
 from . import __version__
 from .campanato import Box, campanato_seminorm, embedding_exponent
 from .conditions import MESH_GRADING, ConditionProbe, audit_conditions, fit_exponent
-from .convolution import (PAIR_CHUNK, Lattice, TestFunctionSpec, convolve_brownian,
-                          convolve_poisson)
+from .convolution import (PAIR_CHUNK, Lattice, TestFunctionSpec, block_rows,
+                          convolve_brownian, convolve_poisson)
 from .errors import ConfigError, HolderLabError, PairOffGrid, ThetaOutOfEmbeddingRange
 from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, physical_memory
 from .moments import estimate_pair_moments, lag_offsets, sample_pairs_dyadic
@@ -389,19 +390,24 @@ class RegularityPieces(typing.NamedTuple):
     def lattice(self) -> Lattice:
         return Lattice(self.noise.dt, self.grid, np.array(self.saved))
 
-    def require_memory(self, M: int, n_pairs: int | None = None) -> float:
+    def require_memory(self, M: int, n_pairs: int | None = None,
+                       streamed: bool = False) -> float:
         """Bytes the simulation holds at most, counted without allocating; ConfigError past
         physical memory.  Always: (M, n_t) slab weights, (n_t + 1, F) lag symbols (twice while
-        built), the largest Poisson path.  Full field: the sink, the real (M, F) running sum
-        and one temporary of it, the complex (M, F) spectrum and its inverse transform, and one
-        step's new lag symbols.  Pairs, for the last saved index k: the (n_pairs, k)
-        differences, (k + 1, n) profiles with transforms and chunks, the (M, n_pairs) product
-        and copy."""
+        built), the largest Poisson path.  Full field: the (M, |saved|) zero-mode terms; the
+        sink, all M rows or, streamed to a .bin, one block of rows (block_rows); per block
+        the real running sum and one temporary of it, the complex spectrum and its inverse
+        transform; and one step's new lag symbols.  Pairs, for the last saved index k: the
+        (n_pairs, k) differences, (k + 1, n) profiles with transforms and chunks, the
+        (M, n_pairs) product and copy."""
         n, n_t, k = self.grid.points, self.noise.steps, self.saved[-1]  # 1-D: 2F = n + 2
         item = np.dtype(self.dtype).itemsize
         need = 8 * M * n_t + 8 * (n_t + 1) * (n + 2)
         if n_pairs is None:
-            need += M * (len(self.saved) * n * item + 24 * (n + 2)) + 4 * n_t * (n + 2)
+            row = len(self.saved) * n * item
+            rows = min(M, block_rows(row))
+            need += (8 * M * len(self.saved) + (rows if streamed else M) * row
+                     + 24 * rows * (n + 2) + 4 * n_t * (n + 2))
         else:
             need += (M * n_pairs * (8 + item) + 8 * k * n_pairs
                      + 32 * (k + 1) * (n + 2) + 48 * max(PAIR_CHUNK, k))
@@ -417,14 +423,24 @@ class RegularityPieces(typing.NamedTuple):
                               "of physical memory")
         return need
 
-    def simulate(self, M: int, pairs=None):
-        """The field on the saved times, or u(X) - u(Y) of a PairSet, after require_memory."""
-        self.require_memory(M, None if pairs is None else pairs.size)
+    def simulate(self, M: int, pairs=None, sink=None):
+        """The field on the saved times, or u(X) - u(Y) of a PairSet, after require_memory.
+        With sink, a path prefix, the field is streamed to {sink}.bin and {sink}.json, after a
+        ConfigError if the .bin would not fit the free space of sink's directory."""
+        self.require_memory(M, None if pairs is None else pairs.size, streamed=sink is not None)
+        if sink is not None:
+            size = M * len(self.saved) * self.grid.points * np.dtype(self.dtype).itemsize
+            free = shutil.disk_usage(Path(sink).parent).free
+            if size > free:
+                raise ConfigError(f"config.simulation.ensemble / config.simulation.grid_points: "
+                                  f"the ensemble of {M} realizations needs {size / 2**30:.1f} "
+                                  f"GiB, more than the {free / 2**30:.1f} GiB free under "
+                                  f"{Path(sink).parent}")
         if pairs is not None:
             pairs = (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
         convolve = convolve_brownian if self.noise.kind == "brownian" else convolve_poisson
         return convolve(self.kernel, self.grid, self.g, self.noise, M=M,
-                        save_times=self.saved, dtype=self.dtype, pairs=pairs)
+                        save_times=self.saved, dtype=self.dtype, pairs=pairs, sink=sink)
 
 
 def _spec(path: str, cls, *args, **kwargs):

@@ -10,14 +10,15 @@ The lattice, like the field, is 1-D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .campanato import ParabolicCylinder, parabolic_distance
 from .convolution import Lattice
-from .errors import DimensionMismatch, EmptyCylinder, EmptyRequest, EnsembleTooSmall, PairOffGrid
+from .errors import (DimensionMismatch, EmptyCylinder, EmptyRequest, EnsembleTooSmall,
+                     MomentOverflow, PairOffGrid)
+from .noise import keyed_rng
 
 MIN_ENSEMBLE = 30
 
@@ -47,6 +48,11 @@ class PairSet:
     @property
     def size(self) -> int:
         return self.t_idx1.size
+
+    @classmethod
+    def concatenate(cls, sets) -> "PairSet":
+        """The pairs of every set, in order."""
+        return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
 
     def swapped(self) -> "PairSet":
         return PairSet(self.t_idx2, self.s_idx2, self.t_idx1, self.s_idx1,
@@ -91,7 +97,8 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from a
     FieldEnsemble or a PairEnsemble built for these pairs.
 
-    Deterministic given the ensemble; symmetric in the pair order.
+    Deterministic given the ensemble; symmetric in the pair order.  Estimates or standard
+    errors that overflow to a value that is not finite raise MomentOverflow.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"moment order p must be finite and >= 1, got {p}")
@@ -106,6 +113,10 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     lags = np.unique(pairs.requested_delta[~np.isnan(pairs.requested_delta)])
     by_lag = {float(lag): float(powed[:, pairs.requested_delta == lag].mean(axis=1).std(ddof=1)
                                 / np.sqrt(M)) for lag in lags}
+    if not (np.isfinite(est).all() and np.isfinite(err).all()
+            and np.isfinite(list(by_lag.values())).all()):
+        raise MomentOverflow(f"p = {p} moment estimates are not finite: the field values or "
+                             "their p-th powers overflowed")
     return MomentField(p=p, pairs=pairs, estimates=est, stderr=err, realization_stderr=by_lag)
 
 
@@ -130,7 +141,7 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
     if ok_t.size * ok_x.size < 2:
         raise EmptyCylinder(f"{ok_t.size * ok_x.size} saved lattice points inside {cylinder}, "
                             "fewer than a pair needs")
-    rng = Generator(Philox(key=[seed, 0xC1]))
+    rng = keyed_rng(seed, 0xC1)
     ti = lattice.time_indices[rng.choice(ok_t, 2 * count)]
     xi = rng.choice(ok_x, 2 * count)
     t_idx1, t_idx2 = ti[:count], ti[count:]
@@ -166,7 +177,7 @@ def sample_pairs_dyadic(lattice: Lattice, lags, count: int, seed: int = 0) -> Pa
             raise PairOffGrid(
                 f"lag {lag:g} spans {spacings} lattice spacings, but the central "
                 f"window holding the base points is {hi - lo} spacings wide")
-    rng = Generator(Philox(key=[seed, 0xD7]))
+    rng = keyed_rng(seed, 0xD7)
     on_lattice = set(lattice.time_indices.tolist())
     saved = sorted(on_lattice)
 

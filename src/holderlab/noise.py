@@ -142,9 +142,11 @@ def event_block(spec: NoiseSpec) -> float:
     return lam_t + 6.0 * math.sqrt(lam_t) + 10.0
 
 
-def _stream_rng(seed: int, stream_index: int) -> Generator:
-    # Philox keys are two 64-bit words: (seed, stream) is the whole contract.
-    return Generator(Philox(key=[seed % 2**64, stream_index % 2**64]))
+def keyed_rng(seed: int, stream: int) -> Generator:
+    """The Philox generator of every seeded draw in holderlab: its key is two 64-bit words,
+    (seed mod 2^64, stream mod 2^64), so any integer seed is accepted.  The words go in as
+    uint64: a list of Python ints above 2^63 would be rounded through float64."""
+    return Generator(Philox(key=np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)))
 
 
 def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:
@@ -155,7 +157,7 @@ def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:
     """
     if stream_index < 0:
         raise ValueError("stream_index must be >= 0")
-    rng = _stream_rng(spec.seed, stream_index)
+    rng = keyed_rng(spec.seed, stream_index)
     if spec.kind == "brownian":
         inc = rng.normal(0.0, math.sqrt(spec.dt), spec.steps)
         return NoisePath(kind="brownian", horizon=spec.horizon, dt=spec.dt, increments=inc)

@@ -246,6 +246,19 @@ def test_pair_moment_reducer():
         (rep.per_scale, rep.raw_per_scale, rep.seminorm)
 
 
+@pytest.mark.parametrize("p, theta", [(math.inf, -3.0), (2.0, -3.0), (math.nan, 1.5),
+                                      (0.5, 1.5), (math.inf, 1.5), (2.0, math.nan),
+                                      (2.0, math.inf)])
+def test_both_campanato_routes_refuse_the_same_exponents(p, theta):
+    # a moment order not finite and >= 1, or a theta not finite and >= 0, is refused before
+    # anything is reduced; (inf, -3) once gave a seminorm of 1.0
+    groups = [(0.25, 0.1, 0.02), (0.125, 0.01, 0.005)]
+    with pytest.raises(ValueError, match="must be finite"):
+        campanato_from_pair_moments(groups, p, theta)
+    with pytest.raises(ValueError, match="must be finite"):
+        campanato_seminorm(lambda ts, xs: ts, UNIT_BOX, p, theta)
+
+
 def test_seminorm_report_io(tmp_path):
     rep = campanato_seminorm(lambda ts, xs: xs[:, 0], UNIT_BOX, 2.0, 1.0,
                              scales=[0.2, 0.1, 0.05, 0.025], budget=96,

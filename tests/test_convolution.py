@@ -6,12 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import holderlab.convolution as convolution
 from holderlab.convolution import (
     FieldEnsemble,
     PairEnsemble,
+    StoredField,
     TestFunctionSpec,
     _g_spectrum,
     _lag_symbols,
+    block_rows,
     convolve_brownian,
     convolve_poisson,
     second_moment_pairs,
@@ -528,27 +531,122 @@ def test_pair_sink_rejects_pairs_off_the_saved_lattice():
     assert np.array_equal(full.at([64, 0], [3, 3]), full.values[:, [1, 0], 3])
 
 
-@pytest.mark.parametrize("preset", [False, True], ids=["small", "brownian-preset"])
-def test_forward_pass_holds_three_spectral_arrays(preset):
-    # beyond its sink and slab weights the pass holds the real running sum, one saved time's
-    # spectrum and its inverse transform, with their temporaries: under 3.5 (M, 2F) float64
-    # arrays, within what RegularityPieces.require_memory counts
-    M = 2000
+def _forward_pass_pieces(preset):
     if preset:  # 1,024 points and steps, the preset's saved times
-        pieces = build_regularity(default_config("brownian-regularity"))
-    else:
-        g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-        pieces = RegularityPieces(KERNEL, GRID, BROWNIAN, g, [0.25], list(range(32, 129, 8)),
-                                  "float32")
+        return build_regularity(default_config("brownian-regularity"))
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    return RegularityPieces(KERNEL, GRID, BROWNIAN, g, [0.25], list(range(32, 129, 8)),
+                            "float32")
+
+
+def _peak(run):
     tracemalloc.start()
     try:
-        ens = pieces.simulate(M)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = peak - ens.values.nbytes - M * pieces.noise.steps * 8
-    assert held < 3.5 * M * (pieces.grid.points + 2) * 8
+
+
+@pytest.mark.parametrize("preset", [False, True], ids=["small", "brownian-preset"])
+def test_forward_pass_holds_three_spectral_arrays(preset):
+    # beyond its sink, slab weights and (M, saved) zero-mode terms the pass holds the lag
+    # symbols (twice while built) and, for one block of realizations, the real running sum,
+    # one saved time's spectrum and its inverse transform with their temporaries: under
+    # 3.5 (rows, 2F) float64 arrays, within what RegularityPieces.require_memory counts
+    M = 2000
+    pieces = _forward_pass_pieces(preset)
+    n, n_t, saved = pieces.grid.points, pieces.noise.steps, len(pieces.saved)
+    rows = block_rows(saved * n * 4)
+    assert rows < M
+    ens, peak = _peak(lambda: pieces.simulate(M))
+    held = peak - ens.values.nbytes - M * n_t * 8 - M * saved * 8
+    assert held < 8 * (n_t + 1) * (n + 2) + 3.5 * rows * (n + 2) * 8
     assert peak <= pieces.require_memory(M)
+
+
+@pytest.mark.parametrize("preset", [False, True], ids=["small", "brownian-preset"])
+def test_streamed_pass_holds_one_block_of_the_sink(tmp_path, preset):
+    # written to a sink, the pass holds one block of rows in place of the whole field
+    M = 2000
+    pieces = _forward_pass_pieces(preset)
+    n, n_t, saved = pieces.grid.points, pieces.noise.steps, len(pieces.saved)
+    rows = block_rows(saved * n * 4)
+    ens, peak = _peak(lambda: pieces.simulate(M, sink=str(tmp_path / "ens")))
+    assert isinstance(ens.values, StoredField) and ens.values.shape == (M, saved, n)
+    held = peak - M * n_t * 8 - M * saved * 8
+    assert held < rows * saved * n * 4 + 8 * (n_t + 1) * (n + 2) + 3.5 * rows * (n + 2) * 8
+    assert peak <= pieces.require_memory(M, streamed=True) < pieces.require_memory(M)
+
+
+STREAM_SAVED = [0, 24, 64, 65, 128]
+STREAM_B = 4  # realizations of one block in the streaming tests
+
+
+def _row_bytes(dtype):
+    return len(STREAM_SAVED) * GRID.points * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
+def test_streamed_ensemble_is_the_in_memory_bytes(tmp_path, monkeypatch, noise, dtype):
+    # the .bin and sidecar streamed one block at a time are the bytes of the in-memory pass
+    # with a single block of all M, whatever the block of a realization
+    convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    B = STREAM_B
+    for M in (1, 2, B - 1, B + 1, 2 * B + 1):
+        monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**40)
+        whole = convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype)
+        whole.save(str(tmp_path / "whole"))
+        monkeypatch.setattr(convolution, "FIELD_BLOCK", B * _row_bytes(dtype))
+        blocks = list(convolution._row_blocks(M, _row_bytes(dtype)))
+        assert blocks[0][0] == 0 and blocks[-1][1] == M
+        assert all(2 <= hi - lo <= B or M == 1 for lo, hi in blocks)
+        streamed = convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype,
+                            sink=str(tmp_path / "streamed"))
+        assert streamed.values == StoredField(str(tmp_path / "streamed.bin"),
+                                              (M, len(STREAM_SAVED), GRID.points),
+                                              np.dtype(dtype))
+        for suffix in (".bin", ".json"):
+            assert ((tmp_path / f"streamed{suffix}").read_bytes()
+                    == (tmp_path / f"whole{suffix}").read_bytes()), (M, suffix)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "streamed.bin", "streamed.json", "whole.bin", "whole.json"]
+        in_memory = convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype)
+        assert np.array_equal(in_memory.values, whole.values)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_block_reader_gathers_the_in_memory_values(tmp_path, monkeypatch, dtype):
+    # realizations read one block at a time give at() and differences() bit for bit,
+    # realization axis contiguous as the in-memory gather
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    M = 2 * STREAM_B + 1
+    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M, STREAM_SAVED, dtype)
+    ens.save(str(tmp_path / "ens"))
+    monkeypatch.setattr(convolution, "FIELD_BLOCK", STREAM_B * _row_bytes(dtype))
+    stored = FieldEnsemble.load(str(tmp_path / "ens"), in_memory=False)
+    assert isinstance(stored.values, StoredField)
+    assert [len(block) for _, block in stored.blocks()] == [3, 3, 3]
+    assert np.array_equal(FieldEnsemble.load(str(tmp_path / "ens")).values, ens.values)
+    rng = np.random.default_rng(3)
+    t_idx = rng.choice(STREAM_SAVED, 40)
+    s_idx = rng.integers(0, GRID.points, 40)
+    got, want = stored.at(t_idx, s_idx), ens.at(t_idx, s_idx)
+    assert got.dtype == want.dtype == dtype and got.strides == want.strides
+    assert got.strides[0] == np.dtype(dtype).itemsize
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, ens.values[:, [STREAM_SAVED.index(t) for t in t_idx], s_idx])
+    pairs = SimpleNamespace(t_idx1=t_idx[:20], s_idx1=s_idx[:20], t_idx2=t_idx[20:],
+                            s_idx2=s_idx[20:])
+    diff = stored.differences(pairs)
+    assert diff.strides == (8, 8 * M)
+    assert np.array_equal(diff, ens.differences(pairs))
+    with pytest.raises(GridMismatch):
+        stored.at([32], [3])
+    with pytest.raises(PairOffGrid):
+        stored.at([64], [GRID.points])
 
 
 @pytest.mark.parametrize("M", [40, 2000])

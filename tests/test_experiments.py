@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ def test_cli_untyped_errors_are_not_config_errors(monkeypatch):
 
 @pytest.mark.parametrize("command", ["moments", "seminorm"])
 @pytest.mark.parametrize("damage", ["no-kernel", "short-bin", "grid-dim-2", "kernel-dim-2",
-                                    "shape-30-4-16", "shape-40-6-8", "dtype-int32",
+                                    "long-bin", "shape-30-4-16", "shape-40-6-8", "dtype-int32",
                                     "time-4.5", "time-decreasing", "time-past-steps", "time-none",
                                     "poisson-flat-mark"])
 def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
@@ -345,6 +346,8 @@ def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
         del side["kernel"]
     elif damage == "short-bin":
         ens.values[:, :2].tofile(f"{prefix}.bin")
+    elif damage == "long-bin":  # one realization more than the sidecar's shape
+        np.zeros((41, 3, 16), dtype=np.float32).tofile(f"{prefix}.bin")
     elif damage.startswith("shape"):  # the .bin holds as many values as the shape says
         side["shape"] = [int(n) for n in damage.split("-")[1:]]
     elif damage == "dtype-int32":  # as many bytes as float32
@@ -478,6 +481,99 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert lines[0] == "scale,value,raw_value"
     assert seminorm["scales"]
     assert len(lines) == 1 + len(seminorm["scales"])
+
+
+def test_cli_chain_holds_under_a_quarter_of_one_field(tmp_path, monkeypatch):
+    # simulate streams the field to the .bin block by block, and moments and seminorm read it
+    # back the same way: with 1 MiB blocks no step holds a quarter of the 32 MB field
+    monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**20)
+    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=400))
+    prefix = str(tmp_path / "ensemble")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["moments", "--ensemble", prefix, "--lag-k-max", "4", "--pairs", "16",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["seminorm", "--ensemble", prefix, "--pairs", "16",
+                     "--out", str(tmp_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field = 400 * len(build_regularity(load_config(path)).saved) * 512 * 4  # float32
+    assert (tmp_path / "ensemble.bin").stat().st_size == field
+    assert peak < field / 4
+
+
+def test_cli_chain_runs_under_the_benchmark_tracer(tmp_path):
+    # perfbench/tracer.py reads .values.shape, .values.nbytes and .time_indices of what
+    # convolve_* returns: the streamed ensemble answers them without reading its .bin
+    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    prefix = str(tmp_path / "ensemble")
+    steps = [("simulate", ["simulate", "--config", str(path), "--out", str(tmp_path)]),
+             ("moments", ["moments", "--ensemble", prefix, "--lag-k-max", "4", "--pairs", "16",
+                          "--out", str(tmp_path)]),
+             ("seminorm", ["seminorm", "--ensemble", prefix, "--pairs", "16",
+                           "--out", str(tmp_path)])]
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        for name, argv in steps:
+            t.run_id = name
+            assert cli.main(argv) == 0, name
+    finally:
+        t.uninstall()
+    simulate = t.summary("simulate")
+    assert simulate["convolution.convolve.calls"] == 1
+    assert simulate["convolution.realizations"] == 40
+    assert simulate["convolution.ensemble_bytes"] == (tmp_path / "ensemble.bin").stat().st_size
+    for name in ("moments", "seminorm"):  # one read of the .bin each
+        layers = t.summary(name)
+        assert layers["convolution.ensemble_load.calls"] == layers["moments.estimate.calls"] == 1
+
+
+def test_cli_pairs_take_any_integer_seed(tmp_path):
+    # a seed past 2^64 keys the pair samplers as seed mod 2^64, like the noise: 2^70 is 0
+    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    for seed in (str(2**70), "0"):
+        for command in (["moments", "--lag-k-max", "4"], ["seminorm"]):
+            assert main([*command, "--ensemble", str(tmp_path / "ensemble"), "--pairs", "16",
+                         "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    for name in ("moments.json", "seminorm.json"):
+        assert (tmp_path / str(2**70) / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+
+
+def test_cli_simulate_past_the_free_disk_exit_two(tmp_path, capsys, monkeypatch):
+    # checked before anything is written: no .bin, sidecar or partial file is left
+    monkeypatch.setattr(experiments.shutil, "disk_usage", lambda path: SimpleNamespace(free=1000))
+    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config.simulation.ensemble / config.simulation.grid_points" in err
+    assert "GiB free under" in err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_failed_simulate_leaves_the_previous_ensemble(tmp_path, monkeypatch):
+    # the new .bin and sidecar are renamed over the old ones only when both are complete
+    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["ensemble.bin", "ensemble.json"]
+    engine = convolution._field_blocks
+
+    def stopped(*args):  # the pass fails after its first block was written
+        blocks = engine(*args)
+        yield next(blocks)
+        raise MemoryError("stopped mid-pass")
+
+    monkeypatch.setattr(convolution, "_field_blocks", stopped)
+    monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**16)
+    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=60), name="cfg2.json")
+    with pytest.raises(MemoryError, match="mid-pass"):
+        main(["simulate", "--config", str(path), "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_emit_plots_takes_no_seed(tmp_path, capsys):
@@ -676,6 +772,8 @@ def _run_exits_with_its_code(tmp_path_factory, data):
 @example(data={"experiment": "poisson-regularity",  # the mark variance underflows to 0
                "noise": {"mark_parameter": 7.71593441431373e-245},
                "conditions": SMALL_BROWNIAN["conditions"]})
+@example(data=_with(SMALL_POISSON, "noise",  # marks of scale 4e105 overflow float32
+                    mark_parameter=2.4402243716812903e-106, intensity=1.0))
 @example(data=_with(SMALL_BROWNIAN, "moments", pairs_per_lag=1))  # stderr over one pair
 @example(data=_with(SMALL_BROWNIAN, "moments", lag_k_max=3))  # three lags, fit needs four
 def test_regularity_configs_run_or_exit_with_their_code(tmp_path_factory, data):

@@ -176,6 +176,22 @@ def test_dyadic_draw_order_is_pinned():
     assert pairs.x1.shape == (15,)
 
 
+def test_pair_seeds_are_taken_modulo_two_to_the_64():
+    # the samplers key Philox as the noise does: a seed of 2^70 is the seed 0, and seeds
+    # above 2^63 keep every bit (rounded through float64, 2^64 - 2 and 2^64 - 1 collided)
+    lattice = Lattice(1 / 64, SpectralGrid(length=1.0, points=64), np.arange(0, 65, 4))
+    cyl = ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25)
+    for sample in (lambda s: sample_pairs_dyadic(lattice, [0.5, 0.25], 5, seed=s),
+                   lambda s: sample_pairs_within_cylinder(lattice, cyl, 5, seed=s)):
+        def same(a, b):
+            a, b = sample(a), sample(b)
+            return all(np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+                       for f in dataclasses.fields(PairSet))
+
+        assert same(2**70, 0) and same(2**64 + 3, 3) and same(-1, 2**64 - 1)
+        assert not same(2**64 - 2, 2**64 - 1) and not same(2**63, 2**63 + 1)
+
+
 def test_lags_finer_than_the_lattice_are_rejected():
     # dt = 1/128, h = 1/8: a lag needs lag^2/dt >= 1/2 and lag/h >= 1/2
     lattice = Lattice(1 / 128, SpectralGrid(length=1.0, points=16), np.arange(0, 129, 4))
