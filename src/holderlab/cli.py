@@ -31,7 +31,7 @@ from .experiments import (
     write_json,
     write_table,
 )
-from .moments import (PairSet, estimate_pair_moments, sample_pairs_dyadic,
+from .moments import (PairSet, cylinder_lattice, estimate_pair_moments, sample_pairs_dyadic,
                       sample_pairs_within_cylinder)
 
 EXIT_PASS = 0
@@ -183,7 +183,9 @@ def _cmd_seminorm(args) -> int:
     report = campanato_from_pair_moments(groups, args.p, args.theta)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "seminorm.json", report.to_dict())
+    # per scale, the saved times its cylinder holds: with one, every pair is pure-space
+    write_json(out / "seminorm.json", {**report.to_dict(), "saved_times": [
+        int(cylinder_lattice(ens, cyl)[0].size) for _, cyl, _ in cylinders]})
     write_table(out / "seminorm.csv", ["scale", "value", "raw_value"],
                 zip(report.scales, report.per_scale, report.raw_per_scale))
     print(f"seminorm report written to {out / 'seminorm.json'}")

@@ -26,7 +26,8 @@ block to the ensemble's .bin (sink): the file is realization-major, so a block i
 contiguous byte range.  A stored ensemble (StoredField) is read back the same way, one block
 at a time, so no step between `simulate` and `seminorm` holds the whole field.  The presets'
 pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D once for both their
-Monte Carlo values and their exact second moments (PairEnsemble).  Realizations are pure
+exact second moments and their Monte Carlo values, which a PairEnsemble holds as the factors
+D and w and forms one block of pairs at a time, for the estimator.  Realizations are pure
 functions of (seed, stream_index), and no realization depends on the block it falls in.
 """
 
@@ -180,15 +181,17 @@ class FieldEnsemble:
             out[lo:lo + len(block)] = block[:, pos, s_idx]
         return out
 
-    def differences(self, pairs) -> np.ndarray:
-        """u(X) - u(Y) for each pair of a PairSet, as a new float64 (M, n) array; both
-        members are gathered in one pass."""
+    def difference_blocks(self, pairs, blocks=(slice(None),)):
+        """u(X) - u(Y) for the pairs of a PairSet that each of blocks selects (a slice or
+        index array), as a new float64 (M, size) array with the realization axis contiguous;
+        both members of every pair are gathered first, in one pass over the values."""
         n = np.size(pairs.t_idx1)
         both = self.at(np.concatenate([pairs.t_idx1, pairs.t_idx2]),
-                       np.concatenate([pairs.s_idx1, pairs.s_idx2]))
-        diff = both[:, :n].astype(np.float64)
-        diff -= both[:, n:]
-        return diff
+                       np.concatenate([pairs.s_idx1, pairs.s_idx2])).T
+        for sel in blocks:
+            diff = both[:n][sel].astype(np.float64)
+            diff -= both[n:][sel]
+            yield diff.T
 
     def save(self, prefix: str) -> None:
         """Flat binary dump plus a JSON sidecar: shape, dtype, time indices and the fields of
@@ -259,23 +262,45 @@ def _from_fields(cls, data: dict):
     return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
+@dataclass(frozen=True)
+class PairValues:
+    """Shape (M, n_pairs) and dtype of the values u_m(X_n) - u_m(Y_n) of a PairEnsemble,
+    which never holds them whole."""
+
+    shape: tuple
+    dtype: np.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+
 @dataclass
 class PairEnsemble:
-    """values[m, n] = u_m(X_n) - u_m(Y_n) in the storage dtype, realization axis contiguous,
-    for the pairs (t1, s1, t2, s2) it was built for; time_indices are the saved times.
-    second_moments[n] = E|u(X_n) - u(Y_n)|^2 exactly, from the same slab differences."""
+    """u_m(X_n) - u_m(Y_n) = sum_k D[n, k] w[m, k] for the pairs (t1, s1, t2, s2) it was built
+    for, held as the slab differences D (n_pairs, k) and slab weights w (M, k); time_indices
+    are the saved times; second_moments[n] = E|u(X_n) - u(Y_n)|^2 exactly, from the same D."""
 
-    values: np.ndarray
+    values: PairValues
     pairs: tuple
     time_indices: np.ndarray
     second_moments: np.ndarray
+    slab_differences: np.ndarray
+    weights: np.ndarray
 
-    def differences(self, pairs) -> np.ndarray:
-        """The held differences as a new float64 (M, n) array; other pairs raise PairOffGrid."""
+    def difference_blocks(self, pairs, blocks=(slice(None),)):
+        """For each selection of pairs in blocks, (D[sel] w^T)^T rounded through the storage
+        dtype, as FieldEnsemble.difference_blocks gives it; other pairs raise PairOffGrid.
+        BLAS rounds the presets' lag blocks as their rows of the whole product; one row (a
+        matrix-vector kernel) or, at small M, a few rows can round differently."""
         asked = (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
         if not all(np.array_equal(a, b) for a, b in zip(asked, self.pairs)):
             raise PairOffGrid("pairs not held by the pair ensemble")
-        return self.values.astype(np.float64)
+        for sel in blocks:
+            prod = self.slab_differences[sel] @ self.weights.T
+            if prod.dtype != self.values.dtype:
+                prod[...] = prod.astype(self.values.dtype)
+            yield prod.T
 
 
 def _whole(a, top: int, error) -> np.ndarray:
@@ -345,9 +370,9 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
             raise GridMismatch(f"pair times {np.setdiff1d(times, idx)} are not saved times")
         diff = _slab_differences(kernel, grid, g, noise, *pairs)
         w = slab_weights(noise, g.mark_family, M)[:, :diff.shape[1]]
-        values = (diff @ w.T).T.astype(dtype, copy=False)
-        return PairEnsemble(values, tuple(np.array(a) for a in pairs), idx,
-                            _isometry(g, noise, diff))
+        return PairEnsemble(PairValues((M, len(diff)), np.dtype(dtype)),
+                            tuple(np.array(a) for a in pairs), idx, _isometry(g, noise, diff),
+                            diff, w)
 
     shape = (M, idx.size, grid.points)
     if sink is None:

@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import resource
 import shutil
 import time
 import typing
@@ -322,7 +323,7 @@ def _betas(cond: ConditionsConfig) -> tuple:
     return cond.betas or (0.0,)
 
 
-def _run_kernel_audit(config: ExperimentConfig, progress: dict):
+def _run_kernel_audit(config: ExperimentConfig, progress: Stages):
     kc = config.kernel
     kernel = _spec("config.kernel", KernelSpec, alpha=kc.alpha, epsilon=kc.epsilon, dim=kc.dim)
     verdicts, modules = [], {}
@@ -335,7 +336,7 @@ def _run_kernel_audit(config: ExperimentConfig, progress: dict):
     return verdicts, modules
 
 
-def _run_fractional_sweep(config: ExperimentConfig, progress: dict):
+def _run_fractional_sweep(config: ExperimentConfig, progress: Stages):
     if not config.sweep.cases:
         raise ConfigError("config.sweep.cases: the sweep needs an (alpha, epsilon) pair, got none")
     beta, *rest = _betas(config.conditions)
@@ -392,25 +393,26 @@ class RegularityPieces(typing.NamedTuple):
 
     def require_memory(self, M: int, n_pairs: int | None = None,
                        streamed: bool = False) -> float:
-        """Bytes the simulation holds at most, counted without allocating; ConfigError past
-        physical memory.  Always: (M, n_t) slab weights, (n_t + 1, F) lag symbols (twice while
-        built), the largest Poisson path.  Full field: the (M, |saved|) zero-mode terms; the
-        sink, all M rows or, streamed to a .bin, one block of rows (block_rows); per block
-        the real running sum and one temporary of it, the complex spectrum and its inverse
-        transform; and one step's new lag symbols.  Pairs, for the last saved index k: the
-        (n_pairs, k) differences, (k + 1, n) profiles with transforms and chunks, the
-        (M, n_pairs) product and copy."""
+        """Bytes the simulation, and for pairs their moment estimates, hold at most, counted
+        without allocating; ConfigError past physical memory.  Always: (M, n_t) slab weights,
+        (n_t + 1, F) lag symbols (twice while built), the largest Poisson path.  Full field:
+        the (M, |saved|) zero-mode terms; the sink, all M rows or, streamed to a .bin, one
+        block of rows (block_rows); per block the real running sum and one temporary of it,
+        the complex spectrum and its inverse transform; and one step's new lag symbols.
+        Pairs, for the last saved index k: the (n_pairs, k) differences, (k + 1, n) profiles
+        with transforms and chunks, and for one lag's share of the pairs (the presets draw
+        as many at each lag) the estimator's float64 product and one temporary of it."""
         n, n_t, k = self.grid.points, self.noise.steps, self.saved[-1]  # 1-D: 2F = n + 2
-        item = np.dtype(self.dtype).itemsize
         need = 8 * M * n_t + 8 * (n_t + 1) * (n + 2)
         if n_pairs is None:
-            row = len(self.saved) * n * item
+            row = len(self.saved) * n * np.dtype(self.dtype).itemsize
             rows = min(M, block_rows(row))
             need += (8 * M * len(self.saved) + (rows if streamed else M) * row
                      + 24 * rows * (n + 2) + 4 * n_t * (n + 2))
         else:
-            need += (M * n_pairs * (8 + item) + 8 * k * n_pairs
-                     + 32 * (k + 1) * (n + 2) + 48 * max(PAIR_CHUNK, k))
+            lag_pairs = -(-n_pairs // len(self.lags))
+            need += (8 * k * n_pairs + 32 * (k + 1) * (n + 2) + 48 * max(PAIR_CHUNK, k)
+                     + 16 * M * lag_pairs)
         fields, what = "config.simulation.ensemble / config.simulation.grid_points", ""
         if self.noise.kind == "poisson":
             events = event_block(self.noise)
@@ -494,8 +496,8 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     return RegularityPieces(kernel, grid, noise, g, lags, saved, sim.store_dtype)
 
 
-def _run_regularity(config: ExperimentConfig, progress: dict):
-    progress["stage"] = "setup"
+def _run_regularity(config: ExperimentConfig, progress: Stages):
+    progress.enter("setup")
     pieces = build_regularity(config)
     kernel, mom = pieces.kernel, config.moments
     if config.conditions.betas not in (None, (mom.beta,)):
@@ -510,18 +512,18 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     tolerances = config.tolerances
     beta = mom.beta
 
-    progress["stage"] = "audit"  # the field prediction uses its fitted slopes
+    progress.enter("audit")  # the field prediction uses its fitted slopes
     audit, verdicts = _audit_one(kernel, beta, config.conditions, tolerances.exponent,
                                  ("kernel increment exponent gamma1",
                                   "kernel tail exponent gamma2"))
     gamma_pred = min(audit.gamma1, audit.gamma2, beta)
     modules = {"conditions": audit.to_dict()}
 
-    progress["stage"] = "pairs"  # pairs depend only on the lattice: draw them first
+    progress.enter("pairs")  # pairs depend only on the lattice: draw them first
     pairs = sample_pairs_dyadic(pieces.lattice, lags, mom.pairs_per_lag, seed=config.seed)
-    progress["stage"] = "simulate"
+    progress.enter("simulate")
     values = pieces.simulate(config.simulation.ensemble, pairs=pairs)
-    progress["stage"] = "moments"
+    progress.enter("moments")
     mfield = estimate_pair_moments(values, pairs, mom.p)
     per_lag = []
     for lag in lags:
@@ -534,7 +536,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
             "max": float(mfield.estimates[sel].max()),
             "n_pairs": int(sel.sum()),
         })
-    progress["stage"] = "fit"
+    progress.enter("fit")
     fit_mc = fit_exponent([(row["lag"], row["mean"]) for row in per_lag])
     gamma_mc = fit_mc.slope / mom.p
 
@@ -578,7 +580,7 @@ def _run_regularity(config: ExperimentConfig, progress: dict):
     return verdicts, modules
 
 
-def _run_embedding_check(config: ExperimentConfig, progress: dict):
+def _run_embedding_check(config: ExperimentConfig, progress: Stages):
     cam = config.campanato
     gamma = cam.gamma
     dim = config.kernel.dim
@@ -633,6 +635,26 @@ def _theta_one_rejected(p: float, dim: int) -> bool:
     return False
 
 
+class Stages:
+    """The stage a run is in, which FAILED.json names, and timing.json's span of each stage:
+    its wall seconds and the process's peak RSS in MiB when it ended.  Until a runner enters
+    its first stage, which starts with the run, the stage is the preset's name."""
+
+    def __init__(self, run: str):
+        self.stage, self.spans, self._start, self._first = run, [], time.time(), True
+
+    def enter(self, stage: str) -> None:
+        if not self._first:
+            self.end()
+        self.stage, self._first = stage, False
+
+    def end(self) -> None:
+        now, rss = time.time(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+        self.spans.append({"stage": self.stage, "wall_seconds": now - self._start,
+                           "peak_rss_mib": rss / 1024})
+        self._start = now
+
+
 _RUNNERS = {
     "kernel-audit": _run_kernel_audit,
     "fractional-sweep": _run_fractional_sweep,
@@ -654,15 +676,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     t_start = time.time()
-    progress = {"stage": config.experiment}  # runners update it per sub-stage
+    progress = Stages(config.experiment)  # runners enter their sub-stages
     try:
         verdicts, modules = _RUNNERS[config.experiment](config, progress)
     except HolderLabError as exc:
         if out is not None:
             write_json(out / "FAILED.json",
-                       {"stage": progress["stage"], "error": type(exc).__name__,
+                       {"stage": progress.stage, "error": type(exc).__name__,
                         "message": str(exc), "invalid_config": isinstance(exc, ConfigError)})
         raise
+    progress.end()
     report = ExperimentReport(
         experiment=config.experiment,
         config=config_to_dict(config),
@@ -672,7 +695,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     )
     if out is not None:
         write_json(out / "report.json", report.to_dict())
-        write_json(out / "timing.json", {"wall_clock_seconds": time.time() - t_start})
+        write_json(out / "timing.json", {"wall_clock_seconds": time.time() - t_start,
+                                         "stages": progress.spans})
         emit_plot_data(report.modules, out / "plots")
     return report
 

@@ -4,8 +4,9 @@ Pair subsampling replaces the full double integral over a cylinder by
 uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
 Pairs depend only on the saved lattice, so they can be drawn before simulating;
-the estimator reads u(X) - u(Y) from a FieldEnsemble or a PairEnsemble built for them.
-The lattice, like the field, is 1-D.
+the estimator reads u(X) - u(Y) from a FieldEnsemble or a PairEnsemble built for them, one
+block of pairs at a time (a requested lag whole, or a chunk of within-cylinder pairs), so no
+(M, pairs) array is ever whole.  The lattice, like the field, is 1-D.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .campanato import ParabolicCylinder, parabolic_distance
-from .convolution import Lattice
+from .convolution import PAIR_CHUNK, Lattice
 from .errors import (DimensionMismatch, EmptyCylinder, EmptyRequest, EnsembleTooSmall,
                      MomentOverflow, PairOffGrid)
 from .noise import keyed_rng
@@ -93,31 +94,60 @@ def lag_offsets(lag: float, dt: float, h: float) -> tuple[int, int]:
     return max(1, round(steps)), max(1, round(spacings))
 
 
+def _pair_blocks(pairs: PairSet, M: int) -> list:
+    """(selection, lag) of each block the estimator reduces: every requested lag whole, then
+    the pairs without one (lag None) in even blocks of at most max(3, PAIR_CHUNK // M), so
+    none holds a single pair.  A selection is a slice where its pairs are consecutive."""
+    rd = pairs.requested_delta
+    lags = sorted(set(rd[~np.isnan(rd)].tolist()))  # np.unique's first call adds 1.6 MiB RSS
+    groups = [(np.flatnonzero(rd == lag), lag) for lag in lags]
+    rest = np.flatnonzero(np.isnan(rd))
+    count = -(-rest.size // max(3, PAIR_CHUNK // M))
+    groups += [(rest[rest.size * j // count:rest.size * (j + 1) // count], None)
+               for j in range(count)]
+    return [(slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx, lag)
+            for idx, lag in groups]
+
+
 def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from a
     FieldEnsemble or a PairEnsemble built for these pairs.
 
-    Deterministic given the ensemble; symmetric in the pair order.  Estimates or standard
-    errors that overflow to a value that is not finite raise MomentOverflow.
+    One block of pairs at a time (_pair_blocks): as a lag is never split and every per-pair
+    reduction runs along the contiguous realization axis, the blocks give the bits of one
+    reduction over all pairs.  Deterministic given the ensemble; symmetric in the pair order.
+    Estimates or standard errors that overflow to a value that is not finite raise
+    MomentOverflow.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"moment order p must be finite and >= 1, got {p}")
     M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")
-    powed = ensemble.differences(pairs)  # one (M, n) float64 work array
-    np.abs(powed, out=powed)
-    powed **= p
-    est = powed.mean(axis=0)
-    err = powed.std(axis=0, ddof=1) / np.sqrt(M)
-    lags = np.unique(pairs.requested_delta[~np.isnan(pairs.requested_delta)])
-    by_lag = {float(lag): float(powed[:, pairs.requested_delta == lag].mean(axis=1).std(ddof=1)
-                                / np.sqrt(M)) for lag in lags}
+    est, err, by_lag = np.empty(pairs.size), np.empty(pairs.size), {}
+    blocks = _pair_blocks(pairs, M)
+    diffs = ensemble.difference_blocks(pairs, [sel for sel, _ in blocks])
+    for (sel, lag), powed in zip(blocks, diffs):  # one (M, block size) float64 array at a time
+        np.abs(powed, out=powed)
+        powed **= p
+        est[sel] = powed.mean(axis=0)
+        err[sel] = powed.std(axis=0, ddof=1) / np.sqrt(M)
+        if lag is not None:
+            by_lag[lag] = float(powed.mean(axis=1).std(ddof=1) / np.sqrt(M))
     if not (np.isfinite(est).all() and np.isfinite(err).all()
             and np.isfinite(list(by_lag.values())).all()):
         raise MomentOverflow(f"p = {p} moment estimates are not finite: the field values or "
                              "their p-th powers overflowed")
     return MomentField(p=p, pairs=pairs, estimates=est, stderr=err, realization_stderr=by_lag)
+
+
+def cylinder_lattice(lattice: Lattice, cylinder: ParabolicCylinder):
+    """(positions of the saved times, spatial lattice indices) inside the 1-D cylinder
+    (t0 - c^2, t0 + c^2) x (x0 - c, x0 + c)."""
+    t0, (x0,), c = cylinder.center.t, cylinder.center.x, cylinder.radius
+    times = lattice.time_indices * lattice.dt
+    return (np.nonzero(np.abs(times - t0) < c * c)[0],
+            np.nonzero(np.abs(lattice.grid.axis() - x0) < c)[0])
 
 
 def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
@@ -133,11 +163,7 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
         raise EmptyRequest("count must be >= 1")
     if cylinder.dim != 1:
         raise DimensionMismatch(f"the lattice is 1-D, the cylinder {cylinder.dim}-D")
-    t0, (x0,), c = cylinder.center.t, cylinder.center.x, cylinder.radius
-    times = lattice.time_indices * lattice.dt
-    ok_t = np.nonzero(np.abs(times - t0) < c * c)[0]
-    coords = lattice.grid.axis()
-    ok_x = np.nonzero(np.abs(coords - x0) < c)[0]
+    ok_t, ok_x = cylinder_lattice(lattice, cylinder)
     if ok_t.size * ok_x.size < 2:
         raise EmptyCylinder(f"{ok_t.size * ok_x.size} saved lattice points inside {cylinder}, "
                             "fewer than a pair needs")
@@ -147,6 +173,7 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
     t_idx1, t_idx2 = ti[:count], ti[count:]
     s_idx1, s_idx2 = xi[:count], xi[count:]
     t1, t2 = t_idx1 * lattice.dt, t_idx2 * lattice.dt
+    coords = lattice.grid.axis()
     x1, x2 = coords[s_idx1], coords[s_idx2]
     delta = parabolic_distance(t1, x1, t2, x2)
     return PairSet(t_idx1, s_idx1, t_idx2, s_idx2, t1, x1, t2, x2,

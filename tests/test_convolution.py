@@ -10,6 +10,7 @@ import holderlab.convolution as convolution
 from holderlab.convolution import (
     FieldEnsemble,
     PairEnsemble,
+    PairValues,
     StoredField,
     TestFunctionSpec,
     _g_spectrum,
@@ -22,7 +23,7 @@ from holderlab.convolution import (
 from holderlab.errors import GridMismatch, PairOffGrid
 from holderlab.experiments import RegularityPieces, build_regularity, default_config
 from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, symbol
-from holderlab.moments import sample_pairs_dyadic
+from holderlab.moments import estimate_pair_moments, sample_pairs_dyadic
 from holderlab.noise import (
     JumpSpec,
     MarkLaw,
@@ -482,20 +483,23 @@ def test_pair_sink_equals_the_full_field_differences(case):
     t1, s1 = np.append(t1, [0, t1[0]]), np.append(s1, [7, s1[0]])
     t2, s2 = np.append(t2, [0, t1[0]]), np.append(s2, [9, s1[0]])
     pairs = (t1, s1, t2, s2)
-    want = full.differences(_pair_set(*pairs))
+    [want] = full.difference_blocks(_pair_set(*pairs))
     exact = convolve(kernel, grid, g, noise, M=5, save_times=save_times, pairs=pairs)
-    got = exact.differences(_pair_set(*pairs))
+    [got] = exact.difference_blocks(_pair_set(*pairs))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert not got[:, -2:].any()
     stored = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=np.float32,
                       pairs=pairs)
-    assert np.array_equal(stored.values, exact.values.astype(np.float32))
+    [rounded] = stored.difference_blocks(_pair_set(*pairs))
+    assert np.array_equal(rounded, got.astype(np.float32))
     oracle = second_moment_pairs(kernel, grid, g, noise, *pairs)
     for ens, dtype in ((exact, np.float64), (stored, np.float32)):
         assert np.array_equal(ens.second_moments, oracle)  # the same D, the same isometry
         assert isinstance(ens, PairEnsemble)
-        assert ens.values.dtype == dtype and ens.values.shape == (5, t1.size)
-        assert ens.values.strides[0] == ens.values.itemsize  # realization axis contiguous
+        assert ens.values == PairValues((5, t1.size), np.dtype(dtype))  # never formed whole
+        [block] = ens.difference_blocks(_pair_set(*pairs))
+        assert block.dtype == np.float64 and block.shape == (5, t1.size)
+        assert block.strides[0] == block.itemsize  # realization axis contiguous
         assert np.array_equal(ens.time_indices, full.time_indices)
 
 
@@ -510,7 +514,8 @@ def test_pair_sink_rejects_pairs_off_the_saved_lattice():
 
     held = run([64, 64.0, 0], [3, 200, 255])
     assert held.values.shape == (2, 3)
-    assert held.differences(_pair_set([64, 64, 0], [3, 200, 255], [0] * 3, [5] * 3)).any()
+    [diff] = held.difference_blocks(_pair_set([64, 64, 0], [3, 200, 255], [0] * 3, [5] * 3))
+    assert diff.any()
     for t, s, error in [([32], [3], GridMismatch),  # on the lattice but not saved
                         ([64.5], [3], GridMismatch), ([BROWNIAN.steps + 1], [3], GridMismatch),
                         ([-1], [3], GridMismatch), ([np.nan], [3], GridMismatch),
@@ -522,7 +527,7 @@ def test_pair_sink_rejects_pairs_off_the_saved_lattice():
     for other in (_pair_set([64, 64, 0], [3, 200, 254], [0] * 3, [5] * 3),  # a pair not held
                   _pair_set([0] * 3, [5] * 3, [64, 64, 0], [3, 200, 255])):  # held, swapped
         with pytest.raises(PairOffGrid):
-            held.differences(other)
+            next(held.difference_blocks(other))
     full = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
     with pytest.raises(GridMismatch):
         full.at([32], [3])
@@ -640,9 +645,9 @@ def test_block_reader_gathers_the_in_memory_values(tmp_path, monkeypatch, dtype)
     assert np.array_equal(got, ens.values[:, [STREAM_SAVED.index(t) for t in t_idx], s_idx])
     pairs = SimpleNamespace(t_idx1=t_idx[:20], s_idx1=s_idx[:20], t_idx2=t_idx[20:],
                             s_idx2=s_idx[20:])
-    diff = stored.differences(pairs)
+    [diff] = stored.difference_blocks(pairs)
     assert diff.strides == (8, 8 * M)
-    assert np.array_equal(diff, ens.differences(pairs))
+    assert np.array_equal(diff, next(ens.difference_blocks(pairs)))
     with pytest.raises(GridMismatch):
         stored.at([32], [3])
     with pytest.raises(PairOffGrid):
@@ -656,11 +661,21 @@ def test_pair_path_peak_stays_within_the_counted_memory(noise, M):
     pieces = RegularityPieces(KERNEL, GRID, noise, g, [0.25, 0.125], list(range(32, 129, 8)),
                               "float32")
     pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 256, seed=2)
-    tracemalloc.start()
-    try:
-        ens = pieces.simulate(M, pairs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ens.values.shape == (M, pairs.size)
+    # the (M, pairs) product is formed, one lag at a time, by the estimator
+    ens, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    assert ens.estimates.shape == (pairs.size,)
+    assert peak <= pieces.require_memory(M, pairs.size)
+
+
+def test_pair_moments_hold_less_than_one_float64_product():
+    # on the brownian preset's lattice at M = 2000, simulating the pairs and estimating their
+    # moments holds less than one (M, pairs) float64 array beyond the slab weights and D
+    M = 2000
+    pieces = _forward_pass_pieces(preset=True)
+    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
+    k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
+    field, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    assert field.estimates.shape == (pairs.size,) == (2048,)
+    held = peak - 8 * M * pieces.noise.steps - 8 * pairs.size * k
+    assert held < 8 * M * pairs.size
     assert peak <= pieces.require_memory(M, pairs.size)

@@ -113,7 +113,8 @@ def test_kernel_audit_small(tmp_path):
     report = run_experiment(cfg, out_dir=tmp_path / "out")
     assert report.passed
     assert (tmp_path / "out" / "report.json").exists()
-    assert (tmp_path / "out" / "timing.json").exists()
+    timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+    assert [span["stage"] for span in timing["stages"]] == ["kernel-audit"]
     plots = sorted(p.name for p in (tmp_path / "out" / "plots").iterdir())
     assert "manifest.json" in plots
     # one CSV per condition table
@@ -189,6 +190,19 @@ def test_write_table_numpy_cells_and_no_rows(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == b"t,v\r\n3.0,0.10000000149011612\r\n"
     write_table(tmp_path / "e.csv", ["t", "v"], iter(()))
     assert (tmp_path / "e.csv").read_bytes() == b"t,v\r\n"
+
+
+def test_timing_gives_each_stage_its_wall_time_and_peak_memory(tmp_path):
+    cfg = load_config(_write(tmp_path, SMALL_BROWNIAN))
+    run_experiment(cfg, out_dir=tmp_path / "out")
+    timing = json.loads((tmp_path / "out" / "timing.json").read_text())
+    spans = timing["stages"]
+    assert [span["stage"] for span in spans] == ["setup", "audit", "pairs", "simulate",
+                                                 "moments", "fit"]
+    assert all(span["wall_seconds"] >= 0.0 for span in spans)
+    assert sum(span["wall_seconds"] for span in spans) <= timing["wall_clock_seconds"]
+    peaks = [span["peak_rss_mib"] for span in spans]
+    assert 0.0 < peaks[0] and peaks == sorted(peaks)  # the process's peak so far
 
 
 def test_emit_plot_lags_match_config(tmp_path):
@@ -481,6 +495,12 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert lines[0] == "scale,value,raw_value"
     assert seminorm["scales"]
     assert len(lines) == 1 + len(seminorm["scales"])
+    # per scale, the saved times inside its cylinder around the middle saved time
+    times = FieldEnsemble.load(str(tmp_path / "ensemble"), in_memory=False).times
+    t_mid = times[len(times) // 2]
+    assert seminorm["saved_times"] == [int(np.sum(np.abs(times - t_mid) < c * c))
+                                       for c in seminorm["scales"]]
+    assert seminorm["saved_times"][-1] >= 1
 
 
 def test_cli_chain_holds_under_a_quarter_of_one_field(tmp_path, monkeypatch):

@@ -7,7 +7,10 @@ import pytest
 
 from holderlab.campanato import ParabolicCylinder, SpaceTimePoint
 from holderlab.cli import main
-from holderlab.convolution import FieldEnsemble, Lattice, TestFunctionSpec, convolve_brownian
+import holderlab.convolution as convolution
+import holderlab.moments as moments
+from holderlab.convolution import (FieldEnsemble, Lattice, PairEnsemble, TestFunctionSpec,
+                                   convolve_brownian, convolve_poisson)
 from holderlab.errors import (
     DimensionMismatch,
     EmptyCylinder,
@@ -23,7 +26,7 @@ from holderlab.moments import (
     sample_pairs_dyadic,
     sample_pairs_within_cylinder,
 )
-from holderlab.noise import NoiseSpec
+from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec
 
 KERNEL = KernelSpec(alpha=2.0)
 GRID = SpectralGrid(length=4.0, points=512, dim=1)  # h = 1/64
@@ -331,3 +334,83 @@ def test_pairs_from_the_lattice_equal_pairs_from_an_ensemble(unit_ensemble):
         a, b = draw(unit_ensemble), draw(lattice)
         for f in dataclasses.fields(PairSet):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+
+
+def _whole_array_moments(diff, pairs, p):
+    """The estimator as one reduction over every pair at once, the reference for the blocked
+    one: diff, float64 (M, n) differences with the realization axis contiguous, becomes
+    |diff|^p."""
+    M = diff.shape[0]
+    np.abs(diff, out=diff)
+    diff **= p
+    rd = pairs.requested_delta
+    by_lag = {float(lag): float(diff[:, rd == lag].mean(axis=1).std(ddof=1) / np.sqrt(M))
+              for lag in np.unique(rd[~np.isnan(rd)])}
+    return diff.mean(axis=0), diff.std(axis=0, ddof=1) / np.sqrt(M), by_lag
+
+
+def _whole_differences(ens, pairs):
+    """Every pair's u(X) - u(Y) as one float64 (M, n) array, realization axis contiguous."""
+    if isinstance(ens, PairEnsemble):
+        product = (ens.slab_differences @ ens.weights.T).T
+        return product.astype(ens.values.dtype).astype(np.float64)
+    n = pairs.size
+    both = ens.at(np.concatenate([pairs.t_idx1, pairs.t_idx2]),
+                  np.concatenate([pairs.s_idx1, pairs.s_idx2]))
+    diff = both[:, :n].astype(np.float64)
+    diff -= both[:, n:]
+    return diff
+
+
+POISSON = NoiseSpec(kind="poisson", horizon=1.0, steps=256, seed=13,
+                    jump=JumpSpec(intensity=10.0, mark=MarkLaw("two-sided-exponential", 1.0)))
+
+
+@pytest.mark.parametrize("source, M", [("pairs", 2000), ("pairs", 40), ("field", 40),
+                                       ("stored", 40)])
+@pytest.mark.parametrize("pairs_per_lag", [2, 3, 257])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("noise", [NOISE, POISSON], ids=["brownian", "poisson"])
+def test_blocked_estimator_equals_the_whole_array_reduction(tmp_path, monkeypatch, noise, dtype,
+                                                             pairs_per_lag, source, M):
+    # one block per lag and blocks of at most 5 within-cylinder pairs give the bits of one
+    # reduction over every pair, for lags held together and for a lag spread over the set.
+    # A pair ensemble forms each block's product D[sel] w^T on its own: at M = 2000, as at
+    # the presets, OpenBLAS rounds it as the rows of the whole product; at M = 40 a product
+    # of a few rows can take another kernel, and agrees only to rounding.
+    saved = list(range(64, 193, 8))
+    monkeypatch.setattr(moments, "PAIR_CHUNK", 5 * M)
+    monkeypatch.setattr(convolution, "FIELD_BLOCK", 7 * len(saved) * GRID.points * 8)
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
+    lattice = Lattice(noise.dt, GRID, np.array(saved))
+    lags = [0.25, 0.125]
+    cylinder = sample_pairs_within_cylinder(
+        lattice, ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25), 24, seed=3)
+    together = PairSet.concatenate([sample_pairs_dyadic(lattice, lags, pairs_per_lag, seed=1),
+                                    cylinder])
+    spread = PairSet.concatenate([together, sample_pairs_dyadic(lattice, lags, 2, seed=2)])
+    if source != "pairs":
+        field = convolve(KERNEL, GRID, g, noise, M, saved, dtype)
+        field.save(str(tmp_path / "ens"))
+    for pairs in (together, spread):
+        if source == "pairs":
+            ens = convolve(KERNEL, GRID, g, noise, M, saved, dtype,
+                           pairs=(pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2))
+        else:
+            ens = FieldEnsemble.load(str(tmp_path / "ens"), in_memory=source == "field")
+        blocks = moments._pair_blocks(pairs, M)
+        assert sum(lag is None for _, lag in blocks) == 5  # 24 cylinder pairs, 5 at most
+        got = estimate_pair_moments(ens, pairs, 3.5)
+        est, err, by_lag = _whole_array_moments(_whole_differences(ens, pairs), pairs, 3.5)
+        assert list(got.realization_stderr) == list(by_lag) == lags[::-1]
+        if M < 2000 and source == "pairs":
+            rel = 1e-12 if dtype == np.float64 else 1e-6  # one rounding of the stored values
+            assert np.allclose(got.estimates, est, rtol=rel, atol=0.0)
+            assert np.allclose(got.stderr, err, rtol=rel, atol=0.0)
+            assert np.allclose(list(got.realization_stderr.values()), list(by_lag.values()),
+                               rtol=rel, atol=0.0)
+            continue
+        assert np.array_equal(got.estimates, est)
+        assert np.array_equal(got.stderr, err)
+        assert got.realization_stderr == by_lag
