@@ -61,11 +61,10 @@ def _read(flag: str, path, load):
 
 
 def _read_ensemble(prefix) -> FieldEnsemble:
-    """FieldEnsemble.load(prefix) with its values left in the .bin, read one block at a time;
-    files it cannot make an ensemble of, a sidecar without a key or a .bin of another size,
-    are a ConfigError naming --ensemble and the path."""
+    """FieldEnsemble.load(prefix); files it cannot make an ensemble of, a sidecar without a
+    key or a .bin of another size, are a ConfigError naming --ensemble and the path."""
     try:
-        return _read("--ensemble", prefix, lambda p: FieldEnsemble.load(p, in_memory=False))
+        return _read("--ensemble", prefix, FieldEnsemble.load)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"--ensemble {prefix}: not a holderlab ensemble "
                           f"({type(exc).__name__}: {exc})") from exc
@@ -125,7 +124,7 @@ def _cmd_simulate(args) -> int:
     out = Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     prefix = str(out / "ensemble")
-    pieces.simulate(cfg.simulation.ensemble, sink=prefix)  # streamed: never the whole field
+    pieces.simulate(cfg.simulation.ensemble, sink=prefix)
     print(f"ensemble written to {prefix}.bin / {prefix}.json")
     return EXIT_PASS
 

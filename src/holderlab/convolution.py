@@ -19,11 +19,11 @@ g moves in time only by a term constant in space, so both engines factor its spe
 into one base spectrum and a shift of the zero mode per slab (_g_spectrum).
 
 Both engines work in the FFT's native order and shift only into the ascending layout of what
-is stored: the pass fills the whole field (FieldEnsemble, for `holderlab simulate`) at saved
-times strictly increasing as in its sidecar, one block of realizations (FIELD_BLOCK bytes of
-stored values) at a time.  It fills the blocks of an array in memory, or streams each finished
-block to the ensemble's .bin (sink): the file is realization-major, so a block is one
-contiguous byte range.  A stored ensemble (StoredField) is read back the same way, one block
+is stored: the pass computes the whole field (FieldEnsemble, for `holderlab simulate`) at
+saved times strictly increasing as in its sidecar, one block of realizations (FIELD_BLOCK
+bytes of stored values) at a time, and FieldEnsemble.save writes each finished block to the
+ensemble's .bin (sink): the file is realization-major, so a block is one contiguous byte
+range.  A FieldEnsemble is always that .bin (StoredField), read back the same way, one block
 at a time, so no step between `simulate` and `seminorm` holds the whole field.  The presets'
 pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D once for both their
 exact second moments and their Monte Carlo values, which a PairEnsemble holds as the factors
@@ -96,20 +96,19 @@ FIELD_BLOCK = 2**23  # bytes of stored field values in one block of realizations
 PAIR_CHUNK = 2**18  # elements of each (pairs, slabs) temporary of _slab_differences, or one row
 
 
-def block_rows(row_bytes: int) -> int:
-    """The most realizations of one block: FIELD_BLOCK bytes of rows of row_bytes, and at
-    least 3, so that the even split of _row_blocks never leaves a block of one row."""
-    return max(FIELD_BLOCK // row_bytes, 3)
+def even_blocks(n: int, most: int):
+    """(lo, hi) of consecutive blocks of range(n), in order, the largest first: ceil(n / B)
+    blocks of sizes as equal as possible for B = max(most, 3), so none holds more than B
+    items, nor a single one unless n = 1 (on one row matmul takes a matrix-vector kernel that
+    rounds differently, and a realization would depend on its block)."""
+    count = -(-n // max(most, 3))
+    for j in range(count):
+        yield -(-n * j // count), -(-n * (j + 1) // count)
 
 
 def _row_blocks(M: int, row_bytes: int):
-    """(lo, hi) of each block of realizations, in order: ceil(M / B) blocks of sizes as equal as
-    possible for B = block_rows(row_bytes), so none holds more than B rows, nor a single row
-    unless M = 1 (on one row matmul takes a matrix-vector kernel that rounds differently, and
-    a realization would depend on its block)."""
-    count = -(-M // block_rows(row_bytes))
-    for j in range(count):
-        yield M * j // count, M * (j + 1) // count
+    """The blocks of realizations (even_blocks) of FIELD_BLOCK bytes of rows of row_bytes."""
+    return even_blocks(M, FIELD_BLOCK // row_bytes)
 
 
 @dataclass(frozen=True)
@@ -136,12 +135,11 @@ class StoredField:
 class FieldEnsemble:
     """M realizations of the 1-D field on saved lattice times.
 
-    values has shape (M, n_times, n_x), with spatial coordinates ascending
-    from -L: an array in memory, or a StoredField left in the ensemble's .bin.
-    u(0, .) = 0 for every realization (zero initial data).
+    values is the StoredField of the ensemble's .bin, shape (M, n_times, n_x), with spatial
+    coordinates ascending from -L.  u(0, .) = 0 for every realization (zero initial data).
     """
 
-    values: np.ndarray | StoredField
+    values: StoredField
     time_indices: np.ndarray
     grid: SpectralGrid
     kernel: KernelSpec
@@ -156,29 +154,20 @@ class FieldEnsemble:
     def times(self) -> np.ndarray:
         return self.time_indices * self.dt
 
-    def blocks(self):
-        """(lo, values) of consecutive blocks of realizations: the whole array in memory, or
-        the .bin read one block of _row_blocks at a time."""
-        stored = self.values
-        if not isinstance(stored, StoredField):
-            yield 0, stored
-            return
-        for lo, hi in _row_blocks(stored.shape[0], stored.nbytes // stored.shape[0]):
-            yield lo, stored.rows(lo, hi)
-
     def at(self, t_idx, s_idx) -> np.ndarray:
         """u at (time index, flattened spatial index) points, shape (M, n), realization
-        axis contiguous; one pass over the blocks."""
-        s_idx = np.asarray(s_idx)
+        axis contiguous; one pass over the .bin, one block of _row_blocks at a time."""
+        stored, s_idx = self.values, np.asarray(s_idx)
         hits = self.time_indices == np.asarray(t_idx)[:, None]
         if not hits.any(axis=1).all():
             raise GridMismatch(f"time indices {np.setdiff1d(t_idx, self.time_indices)} not saved")
-        if np.any(s_idx < 0) or np.any(s_idx >= self.values.shape[2]):
+        if np.any(s_idx < 0) or np.any(s_idx >= stored.shape[2]):
             raise PairOffGrid("spatial index outside the lattice")
         pos = hits.argmax(axis=1)  # first saved position of each time
-        out = np.empty((s_idx.size, self.values.shape[0]), self.values.dtype).T
-        for lo, block in self.blocks():
-            out[lo:lo + len(block)] = block[:, pos, s_idx]
+        M = stored.shape[0]
+        out = np.empty((s_idx.size, M), stored.dtype).T
+        for lo, hi in _row_blocks(M, stored.nbytes // M):
+            out[lo:hi] = stored.rows(lo, hi)[:, pos, s_idx]
         return out
 
     def difference_blocks(self, pairs, blocks=(slice(None),)):
@@ -193,16 +182,12 @@ class FieldEnsemble:
             diff -= both[n:][sel]
             yield diff.T
 
-    def save(self, prefix: str) -> None:
-        """Flat binary dump plus a JSON sidecar: shape, dtype, time indices and the fields of
-        grid, kernel, g and noise (dt is noise.dt)."""
-        self._write(prefix, (block for _, block in self.blocks()))
-
-    def _write(self, prefix: str, blocks) -> None:
-        """Write blocks, consecutive realizations of self's shape, to {prefix}.bin and self's
-        sidecar to {prefix}.json, each under a temporary name renamed when complete: the
-        .bin first, the sidecar last, after any older sidecar is removed.  A write that fails
-        or is stopped never leaves a sidecar over a partial .bin."""
+    def save(self, prefix: str, blocks) -> None:
+        """Write blocks, consecutive realizations of self's shape, to {prefix}.bin and a JSON
+        sidecar to {prefix}.json: shape, dtype, time indices and the fields of grid, kernel,
+        g and noise (dt is noise.dt).  Each is written under a temporary name renamed when
+        complete: the .bin first, the sidecar last, after any older sidecar is removed.  A
+        write that fails or is stopped never leaves a sidecar over a partial .bin."""
         sidecar = {name: asdict(getattr(self, name)) for name in ("grid", "kernel", "g", "noise")}
         sidecar.update(shape=list(self.values.shape), dtype=str(self.values.dtype),
                        time_indices=[int(i) for i in self.time_indices])
@@ -222,14 +207,13 @@ class FieldEnsemble:
                 path.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, prefix: str, in_memory: bool = True) -> "FieldEnsemble":
-        """What save wrote; ValueError, before the .bin is read, for a sidecar whose grid or
-        kernel is not 1-D, whose time indices are not one or more strictly increasing whole
-        numbers in [0, noise.steps], whose dtype is not float32 or float64, whose shape is not
-        [M >= 1, len(time_indices), grid.points], or whose shape and dtype do not make the
-        size of the .bin.  Each spec takes every one of its fields from the sidecar (KeyError
-        if one is missing) and ignores keys it no longer has.  in_memory=False reads no value:
-        values is the StoredField, read one block of realizations at a time."""
+    def load(cls, prefix: str) -> "FieldEnsemble":
+        """What save wrote, its values left in the .bin; ValueError, before the .bin is read,
+        for a sidecar whose grid or kernel is not 1-D, whose time indices are not one or more
+        strictly increasing whole numbers in [0, noise.steps], whose dtype is not float32 or
+        float64, whose shape is not [M >= 1, len(time_indices), grid.points], or whose shape
+        and dtype do not make the size of the .bin.  Each spec takes every one of its fields
+        from the sidecar (KeyError if one is missing) and ignores keys it no longer has."""
         with open(f"{prefix}.json") as fh:
             side = json.load(fh)
         grid = _from_fields(SpectralGrid, side["grid"])
@@ -252,9 +236,8 @@ class FieldEnsemble:
         if size != values.nbytes:
             raise ValueError(f"{values.path} holds {size} bytes, not the {values.nbytes} of "
                              f"shape {side['shape']} in {side['dtype']}")
-        return cls(values=values.rows(0, m) if in_memory else values, time_indices=time_indices,
-                   grid=grid, kernel=kernel, g=_from_fields(TestFunctionSpec, side["g"]),
-                   noise=noise)
+        return cls(values=values, time_indices=time_indices, grid=grid, kernel=kernel,
+                   g=_from_fields(TestFunctionSpec, side["g"]), noise=noise)
 
 
 def _from_fields(cls, data: dict):
@@ -353,18 +336,19 @@ def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float,
 def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
               noise: NoiseSpec, M: int, save_times, dtype=np.float64, pairs=None, sink=None):
     """The field of M realizations on the saved indices, strictly increasing as in the sidecar
-    (_field_blocks): in memory, or with sink, a path prefix, written block by block to
-    {sink}.bin and {sink}.json (FieldEnsemble._write) and left there as a StoredField.
-    pairs = (t1, s1, t2, s2), lattice indices of pair members on saved times, skips the pass:
+    (_field_blocks), written block by block to sink, a path prefix: {sink}.bin and {sink}.json
+    (FieldEnsemble.save), and left there as a StoredField.  pairs = (t1, s1, t2, s2), lattice
+    indices of pair members on saved times, in place of sink, skips the pass:
     u(X) - u(Y) = D w."""
     _require_1d(kernel, grid)
     if M < 1:
         raise ValueError("need at least one realization")
     n_t = noise.steps
     idx = np.arange(n_t + 1) if save_times is None else _saved(save_times, n_t, GridMismatch)
+    if (pairs is None) == (sink is None):
+        raise ValueError("give one of pairs and sink: the field is written to a sink, the pair "
+                         "differences are not")
     if pairs is not None:
-        if sink is not None:
-            raise ValueError("the pair differences are not written to a sink")
         times = np.concatenate([np.ravel(pairs[0]), np.ravel(pairs[2])])
         if not np.isin(times, idx).all():
             raise GridMismatch(f"pair times {np.setdiff1d(times, idx)} are not saved times")
@@ -374,30 +358,23 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                             tuple(np.array(a) for a in pairs), idx, _isometry(g, noise, diff),
                             diff, w)
 
-    shape = (M, idx.size, grid.points)
-    if sink is None:
-        out = np.zeros(shape, dtype=dtype)
-        for _ in _field_blocks(kernel, grid, g, noise, idx, out):
-            pass  # each block is filled in place
-        return FieldEnsemble(values=out, time_indices=idx, grid=grid, kernel=kernel, g=g,
-                             noise=noise)
-    ens = FieldEnsemble(values=StoredField(f"{sink}.bin", shape, np.dtype(dtype)),
+    ens = FieldEnsemble(values=StoredField(f"{sink}.bin", (M, idx.size, grid.points),
+                                           np.dtype(dtype)),
                         time_indices=idx, grid=grid, kernel=kernel, g=g, noise=noise)
-    ens._write(sink, _field_blocks(kernel, grid, g, noise, idx, ens.values))
+    ens.save(sink, _field_blocks(kernel, grid, g, noise, idx, M, ens.values.dtype))
     return ens
 
 
 def _field_blocks(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-                  noise: NoiseSpec, idx: np.ndarray, out):
-    """The forward pass, one block of realizations (_row_blocks) at a time; yields each
-    finished block, out[lo:hi] of an (M, idx.size, n) array, or for a StoredField out the
-    rows of one zeroed buffer reused from block to block.  Per block, from cur to i the real
-    sum R = sum over slabs k <= i - 2 of w_k Q[i - k] decays by exp(-(i - cur) dt |xi|^alpha)
-    and gains the new slabs; then u_hat_i = base (R + w_{i-1} Q[1]), the midpoint slab
-    k = i - 1 as a rank-1 term, plus sum_k w_k Q[i - k, 0] zero[k] in the zero mode; its
-    native inverse FFT is stored ascending.  O(M F max i)."""
+                  noise: NoiseSpec, idx: np.ndarray, M: int, dtype: np.dtype):
+    """The forward pass of M realizations, one block of them (_row_blocks) at a time; yields
+    each finished block, of dtype, as the rows of one zeroed buffer reused from block to
+    block.  Per block, from cur to i the real sum R = sum over slabs k <= i - 2 of
+    w_k Q[i - k] decays by exp(-(i - cur) dt |xi|^alpha) and gains the new slabs; then
+    u_hat_i = base (R + w_{i-1} Q[1]), the midpoint slab k = i - 1 as a rank-1 term, plus
+    sum_k w_k Q[i - k, 0] zero[k] in the zero mode; its native inverse FFT is stored
+    ascending.  O(M F max i)."""
     n_t, dt, n = noise.steps, noise.dt, grid.points
-    M = out.shape[0]
     q = _lag_symbols(kernel, grid, dt, n_t)
     base, zero = _g_spectrum(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M)
@@ -408,12 +385,10 @@ def _field_blocks(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     for pos, i in enumerate(idx):
         shift[:, pos] = w[:, :i] @ (q[i:0:-1, 0] * zero[:i])
 
-    bounds = list(_row_blocks(M, idx.size * n * out.dtype.itemsize))
-    streamed = isinstance(out, StoredField)
-    if streamed:
-        out = np.zeros((max(hi - lo for lo, hi in bounds), idx.size, n), out.dtype)
+    bounds = list(_row_blocks(M, idx.size * n * dtype.itemsize))
+    buffer = np.zeros((bounds[0][1], idx.size, n), dtype)  # the first block is the largest
     for lo, hi in bounds:
-        wb, block = w[lo:hi], out[:hi - lo] if streamed else out[lo:hi]
+        wb, block = w[lo:hi], buffer[:hi - lo]
         running = np.zeros((hi - lo, rate.size))  # sum over slabs k <= cur - 2 of w_k Q[cur - k]
         u_hat = np.empty((hi - lo, rate.size), dtype=complex)
         cur = 0

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .campanato import Box, campanato_seminorm, embedding_exponent
 from .conditions import MESH_GRADING, ConditionProbe, audit_conditions, fit_exponent
-from .convolution import (PAIR_CHUNK, Lattice, TestFunctionSpec, block_rows,
+from .convolution import (PAIR_CHUNK, Lattice, TestFunctionSpec, _row_blocks,
                           convolve_brownian, convolve_poisson)
 from .errors import ConfigError, HolderLabError, PairOffGrid, ThetaOutOfEmbeddingRange
 from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, physical_memory
@@ -391,13 +391,12 @@ class RegularityPieces(typing.NamedTuple):
     def lattice(self) -> Lattice:
         return Lattice(self.noise.dt, self.grid, np.array(self.saved))
 
-    def require_memory(self, M: int, n_pairs: int | None = None,
-                       streamed: bool = False) -> float:
+    def require_memory(self, M: int, n_pairs: int | None = None) -> float:
         """Bytes the simulation, and for pairs their moment estimates, hold at most, counted
         without allocating; ConfigError past physical memory.  Always: (M, n_t) slab weights,
         (n_t + 1, F) lag symbols (twice while built), the largest Poisson path.  Full field:
-        the (M, |saved|) zero-mode terms; the sink, all M rows or, streamed to a .bin, one
-        block of rows (block_rows); per block the real running sum and one temporary of it,
+        the (M, |saved|) zero-mode terms; the block of rows written to the .bin, as large as
+        the first of _row_blocks; per block the real running sum and one temporary of it,
         the complex spectrum and its inverse transform; and one step's new lag symbols.
         Pairs, for the last saved index k: the (n_pairs, k) differences, (k + 1, n) profiles
         with transforms and chunks, and for one lag's share of the pairs (the presets draw
@@ -406,8 +405,8 @@ class RegularityPieces(typing.NamedTuple):
         need = 8 * M * n_t + 8 * (n_t + 1) * (n + 2)
         if n_pairs is None:
             row = len(self.saved) * n * np.dtype(self.dtype).itemsize
-            rows = min(M, block_rows(row))
-            need += (8 * M * len(self.saved) + (rows if streamed else M) * row
+            _, rows = next(_row_blocks(M, row))
+            need += (8 * M * len(self.saved) + rows * row
                      + 24 * rows * (n + 2) + 4 * n_t * (n + 2))
         else:
             lag_pairs = -(-n_pairs // len(self.lags))
@@ -426,10 +425,10 @@ class RegularityPieces(typing.NamedTuple):
         return need
 
     def simulate(self, M: int, pairs=None, sink=None):
-        """The field on the saved times, or u(X) - u(Y) of a PairSet, after require_memory.
-        With sink, a path prefix, the field is streamed to {sink}.bin and {sink}.json, after a
-        ConfigError if the .bin would not fit the free space of sink's directory."""
-        self.require_memory(M, None if pairs is None else pairs.size, streamed=sink is not None)
+        """After require_memory, the field on the saved times written to sink, a path prefix:
+        {sink}.bin and {sink}.json, after a ConfigError if the .bin would not fit the free
+        space of sink's directory; or u(X) - u(Y) of the PairSet pairs."""
+        self.require_memory(M, None if pairs is None else pairs.size)
         if sink is not None:
             size = M * len(self.saved) * self.grid.points * np.dtype(self.dtype).itemsize
             free = shutil.disk_usage(Path(sink).parent).free

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .campanato import ParabolicCylinder, parabolic_distance
-from .convolution import PAIR_CHUNK, Lattice
+from .convolution import PAIR_CHUNK, Lattice, even_blocks
 from .errors import (DimensionMismatch, EmptyCylinder, EmptyRequest, EnsembleTooSmall,
                      MomentOverflow, PairOffGrid)
 from .noise import keyed_rng
@@ -96,15 +96,13 @@ def lag_offsets(lag: float, dt: float, h: float) -> tuple[int, int]:
 
 def _pair_blocks(pairs: PairSet, M: int) -> list:
     """(selection, lag) of each block the estimator reduces: every requested lag whole, then
-    the pairs without one (lag None) in even blocks of at most max(3, PAIR_CHUNK // M), so
-    none holds a single pair.  A selection is a slice where its pairs are consecutive."""
+    the pairs without one (lag None) in the even_blocks of at most PAIR_CHUNK // M.  A
+    selection is a slice where its pairs are consecutive."""
     rd = pairs.requested_delta
     lags = sorted(set(rd[~np.isnan(rd)].tolist()))  # np.unique's first call adds 1.6 MiB RSS
     groups = [(np.flatnonzero(rd == lag), lag) for lag in lags]
     rest = np.flatnonzero(np.isnan(rd))
-    count = -(-rest.size // max(3, PAIR_CHUNK // M))
-    groups += [(rest[rest.size * j // count:rest.size * (j + 1) // count], None)
-               for j in range(count)]
+    groups += [(rest[lo:hi], None) for lo, hi in even_blocks(rest.size, PAIR_CHUNK // M)]
     return [(slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx, lag)
             for idx, lag in groups]
 
@@ -116,8 +114,8 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     One block of pairs at a time (_pair_blocks): as a lag is never split and every per-pair
     reduction runs along the contiguous realization axis, the blocks give the bits of one
     reduction over all pairs.  Deterministic given the ensemble; symmetric in the pair order.
-    Estimates or standard errors that overflow to a value that is not finite raise
-    MomentOverflow.
+    The first block whose estimates or standard errors are not finite (values or p-th powers
+    that overflowed) raises MomentOverflow, the one report: NumPy's warnings are silenced.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"moment order p must be finite and >= 1, got {p}")
@@ -127,17 +125,18 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     est, err, by_lag = np.empty(pairs.size), np.empty(pairs.size), {}
     blocks = _pair_blocks(pairs, M)
     diffs = ensemble.difference_blocks(pairs, [sel for sel, _ in blocks])
-    for (sel, lag), powed in zip(blocks, diffs):  # one (M, block size) float64 array at a time
-        np.abs(powed, out=powed)
-        powed **= p
-        est[sel] = powed.mean(axis=0)
-        err[sel] = powed.std(axis=0, ddof=1) / np.sqrt(M)
-        if lag is not None:
-            by_lag[lag] = float(powed.mean(axis=1).std(ddof=1) / np.sqrt(M))
-    if not (np.isfinite(est).all() and np.isfinite(err).all()
-            and np.isfinite(list(by_lag.values())).all()):
-        raise MomentOverflow(f"p = {p} moment estimates are not finite: the field values or "
-                             "their p-th powers overflowed")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (sel, lag), powed in zip(blocks, diffs):  # one (M, block size) float64 array at a time
+            np.abs(powed, out=powed)
+            powed **= p
+            est[sel] = powed.mean(axis=0)
+            err[sel] = powed.std(axis=0, ddof=1) / np.sqrt(M)
+            if lag is not None:
+                by_lag[lag] = float(powed.mean(axis=1).std(ddof=1) / np.sqrt(M))
+            if not (np.isfinite(est[sel]).all() and np.isfinite(err[sel]).all()
+                    and np.isfinite(by_lag.get(lag, 0.0))):
+                raise MomentOverflow(f"p = {p} moment estimates are not finite: the field "
+                                     "values or their p-th powers overflowed")
     return MomentField(p=p, pairs=pairs, estimates=est, stderr=err, realization_stderr=by_lag)
 
 

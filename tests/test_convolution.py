@@ -9,15 +9,16 @@ import pytest
 import holderlab.convolution as convolution
 from holderlab.convolution import (
     FieldEnsemble,
+    Lattice,
     PairEnsemble,
     PairValues,
     StoredField,
     TestFunctionSpec,
     _g_spectrum,
     _lag_symbols,
-    block_rows,
     convolve_brownian,
     convolve_poisson,
+    even_blocks,
     second_moment_pairs,
 )
 from holderlab.errors import GridMismatch, PairOffGrid
@@ -52,55 +53,56 @@ def test_g_family_validation():
     assert g.evaluate(0.0, np.array([0.0]))[0] == 0.0  # vanishes at the origin
 
 
-def test_zero_g_zero_field():
+def test_zero_g_zero_field(simulate):
     g = TestFunctionSpec(family="constant", amplitude=0.0)
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=4, save_times=[0, 64])
-    assert np.all(ens.values == 0.0)
+    _, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=4, save_times=[0, 64])
+    assert np.all(values == 0.0)
 
 
-def test_unit_g_reproduces_brownian_path():
+def test_unit_g_reproduces_brownian_path(simulate):
     # unit-mass kernel and g = 1 collapse the convolution to W(t) at every x
     g = TestFunctionSpec(family="constant", amplitude=1.0)
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=6, save_times=[0, 32, 128])
+    _, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=6,
+                         save_times=[0, 32, 128])
     for m in range(6):
         w = sample_path(BROWNIAN, m).increments
-        assert np.allclose(ens.values[m, 1, :], w[:32].sum(), rtol=1e-10, atol=1e-14)
-        assert np.allclose(ens.values[m, 2, :], w.sum(), rtol=1e-10, atol=1e-14)
+        assert np.allclose(values[m, 1, :], w[:32].sum(), rtol=1e-10, atol=1e-14)
+        assert np.allclose(values[m, 2, :], w.sum(), rtol=1e-10, atol=1e-14)
 
 
-def test_unit_g_variance_is_time():
+def test_unit_g_variance_is_time(simulate):
     g = TestFunctionSpec(family="constant", amplitude=1.0)
     M = 2000
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=M, save_times=[64])
-    u = ens.values[:, 0, 10]
+    _, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=M, save_times=[64])
+    u = values[:, 0, 10]
     var = (u**2).mean()
     se = (u**2).std() / math.sqrt(M)
     assert abs(var - 0.5) < 3.0 * se
 
 
-def test_zero_initial_data():
+def test_zero_initial_data(simulate):
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=3, save_times=[0, 16])
-    assert np.all(ens.values[:, 0] == 0.0)
+    _, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=3, save_times=[0, 16])
+    assert np.all(values[:, 0] == 0.0)
 
 
-def test_linearity_in_g():
+def test_linearity_in_g(simulate):
     base = TestFunctionSpec(family="spatial-power", beta=0.5, amplitude=1.0)
     doubled = TestFunctionSpec(family="spatial-power", beta=0.5, amplitude=2.0)
-    e1 = convolve_brownian(KERNEL, GRID, base, BROWNIAN, M=3, save_times=[64])
-    e2 = convolve_brownian(KERNEL, GRID, doubled, BROWNIAN, M=3, save_times=[64])
+    _, v1 = simulate(convolve_brownian, KERNEL, GRID, base, BROWNIAN, M=3, save_times=[64])
+    _, v2 = simulate(convolve_brownian, KERNEL, GRID, doubled, BROWNIAN, M=3, save_times=[64])
     # power-of-two amplitude: scaling is exact in floating point
-    assert np.array_equal(2.0 * e1.values, e2.values)
+    assert np.array_equal(2.0 * v1, v2)
 
 
-def test_stationary_increments_unit_g():
+def test_stationary_increments_unit_g(simulate):
     g = TestFunctionSpec(family="constant", amplitude=1.0)
     M = 1500
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=M,
-                            save_times=[32, 64, 96, 128])
+    _, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=M,
+                         save_times=[32, 64, 96, 128])
     x = 40
-    d1 = ens.values[:, 1, x] - ens.values[:, 0, x]
-    d2 = ens.values[:, 3, x] - ens.values[:, 2, x]
+    d1 = values[:, 1, x] - values[:, 0, x]
+    d2 = values[:, 3, x] - values[:, 2, x]
     v1, v2 = (d1**2).mean(), (d2**2).mean()
     se = math.sqrt((d1**2).var() / M + (d2**2).var() / M)
     assert abs(v1 - v2) < 3.0 * se
@@ -118,12 +120,12 @@ def test_kind_mismatch_rejected():
         convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[4000])
 
 
-def test_ito_isometry_oracle_vs_monte_carlo():
+def test_ito_isometry_oracle_vs_monte_carlo(simulate):
     # 10 random point pairs: exact discrete second moments within 3 MC sigmas
     g = TestFunctionSpec(family="parabolic-power", beta=0.5, amplitude=1.0)
     M = 2000
     saved = [32, 48, 64, 96, 128]
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=M, save_times=saved)
+    _, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=M, save_times=saved)
     rng = np.random.default_rng(4)
     i1 = rng.choice(saved, 10)
     i2 = rng.choice(saved, 10)
@@ -132,7 +134,7 @@ def test_ito_isometry_oracle_vs_monte_carlo():
     oracle = second_moment_pairs(KERNEL, GRID, g, BROWNIAN, i1, j1, i2, j2)
     pos = {i: k for k, i in enumerate(saved)}
     for n in range(10):
-        d = (ens.values[:, pos[i1[n]], j1[n]] - ens.values[:, pos[i2[n]], j2[n]])
+        d = (values[:, pos[i1[n]], j1[n]] - values[:, pos[i2[n]], j2[n]])
         mc = (d**2).mean()
         se = (d**2).std() / math.sqrt(M)
         if se == 0.0:
@@ -141,11 +143,11 @@ def test_ito_isometry_oracle_vs_monte_carlo():
             assert abs(mc - oracle[n]) <= 3.0 * se
 
 
-def test_poisson_mean_zero_and_isometry():
+def test_poisson_mean_zero_and_isometry(simulate):
     g = TestFunctionSpec(family="constant", amplitude=1.0, mark_family="identity")
     M = 3000
-    ens = convolve_poisson(KERNEL, GRID, g, POISSON, M=M, save_times=[64])
-    u = ens.values[:, 0, 100]
+    _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=M, save_times=[64])
+    u = values[:, 0, 100]
     se_mean = u.std() / math.sqrt(M)
     assert abs(u.mean()) < 3.0 * se_mean
     target = 0.5 * POISSON.jump.intensity * POISSON.jump.mark.second_moment
@@ -153,12 +155,12 @@ def test_poisson_mean_zero_and_isometry():
     assert abs(sq.mean() - target) < 3.0 * sq.std() / math.sqrt(M)
 
 
-def test_poisson_compensator_active_for_one_marks():
+def test_poisson_compensator_active_for_one_marks(simulate):
     # g1 = 1 has nonzero mark mean: the compensator must recentre the field
     g = TestFunctionSpec(family="constant", amplitude=1.0, mark_family="one")
     M = 3000
-    ens = convolve_poisson(KERNEL, GRID, g, POISSON, M=M, save_times=[128])
-    u = ens.values[:, 0, 30]
+    _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=M, save_times=[128])
+    u = values[:, 0, 30]
     se = u.std() / math.sqrt(M)
     assert abs(u.mean()) < 3.0 * se
     # variance: lambda T E[g1^2] = 10 * 1 * 1
@@ -166,41 +168,40 @@ def test_poisson_compensator_active_for_one_marks():
     assert abs(sq.mean() - 10.0) < 3.0 * sq.std() / math.sqrt(M)
 
 
-def test_poisson_oracle_matches():
+def test_poisson_oracle_matches(simulate):
     g = TestFunctionSpec(family="parabolic-power", beta=0.5, mark_family="identity")
     M = 2500
-    ens = convolve_poisson(KERNEL, GRID, g, POISSON, M=M, save_times=[64, 128])
+    _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=M, save_times=[64, 128])
     oracle = second_moment_pairs(KERNEL, GRID, g, POISSON,
                                  [128], [130], [64], [150])
-    d = ens.values[:, 1, 130] - ens.values[:, 0, 150]
+    d = values[:, 1, 130] - values[:, 0, 150]
     mc = (d**2).mean()
     se = (d**2).std() / math.sqrt(M)
     assert abs(mc - oracle[0]) <= 3.0 * se
 
 
-def test_adaptedness_events_after_t_do_not_matter():
+def test_adaptedness_events_after_t_do_not_matter(simulate):
     # u(t) must not see jumps after t: build a path with a late event by
     # checking that u at an early time has no dependence on horizon tail
     g = TestFunctionSpec(family="constant", amplitude=1.0, mark_family="identity")
-    ens = convolve_poisson(KERNEL, GRID, g, POISSON, M=4, save_times=[16])
+    _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=4, save_times=[16])
     for m in range(4):
         path = sample_path(POISSON, m)
         t16 = 16 * POISSON.dt
         manual = path.marks[path.times < t16].sum()
         # slab binning contributes an event from the first lattice time
         # strictly after it; events in [t16, T] are invisible at t16
-        assert np.allclose(ens.values[m, 0, :], manual, atol=1e-10)
+        assert np.allclose(values[m, 0, :], manual, atol=1e-10)
 
 
 def test_ensemble_save_load_roundtrip(tmp_path):
     g = TestFunctionSpec(family="parabolic-power", beta=0.4)
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=3,
-                            save_times=[0, 64], dtype=np.float32)
     prefix = str(tmp_path / "ens")
-    ens.save(prefix)
+    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=3, save_times=[0, 64],
+                            dtype=np.float32, sink=prefix)
     back = FieldEnsemble.load(prefix)
-    assert np.array_equal(back.values, ens.values)
-    assert back.values.dtype == np.float32
+    assert back.values == ens.values
+    assert back.values.rows(0, 3).dtype == np.float32
     assert np.array_equal(back.time_indices, ens.time_indices)
     assert back.kernel == ens.kernel
     assert back.g == ens.g
@@ -218,22 +219,22 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     old = FieldEnsemble.load(prefix)
     assert old.noise == ens.noise and old.dt == BROWNIAN.dt
     assert old.kernel == ens.kernel
-    assert np.array_equal(old.values, ens.values)
+    assert np.array_equal(old.values.rows(0, 3), ens.values.rows(0, 3))
 
 
 def test_poisson_ensemble_save_load_roundtrip(tmp_path):
     noise = NoiseSpec(kind="poisson", horizon=1.0, steps=128, seed=4,
                       jump=JumpSpec(intensity=7.5, mark=MarkLaw("gaussian", 0.6)))
     g = TestFunctionSpec(family="spatial-power", beta=0.3, mark_family="one")
-    ens = convolve_poisson(KERNEL, GRID, g, noise, M=2, save_times=[32, 128])
     prefix = str(tmp_path / "ens")
-    ens.save(prefix)
+    ens = convolve_poisson(KERNEL, GRID, g, noise, M=2, save_times=[32, 128], sink=prefix)
     side = json.loads((tmp_path / "ens.json").read_text())
     assert side["noise"]["jump"] == {"intensity": 7.5,
                                      "mark": {"family": "gaussian", "parameter": 0.6}}
     back = FieldEnsemble.load(prefix)
     assert (back.noise, back.g, back.kernel, back.grid) == (noise, g, KERNEL, GRID)
-    assert np.array_equal(back.values, ens.values)
+    assert back.values == ens.values
+    assert ens.values.rows(0, 2).any()
     assert np.array_equal(back.time_indices, ens.time_indices)
 
 
@@ -333,9 +334,8 @@ def test_g_spectrum_base_is_the_shifted_ascending_transform_bitwise(preset):
 
 
 @pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
-def test_saved_times_are_the_ones_the_sidecar_loads(tmp_path, noise):
-    # the engine refuses what FieldEnsemble.load refuses, so every ensemble it returns
-    # round-trips through save and load
+def test_saved_times_are_the_ones_the_sidecar_loads(simulate, noise):
+    # the engine refuses what FieldEnsemble.load refuses, so every ensemble it writes loads
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     pairs = ([64], [3], [0], [5])
@@ -344,23 +344,23 @@ def test_saved_times_are_the_ones_the_sidecar_loads(tmp_path, noise):
             with pytest.raises(GridMismatch, match="strictly increasing"):
                 convolve(KERNEL, GRID, g, noise, M=2, save_times=bad, **kwargs)
     for saved in ([0, 32.0, 64], [64], None):
-        ens = convolve(KERNEL, GRID, g, noise, M=2, save_times=saved, dtype=np.float32)
-        ens.save(str(tmp_path / "ens"))
-        back = FieldEnsemble.load(str(tmp_path / "ens"))
-        assert np.array_equal(back.values, ens.values)
+        ens, values = simulate(convolve, KERNEL, GRID, g, noise, M=2, save_times=saved,
+                               dtype=np.float32)
+        back = FieldEnsemble.load(ens.values.path.removesuffix(".bin"))
+        assert np.array_equal(back.values.rows(0, 2), values)
         assert np.array_equal(back.time_indices, ens.time_indices)
         assert (back.grid, back.kernel, back.g, back.noise) == (GRID, KERNEL, g, noise)
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_forward_pass_matches_per_time_sum(case):
+def test_forward_pass_matches_per_time_sum(simulate, case):
     kernel, grid, g, noise, save_times = ENGINE_CASES[case]
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
-    ens = convolve(kernel, grid, g, noise, M=5, save_times=save_times)
+    ens, values = simulate(convolve, kernel, grid, g, noise, M=5, save_times=save_times)
     idx, ref = _reference_convolve(kernel, grid, g, noise, 5, save_times)
     assert np.array_equal(ens.time_indices, idx)
-    assert ens.values.shape == ref.shape
-    assert np.max(np.abs(ens.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert ens.values.shape == values.shape == ref.shape
+    assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("case", ["brownian-parabolic-eps-times"])
@@ -428,12 +428,9 @@ def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
                                   "poisson-spatial-eps-one-marks"])
 def test_oracle_profiles_match_per_time_cache(case):
     kernel, grid, g, noise, _ = ENGINE_CASES[case]
-    saved = list(range(0, noise.steps + 1, 2))
-    ens = FieldEnsemble(values=np.zeros((1, len(saved)) + (grid.points,) * grid.dim),
-                        time_indices=np.array(saved), grid=grid, kernel=kernel, g=g,
-                        noise=noise)
+    lattice = Lattice(noise.dt, grid, np.arange(0, noise.steps + 1, 2))
     lags = [0.5 ** k for k in range(2, 5)]
-    pairs = sample_pairs_dyadic(ens, lags, 20, seed=3)
+    pairs = sample_pairs_dyadic(lattice, lags, 20, seed=3)
     assert np.any(pairs.t_idx1 != pairs.t_idx2)
     # one pair touching the initial time, where the field has no slabs yet
     args = [np.append(a, a[0]) for a in
@@ -466,12 +463,12 @@ def _pair_set(t1, s1, t2, s2):
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_pair_sink_equals_the_full_field_differences(case):
+def test_pair_sink_equals_the_full_field_differences(simulate, case):
     # the two engines check each other: the forward pass's field, gathered at the pair
     # members, against the slab differences applied to the same slab weights
     kernel, grid, g, noise, save_times = ENGINE_CASES[case]
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
-    full = convolve(kernel, grid, g, noise, M=5, save_times=save_times)
+    full, _ = simulate(convolve, kernel, grid, g, noise, M=5, save_times=save_times)
     rng = np.random.default_rng(1)
     t1, t2 = rng.choice(full.time_indices, (2, 40))
     s1, s2 = rng.integers(0, grid.points ** grid.dim, (2, 40))
@@ -503,7 +500,7 @@ def test_pair_sink_equals_the_full_field_differences(case):
         assert np.array_equal(ens.time_indices, full.time_indices)
 
 
-def test_pair_sink_rejects_pairs_off_the_saved_lattice():
+def test_pair_sink_rejects_pairs_off_the_saved_lattice(simulate, tmp_path):
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
 
     def run(t, s, first=True):
@@ -528,12 +525,18 @@ def test_pair_sink_rejects_pairs_off_the_saved_lattice():
                   _pair_set([0] * 3, [5] * 3, [64, 64, 0], [3, 200, 255])):  # held, swapped
         with pytest.raises(PairOffGrid):
             next(held.difference_blocks(other))
-    full = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
+    full, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=2,
+                            save_times=[0, 64])
     with pytest.raises(GridMismatch):
         full.at([32], [3])
     with pytest.raises(PairOffGrid):
         full.at([64], [GRID.points])
-    assert np.array_equal(full.at([64, 0], [3, 3]), full.values[:, [1, 0], 3])
+    assert np.array_equal(full.at([64, 0], [3, 3]), values[:, [1, 0], 3])
+    with pytest.raises(ValueError, match="one of pairs and sink"):
+        convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
+    with pytest.raises(ValueError, match="one of pairs and sink"):
+        convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64],
+                          pairs=([64], [3], [0], [5]), sink=str(tmp_path / "ens"))
 
 
 def _forward_pass_pieces(preset):
@@ -554,34 +557,21 @@ def _peak(run):
 
 
 @pytest.mark.parametrize("preset", [False, True], ids=["small", "brownian-preset"])
-def test_forward_pass_holds_three_spectral_arrays(preset):
-    # beyond its sink, slab weights and (M, saved) zero-mode terms the pass holds the lag
-    # symbols (twice while built) and, for one block of realizations, the real running sum,
-    # one saved time's spectrum and its inverse transform with their temporaries: under
+def test_streamed_pass_holds_one_block_of_the_sink(tmp_path, preset):
+    # beyond its slab weights and (M, saved) zero-mode terms the pass holds one block of rows
+    # of the field, the lag symbols (twice while built) and, for that block, the real running
+    # sum, one saved time's spectrum and its inverse transform with their temporaries: under
     # 3.5 (rows, 2F) float64 arrays, within what RegularityPieces.require_memory counts
     M = 2000
     pieces = _forward_pass_pieces(preset)
     n, n_t, saved = pieces.grid.points, pieces.noise.steps, len(pieces.saved)
-    rows = block_rows(saved * n * 4)
+    _, rows = next(convolution._row_blocks(M, saved * n * 4))
     assert rows < M
-    ens, peak = _peak(lambda: pieces.simulate(M))
-    held = peak - ens.values.nbytes - M * n_t * 8 - M * saved * 8
-    assert held < 8 * (n_t + 1) * (n + 2) + 3.5 * rows * (n + 2) * 8
-    assert peak <= pieces.require_memory(M)
-
-
-@pytest.mark.parametrize("preset", [False, True], ids=["small", "brownian-preset"])
-def test_streamed_pass_holds_one_block_of_the_sink(tmp_path, preset):
-    # written to a sink, the pass holds one block of rows in place of the whole field
-    M = 2000
-    pieces = _forward_pass_pieces(preset)
-    n, n_t, saved = pieces.grid.points, pieces.noise.steps, len(pieces.saved)
-    rows = block_rows(saved * n * 4)
     ens, peak = _peak(lambda: pieces.simulate(M, sink=str(tmp_path / "ens")))
     assert isinstance(ens.values, StoredField) and ens.values.shape == (M, saved, n)
     held = peak - M * n_t * 8 - M * saved * 8
     assert held < rows * saved * n * 4 + 8 * (n_t + 1) * (n + 2) + 3.5 * rows * (n + 2) * 8
-    assert peak <= pieces.require_memory(M, streamed=True) < pieces.require_memory(M)
+    assert peak <= pieces.require_memory(M)
 
 
 STREAM_SAVED = [0, 24, 64, 65, 128]
@@ -592,22 +582,35 @@ def _row_bytes(dtype):
     return len(STREAM_SAVED) * GRID.points * np.dtype(dtype).itemsize
 
 
+def test_even_blocks_cover_the_range_without_a_single_item_block():
+    for n in range(1, 40):
+        for most in range(-1, 12):
+            blocks = list(even_blocks(n, most))
+            sizes = [hi - lo for lo, hi in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == -(-n // max(most, 3))
+            assert max(sizes) - min(sizes) <= 1 and sizes[0] == max(sizes)
+            assert min(sizes) >= 2 or n == 1
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 @pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
-def test_streamed_ensemble_is_the_in_memory_bytes(tmp_path, monkeypatch, noise, dtype):
-    # the .bin and sidecar streamed one block at a time are the bytes of the in-memory pass
-    # with a single block of all M, whatever the block of a realization
+def test_streamed_ensemble_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, noise,
+                                                            dtype):
+    # the .bin and sidecar streamed in blocks of at most B rows are the bytes of one block of
+    # all M, whatever the block of a realization
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     B = STREAM_B
     for M in (1, 2, B - 1, B + 1, 2 * B + 1):
         monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**40)
-        whole = convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype)
-        whole.save(str(tmp_path / "whole"))
+        convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype, sink=str(tmp_path / "whole"))
         monkeypatch.setattr(convolution, "FIELD_BLOCK", B * _row_bytes(dtype))
         blocks = list(convolution._row_blocks(M, _row_bytes(dtype)))
         assert blocks[0][0] == 0 and blocks[-1][1] == M
         assert all(2 <= hi - lo <= B or M == 1 for lo, hi in blocks)
+        assert len(blocks) == -(-M // B)
         streamed = convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype,
                             sink=str(tmp_path / "streamed"))
         assert streamed.values == StoredField(str(tmp_path / "streamed.bin"),
@@ -618,36 +621,36 @@ def test_streamed_ensemble_is_the_in_memory_bytes(tmp_path, monkeypatch, noise, 
                     == (tmp_path / f"whole{suffix}").read_bytes()), (M, suffix)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "streamed.bin", "streamed.json", "whole.bin", "whole.json"]
-        in_memory = convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype)
-        assert np.array_equal(in_memory.values, whole.values)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-def test_block_reader_gathers_the_in_memory_values(tmp_path, monkeypatch, dtype):
-    # realizations read one block at a time give at() and differences() bit for bit,
-    # realization axis contiguous as the in-memory gather
+def test_block_reader_gathers_the_whole_rows(tmp_path, monkeypatch, dtype):
+    # realizations read one block at a time give at() and differences() bit for bit as a
+    # gather of the whole rows, realization axis contiguous
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     M = 2 * STREAM_B + 1
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M, STREAM_SAVED, dtype)
-    ens.save(str(tmp_path / "ens"))
+    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M, STREAM_SAVED, dtype,
+                            sink=str(tmp_path / "ens"))
+    whole = np.fromfile(tmp_path / "ens.bin", dtype).reshape(M, len(STREAM_SAVED), GRID.points)
     monkeypatch.setattr(convolution, "FIELD_BLOCK", STREAM_B * _row_bytes(dtype))
-    stored = FieldEnsemble.load(str(tmp_path / "ens"), in_memory=False)
-    assert isinstance(stored.values, StoredField)
-    assert [len(block) for _, block in stored.blocks()] == [3, 3, 3]
-    assert np.array_equal(FieldEnsemble.load(str(tmp_path / "ens")).values, ens.values)
+    stored = FieldEnsemble.load(str(tmp_path / "ens"))
+    assert stored.values == ens.values
+    reads, rows = [], StoredField.rows
+    monkeypatch.setattr(StoredField, "rows",
+                        lambda self, lo, hi: reads.append((lo, hi)) or rows(self, lo, hi))
     rng = np.random.default_rng(3)
     t_idx = rng.choice(STREAM_SAVED, 40)
     s_idx = rng.integers(0, GRID.points, 40)
-    got, want = stored.at(t_idx, s_idx), ens.at(t_idx, s_idx)
-    assert got.dtype == want.dtype == dtype and got.strides == want.strides
-    assert got.strides[0] == np.dtype(dtype).itemsize
+    got = stored.at(t_idx, s_idx)
+    assert reads == [(0, 3), (3, 6), (6, 9)]
+    assert got.dtype == dtype and got.strides[0] == np.dtype(dtype).itemsize
+    want = whole[:, [STREAM_SAVED.index(t) for t in t_idx], s_idx]
     assert np.array_equal(got, want)
-    assert np.array_equal(got, ens.values[:, [STREAM_SAVED.index(t) for t in t_idx], s_idx])
     pairs = SimpleNamespace(t_idx1=t_idx[:20], s_idx1=s_idx[:20], t_idx2=t_idx[20:],
                             s_idx2=s_idx[20:])
     [diff] = stored.difference_blocks(pairs)
     assert diff.strides == (8, 8 * M)
-    assert np.array_equal(diff, next(ens.difference_blocks(pairs)))
+    assert np.array_equal(diff, want[:, :20].astype(np.float64) - want[:, 20:])
     with pytest.raises(GridMismatch):
         stored.at([32], [3])
     with pytest.raises(PairOffGrid):

@@ -20,7 +20,7 @@ import holderlab.errors as errors
 import holderlab.experiments as experiments
 import holderlab.noise as noise
 from holderlab.cli import main
-from holderlab.convolution import FieldEnsemble, TestFunctionSpec
+from holderlab.convolution import FieldEnsemble, StoredField, TestFunctionSpec
 from holderlab.errors import AliasingViolation, ConfigError, HolderLabError
 from holderlab.experiments import (
     ExperimentConfig,
@@ -348,18 +348,18 @@ def test_cli_untyped_errors_are_not_config_errors(monkeypatch):
                                     "poisson-flat-mark"])
 def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
     noise_spec = NoiseSpec(kind="brownian", horizon=1.0, steps=8, seed=1)
-    ens = FieldEnsemble(values=np.zeros((40, 3, 16), dtype=np.float32),
+    prefix = str(tmp_path / "ensemble")
+    ens = FieldEnsemble(values=StoredField(f"{prefix}.bin", (40, 3, 16), np.dtype(np.float32)),
                         time_indices=np.array([0, 4, 8]),
                         grid=SpectralGrid(length=1.0, points=16), kernel=KernelSpec(2.0),
                         g=TestFunctionSpec(), noise=noise_spec)
-    prefix = str(tmp_path / "ensemble")
-    ens.save(prefix)
+    ens.save(prefix, [np.zeros((40, 3, 16), dtype=np.float32)])
     FieldEnsemble.load(prefix)
     side = json.loads((tmp_path / "ensemble.json").read_text())
     if damage == "no-kernel":
         del side["kernel"]
     elif damage == "short-bin":
-        ens.values[:, :2].tofile(f"{prefix}.bin")
+        np.zeros((40, 2, 16), dtype=np.float32).tofile(f"{prefix}.bin")
     elif damage == "long-bin":  # one realization more than the sidecar's shape
         np.zeros((41, 3, 16), dtype=np.float32).tofile(f"{prefix}.bin")
     elif damage.startswith("shape"):  # the .bin holds as many values as the shape says
@@ -496,7 +496,7 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert seminorm["scales"]
     assert len(lines) == 1 + len(seminorm["scales"])
     # per scale, the saved times inside its cylinder around the middle saved time
-    times = FieldEnsemble.load(str(tmp_path / "ensemble"), in_memory=False).times
+    times = FieldEnsemble.load(str(tmp_path / "ensemble")).times
     t_mid = times[len(times) // 2]
     assert seminorm["saved_times"] == [int(np.sum(np.abs(times - t_mid) < c * c))
                                        for c in seminorm["scales"]]
@@ -543,12 +543,16 @@ def test_cli_chain_runs_under_the_benchmark_tracer(tmp_path):
     finally:
         t.uninstall()
     simulate = t.summary("simulate")
+    # the one writer, FieldEnsemble.save, streams the pass inside convolve_*
     assert simulate["convolution.convolve.calls"] == 1
+    assert simulate["convolution.ensemble_save.calls"] == 1
+    assert simulate["convolution.ensemble_load.calls"] == 0
     assert simulate["convolution.realizations"] == 40
     assert simulate["convolution.ensemble_bytes"] == (tmp_path / "ensemble.bin").stat().st_size
-    for name in ("moments", "seminorm"):  # one read of the .bin each
+    for name in ("moments", "seminorm"):  # one read of the .bin each, and no write
         layers = t.summary(name)
         assert layers["convolution.ensemble_load.calls"] == layers["moments.estimate.calls"] == 1
+        assert layers["convolution.ensemble_save.calls"] == 0
 
 
 def test_cli_pairs_take_any_integer_seed(tmp_path):
@@ -865,7 +869,7 @@ def test_benchmark_tracer_targets_resolve(tmp_path):
         replaced = [original for _, _, original in t._patched]
         assert [target[:2] for target, original in zip(tracer.TARGETS, originals)
                 if not any(r is original for r in replaced)] == []
-        build_regularity(cfg).simulate(2)
+        build_regularity(cfg).simulate(2, sink=str(tmp_path / "ensemble"))
     finally:
         t.uninstall()
     assert [s[0] for s in t.spans].count("convolution.convolve") == 1
@@ -921,7 +925,7 @@ def test_regularity_run_never_holds_the_full_field(tmp_path):
 def test_lattice_pairs_equal_pairs_drawn_from_the_simulated_ensemble(tmp_path):
     cfg = load_config(_write(tmp_path, SMALL_BROWNIAN))
     pieces = build_regularity(cfg)
-    ens = pieces.simulate(2)
+    ens = pieces.simulate(2, sink=str(tmp_path / "ensemble"))
     a = sample_pairs_dyadic(pieces.lattice, pieces.lags, 48, seed=cfg.seed)
     b = sample_pairs_dyadic(ens, pieces.lags, 48, seed=cfg.seed)
     for name in ("t_idx1", "s_idx1", "t_idx2", "s_idx2", "t1", "x1", "t2", "x2",

@@ -9,13 +9,15 @@ from holderlab.campanato import ParabolicCylinder, SpaceTimePoint
 from holderlab.cli import main
 import holderlab.convolution as convolution
 import holderlab.moments as moments
-from holderlab.convolution import (FieldEnsemble, Lattice, PairEnsemble, TestFunctionSpec,
-                                   convolve_brownian, convolve_poisson)
+from holderlab.convolution import (FieldEnsemble, Lattice, PairEnsemble, PairValues,
+                                   StoredField, TestFunctionSpec, convolve_brownian,
+                                   convolve_poisson)
 from holderlab.errors import (
     DimensionMismatch,
     EmptyCylinder,
     EmptyRequest,
     EnsembleTooSmall,
+    MomentOverflow,
     PairOffGrid,
 )
 from holderlab.kernels import KernelSpec, SpectralGrid
@@ -35,9 +37,10 @@ G_UNIT = TestFunctionSpec(family="constant", amplitude=1.0)
 
 
 @pytest.fixture(scope="module")
-def unit_ensemble():
+def unit_ensemble(tmp_path_factory):
     saved = list(range(64, 193, 8))
-    return convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved)
+    return convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved,
+                             sink=str(tmp_path_factory.mktemp("unit") / "ens"))
 
 
 def test_identical_points_give_zero(unit_ensemble):
@@ -86,10 +89,10 @@ def test_symmetry_exact(unit_ensemble):
     assert np.array_equal(f1.stderr, f2.stderr)
 
 
-def test_stderr_scaling_with_ensemble():
+def test_stderr_scaling_with_ensemble(simulate):
     saved = [64, 128]
-    small = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=500, save_times=saved)
-    big = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved)
+    small, _ = simulate(convolve_brownian, KERNEL, GRID, G_UNIT, NOISE, M=500, save_times=saved)
+    big, _ = simulate(convolve_brownian, KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved)
     pairs_s = sample_pairs_dyadic(small, [0.5], 24, seed=8)
     pairs_b = sample_pairs_dyadic(big, [0.5], 24, seed=8)
     fs = estimate_pair_moments(small, pairs_s, 2.0)
@@ -100,11 +103,33 @@ def test_stderr_scaling_with_ensemble():
     assert np.median(ratio) == pytest.approx(2.0, rel=0.2)
 
 
-def test_min_ensemble_guard(unit_ensemble):
-    small = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=10, save_times=[64])
+def test_min_ensemble_guard(simulate):
+    small, _ = simulate(convolve_brownian, KERNEL, GRID, G_UNIT, NOISE, M=10, save_times=[64])
     pairs = sample_pairs_dyadic(small, [0.25], 8, seed=1)
     with pytest.raises(EnsembleTooSmall):
         estimate_pair_moments(small, pairs, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
+    # a float32 pair ensemble whose products overflow the cast, and a stored field holding an
+    # inf, report MomentOverflow alone: with warnings as errors, no NumPy warning comes first
+    saved, M = list(range(64, 193, 8)), 40
+    lattice = Lattice(NOISE.dt, GRID, np.array(saved))
+    pairs = sample_pairs_dyadic(lattice, [0.25, 0.125], 8, seed=1)
+    held = PairEnsemble(PairValues((M, pairs.size), np.dtype(np.float32)),
+                        (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2),
+                        lattice.time_indices, np.ones(pairs.size),
+                        np.full((pairs.size, 3), 1e30), np.full((M, 3), 1e30))
+    prefix = str(tmp_path / "ens")
+    values = np.zeros((M, len(saved), GRID.points))
+    values[3] = np.inf
+    stored = FieldEnsemble(StoredField(f"{prefix}.bin", values.shape, values.dtype),
+                           lattice.time_indices, GRID, KERNEL, G_UNIT, NOISE)
+    stored.save(prefix, [values])
+    for ens in (held, FieldEnsemble.load(prefix)):
+        with pytest.raises(MomentOverflow, match="not finite"):
+            estimate_pair_moments(ens, pairs, 2.0)
 
 
 @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
@@ -121,10 +146,10 @@ def test_pair_off_grid(unit_ensemble):
         estimate_pair_moments(unit_ensemble, pairs, 2.0)
 
 
-def test_lag_wider_than_central_window():
+def test_lag_wider_than_central_window(simulate):
     # h = 1/64: lag 0.5 is 32 spacings, the whole central half of 64 points
     grid = SpectralGrid(length=0.5, points=64)
-    ens = convolve_brownian(KERNEL, grid, G_UNIT, NOISE, M=2, save_times=[64, 80])
+    ens, _ = simulate(convolve_brownian, KERNEL, grid, G_UNIT, NOISE, M=2, save_times=[64, 80])
     with pytest.raises(PairOffGrid, match=r"lag 0.5 spans 32 lattice spacings.* 32 "):
         sample_pairs_dyadic(ens, [0.25, 0.5], 8)
     assert sample_pairs_dyadic(ens, [0.25], 8).size == 8
@@ -245,9 +270,9 @@ def test_triangle_consistency_p2(unit_ensemble):
 def test_moment_field_csv_json(tmp_path):
     # the CLI writes the moment field through the shared table and JSON writers;
     # both files carry the estimates of the same pairs exactly
-    ens = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=40, save_times=list(range(64, 193, 8)))
     prefix = str(tmp_path / "ens")
-    ens.save(prefix)
+    convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=40, save_times=list(range(64, 193, 8)),
+                      sink=prefix)
     assert main(["moments", "--ensemble", prefix, "--p", "2", "--lag-k-min", "2",
                  "--lag-k-max", "2", "--pairs", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
     loaded = FieldEnsemble.load(prefix)
@@ -264,12 +289,12 @@ def test_moment_field_csv_json(tmp_path):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
-def test_estimates_match_the_direct_reduction(p, dtype):
+def test_estimates_match_the_direct_reduction(simulate, p, dtype):
     # the one in-place work array gives the same bits as |u(X) - u(Y)|^p built
     # from separate float64 temporaries
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=64, save_times=list(range(64, 193, 8)),
-                            dtype=dtype)
+    ens, _ = simulate(convolve_brownian, KERNEL, GRID, g, NOISE, M=64,
+                      save_times=list(range(64, 193, 8)), dtype=dtype)
     pairs = sample_pairs_dyadic(ens, [0.25, 0.125], 16, seed=5)
     field = estimate_pair_moments(ens, pairs, p)
     diff = (ens.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)
@@ -280,13 +305,13 @@ def test_estimates_match_the_direct_reduction(p, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pair_values_give_the_full_ensemble_estimates(dtype):
+def test_pair_values_give_the_full_ensemble_estimates(simulate, dtype):
     # float64 pair differences agree with the gathered full field to rounding, float32 ones
     # to one rounding; pairs mirrored about x = 0, where u is even, read rounding noise
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     saved = list(range(64, 193, 8))
     lags = [0.25, 0.125, 0.0625]
-    full = convolve_brownian(KERNEL, GRID, g, NOISE, M=300, save_times=saved)
+    full, _ = simulate(convolve_brownian, KERNEL, GRID, g, NOISE, M=300, save_times=saved)
     pairs = sample_pairs_dyadic(full, lags, 64, seed=4)
     held = convolve_brownian(KERNEL, GRID, g, NOISE, M=300, save_times=saved, dtype=dtype,
                              pairs=(pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2))
@@ -303,11 +328,11 @@ def test_pair_values_give_the_full_ensemble_estimates(dtype):
         estimate_pair_moments(held, pairs.swapped(), 2.0)
 
 
-def test_realization_stderr_is_the_spread_of_per_realization_lag_means():
+def test_realization_stderr_is_the_spread_of_per_realization_lag_means(simulate):
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     saved = list(range(64, 193, 8))
     M = 200
-    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=M, save_times=saved)
+    ens, _ = simulate(convolve_brownian, KERNEL, GRID, g, NOISE, M=M, save_times=saved)
     lags = [0.25, 0.125]
     pairs = sample_pairs_dyadic(ens, lags, 32, seed=9)
     field = estimate_pair_moments(ens, pairs, 2.0)
@@ -391,14 +416,13 @@ def test_blocked_estimator_equals_the_whole_array_reduction(tmp_path, monkeypatc
                                     cylinder])
     spread = PairSet.concatenate([together, sample_pairs_dyadic(lattice, lags, 2, seed=2)])
     if source != "pairs":
-        field = convolve(KERNEL, GRID, g, noise, M, saved, dtype)
-        field.save(str(tmp_path / "ens"))
+        field = convolve(KERNEL, GRID, g, noise, M, saved, dtype, sink=str(tmp_path / "ens"))
     for pairs in (together, spread):
         if source == "pairs":
             ens = convolve(KERNEL, GRID, g, noise, M, saved, dtype,
                            pairs=(pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2))
         else:
-            ens = FieldEnsemble.load(str(tmp_path / "ens"), in_memory=source == "field")
+            ens = field if source == "field" else FieldEnsemble.load(str(tmp_path / "ens"))
         blocks = moments._pair_blocks(pairs, M)
         assert sum(lag is None for _, lag in blocks) == 5  # 24 cylinder pairs, 5 at most
         got = estimate_pair_moments(ens, pairs, 3.5)
