@@ -82,8 +82,6 @@ def _config_from_args(args, preset=None) -> ExperimentConfig:
     seed = _resolve_seed(args)
     if seed is not None:
         cfg.seed = seed
-    if args.out:
-        cfg.out = args.out
     return cfg
 
 
@@ -103,17 +101,15 @@ def _print_verdicts(report):
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_experiment(cfg)
+    report = run_experiment(_config_from_args(args), out_dir=args.out)
     _print_verdicts(report)
-    if cfg.out:
-        print(f"report written to {cfg.out}")
+    if args.out:
+        print(f"report written to {args.out}")
     return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
 
 
 def _cmd_audit_kernel(args) -> int:
-    cfg = _config_from_args(args, preset="kernel-audit")
-    report = run_experiment(cfg)
+    report = run_experiment(_config_from_args(args, preset="kernel-audit"), out_dir=args.out)
     _print_verdicts(report)
     return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
 
@@ -121,7 +117,7 @@ def _cmd_audit_kernel(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args, preset=args.kind_preset)
     pieces = build_regularity(cfg)
-    out = Path(cfg.out or ".")
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     prefix = str(out / "ensemble")
     pieces.simulate(cfg.simulation.ensemble, sink=prefix)

@@ -187,15 +187,24 @@ class FieldEnsemble:
         sidecar to {prefix}.json: shape, dtype, time indices and the fields of grid, kernel,
         g and noise (dt is noise.dt).  Each is written under a temporary name renamed when
         complete: the .bin first, the sidecar last, after any older sidecar is removed.  A
-        write that fails or is stopped never leaves a sidecar over a partial .bin."""
+        write that fails or is stopped never leaves a sidecar over a partial .bin; blocks that
+        do not fill self's shape in its dtype are a ValueError before either rename."""
+        shape, dtype = self.values.shape, self.values.dtype
         sidecar = {name: asdict(getattr(self, name)) for name in ("grid", "kernel", "g", "noise")}
-        sidecar.update(shape=list(self.values.shape), dtype=str(self.values.dtype),
+        sidecar.update(shape=list(shape), dtype=str(dtype),
                        time_indices=[int(i) for i in self.time_indices])
         partial = [Path(f"{prefix}.bin.partial"), Path(f"{prefix}.json.partial")]
         try:
+            rows = 0
             with open(partial[0], "wb") as fh:
                 for block in blocks:
+                    if block.shape[1:] != shape[1:] or block.dtype != dtype:
+                        raise ValueError(f"a {block.dtype} block of shape {block.shape} in a "
+                                         f"{dtype} field of shape {shape}")
+                    rows += len(block)
                     block.tofile(fh)
+            if rows != shape[0]:
+                raise ValueError(f"blocks of {rows} realizations for a field of {shape[0]}")
             with open(partial[1], "w") as fh:
                 json.dump(sidecar, fh, indent=2, sort_keys=True)
                 fh.write("\n")

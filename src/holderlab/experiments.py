@@ -52,7 +52,7 @@ class KernelConfig:
 
 @dataclass
 class ConditionsConfig:
-    betas: tuple[float, ...] | None = None  # the audits read null as (0.0,)
+    betas: tuple[float, ...] = (0.0,)
     power: float = 2.0
     s_base: float = 0.5
     lag_k_min: int = 3
@@ -117,7 +117,6 @@ class Tolerances:
 class ExperimentConfig:
     experiment: str = "kernel-audit"
     seed: int = 0
-    out: str | None = None
     kernel: KernelConfig = field(default_factory=KernelConfig)
     conditions: ConditionsConfig = field(default_factory=ConditionsConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
@@ -131,6 +130,25 @@ class ExperimentConfig:
         if self.experiment not in PRESETS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose one of {', '.join(PRESETS)}")
+
+
+# The fields each preset reads, section by section, besides experiment and seed (which
+# report.json's rng block records); load_config refuses, and config_to_dict leaves out, the rest.
+_CONDITIONS = ("power", "s_base", "lag_k_min", "lag_k_max", "mesh_points")
+_REGULARITY = {
+    "kernel": ("alpha", "epsilon", "dim"), "conditions": _CONDITIONS,
+    "simulation": ("horizon", "steps", "grid_points", "grid_length", "ensemble", "store_dtype"),
+    "moments": ("p", "beta", "amplitude", "lag_k_min", "lag_k_max", "pairs_per_lag"),
+    "tolerances": ("exponent", "oracle_exponent", "bound_margin")}
+PRESET_FIELDS = {
+    "kernel-audit": {"kernel": _REGULARITY["kernel"], "conditions": ("betas", *_CONDITIONS),
+                     "tolerances": ("exponent",)},
+    "fractional-sweep": {"kernel": ("dim",), "conditions": ("betas", *_CONDITIONS),
+                         "sweep": ("cases",), "tolerances": ("sweep_exponent",)},
+    "brownian-regularity": _REGULARITY,
+    "poisson-regularity": {**_REGULARITY, "noise": ("intensity", "mark_family", "mark_parameter")},
+    "embedding-check": {"kernel": ("dim",), "campanato": ("p", "gamma", "theta", "budget",
+                        "n_centers", "n_scales", "top_scale"), "tolerances": ("exponent",)}}
 
 
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
@@ -175,40 +193,40 @@ def _build_dataclass(cls, data, path="config"):
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config a JSON file sets; a field its preset does not read (PRESET_FIELDS) is a
+    ConfigError naming the field and the preset."""
     with open(path) as fh:
         data = json.load(fh)
-    return _build_dataclass(ExperimentConfig, data)
+    config = _build_dataclass(ExperimentConfig, data)
+    reads = PRESET_FIELDS[config.experiment]
+    accepted = {"experiment", "seed", *reads, *(f"{s}.{n}" for s in reads for n in reads[s])}
+    for key, value in data.items():
+        for name in [f"{key}.{n}" for n in value] if isinstance(value, dict) and value else [key]:
+            if name not in accepted:
+                raise ConfigError(f"config.{name}: the {config.experiment} preset does not read it")
+    return config
 
 
 def config_to_dict(config) -> dict:
-    data = dataclasses.asdict(config)
-    # the output directory is run plumbing, not experiment identity; keep
-    # the report byte-identical across output locations
-    data.pop("out", None)
+    """experiment, seed and the fields config's preset reads, section by section."""
+    data = {"experiment": config.experiment, "seed": config.seed}
+    for section, names in PRESET_FIELDS[config.experiment].items():
+        values = dataclasses.asdict(getattr(config, section))
+        data[section] = {name: values[name] for name in names}
     return data
 
 
 def default_config(preset: str, seed: int = 0) -> ExperimentConfig:
-    """Documented defaults per preset."""
+    """Documented defaults per preset: the dataclasses' defaults with these overrides."""
     cfg = ExperimentConfig(experiment=preset, seed=seed)
     if preset == "kernel-audit":
-        cfg.conditions = ConditionsConfig(betas=(0.0, 0.3, 0.5))
-    elif preset == "fractional-sweep":
-        cfg.conditions = ConditionsConfig(betas=(0.0,))
-    elif preset == "brownian-regularity":
-        cfg.kernel = KernelConfig(alpha=2.0)
-        cfg.simulation = SimulationConfig(horizon=1.0, steps=1024, grid_points=1024,
-                                          grid_length=4.0, ensemble=2000)
-        cfg.moments = MomentsConfig(p=2.0, beta=0.5, lag_k_min=1, lag_k_max=4)
-        cfg.conditions = ConditionsConfig(betas=(0.5,), lag_k_min=3, lag_k_max=9,
-                                          mesh_points=128)
-    elif preset == "poisson-regularity":
-        cfg.kernel = KernelConfig(alpha=1.5)
-        cfg.simulation = SimulationConfig(horizon=1.0, steps=1024, grid_points=2048,
-                                          grid_length=2.0, ensemble=2000)
-        cfg.moments = MomentsConfig(p=2.0, beta=0.5, lag_k_min=1, lag_k_max=4)
-        cfg.conditions = ConditionsConfig(betas=(0.5,), lag_k_min=3, lag_k_max=9,
-                                          mesh_points=128)
+        cfg.conditions.betas = (0.0, 0.3, 0.5)
+    elif preset in ("brownian-regularity", "poisson-regularity"):
+        cfg.moments.lag_k_max = 4
+        cfg.conditions.lag_k_max, cfg.conditions.mesh_points = 9, 128
+    if preset == "poisson-regularity":
+        cfg.kernel.alpha = 1.5
+        cfg.simulation.grid_points, cfg.simulation.grid_length = 2048, 2.0
     return cfg
 
 
@@ -317,17 +335,13 @@ def _audit_one(kernel: KernelSpec, beta: float, cond: ConditionsConfig, tol: flo
                  for claim, fitted in zip(claims, (rep.gamma1, rep.gamma2))]
 
 
-def _betas(cond: ConditionsConfig) -> tuple:
-    if cond.betas is not None and not cond.betas:
-        raise ConfigError("config.conditions.betas: the audit needs a Holder order, got none")
-    return cond.betas or (0.0,)
-
-
 def _run_kernel_audit(config: ExperimentConfig, progress: Stages):
     kc = config.kernel
     kernel = _spec("config.kernel", KernelSpec, alpha=kc.alpha, epsilon=kc.epsilon, dim=kc.dim)
+    if not config.conditions.betas:
+        raise ConfigError("config.conditions.betas: the audit needs a Holder order, got none")
     verdicts, modules = [], {}
-    for beta in _betas(config.conditions):
+    for beta in config.conditions.betas:
         rep, checks = _audit_one(kernel, beta, config.conditions, config.tolerances.exponent,
                                  (f"increment exponent gamma1 (beta={beta:g})",
                                   f"tail exponent gamma2 (beta={beta:g})"))
@@ -339,10 +353,10 @@ def _run_kernel_audit(config: ExperimentConfig, progress: Stages):
 def _run_fractional_sweep(config: ExperimentConfig, progress: Stages):
     if not config.sweep.cases:
         raise ConfigError("config.sweep.cases: the sweep needs an (alpha, epsilon) pair, got none")
-    beta, *rest = _betas(config.conditions)
-    if rest:
+    if len(config.conditions.betas) != 1:
         raise ConfigError(f"config.conditions.betas: the sweep audits one Holder order, got "
                           f"{list(config.conditions.betas)}")
+    beta = config.conditions.betas[0]
     verdicts, modules = [], {}
     for i, (alpha, eps) in enumerate(config.sweep.cases):
         kernel = _spec(f"config.sweep.cases[{i}] / config.kernel.dim", KernelSpec, alpha=alpha,
@@ -499,10 +513,6 @@ def _run_regularity(config: ExperimentConfig, progress: Stages):
     progress.enter("setup")
     pieces = build_regularity(config)
     kernel, mom = pieces.kernel, config.moments
-    if config.conditions.betas not in (None, (mom.beta,)):
-        raise ConfigError(f"config.conditions.betas: the regularity presets audit the kernel at "
-                          f"config.moments.beta = {mom.beta:g}; set betas to null or "
-                          f"[{mom.beta:g}], got {list(config.conditions.betas)}")
     if mom.pairs_per_lag < 2:  # each lag's stderr is a std with ddof=1
         raise ConfigError(f"config.moments.pairs_per_lag: the per-lag standard errors need 2 "
                           f"pairs per lag, got {mom.pairs_per_lag}")
@@ -667,11 +677,11 @@ PRESETS = tuple(_RUNNERS)
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run a preset pipeline; deterministic given (config, seed).
 
-    When out_dir (or config.out) is set, writes report.json, timing.json,
-    and the plot-data CSV bundle there; on failure flushes a FAILED.json
-    marker naming the stage that failed, then re-raises.
+    When out_dir is set, writes report.json, timing.json, and the plot-data
+    CSV bundle there; on failure flushes a FAILED.json marker naming the
+    stage that failed, then re-raises.
     """
-    out = Path(out_dir or config.out) if (out_dir or config.out) else None
+    out = Path(out_dir) if out_dir else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     t_start = time.time()

@@ -196,7 +196,6 @@ def brownian_reports():
     for beta in (0.3, 0.5):
         cfg = default_config("brownian-regularity", seed=2024)
         cfg.moments.beta = beta
-        cfg.conditions.betas = (beta,)
         out[beta] = run_experiment(cfg)
     return out
 
@@ -318,8 +317,7 @@ SMALL_CONFIGS = {
                        "ensemble": 120},
         "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4,
                     "pairs_per_lag": 48},
-        "conditions": {"betas": [0.5], "lag_k_min": 4, "lag_k_max": 7,
-                       "mesh_points": 64}},
+        "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64}},
     "poisson-regularity": {
         "experiment": "poisson-regularity", "seed": 5,
         "kernel": {"alpha": 1.5},
@@ -327,8 +325,7 @@ SMALL_CONFIGS = {
                        "ensemble": 120},
         "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4,
                     "pairs_per_lag": 48},
-        "conditions": {"betas": [0.5], "lag_k_min": 4, "lag_k_max": 7,
-                       "mesh_points": 64}},
+        "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64}},
     "embedding-check": {
         "experiment": "embedding-check", "seed": 2,
         "campanato": {"budget": 128, "n_centers": 12}},

@@ -238,6 +238,25 @@ def test_poisson_ensemble_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.time_indices, ens.time_indices)
 
 
+@pytest.mark.parametrize("blocks", [
+    [np.zeros((2, 3, 16), np.float32)],
+    [np.zeros((40, 3, 16), np.float32), np.zeros((1, 3, 16), np.float32)],
+    [np.zeros((40, 3, 16), np.float64)],
+    [np.zeros((40, 3, 8), np.float32), np.zeros((40, 3, 8), np.float32)],
+], ids=["too-few-rows", "too-many-rows", "float64-block", "half-rows"])
+def test_save_refuses_blocks_that_do_not_fill_the_field(tmp_path, blocks):
+    # checked before either rename: no .bin, sidecar or partial file is left
+    ens = FieldEnsemble(values=StoredField(str(tmp_path / "ens.bin"), (40, 3, 16),
+                                           np.dtype(np.float32)),
+                        time_indices=np.array([0, 4, 8]),
+                        grid=SpectralGrid(length=1.0, points=16), kernel=KERNEL,
+                        g=TestFunctionSpec(),
+                        noise=NoiseSpec(kind="brownian", horizon=1.0, steps=8, seed=1))
+    with pytest.raises(ValueError, match="field of"):
+        ens.save(str(tmp_path / "ens"), blocks)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kernel_dim, grid_dim", [(2, 2), (1, 2), (2, 1)])
 def test_the_field_is_one_dimensional(kernel_dim, grid_dim):
     # kernels and grids exist in d = 2 for the audits; the stochastic field does not

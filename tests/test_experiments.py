@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -56,8 +57,7 @@ SMALL_BROWNIAN = {
                    "ensemble": 120},
     "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4,
                 "pairs_per_lag": 48},
-    "conditions": {"betas": [0.5], "lag_k_min": 4, "lag_k_max": 7,
-                   "mesh_points": 64},
+    "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64},
 }
 
 SMALL_POISSON = {
@@ -69,8 +69,7 @@ SMALL_POISSON = {
     "kernel": {"alpha": 1.5},
     "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4,
                 "pairs_per_lag": 48},
-    "conditions": {"betas": [0.5], "lag_k_min": 4, "lag_k_max": 7,
-                   "mesh_points": 64},
+    "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64},
 }
 
 SMALL_EMBED = {"experiment": "embedding-check", "seed": 2,
@@ -281,14 +280,13 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
      "config.noise: mark law parameter 1e-245"),
     (_with(SMALL_BROWNIAN, "moments", lag_k_max=40), "config.moments.lag_k_max"),
     (_with(SMALL_SWEEP, "conditions", betas=[0.0, 0.5]), "config.conditions.betas"),
-    (_with(SMALL_BROWNIAN, "conditions", betas=[0.9]), "config.conditions.betas"),
     (_with(SMALL_BROWNIAN, "moments", pairs_per_lag=0), "config.moments.pairs_per_lag"),
     (_with(SMALL_BROWNIAN, "moments", pairs_per_lag=1), "config.moments.pairs_per_lag"),
     (_with(SMALL_BROWNIAN, "moments", lag_k_max=3), "config.moments: lag_k_min 1"),
 ], ids=["embed-dim-3", "embed-p-half", "embed-no-centers", "audit-alpha-3", "audit-no-betas",
         "sweep-alpha-3", "regularity-three-lags", "embed-no-scales", "embed-scale-underflows",
         "audit-lag-overflows", "audit-s-base-underflows", "mark-variance-underflows",
-        "regularity-lag-finer-than-lattice", "sweep-two-betas", "regularity-beta-not-audited",
+        "regularity-lag-finer-than-lattice", "sweep-two-betas",
         "regularity-no-pairs", "regularity-one-pair-per-lag", "regularity-three-moment-lags"])
 def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, field):
     path = _write(tmp_path, config)
@@ -297,6 +295,105 @@ def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, fiel
     marker = json.loads((tmp_path / "o" / "FAILED.json").read_text())
     assert marker["invalid_config"] and marker["message"].startswith(field)
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+class _Recorder:
+    """A config, or a section of one, that records the dotted name of each field read."""
+
+    def __init__(self, target, seen, prefix=""):
+        self._target, self._seen, self._prefix = target, seen, prefix
+
+    def __getattr__(self, name):
+        value = getattr(self._target, name)
+        if dataclasses.is_dataclass(value):
+            return _Recorder(value, self._seen, f"{self._prefix}{name}.")
+        self._seen.add(self._prefix + name)
+        return value
+
+
+def _table(preset):
+    return {f"{s}.{n}" for s, names in experiments.PRESET_FIELDS[preset].items() for n in names}
+
+
+@pytest.mark.parametrize("config", ALL_SMALL, ids=[c["experiment"] for c in ALL_SMALL])
+def test_each_preset_reads_the_fields_of_its_table(tmp_path, config):
+    preset, seen = config["experiment"], set()
+    cfg = load_config(_write(tmp_path, config))
+    experiments._RUNNERS[preset](_Recorder(cfg, seen), experiments.Stages(preset))
+    assert seen - {"experiment", "seed"} == _table(preset)
+    # and report.json's config block holds these fields, besides experiment and seed
+    written = experiments.config_to_dict(cfg)
+    assert {f"{s}.{n}" for s, v in written.items() if isinstance(v, dict)
+            for n in v} == _table(preset)
+    assert written["experiment"] == preset and written["seed"] == config["seed"]
+
+
+_DEFAULTS = dataclasses.asdict(ExperimentConfig())
+
+
+def test_readme_table_lists_each_presets_fields_and_defaults():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(f"| field | {' | '.join(f'`{p}`' for p in experiments.PRESETS)} |")
+    table = {}
+    for line in lines[start + 2:lines.index("", start)]:
+        field, *cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        table[field] = cells
+    assert set(table) == {"seed"} | {f"{s}.{n}" for s, v in _DEFAULTS.items()
+                                     if isinstance(v, dict) for n in v}
+    for i, preset in enumerate(experiments.PRESETS):
+        defaults = json.loads(json.dumps(dataclasses.asdict(default_config(preset))))
+        want = {"seed": 0}
+        for field in _table(preset):
+            section, name = field.split(".")
+            want[field] = defaults[section][name]
+        assert {field: json.loads(cells[i]) for field, cells in table.items()
+                if cells[i] != "—"} == want
+
+
+UNREAD = [(c, f"{s}.{n}") for c in ALL_SMALL for s, v in _DEFAULTS.items() if isinstance(v, dict)
+          for n in v if f"{s}.{n}" not in _table(c["experiment"])]
+
+
+@pytest.mark.parametrize("config, field", UNREAD,
+                         ids=[f"{c['experiment']}-{f}" for c, f in UNREAD])
+def test_a_field_the_preset_does_not_read_exits_two(tmp_path, capsys, config, field):
+    # set to its default, well-typed: refused because the preset would ignore it
+    section, name = field.split(".")
+    data = _with(config, section, **{name: _DEFAULTS[section][name]})
+    assert main(["run", "--config", str(_write(tmp_path, data)), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert (f"config error: config.{field}: the {config['experiment']} preset does not read it"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", ALL_SMALL, ids=[c["experiment"] for c in ALL_SMALL])
+def test_the_output_directory_is_a_flag_not_a_config_key(tmp_path, capsys, config):
+    path = str(_write(tmp_path, dict(config, out=str(tmp_path / "elsewhere"))))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config: unknown keys ['out']" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("config, field", [
+    (_with(SMALL_BROWNIAN, "conditions", betas=[0.9]), "config.conditions.betas"),
+    (dict(SMALL_BROWNIAN, noise={}), "config.noise"),
+], ids=["conditions-betas", "empty-noise"])
+def test_simulate_refuses_what_the_regularity_preset_does_not_read(tmp_path, capsys, config,
+                                                                   field):
+    # the regularity presets audit the kernel at moments.beta: betas would be a second copy
+    path = str(_write(tmp_path, config))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert (f"config error: {field}: the brownian-regularity preset does not read it"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_null_betas_is_a_type_error(tmp_path, capsys):
+    path = str(_write(tmp_path, _with(SMALL_AUDIT, "conditions", betas=None)))
+    assert main(["run", "--config", path]) == 2
+    assert ("config error: config.conditions.betas: expected tuple[float, ...], got None"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -665,25 +762,28 @@ def _regularity_configs(field, alpha, steps, grid_points, ensemble, pairs_per_la
     def section(**fields):
         return st.fixed_dictionaries({}, optional={k: field(v) for k, v in fields.items()})
 
-    return st.fixed_dictionaries(
-        {"experiment": st.sampled_from(["brownian-regularity", "poisson-regularity"]),
-         **{key: st.just(value) for key, value in fixed.items()}},
-        optional={
-            "seed": field(st.integers(0, 2**32)),
-            "kernel": section(alpha=alpha, epsilon=st.floats(-0.5, 1.0),
-                              dim=st.sampled_from([0, 1, 1, 1, 2, 3])),
-            "simulation": section(
-                horizon=st.floats(-1.0, 4.0), steps=steps, grid_points=grid_points,
-                grid_length=st.floats(-1.0, 8.0), ensemble=ensemble,
-                store_dtype=st.sampled_from(["float32", "float64", "float16", "int8", ""])),
-            "noise": section(
-                intensity=st.floats(-1.0, 20.0), mark_parameter=st.floats(-1.0, 3.0),
-                mark_family=st.sampled_from(["two-sided-exponential", "gaussian", "cauchy"])),
-            "moments": section(
-                p=st.floats(0.5, 4.0), beta=st.floats(-0.2, 1.2),
-                amplitude=st.floats(-2.0, 2.0), lag_k_min=st.integers(-1100, 12),
-                lag_k_max=st.integers(-3, 12), pairs_per_lag=pairs_per_lag),
-        })
+    sections = {
+        "seed": field(st.integers(0, 2**32)),
+        "kernel": section(alpha=alpha, epsilon=st.floats(-0.5, 1.0),
+                          dim=st.sampled_from([0, 1, 1, 1, 2, 3])),
+        "simulation": section(
+            horizon=st.floats(-1.0, 4.0), steps=steps, grid_points=grid_points,
+            grid_length=st.floats(-1.0, 8.0), ensemble=ensemble,
+            store_dtype=st.sampled_from(["float32", "float64", "float16", "int8", ""])),
+        "moments": section(
+            p=st.floats(0.5, 4.0), beta=st.floats(-0.2, 1.2),
+            amplitude=st.floats(-2.0, 2.0), lag_k_min=st.integers(-1100, 12),
+            lag_k_max=st.integers(-3, 12), pairs_per_lag=pairs_per_lag),
+    }
+    noise = section(intensity=st.floats(-1.0, 20.0), mark_parameter=st.floats(-1.0, 3.0),
+                    mark_family=st.sampled_from(["two-sided-exponential", "gaussian", "cauchy"]))
+    fixed = {key: st.just(value) for key, value in fixed.items()}
+    # noise only where it is read: the brownian preset refuses it
+    return st.one_of(
+        st.fixed_dictionaries({"experiment": st.just("brownian-regularity"), **fixed},
+                              optional=sections),
+        st.fixed_dictionaries({"experiment": st.just("poisson-regularity"), **fixed},
+                              optional={**sections, "noise": noise}))
 
 
 REGULARITY_CONFIGS = _regularity_configs(
@@ -731,13 +831,15 @@ _AUDIT_CONDITIONS = st.fixed_dictionaries(
     optional={"betas": _mostly(st.lists(st.floats(0.0, 0.8), min_size=1, max_size=2),
                                st.lists(st.floats(-0.2, 1.2), max_size=1)),
               "power": _mostly(st.floats(1.0, 4.0), st.floats(0.0, 1.0))})
+_AUDIT_DIM = _mostly(st.just(1), st.sampled_from([0, 3]))
 _AUDIT_KERNEL = st.fixed_dictionaries({}, optional={
-    "alpha": _AUDIT_ALPHA, "epsilon": _AUDIT_EPSILON,
-    "dim": _mostly(st.just(1), st.sampled_from([0, 3]))})
+    "alpha": _AUDIT_ALPHA, "epsilon": _AUDIT_EPSILON, "dim": _AUDIT_DIM})
 SMALL_AUDIT_CONFIGS = st.one_of(
     st.fixed_dictionaries({"experiment": st.just("kernel-audit"), "kernel": _AUDIT_KERNEL,
                            "conditions": _AUDIT_CONDITIONS}),
-    st.fixed_dictionaries({"experiment": st.just("fractional-sweep"), "kernel": _AUDIT_KERNEL,
+    # the sweep takes (alpha, epsilon) from its cases: of kernel it reads dim alone
+    st.fixed_dictionaries({"experiment": st.just("fractional-sweep"),
+                           "kernel": st.fixed_dictionaries({}, optional={"dim": _AUDIT_DIM}),
                            "conditions": _AUDIT_CONDITIONS,
                            "sweep": st.fixed_dictionaries({"cases": _mostly(
                                st.lists(st.tuples(_AUDIT_ALPHA, _AUDIT_EPSILON), min_size=1,
