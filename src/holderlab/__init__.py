@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .kernels import KernelSpec, SpectralGrid, eval_kernel
+from .kernels import KernelSpec, SpectralGrid
 from .noise import NoiseSpec, NoisePath, MarkLaw, JumpSpec, sample_path
 from .conditions import ConditionProbe, ConditionReport, fit_exponent
 from .convolution import TestFunctionSpec, FieldEnsemble, convolve_brownian, convolve_poisson
@@ -15,13 +15,11 @@ from .campanato import (
     parabolic_distance,
     campanato_seminorm,
     embedding_exponent,
-    inclusion_holds,
 )
 
 __all__ = [
     "KernelSpec",
     "SpectralGrid",
-    "eval_kernel",
     "NoiseSpec",
     "NoisePath",
     "MarkLaw",
@@ -44,5 +42,4 @@ __all__ = [
     "parabolic_distance",
     "campanato_seminorm",
     "embedding_exponent",
-    "inclusion_holds",
 ]

@@ -397,18 +397,3 @@ def embedding_exponent(p: float, theta: float, dim: int) -> float:
         )
     return (dim + 2.0) * (theta - 1.0) / p
 
-
-def inclusion_holds(p: float, theta: float, q: float, sigma: float) -> bool:
-    """Exponent test for the (q, sigma) Campanato family sitting inside the
-    (p, theta) one on a bounded domain: true iff p <= q and
-    (theta - 1)/p <= (sigma - 1)/q.
-
-    The condition is the Holder-inequality threshold: the (p, theta)
-    oscillation exponent may not exceed the (q, sigma) one, which under the
-    embedding alpha = (d+2)(theta-1)/p is exactly alpha_p <= alpha_q.
-    """
-    if p < 1.0 or q < 1.0:
-        raise ValueError("p and q must be >= 1")
-    if theta < 0.0 or sigma < 0.0:
-        raise ValueError("theta and sigma must be >= 0")
-    return p <= q and (theta - 1.0) / p <= (sigma - 1.0) / q

@@ -71,14 +71,17 @@ def _read_ensemble(prefix) -> FieldEnsemble:
 
 
 def _config_from_args(args, preset=None) -> ExperimentConfig:
+    """The --config file's config, or without one preset's defaults (kernel-audit when
+    preset is None); a config for another preset than a given one is a ConfigError."""
     if args.config:
-        cfg = _read("--config", args.config, load_config)
+        cfg = _read("--config", args.config,
+                    lambda path: load_config(path, simulate=args.command == "simulate"))
         if preset is not None and cfg.experiment != preset:
             raise ConfigError(
                 f"config requests {cfg.experiment!r} but the subcommand "
                 f"runs {preset!r}")
     else:
-        cfg = default_config(preset or args.preset)
+        cfg = default_config(preset or "kernel-audit")
     seed = _resolve_seed(args)
     if seed is not None:
         cfg.seed = seed
@@ -101,7 +104,7 @@ def _print_verdicts(report):
 
 
 def _cmd_run(args) -> int:
-    report = run_experiment(_config_from_args(args), out_dir=args.out)
+    report = run_experiment(_config_from_args(args, args.preset), out_dir=args.out)
     _print_verdicts(report)
     if args.out:
         print(f"report written to {args.out}")
@@ -214,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run = subs.add_parser("run", help="run a full experiment preset")
-    run.add_argument("--preset", default="kernel-audit",
-                     help="preset name when no --config is given")
+    run.add_argument("--preset", help="preset to run (default: the --config file's, "
+                                      "else kernel-audit)")
     _add_common(run)
     run.set_defaults(func=_cmd_run)
 

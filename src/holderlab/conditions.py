@@ -340,7 +340,3 @@ def audit_conditions(probe: ConditionProbe) -> ConditionReport:
         gamma2_stderr=(2.0 * fit_tl.stderr / q) if fit_tl else None,
     )
 
-
-def dyadic_pairs(s: float, k_min: int, k_max: int) -> list:
-    """Time pairs (s, s + 2^-k) for k = k_min..k_max."""
-    return [(s, s + 2.0**-k) for k in range(k_min, k_max + 1)]

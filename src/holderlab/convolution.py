@@ -353,7 +353,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     if M < 1:
         raise ValueError("need at least one realization")
     n_t = noise.steps
-    idx = np.arange(n_t + 1) if save_times is None else _saved(save_times, n_t, GridMismatch)
+    idx = _saved(save_times, n_t, GridMismatch)
     if (pairs is None) == (sink is None):
         raise ValueError("give one of pairs and sink: the field is written to a sink, the pair "
                          "differences are not")
@@ -416,7 +416,7 @@ def _field_blocks(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
 
 
 def convolve_brownian(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-                      noise: NoiseSpec, M: int, save_times=None,
+                      noise: NoiseSpec, M: int, save_times,
                       dtype=np.float64, pairs=None, sink=None):
     """Ensemble of Brownian-driven convolutions u = sum_k [p * g](.) dW_k."""
     if noise.kind != "brownian":
@@ -425,7 +425,7 @@ def convolve_brownian(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
 
 
 def convolve_poisson(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-                     noise: NoiseSpec, M: int, save_times=None,
+                     noise: NoiseSpec, M: int, save_times,
                      dtype=np.float64, pairs=None, sink=None):
     """Ensemble of compensated-Poisson-driven convolutions."""
     if noise.kind != "poisson":

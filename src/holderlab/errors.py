@@ -11,17 +11,9 @@ class ConfigError(HolderLabError):
 
 # --- kernel evaluation -------------------------------------------------
 
-class NonPositiveTime(HolderLabError):
-    """Kernel requested at t <= 0."""
-
-
 class AliasingViolation(HolderLabError):
     """Frequency lattice too coarse: the symbol has not decayed below the
     truncation floor at the largest resolved frequency."""
-
-
-class UnsupportedClosedForm(HolderLabError):
-    """Closed-form evaluation requested outside its validity set."""
 
 
 # --- quadrature of kernel conditions ----------------------------------
@@ -40,13 +32,6 @@ class NonPositiveData(HolderLabError):
 
 class InsufficientPoints(HolderLabError):
     """Fewer points than the regression minimum."""
-
-
-# --- noise / stochastic integrals --------------------------------------
-
-class CompensatorQuadratureFailure(HolderLabError):
-    """Compensator quadrature produced a non-finite value or failed its
-    self-consistency check."""
 
 
 # --- convolution / ensembles -------------------------------------------

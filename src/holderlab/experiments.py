@@ -135,20 +135,26 @@ class ExperimentConfig:
 # The fields each preset reads, section by section, besides experiment and seed (which
 # report.json's rng block records); load_config refuses, and config_to_dict leaves out, the rest.
 _CONDITIONS = ("power", "s_base", "lag_k_min", "lag_k_max", "mesh_points")
-_REGULARITY = {
-    "kernel": ("alpha", "epsilon", "dim"), "conditions": _CONDITIONS,
+_SIMULATED = {  # what build_regularity reads: all that `holderlab simulate` runs
+    "kernel": ("alpha", "epsilon", "dim"),
     "simulation": ("horizon", "steps", "grid_points", "grid_length", "ensemble", "store_dtype"),
-    "moments": ("p", "beta", "amplitude", "lag_k_min", "lag_k_max", "pairs_per_lag"),
+    "moments": ("p", "beta", "amplitude", "lag_k_min", "lag_k_max")}
+_REGULARITY = {
+    **_SIMULATED, "conditions": _CONDITIONS,
+    "moments": (*_SIMULATED["moments"], "pairs_per_lag"),
     "tolerances": ("exponent", "oracle_exponent", "bound_margin")}
+_NOISE = {"noise": ("intensity", "mark_family", "mark_parameter")}
 PRESET_FIELDS = {
     "kernel-audit": {"kernel": _REGULARITY["kernel"], "conditions": ("betas", *_CONDITIONS),
                      "tolerances": ("exponent",)},
     "fractional-sweep": {"kernel": ("dim",), "conditions": ("betas", *_CONDITIONS),
                          "sweep": ("cases",), "tolerances": ("sweep_exponent",)},
     "brownian-regularity": _REGULARITY,
-    "poisson-regularity": {**_REGULARITY, "noise": ("intensity", "mark_family", "mark_parameter")},
+    "poisson-regularity": {**_REGULARITY, **_NOISE},
     "embedding-check": {"kernel": ("dim",), "campanato": ("p", "gamma", "theta", "budget",
                         "n_centers", "n_scales", "top_scale"), "tolerances": ("exponent",)}}
+SIMULATE_FIELDS = {"brownian-regularity": _SIMULATED,
+                   "poisson-regularity": {**_SIMULATED, **_NOISE}}
 
 
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
@@ -192,18 +198,21 @@ def _build_dataclass(cls, data, path="config"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, simulate: bool = False) -> ExperimentConfig:
     """The config a JSON file sets; a field its preset does not read (PRESET_FIELDS) is a
-    ConfigError naming the field and the preset."""
+    ConfigError naming the field and the preset.  With simulate, a regularity config may set
+    only what `holderlab simulate` reads (SIMULATE_FIELDS)."""
     with open(path) as fh:
         data = json.load(fh)
     config = _build_dataclass(ExperimentConfig, data)
-    reads = PRESET_FIELDS[config.experiment]
+    reads, reader = PRESET_FIELDS[config.experiment], f"the {config.experiment} preset"
+    if simulate and config.experiment in SIMULATE_FIELDS:
+        reads, reader = SIMULATE_FIELDS[config.experiment], "holderlab simulate"
     accepted = {"experiment", "seed", *reads, *(f"{s}.{n}" for s in reads for n in reads[s])}
     for key, value in data.items():
         for name in [f"{key}.{n}" for n in value] if isinstance(value, dict) and value else [key]:
             if name not in accepted:
-                raise ConfigError(f"config.{name}: the {config.experiment} preset does not read it")
+                raise ConfigError(f"config.{name}: {reader} does not read it")
     return config
 
 

@@ -55,11 +55,6 @@ class PairSet:
         """The pairs of every set, in order."""
         return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
 
-    def swapped(self) -> "PairSet":
-        return PairSet(self.t_idx2, self.s_idx2, self.t_idx1, self.s_idx1,
-                       self.t2, self.x2, self.t1, self.x1,
-                       self.delta, self.requested_delta)
-
 
 @dataclass
 class MomentField:

@@ -3,8 +3,8 @@
 Two kinds of paths: Brownian increments on a uniform time lattice, and
 marked compound-Poisson event lists.  slab_weights bins either into one
 weight per time slab, and slab_cumulant gives that weight's cumulants, which
-fix every moment of the Ito sums.  ito_ensemble and compensated_ensemble
-integrate a deterministic integrand against M paths at once.
+fix every moment of the Ito sums; the compensator of a Poisson slab is its
+first cumulant.
 Paths are pure functions of (seed, stream_index) through the counter-based
 Philox generator, so ensembles can be generated in any order or in
 parallel and still reproduce bit-identically.
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-
-from .errors import CompensatorQuadratureFailure
 
 
 @dataclass(frozen=True)
@@ -54,16 +52,6 @@ class MarkLaw:
             sign = rng.integers(0, 2, size) * 2 - 1
             return mag * sign
         return rng.normal(0.0, self.parameter, size)
-
-    def gauss_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes z and weights w with sum(w * f(z)) = E f(z) for polynomials f of degree
-        below 2n: Gauss-Laguerre on each side of 0 for two-sided-exponential marks, 2n nodes,
-        Gauss-Hermite for gaussian marks, n nodes."""
-        if self.family == "two-sided-exponential":
-            x, w = np.polynomial.laguerre.laggauss(n)
-            return np.concatenate([-x, x]) / self.parameter, np.concatenate([w, w]) / 2.0
-        x, w = np.polynomial.hermite_e.hermegauss(n)
-        return self.parameter * x, w / math.sqrt(2.0 * math.pi)
 
     def abs_moment(self, q: float) -> float:
         """E|z|^q."""
@@ -174,19 +162,6 @@ def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:
     return NoisePath(kind="poisson", horizon=spec.horizon, dt=spec.dt, times=times, marks=marks)
 
 
-def compensator_integral(h, horizon: float, jump: JumpSpec, n: int = 96) -> float:
-    """lambda * int_0^T int h(t, z) rho(z) dz dt by n-node Gauss-Legendre in time times the
-    mark law's n-node Gauss rule, with h evaluated once on the grid of nodes."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    z, z_weights = jump.mark.gauss_rule(n)
-    t, z = np.meshgrid(0.5 * horizon * (nodes + 1.0), z, indexing="ij")
-    value = float(jump.intensity * 0.5 * horizon
-                  * (weights @ np.asarray(h(t, z), dtype=float) @ z_weights))
-    if not math.isfinite(value):
-        raise CompensatorQuadratureFailure("compensator quadrature not finite")
-    return value
-
-
 def slab_cumulant(spec: NoiseSpec, mark_family: str, n: int) -> float:
     """n-th cumulant of one time slab's uncompensated weight: dt at n = 2 (else 0) for the
     Brownian increment, intensity * E[g1(z)^n] * dt for the sum of g1(z) over the slab's
@@ -217,34 +192,3 @@ def slab_weights(spec: NoiseSpec, mark_family: str, M: int) -> np.ndarray:
         marks = path.marks if mark_family == "identity" else None
         w[m] = np.bincount(slabs, weights=marks, minlength=n_t) - comp
     return w
-
-
-def ito_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
-    """Ito sums of a deterministic integrand over M independent paths."""
-    if spec.kind != "brownian":
-        raise ValueError("ito_ensemble needs brownian noise")
-    t = spec.dt * np.arange(spec.steps)
-    return slab_weights(spec, "identity", M) @ np.asarray(h(t), dtype=float)
-
-
-def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
-    """Compensated integrals I(T) = sum_k h(tau_k, z_k) - lambda int_0^T int h(t, z) rho(z)
-    dz dt over M independent Poisson paths.
-
-    h(t, z) must broadcast over numpy arrays.  The compensator is shared across paths:
-    computed once with 96 nodes on each axis and checked against 64 to 1e-6 relative, where
-    the absolute floor keeps an exactly compensated (odd) h from tripping on roundoff.
-    """
-    if spec.kind != "poisson":
-        raise ValueError("compensated_ensemble needs poisson noise")
-    comp = compensator_integral(h, spec.horizon, spec.jump, n=96)
-    check = compensator_integral(h, spec.horizon, spec.jump, n=64)
-    if abs(comp - check) > 1e-6 * max(abs(comp), 1e-3):
-        raise CompensatorQuadratureFailure(
-            f"compensator unstable under node refinement: {comp} vs {check}")
-    out = np.empty(M)
-    for m in range(M):
-        path = sample_path(spec, m)
-        vals = np.asarray(h(path.times, path.marks), dtype=float)
-        out[m] = vals.sum() - comp
-    return out

@@ -15,27 +15,18 @@ import math
 import numpy as np
 import pytest
 
-from holderlab.campanato import (
-    Box,
-    campanato_seminorm,
-    embedding_exponent,
-    inclusion_holds,
-)
-from holderlab.conditions import ConditionProbe, audit_conditions, dyadic_pairs
-from holderlab.experiments import default_config, load_config, run_experiment
-from holderlab.kernels import (
-    KernelSpec,
-    SpectralGrid,
-    eval_kernel,
-    eval_kernel_periodized,
-    lattice_mass,
-)
-from holderlab.noise import (
-    JumpSpec,
-    MarkLaw,
-    NoiseSpec,
+from holderlab.campanato import Box, campanato_seminorm, embedding_exponent
+from holderlab.conditions import ConditionProbe, audit_conditions
+from holderlab.experiments import default_config, dyadic, load_config, run_experiment
+from holderlab.kernels import KernelSpec, SpectralGrid
+from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec
+from oracles import (
     compensated_ensemble,
+    grid_for_times,
+    inclusion_holds,
     ito_ensemble,
+    kernel_periodized,
+    spectral_kernel,
 )
 
 
@@ -54,10 +45,9 @@ def test_kernel_mass_unit():
     for alpha in (0.5, 1.0, 1.5, 2.0):
         for dim in (1, 2):
             for t in (0.01, 0.1, 1.0):
-                grid = SpectralGrid.for_times(
-                    alpha, dim, t_min=t, length=8.0 * t ** (1.0 / alpha))
-                vals = eval_kernel(KernelSpec(alpha=alpha, dim=dim), grid, t)
-                mass = lattice_mass(vals, grid)
+                grid = grid_for_times(alpha, dim, t_min=t, length=8.0 * t ** (1.0 / alpha))
+                vals = spectral_kernel(KernelSpec(alpha=alpha, dim=dim), grid, t)
+                mass = vals.sum() * grid.spacing**dim
                 if abs(mass - 1.0) > 1e-6:
                     failures.append((alpha, dim, t, mass))
     ok = report("kernel-mass", not failures,
@@ -78,24 +68,24 @@ def test_spectral_vs_closed_forms():
     ]:
         # double the guard-required resolution: comparing down to the 1e-10
         # floor needs the Fourier truncation residue below 1e-14
-        base = SpectralGrid.for_times(spec.alpha, spec.dim, t_min=t)
+        base = grid_for_times(spec.alpha, spec.dim, t_min=t)
         grid = SpectralGrid(length=base.length, points=2 * base.points,
                             dim=base.dim)
-        vals = eval_kernel(spec, grid, t)
-        closed = eval_kernel_periodized(spec, grid, t)
+        vals = spectral_kernel(spec, grid, t)
+        closed = kernel_periodized(spec, grid, t)
         mask = np.abs(closed) > 1e-10
         rel = np.max(np.abs(vals[mask] - closed[mask]) / np.abs(closed[mask]))
         worst = max(worst, float(rel))
 
     # free-space spot values from the closed forms
-    grid = SpectralGrid.for_times(2.0, 1, t_min=0.1)
-    center = eval_kernel(KernelSpec(alpha=2.0), grid, 0.1)[grid.points // 2]
+    grid = grid_for_times(2.0, 1, t_min=0.1)
+    center = spectral_kernel(KernelSpec(alpha=2.0), grid, 0.1)[0]
     gauss_ok = abs(center - (4.0 * math.pi * 0.1) ** -0.5) < 1e-4 * center
 
-    cgrid = SpectralGrid.for_times(1.0, 1, t_min=0.5, length=160.0)
-    ax = cgrid.axis()
+    cgrid = grid_for_times(1.0, 1, t_min=0.5, length=160.0)
+    ax = np.fft.ifftshift(cgrid.axis())
     j = int(np.argmin(np.abs(ax - 1.0)))
-    cauchy = eval_kernel(KernelSpec(alpha=1.0), cgrid, 0.5)[j]
+    cauchy = spectral_kernel(KernelSpec(alpha=1.0), cgrid, 0.5)[j]
     cauchy_ok = abs(cauchy - 0.12732) < 1e-4 * 0.12732
 
     ok = report("spectral-vs-closed-form", worst < 1e-4 and gauss_ok and cauchy_ok,
@@ -105,13 +95,16 @@ def test_spectral_vs_closed_forms():
 
 # --- criterion 3: Gaussian condition exponents -------------------------------
 
+TIME_PAIRS = [(0.5, 0.5 + lag) for lag in dyadic("lags", 3, 10)]  # lags 2^-3 .. 2^-10 at s = 0.5
+
+
 def test_gaussian_condition_exponents():
     failures = []
     fitted = {}
     for beta in (0.0, 0.3, 0.5):
         probe = ConditionProbe(kernel=KernelSpec(alpha=2.0), beta=beta,
                                power=2.0,
-                               time_pairs=dyadic_pairs(0.5, 3, 10))
+                               time_pairs=TIME_PAIRS)
         rep = audit_conditions(probe)
         fitted[beta] = (rep.gamma1, rep.gamma2)
         for name, val in (("gamma1", rep.gamma1), ("gamma2", rep.gamma2)):
@@ -134,7 +127,7 @@ def test_fractional_exponent_surface():
     for alpha, eps in SURFACE_CASES:
         probe = ConditionProbe(kernel=KernelSpec(alpha=alpha, epsilon=eps),
                                beta=0.0, power=2.0,
-                               time_pairs=dyadic_pairs(0.5, 3, 10))
+                               time_pairs=TIME_PAIRS)
         rep = audit_conditions(probe)
         predicted = (alpha - 2.0 * eps) / alpha
         SURFACE_FITS[(alpha, eps)] = (rep.gamma1, rep.gamma2)

@@ -12,7 +12,6 @@ from holderlab.campanato import (
     campanato_seminorm,
     disk_rect_area,
     embedding_exponent,
-    inclusion_holds,
     parabolic_distance,
     unit_ball_volume,
 )
@@ -22,6 +21,7 @@ from holderlab.errors import (
     ThetaOutOfEmbeddingRange,
 )
 from holderlab.experiments import write_json, write_table
+from oracles import inclusion_holds
 
 UNIT_BOX = Box(0.0, 1.0, [0.0], [1.0])
 

@@ -19,7 +19,6 @@ from holderlab.conditions import (
     condition_increment,
     condition_mass,
     condition_tail,
-    dyadic_pairs,
     fit_exponent,
     weighted_l1,
     weighted_l1_increment,
@@ -30,8 +29,13 @@ from holderlab.errors import (
     MomentDivergence,
     NonPositiveData,
 )
-from holderlab.experiments import default_config
+from holderlab.experiments import default_config, dyadic
 from holderlab.kernels import KernelSpec, SpectralGrid
+
+
+def _time_pairs(k_min, k_max):
+    """(0.5, 0.5 + 2^-k) for k = k_min, ..., k_max."""
+    return [(0.5, 0.5 + lag) for lag in dyadic("lags", k_min, k_max)]
 
 
 def gaussian_probe(beta=0.3, **kw):
@@ -94,7 +98,7 @@ def test_gaussian_increment_slope():
     # dyadic lags at s = 0.5: slope of the increment condition is ~1
     probe = gaussian_probe(beta=0.3, mesh_points=128)
     rows = [(t - s, condition_increment(probe, s, t))
-            for s, t in dyadic_pairs(0.5, 3, 7)]
+            for s, t in _time_pairs(3, 7)]
     fit = fit_exponent(rows)
     assert fit.slope == pytest.approx(1.0, abs=0.15)
 
@@ -104,7 +108,7 @@ def test_lemma_exponent_increment_and_tail():
     probe = ConditionProbe(kernel=KernelSpec(alpha=1.5, epsilon=0.25),
                            beta=0.0, mesh_points=128)
     inc, tail = [], []
-    for s, t in dyadic_pairs(0.5, 3, 8):
+    for s, t in _time_pairs(3, 8):
         inc.append((t - s, condition_increment(probe, s, t)))
         tail.append((t - s, condition_tail(probe, s, t)))
     assert fit_exponent(inc).slope == pytest.approx(2.0 / 3.0, abs=0.2)
@@ -189,7 +193,7 @@ def implied_counts(probe):
 
 def test_audit_evaluates_the_lattices_its_mesh_implies(monkeypatch):
     probe = ConditionProbe(kernel=KernelSpec(alpha=1.0), beta=0.3, mesh_points=16,
-                           time_pairs=dyadic_pairs(0.5, 1, 4))
+                           time_pairs=_time_pairs(1, 4))
     symbol, plain, increment = (conditions.symbol, conditions.weighted_l1,
                                 conditions.weighted_l1_increment)
     seen, inside = Counter(), []
@@ -308,7 +312,7 @@ def test_fit_exponent_errors_and_flag():
 
 def test_audit_report_roundtrip(tmp_path):
     probe = gaussian_probe(beta=0.3, mesh_points=64,
-                           time_pairs=dyadic_pairs(0.5, 4, 7))
+                           time_pairs=_time_pairs(4, 7))
     report = audit_conditions(probe)
     assert report.gamma1 == pytest.approx(1.0, abs=0.2)
     assert report.gamma2 == pytest.approx(1.0, abs=0.2)

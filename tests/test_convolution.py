@@ -111,9 +111,9 @@ def test_stationary_increments_unit_g(simulate):
 def test_kind_mismatch_rejected():
     g = TestFunctionSpec(family="constant")
     with pytest.raises(GridMismatch):
-        convolve_brownian(KERNEL, GRID, g, POISSON, M=2)
+        convolve_brownian(KERNEL, GRID, g, POISSON, M=2, save_times=[0, 64])
     with pytest.raises(GridMismatch):
-        convolve_poisson(KERNEL, GRID, g, BROWNIAN, M=2)
+        convolve_poisson(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
     with pytest.raises(GridMismatch):
         convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0.3])
     with pytest.raises(GridMismatch):
@@ -291,7 +291,7 @@ def _slab_spectra(g, grid, dt, n):
 def _reference_convolve(kernel, grid, g, noise, M, save_times):
     """The Ito sum rebuilt from slab 0 at every saved index, in save order."""
     n_t, dt = noise.steps, noise.dt
-    idx = np.arange(n_t + 1) if save_times is None else np.array(save_times)
+    idx = np.array(save_times)
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _slab_spectra(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M)
@@ -307,7 +307,7 @@ def _reference_convolve(kernel, grid, g, noise, M, save_times):
 
 
 FRACTIONAL = KernelSpec(alpha=1.5, epsilon=0.3)
-FRACTIONAL_GRID = SpectralGrid.for_times(1.5, 1, t_min=BROWNIAN.dt / 2.0, length=4.0)
+FRACTIONAL_GRID = SpectralGrid(length=4.0, points=960)  # resolves the midpoint lag dt/2
 # Saved times are strictly increasing, as the engine requires; the case names are test ids.
 ENGINE_CASES = {
     "brownian-constant-unsorted": (
@@ -315,7 +315,7 @@ ENGINE_CASES = {
         BROWNIAN, [0, 1, 3, 17, 64, 128]),
     "brownian-spatial-eps-all": (
         FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="spatial-power", beta=0.4),
-        BROWNIAN, None),
+        BROWNIAN, list(range(BROWNIAN.steps + 1))),
     "brownian-parabolic-eps-times": (
         FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
         BROWNIAN, [0, 32, 64, 128]),  # t = 0, 0.25, 0.5, 1 on dt = 1/128
@@ -362,7 +362,7 @@ def test_saved_times_are_the_ones_the_sidecar_loads(simulate, noise):
         for kwargs in ({}, {"pairs": pairs}):
             with pytest.raises(GridMismatch, match="strictly increasing"):
                 convolve(KERNEL, GRID, g, noise, M=2, save_times=bad, **kwargs)
-    for saved in ([0, 32.0, 64], [64], None):
+    for saved in ([0, 32.0, 64], [64], range(noise.steps + 1)):
         ens, values = simulate(convolve, KERNEL, GRID, g, noise, M=2, save_times=saved,
                                dtype=np.float32)
         back = FieldEnsemble.load(ens.values.path.removesuffix(".bin"))

@@ -50,27 +50,27 @@ SMALL_SWEEP = {
     "conditions": {"betas": [0.0], "lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64},
 }
 
-SMALL_BROWNIAN = {
+SIM_BROWNIAN = {  # what `holderlab simulate` reads; the preset also audits and samples pairs
     "experiment": "brownian-regularity",
     "seed": 5,
     "simulation": {"steps": 256, "grid_points": 512, "grid_length": 4.0,
                    "ensemble": 120},
-    "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4,
-                "pairs_per_lag": 48},
-    "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64},
+    "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4},
 }
+SMALL_BROWNIAN = {**SIM_BROWNIAN, "moments": {**SIM_BROWNIAN["moments"], "pairs_per_lag": 48},
+                  "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64}}
 
-SMALL_POISSON = {
+SIM_POISSON = {
     "experiment": "poisson-regularity",
     "seed": 5,
     "simulation": {"steps": 256, "grid_points": 1024, "grid_length": 2.0,
                    "ensemble": 120},
     "noise": {"intensity": 10.0},
     "kernel": {"alpha": 1.5},
-    "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4,
-                "pairs_per_lag": 48},
-    "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64},
+    "moments": {"p": 2.0, "beta": 0.5, "lag_k_min": 1, "lag_k_max": 4},
 }
+SMALL_POISSON = {**SIM_POISSON, "moments": {**SIM_POISSON["moments"], "pairs_per_lag": 48},
+                 "conditions": {"lag_k_min": 4, "lag_k_max": 7, "mesh_points": 64}}
 
 SMALL_EMBED = {"experiment": "embedding-check", "seed": 2,
                "campanato": {"budget": 128, "n_centers": 12}}
@@ -228,21 +228,21 @@ def _with(base, section, **fields):
 
 
 BAD_REGULARITY = {
-    "unknown-key": (dict(SMALL_BROWNIAN, nope=True), "unknown keys"),
-    "dim-2": (_with(SMALL_BROWNIAN, "kernel", dim=2), "config.kernel.dim"),
-    "float16": (_with(SMALL_BROWNIAN, "simulation", store_dtype="float16"),
+    "unknown-key": (dict(SIM_BROWNIAN, nope=True), "unknown keys"),
+    "dim-2": (_with(SIM_BROWNIAN, "kernel", dim=2), "config.kernel.dim"),
+    "float16": (_with(SIM_BROWNIAN, "simulation", store_dtype="float16"),
                 "config.simulation.store_dtype"),
-    "grid-past-memory": (_with(SMALL_BROWNIAN, "simulation", grid_points=2**40),
+    "grid-past-memory": (_with(SIM_BROWNIAN, "simulation", grid_points=2**40),
                          "config.simulation: 1099511627776 points per axis"),
-    "grid-spacing-underflows": (_with(SMALL_BROWNIAN, "simulation", grid_length=5e-324),
+    "grid-spacing-underflows": (_with(SIM_BROWNIAN, "simulation", grid_length=5e-324),
                                 "config.simulation: box half-width 5e-324 over 512 points"),
     "theta-not-a-number": (_with(SMALL_EMBED, "campanato", theta="abc"),
                            "config.campanato.theta: expected float, got 'abc'"),
-    "lag-overflows": (_with(SMALL_BROWNIAN, "moments", lag_k_min=-1100),
+    "lag-overflows": (_with(SIM_BROWNIAN, "moments", lag_k_min=-1100),
                       "config.moments.lag_k_min / lag_k_max: at k = -1100, 2^1100 overflows"),
-    "lag-past-horizon": (_with(SMALL_BROWNIAN, "moments", lag_k_min=-600),
+    "lag-past-horizon": (_with(SIM_BROWNIAN, "moments", lag_k_min=-600),
                          "config.moments.lag_k_min: lag 4.14952e+180 spans the time inf"),
-    "lag-finer-than-lattice": (_with(SMALL_BROWNIAN, "moments", lag_k_max=40),
+    "lag-finer-than-lattice": (_with(SIM_BROWNIAN, "moments", lag_k_max=40),
                                "config.moments.lag_k_max: lag 0.03125 spans 0.25 time steps"),
 }
 
@@ -311,8 +311,8 @@ class _Recorder:
         return value
 
 
-def _table(preset):
-    return {f"{s}.{n}" for s, names in experiments.PRESET_FIELDS[preset].items() for n in names}
+def _table(preset, tables=experiments.PRESET_FIELDS):
+    return {f"{s}.{n}" for s, names in tables[preset].items() for n in names}
 
 
 @pytest.mark.parametrize("config", ALL_SMALL, ids=[c["experiment"] for c in ALL_SMALL])
@@ -326,6 +326,10 @@ def test_each_preset_reads_the_fields_of_its_table(tmp_path, config):
     assert {f"{s}.{n}" for s, v in written.items() if isinstance(v, dict)
             for n in v} == _table(preset)
     assert written["experiment"] == preset and written["seed"] == config["seed"]
+    if preset in experiments.SIMULATE_FIELDS:  # and `holderlab simulate` reads its own table
+        seen.clear()
+        build_regularity(_Recorder(cfg, seen))
+        assert seen - {"experiment", "seed"} == _table(preset, experiments.SIMULATE_FIELDS)
 
 
 _DEFAULTS = dataclasses.asdict(ExperimentConfig())
@@ -375,17 +379,22 @@ def test_the_output_directory_is_a_flag_not_a_config_key(tmp_path, capsys, confi
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+# read by the brownian-regularity preset's audit, pair sampling and verdicts, not by simulate
+SIMULATE_UNREAD = sorted(_table("brownian-regularity")
+                         - _table("brownian-regularity", experiments.SIMULATE_FIELDS))
+
+
 @pytest.mark.parametrize("config, field", [
-    (_with(SMALL_BROWNIAN, "conditions", betas=[0.9]), "config.conditions.betas"),
-    (dict(SMALL_BROWNIAN, noise={}), "config.noise"),
-], ids=["conditions-betas", "empty-noise"])
-def test_simulate_refuses_what_the_regularity_preset_does_not_read(tmp_path, capsys, config,
-                                                                   field):
-    # the regularity presets audit the kernel at moments.beta: betas would be a second copy
+    (_with(SIM_BROWNIAN, "conditions", betas=[0.9]), "config.conditions.betas"),
+    (dict(SIM_BROWNIAN, noise={}), "config.noise"),
+    *[(_with(SIM_BROWNIAN, f.split(".")[0], **{f.split(".")[1]: 3}), f"config.{f}")
+      for f in SIMULATE_UNREAD],
+], ids=["conditions-betas", "empty-noise", *SIMULATE_UNREAD])
+def test_simulate_refuses_what_it_does_not_read(tmp_path, capsys, config, field):
+    assert len(SIMULATE_UNREAD) == 9  # conditions.* (5), tolerances.* (3), pairs_per_lag
     path = str(_write(tmp_path, config))
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert (f"config error: {field}: the brownian-regularity preset does not read it"
-            in capsys.readouterr().err)
+    assert f"config error: {field}: holderlab simulate does not read it" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -486,7 +495,7 @@ def test_cli_malformed_ensemble_exit_two(tmp_path, capsys, command, damage):
 
 def test_cli_moments_read_dt_from_the_noise(tmp_path):
     # a sidecar's stray top-level dt (earlier sidecars wrote one) changes nothing
-    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=40))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     prefix = str(tmp_path / "ensemble")
     outputs = []
@@ -500,6 +509,17 @@ def test_cli_moments_read_dt_from_the_noise(tmp_path):
                      "--seed", "5", "--out", str(out)]) == 0
         outputs.append((out / "moments.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_run_preset_flag_must_match_the_config(tmp_path, capsys):
+    path = str(_write(tmp_path, SMALL_EMBED))
+    assert main(["run", "--preset", "brownian-regularity", "--config", path]) == 2
+    assert ("config error: config requests 'embedding-check' but the subcommand runs "
+            "'brownian-regularity'" in capsys.readouterr().err)
+    for flags, preset in [(["--preset", "embedding-check", "--config", path], "embedding-check"),
+                          (["--config", path], "embedding-check"), ([], "kernel-audit")]:
+        args = cli.build_parser().parse_args(["run", *flags])
+        assert cli._config_from_args(args, args.preset).experiment == preset
 
 
 def test_cli_verdict_failure_exit_one(tmp_path):
@@ -543,7 +563,7 @@ def test_cli_env_seed(tmp_path, monkeypatch):
 
 
 def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
-    path = _write(tmp_path, SMALL_BROWNIAN)
+    path = _write(tmp_path, SIM_BROWNIAN)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "ensemble.bin").exists()
     side = json.loads((tmp_path / "ensemble.json").read_text())
@@ -604,7 +624,7 @@ def test_cli_chain_holds_under_a_quarter_of_one_field(tmp_path, monkeypatch):
     # simulate streams the field to the .bin block by block, and moments and seminorm read it
     # back the same way: with 1 MiB blocks no step holds a quarter of the 32 MB field
     monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**20)
-    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=400))
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=400))
     prefix = str(tmp_path / "ensemble")
     tracemalloc.start()
     try:
@@ -624,7 +644,7 @@ def test_cli_chain_holds_under_a_quarter_of_one_field(tmp_path, monkeypatch):
 def test_cli_chain_runs_under_the_benchmark_tracer(tmp_path):
     # perfbench/tracer.py reads .values.shape, .values.nbytes and .time_indices of what
     # convolve_* returns: the streamed ensemble answers them without reading its .bin
-    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=40))
     prefix = str(tmp_path / "ensemble")
     steps = [("simulate", ["simulate", "--config", str(path), "--out", str(tmp_path)]),
              ("moments", ["moments", "--ensemble", prefix, "--lag-k-max", "4", "--pairs", "16",
@@ -654,7 +674,7 @@ def test_cli_chain_runs_under_the_benchmark_tracer(tmp_path):
 
 def test_cli_pairs_take_any_integer_seed(tmp_path):
     # a seed past 2^64 keys the pair samplers as seed mod 2^64, like the noise: 2^70 is 0
-    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=40))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     for seed in (str(2**70), "0"):
         for command in (["moments", "--lag-k-max", "4"], ["seminorm"]):
@@ -667,7 +687,7 @@ def test_cli_pairs_take_any_integer_seed(tmp_path):
 def test_cli_simulate_past_the_free_disk_exit_two(tmp_path, capsys, monkeypatch):
     # checked before anything is written: no .bin, sidecar or partial file is left
     monkeypatch.setattr(experiments.shutil, "disk_usage", lambda path: SimpleNamespace(free=1000))
-    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=40))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config.simulation.ensemble / config.simulation.grid_points" in err
@@ -677,7 +697,7 @@ def test_cli_simulate_past_the_free_disk_exit_two(tmp_path, capsys, monkeypatch)
 
 def test_failed_simulate_leaves_the_previous_ensemble(tmp_path, monkeypatch):
     # the new .bin and sidecar are renamed over the old ones only when both are complete
-    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=40))
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=40))
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -691,7 +711,7 @@ def test_failed_simulate_leaves_the_previous_ensemble(tmp_path, monkeypatch):
 
     monkeypatch.setattr(convolution, "_field_blocks", stopped)
     monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**16)
-    path = _write(tmp_path, _with(SMALL_BROWNIAN, "simulation", ensemble=60), name="cfg2.json")
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=60), name="cfg2.json")
     with pytest.raises(MemoryError, match="mid-pass"):
         main(["simulate", "--config", str(path), "--out", str(out)])
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -1068,7 +1088,7 @@ def test_poisson_paths_beyond_physical_memory_are_a_config_error(tmp_path, capsy
         raise AssertionError("a Poisson path was drawn before the memory check")
 
     monkeypatch.setattr(noise, "sample_path", not_reached)
-    path = _write(tmp_path, _with(SMALL_POISSON, "noise", intensity=1e10))
+    path = _write(tmp_path, _with(SIM_POISSON, "noise", intensity=1e10))
     for command in (["simulate", "--kind-preset", "poisson-regularity"], ["run"]):
         assert main([*command, "--config", str(path), "--out", str(tmp_path / command[0])]) == 2
         err = capsys.readouterr().err

@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from holderlab.errors import CompensatorQuadratureFailure
-from holderlab.noise import (
-    JumpSpec,
-    MarkLaw,
-    NoiseSpec,
+from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path, slab_cumulant, slab_weights
+from oracles import (
+    CompensatorQuadratureFailure,
     compensated_ensemble,
     compensator_integral,
     ito_ensemble,
-    sample_path,
-    slab_cumulant,
-    slab_weights,
 )
 
 BROWNIAN = NoiseSpec(kind="brownian", horizon=1.0, steps=100, seed=2024)
@@ -91,17 +86,13 @@ def test_mark_law_moments():
     assert abs((z**2).mean() - 0.5) < 3.0 * (z**2).std() / 200.0
 
 
-def test_compensated_integral_zero_and_mean():
+def test_compensated_integral_zero_mean_and_isometry():
     assert not compensated_ensemble(POISSON, lambda t, z: np.zeros_like(z), 3).any()
 
     vals = compensated_ensemble(POISSON, lambda t, z: z, 4000)
     se = vals.std() / math.sqrt(vals.size)
     assert abs(vals.mean()) < 3.0 * se
-
-
-def test_compensated_integral_isometry():
     # E I^2 = T lambda E[z^2] for h = z
-    vals = compensated_ensemble(POISSON, lambda t, z: z, 4000)
     target = POISSON.horizon * POISSON.jump.intensity * POISSON.jump.mark.second_moment
     sq = vals**2
     assert abs(sq.mean() - target) < 3.0 * sq.std() / math.sqrt(sq.size)
