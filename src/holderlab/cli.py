@@ -21,6 +21,7 @@ from .campanato import campanato_from_pair_moments, ParabolicCylinder, SpaceTime
 from .convolution import FieldEnsemble
 from .errors import ConfigError, EmptyCylinder, HolderLabError
 from .experiments import (
+    SIMULATE_FIELDS,
     ExperimentConfig,
     build_regularity,
     default_config,
@@ -70,9 +71,9 @@ def _read_ensemble(prefix) -> FieldEnsemble:
                           f"({type(exc).__name__}: {exc})") from exc
 
 
-def _config_from_args(args, preset=None) -> ExperimentConfig:
-    """The --config file's config, or without one preset's defaults (kernel-audit when
-    preset is None); a config for another preset than a given one is a ConfigError."""
+def _config_from_args(args, preset=None, default="kernel-audit") -> ExperimentConfig:
+    """The --config file's config, or without one preset's defaults (default's when preset
+    is None); a config for another preset than a given one is a ConfigError."""
     if args.config:
         cfg = _read("--config", args.config,
                     lambda path: load_config(path, simulate=args.command == "simulate"))
@@ -81,7 +82,7 @@ def _config_from_args(args, preset=None) -> ExperimentConfig:
                 f"config requests {cfg.experiment!r} but the subcommand "
                 f"runs {preset!r}")
     else:
-        cfg = default_config(preset or "kernel-audit")
+        cfg = default_config(preset or default)
     seed = _resolve_seed(args)
     if seed is not None:
         cfg.seed = seed
@@ -118,7 +119,10 @@ def _cmd_audit_kernel(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config_from_args(args, preset=args.kind_preset)
+    cfg = _config_from_args(args, args.kind_preset, default="brownian-regularity")
+    if cfg.experiment not in SIMULATE_FIELDS:
+        raise ConfigError(f"config requests {cfg.experiment!r} but the subcommand runs "
+                          "'brownian-regularity' or 'poisson-regularity'")
     pieces = build_regularity(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -227,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=_cmd_audit_kernel)
 
     simulate = subs.add_parser("simulate", help="generate and persist an ensemble")
-    simulate.add_argument("--kind-preset", default="brownian-regularity",
-                          choices=["brownian-regularity", "poisson-regularity"])
+    simulate.add_argument("--kind-preset", choices=list(SIMULATE_FIELDS),
+                          help="preset to simulate (default: the --config file's, else "
+                               "brownian-regularity)")
     _add_common(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 

@@ -181,6 +181,7 @@ class FieldEnsemble:
             diff = both[:n][sel].astype(np.float64)
             diff -= both[n:][sel]
             yield diff.T
+            del diff  # not held while the next block is formed
 
     def save(self, prefix: str, blocks) -> None:
         """Write blocks, consecutive realizations of self's shape, to {prefix}.bin and a JSON
@@ -291,8 +292,10 @@ class PairEnsemble:
         for sel in blocks:
             prod = self.slab_differences[sel] @ self.weights.T
             if prod.dtype != self.values.dtype:
-                prod[...] = prod.astype(self.values.dtype)
+                for i in range(len(prod)):  # a row at a time: no storage-dtype copy of the block
+                    prod[i] = prod[i].astype(self.values.dtype)
             yield prod.T
+            del prod  # not held while the next block is formed
 
 
 def _whole(a, top: int, error) -> np.ndarray:
@@ -362,7 +365,7 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         if not np.isin(times, idx).all():
             raise GridMismatch(f"pair times {np.setdiff1d(times, idx)} are not saved times")
         diff = _slab_differences(kernel, grid, g, noise, *pairs)
-        w = slab_weights(noise, g.mark_family, M)[:, :diff.shape[1]]
+        w = slab_weights(noise, g.mark_family, M, diff.shape[1])
         return PairEnsemble(PairValues((M, len(diff)), np.dtype(dtype)),
                             tuple(np.array(a) for a in pairs), idx, _isometry(g, noise, diff),
                             diff, w)
@@ -386,7 +389,7 @@ def _field_blocks(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     n_t, dt, n = noise.steps, noise.dt, grid.points
     q = _lag_symbols(kernel, grid, dt, n_t)
     base, zero = _g_spectrum(g, grid, dt, n_t)
-    w = slab_weights(noise, g.mark_family, M)
+    w = slab_weights(noise, g.mark_family, M, idx[-1])  # the pass reads slabs k < idx[-1]
     rate = -dt * _freq_radius(grid) ** kernel.alpha
     # the zero-mode terms, one matrix-vector product per time over all M rows: per block, its
     # rounding would depend on how many rows the block holds
@@ -452,11 +455,11 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
     q = _lag_symbols(kernel, grid, noise.dt, n_lags)
     base, zero = _g_spectrum(g, grid, noise.dt, n_lags)
     profiles = np.fft.irfft(q * base, n)
-    shift = zero[:k_max] / n
+    q, shift = q[:, 0].copy(), zero[:k_max] / n  # only the zero mode is read from here on
 
     def rows(i, x):  # F_i[k, x] for a chunk of points, zero for slabs k >= i as Q[0] = 0
         j = np.maximum(i[:, None] - np.arange(k_max), 0)
-        return profiles[j, x[:, None]] + shift * q[j, 0]
+        return profiles[j, x[:, None]] + shift * q[j]
 
     diff = np.empty((idx1.size, k_max))
     chunk = max(1, PAIR_CHUNK // n_lags)

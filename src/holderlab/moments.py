@@ -106,11 +106,14 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from a
     FieldEnsemble or a PairEnsemble built for these pairs.
 
-    One block of pairs at a time (_pair_blocks): as a lag is never split and every per-pair
-    reduction runs along the contiguous realization axis, the blocks give the bits of one
-    reduction over all pairs.  Deterministic given the ensemble; symmetric in the pair order.
-    The first block whose estimates or standard errors are not finite (values or p-th powers
-    that overflowed) raises MomentOverflow, the one report: NumPy's warnings are silenced.
+    One block of pairs at a time (_pair_blocks), and one (M, block size) float64 array alive
+    at a time: the block is reduced in place and released before the next is formed.  As a lag
+    is never split and every per-pair reduction runs along the contiguous realization axis,
+    the blocks give the bits of one reduction over all pairs; the standard errors are
+    np.std(axis=0, ddof=1) / sqrt(M) in NumPy's own order of operations.  Deterministic given
+    the ensemble; symmetric in the pair order.  The first block whose estimates or standard
+    errors are not finite (values or p-th powers that overflowed) raises MomentOverflow, the
+    one report: NumPy's warnings are silenced.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"moment order p must be finite and >= 1, got {p}")
@@ -121,13 +124,17 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     blocks = _pair_blocks(pairs, M)
     diffs = ensemble.difference_blocks(pairs, [sel for sel, _ in blocks])
     with np.errstate(over="ignore", invalid="ignore"):
-        for (sel, lag), powed in zip(blocks, diffs):  # one (M, block size) float64 array at a time
+        for sel, lag in blocks:
+            powed = next(diffs)
             np.abs(powed, out=powed)
             powed **= p
-            est[sel] = powed.mean(axis=0)
-            err[sel] = powed.std(axis=0, ddof=1) / np.sqrt(M)
             if lag is not None:
                 by_lag[lag] = float(powed.mean(axis=1).std(ddof=1) / np.sqrt(M))
+            # np.mean, then np.std(ddof=1) with its temporary x - mean written over powed
+            est[sel] = mean = np.add.reduce(powed, axis=0) / M
+            np.square(np.subtract(powed, mean, out=powed), out=powed)
+            err[sel] = np.sqrt(np.add.reduce(powed, axis=0) / (M - 1)) / np.sqrt(M)
+            del powed  # not held while the next block is formed
             if not (np.isfinite(est[sel]).all() and np.isfinite(err[sel]).all()
                     and np.isfinite(by_lag.get(lag, 0.0))):
                 raise MomentOverflow(f"p = {p} moment estimates are not finite: the field "

@@ -176,19 +176,20 @@ def slab_cumulant(spec: NoiseSpec, mark_family: str, n: int) -> float:
     return spec.jump.intensity * m_n * spec.dt
 
 
-def slab_weights(spec: NoiseSpec, mark_family: str, M: int) -> np.ndarray:
-    """w[m, k]: slab k's weight in realization m (stream m), centered by its first
-    cumulant: the increment dW_k, or the sum of g1(z) over the events binned into
-    slab k minus slab_cumulant(spec, mark_family, 1)."""
+def slab_weights(spec: NoiseSpec, mark_family: str, M: int, slabs: int) -> np.ndarray:
+    """w[m, k] for the first slabs slabs k: slab k's weight in realization m (stream m),
+    centered by its first cumulant: the increment dW_k, or the sum of g1(z) over the events
+    binned into slab k minus slab_cumulant(spec, mark_family, 1).  Each path is drawn whole,
+    so a column does not depend on slabs."""
     n_t = spec.steps
     comp = slab_cumulant(spec, mark_family, 1)
-    w = np.empty((M, n_t))
+    w = np.empty((M, slabs))
     for m in range(M):
         path = sample_path(spec, m)
         if spec.kind == "brownian":
-            w[m] = path.increments
+            w[m] = path.increments[:slabs]
             continue
-        slabs = np.clip(np.floor(path.times / spec.dt).astype(int), 0, n_t - 1)
+        bins = np.clip(np.floor(path.times / spec.dt).astype(int), 0, n_t - 1)
         marks = path.marks if mark_family == "identity" else None
-        w[m] = np.bincount(slabs, weights=marks, minlength=n_t) - comp
+        w[m] = np.bincount(bins, weights=marks, minlength=n_t)[:slabs] - comp
     return w

@@ -97,7 +97,7 @@ def ito_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
     if spec.kind != "brownian":
         raise ValueError("ito_ensemble needs brownian noise")
     t = spec.dt * np.arange(spec.steps)
-    return slab_weights(spec, "identity", M) @ np.asarray(h(t), dtype=float)
+    return slab_weights(spec, "identity", M, spec.steps) @ np.asarray(h(t), dtype=float)
 
 
 def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:

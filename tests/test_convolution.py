@@ -294,7 +294,7 @@ def _reference_convolve(kernel, grid, g, noise, M, save_times):
     idx = np.array(save_times)
     q = _lag_symbols(kernel, grid, dt, n_t)
     ghat = _slab_spectra(g, grid, dt, n_t)
-    w = slab_weights(noise, g.mark_family, M)
+    w = slab_weights(noise, g.mark_family, M, n_t)
     freq_shape = _freq_radius(grid).shape
     out = np.zeros((M, idx.size) + (grid.points,) * grid.dim)
     for pos, i in enumerate(idx):
@@ -411,7 +411,7 @@ def test_slab_weights_and_cumulants_are_the_per_kind_formulas_bitwise(case, mark
             w[m] = np.bincount(slabs, weights=marks, minlength=noise.steps) - mean
     assert slab_cumulant(noise, mark_family, 1).hex() == mean.hex()
     assert slab_cumulant(noise, mark_family, 2).hex() == var.hex()
-    assert np.array_equal(slab_weights(noise, mark_family, M), w)
+    assert np.array_equal(slab_weights(noise, mark_family, M, noise.steps), w)
 
 
 def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
@@ -701,3 +701,16 @@ def test_pair_moments_hold_less_than_one_float64_product():
     held = peak - 8 * M * pieces.noise.steps - 8 * pairs.size * k
     assert held < 8 * M * pairs.size
     assert peak <= pieces.require_memory(M, pairs.size)
+
+
+def test_pair_moments_hold_one_lag_block():
+    # beyond the (M, k) slab weights and the (n_pairs, k) differences, simulating the brownian
+    # preset's pairs and estimating their moments holds about one lag's (M, 512) float64 block:
+    # the previous block is released before the next is formed and reduced in place
+    M = 2000
+    pieces = _forward_pass_pieces(preset=True)
+    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
+    k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
+    field, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    assert field.estimates.shape == (pairs.size,) == (4 * 512,)
+    assert peak - 8 * M * k - 8 * pairs.size * k < 1.25 * 8 * M * 512

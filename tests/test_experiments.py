@@ -522,6 +522,28 @@ def test_cli_run_preset_flag_must_match_the_config(tmp_path, capsys):
         assert cli._config_from_args(args, args.preset).experiment == preset
 
 
+def test_cli_simulate_runs_the_preset_of_its_config(tmp_path, capsys):
+    # --kind-preset defaults to the config's preset, else brownian-regularity; a config for
+    # another preset than the flag's, or for none that simulate runs, exits 2 naming both
+    path = str(_write(tmp_path, _with(SIM_POISSON, "simulation", ensemble=40)))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "p")]) == 0
+    assert json.loads((tmp_path / "p" / "ensemble.json").read_text())["noise"]["kind"] == "poisson"
+    assert main(["simulate", "--kind-preset", "brownian-regularity", "--config", path,
+                 "--out", str(tmp_path / "b")]) == 2
+    assert ("config error: config requests 'poisson-regularity' but the subcommand runs "
+            "'brownian-regularity'" in capsys.readouterr().err)
+    embed = str(_write(tmp_path, SMALL_EMBED, "embed.json"))
+    assert main(["simulate", "--config", embed, "--out", str(tmp_path / "e")]) == 2
+    assert ("config error: config requests 'embedding-check' but the subcommand runs "
+            "'brownian-regularity' or 'poisson-regularity'" in capsys.readouterr().err)
+    assert not (tmp_path / "b").exists() and not (tmp_path / "e").exists()
+    for flags, preset in [([], "brownian-regularity"), (["--config", path], "poisson-regularity"),
+                          (["--kind-preset", "poisson-regularity"], "poisson-regularity")]:
+        args = cli.build_parser().parse_args(["simulate", *flags])
+        assert cli._config_from_args(args, args.kind_preset,
+                                     "brownian-regularity").experiment == preset
+
+
 def test_cli_verdict_failure_exit_one(tmp_path):
     # small brownian run: the field-exponent sharpness verdict fails (the
     # measured parabolic exponent is 1, not beta), so the run exits 1

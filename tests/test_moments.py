@@ -310,6 +310,34 @@ def test_estimates_match_the_direct_reduction(simulate, p, dtype):
     assert np.array_equal(field.stderr, powed.std(axis=0, ddof=1) / np.sqrt(64))
 
 
+@pytest.mark.parametrize("source, dtype", [("pairs", np.float32), ("pairs", np.float64),
+                                           ("field", np.float32), ("field", np.float64)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeypatch, source,
+                                                               dtype, p):
+    # per block, the estimates and the standard errors reduced in place on the block are
+    # np.mean and np.std(ddof=1) / sqrt(M) of its |u(X) - u(Y)|^p, for the lag blocks and
+    # the within-cylinder (lag None) blocks, from a PairEnsemble and a FieldEnsemble
+    M, saved = 64, list(range(64, 193, 8))
+    monkeypatch.setattr(moments, "PAIR_CHUNK", 5 * M)
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    lattice = Lattice(NOISE.dt, GRID, np.array(saved))
+    cylinder = sample_pairs_within_cylinder(
+        lattice, ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25), 12, seed=3)
+    pairs = PairSet.concatenate([sample_pairs_dyadic(lattice, [0.25, 0.125], 16, seed=1),
+                                 cylinder])
+    target = (dict(pairs=(pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2))
+              if source == "pairs" else dict(sink=str(tmp_path / "ens")))
+    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M, saved, dtype, **target)
+    blocks = moments._pair_blocks(pairs, M)
+    assert [lag for _, lag in blocks] == [0.125, 0.25, None, None, None]
+    got = estimate_pair_moments(ens, pairs, p)
+    for (sel, _), diff in zip(blocks, ens.difference_blocks(pairs, [s for s, _ in blocks])):
+        powed = np.abs(diff) ** p
+        assert np.array_equal(got.estimates[sel], np.mean(powed, axis=0))
+        assert np.array_equal(got.stderr[sel], np.std(powed, axis=0, ddof=1) / np.sqrt(M))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pair_values_give_the_full_ensemble_estimates(simulate, dtype):
     # float64 pair differences agree with the gathered full field to rounding, float32 ones
