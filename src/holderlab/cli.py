@@ -2,8 +2,9 @@
 
 Subcommands: audit-kernel, simulate, moments, seminorm, run, emit-plots.
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration
-error, 3 numerical failure.  The default seed comes from HOLDERLAB_SEED
-when --seed is absent.
+error, 3 numerical failure or any untyped exception (a defect, reported with
+its traceback).  The default seed comes from HOLDERLAB_SEED when --seed is
+absent.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +111,6 @@ def _cmd_run(args) -> int:
     _print_verdicts(report)
     if args.out:
         print(f"report written to {args.out}")
-    return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-
-
-def _cmd_audit_kernel(args) -> int:
-    report = run_experiment(_config_from_args(args, preset="kernel-audit"), out_dir=args.out)
-    _print_verdicts(report)
     return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
 
 
@@ -228,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = subs.add_parser("audit-kernel", help="kernel condition audit")
     _add_common(audit)
-    audit.set_defaults(func=_cmd_audit_kernel)
+    audit.set_defaults(func=_cmd_run, preset="kernel-audit")
 
     simulate = subs.add_parser("simulate", help="generate and persist an ensemble")
     simulate.add_argument("--kind-preset", choices=list(SIMULATE_FIELDS),
@@ -275,6 +271,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except HolderLabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception:  # untyped, a defect: exit 3 all the same, as 1 means a failed verdict
+        traceback.print_exc()
+        print(f"holderlab {args.command}: unexpected error, traceback above", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -59,10 +59,11 @@ RICHARDSON_FAIL = 0.05
 # Grading exponent kappa of the outer mesh r_j = s - s (j/J)^kappa.
 MESH_GRADING = 3.0
 
-# Real float64 arrays of its lattice that one weighted L1 norm holds at its peak: the
-# symbols and their frequency radii (half a lattice each), the inverse FFT's complex
-# copy of its input and its output (tracemalloc: 2.5 to 2.9).
-LATTICE_ARRAYS = 4
+# Real float64 arrays of its lattice that one weighted L1 norm holds at its peak, by ru_maxrss
+# (4.3 to 4.4): the complex spectrum, the inverse FFT's output, pocketfft's plan and scratch
+# (which tracemalloc does not see) and, while the spectrum is filled, a symbol and its
+# frequency radii (half a lattice each).
+LATTICE_ARRAYS = 5
 
 
 def _adapted_grid(spec: KernelSpec, tau_small: float, tau_big: float) -> SpectralGrid:
@@ -80,11 +81,16 @@ def _adapted_grid(spec: KernelSpec, tau_small: float, tau_big: float) -> Spectra
     return SpectralGrid(length=length, points=n, dim=spec.dim)
 
 
-def _weighted_sum(sym: np.ndarray, grid: SpectralGrid, beta: float) -> float:
-    """sum |v| (1 + |z|^beta) over v, the unnormalized inverse rfft of sym, in v's native
-    order: index j of an axis sits at |z| = h m, m = min(j, n - j), so index n - m folds
-    onto m and the origin is index 0 exactly."""
+def _weighted_sum(spec: KernelSpec, grid: SpectralGrid, beta: float, tau: float,
+                  minus: float | None = None) -> float:
+    """sum |v| (1 + |z|^beta) over v, the unnormalized inverse rfft of the symbol at tau, less
+    the one at minus if given, in v's native order: index j of an axis sits at |z| = h m,
+    m = min(j, n - j), so index n - m folds onto m and the origin is index 0 exactly."""
     n, half = grid.points, grid.points // 2
+    sym = np.zeros((n,) * (grid.dim - 1) + (half + 1,), complex)  # irfft makes no complex copy
+    sym.real = symbol(spec, grid, tau)
+    if minus is not None:
+        sym.real -= symbol(spec, grid, minus)
     absv = np.fft.irfft(sym, n) if grid.dim == 1 else np.fft.irfft2(sym, (n, n))
     np.abs(absv, out=absv)
     if beta == 0.0:
@@ -104,7 +110,7 @@ def _weighted_sum(sym: np.ndarray, grid: SpectralGrid, beta: float) -> float:
 def weighted_l1(spec: KernelSpec, tau: float, beta: float) -> float:
     """int |D^eps p(tau, z)| (1 + |z|^beta) dz by lattice quadrature."""
     g = _adapted_grid(spec, tau, tau)
-    return _weighted_sum(symbol(spec, g, tau), g, beta)
+    return _weighted_sum(spec, g, beta, tau)
 
 
 def weighted_l1_increment(spec: KernelSpec, sigma: float, delta: float,
@@ -118,10 +124,7 @@ def weighted_l1_increment(spec: KernelSpec, sigma: float, delta: float,
     tau2 = sigma + delta
     if tau2 / sigma > RATIO_CAP:
         return weighted_l1(spec, sigma, beta) + weighted_l1(spec, tau2, beta)
-    g = _adapted_grid(spec, sigma, tau2)
-    diff = symbol(spec, g, tau2)
-    diff -= symbol(spec, g, sigma)
-    return _weighted_sum(diff, g, beta)
+    return _weighted_sum(spec, _adapted_grid(spec, sigma, tau2), beta, tau2, sigma)
 
 
 def _graded_cells(upper: float, J: int, kappa: float):

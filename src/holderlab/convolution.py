@@ -25,9 +25,9 @@ bytes of stored values) at a time, and FieldEnsemble.save writes each finished b
 ensemble's .bin (sink): the file is realization-major, so a block is one contiguous byte
 range.  A FieldEnsemble is always that .bin (StoredField), read back the same way, one block
 at a time, so no step between `simulate` and `seminorm` holds the whole field.  The presets'
-pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds D once for both their
-exact second moments and their Monte Carlo values, which a PairEnsemble holds as the factors
-D and w and forms one block of pairs at a time, for the estimator.  Realizations are pure
+pairs need only u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds once the table whose
+rows of D give both their exact second moments and their Monte Carlo values; a PairEnsemble
+holds it and w and forms D w^T one block of pairs at a time.  Realizations are pure
 functions of (seed, stream_index), and no realization depends on the block it falls in.
 """
 
@@ -93,7 +93,7 @@ class Lattice(typing.NamedTuple):
 
 
 FIELD_BLOCK = 2**23  # bytes of stored field values in one block of realizations
-PAIR_CHUNK = 2**18  # elements of each (pairs, slabs) temporary of _slab_differences, or one row
+PAIR_CHUNK = 2**18  # elements of each temporary of the slab-difference builders, or one row
 
 
 def even_blocks(n: int, most: int):
@@ -268,29 +268,51 @@ class PairValues:
         return math.prod(self.shape) * self.dtype.itemsize
 
 
+@dataclass(frozen=True)
+class SlabDifferences:
+    """D[n, k] = F_i1[k, x1] - F_i2[k, x2], (n_pairs, k_max), as F_i[k, x] = P[x, i - k] +
+    shift[k] q0[i - k] for slabs k < i, 0 beyond: P the per-lag profiles at the members'
+    positions only, x-major; q0 the lag symbols' zero mode; shift g's zero-mode shift."""
+
+    profiles: np.ndarray  # (member positions, k_max + 1)
+    q0: np.ndarray
+    shift: np.ndarray
+    members: tuple  # (i1, row1, i2, row2): time index and profile row of each member
+
+    def rows(self, sel=slice(None)) -> np.ndarray:
+        """D[sel], a new C-contiguous array, from reversed slices of the profiles."""
+        i1, r1, i2, r2 = (a[sel] for a in self.members)
+        out = np.zeros((i1.size, self.shift.size))
+        for d, a, x, b, y in zip(out, i1, r1, i2, r2):
+            d[:a] = self.profiles[x, a:0:-1] + self.shift[:a] * self.q0[a:0:-1]
+            d[:b] -= self.profiles[y, b:0:-1] + self.shift[:b] * self.q0[b:0:-1]
+        return out
+
+
 @dataclass
 class PairEnsemble:
     """u_m(X_n) - u_m(Y_n) = sum_k D[n, k] w[m, k] for the pairs (t1, s1, t2, s2) it was built
-    for, held as the slab differences D (n_pairs, k) and slab weights w (M, k); time_indices
-    are the saved times; second_moments[n] = E|u(X_n) - u(Y_n)|^2 exactly, from the same D."""
+    for, held as the table of D (n_pairs, k) and the slab weights w (M, k); time_indices are
+    the saved times; second_moments[n] = E|u(X_n) - u(Y_n)|^2 exactly, from the same D."""
 
     values: PairValues
     pairs: tuple
     time_indices: np.ndarray
     second_moments: np.ndarray
-    slab_differences: np.ndarray
+    slab_differences: SlabDifferences
     weights: np.ndarray
 
     def difference_blocks(self, pairs, blocks=(slice(None),)):
         """For each selection of pairs in blocks, (D[sel] w^T)^T rounded through the storage
         dtype, as FieldEnsemble.difference_blocks gives it; other pairs raise PairOffGrid.
-        BLAS rounds the presets' lag blocks as their rows of the whole product; one row (a
-        matrix-vector kernel) or, at small M, a few rows can round differently."""
+        D[sel] lives only while its product is formed.  BLAS rounds the presets' lag blocks as
+        their rows of the whole product; one row (a matrix-vector kernel) or, at small M, a
+        few rows can round differently."""
         asked = (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
         if not all(np.array_equal(a, b) for a, b in zip(asked, self.pairs)):
             raise PairOffGrid("pairs not held by the pair ensemble")
         for sel in blocks:
-            prod = self.slab_differences[sel] @ self.weights.T
+            prod = self.slab_differences.rows(sel) @ self.weights.T
             if prod.dtype != self.values.dtype:
                 for i in range(len(prod)):  # a row at a time: no storage-dtype copy of the block
                     prod[i] = prod[i].astype(self.values.dtype)
@@ -327,7 +349,7 @@ def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) ->
     same-slab contribution (Ito rule)."""
     grid.require_alias(kernel.alpha, dt / 2.0)
     lags = dt * np.arange(n_t + 1, dtype=float)
-    lags[1] = dt / 2.0
+    lags[1:2] = dt / 2.0
     q = symbol(kernel, grid, lags)
     q[0] = 0.0
     return q
@@ -365,10 +387,10 @@ def _convolve(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
         if not np.isin(times, idx).all():
             raise GridMismatch(f"pair times {np.setdiff1d(times, idx)} are not saved times")
         diff = _slab_differences(kernel, grid, g, noise, *pairs)
-        w = slab_weights(noise, g.mark_family, M, diff.shape[1])
-        return PairEnsemble(PairValues((M, len(diff)), np.dtype(dtype)),
-                            tuple(np.array(a) for a in pairs), idx, _isometry(g, noise, diff),
-                            diff, w)
+        second = _isometry(g, noise, diff)
+        w = slab_weights(noise, g.mark_family, M, diff.shift.size)
+        return PairEnsemble(PairValues((M, second.size), np.dtype(dtype)),
+                            tuple(np.array(a) for a in pairs), idx, second, diff, w)
 
     ens = FieldEnsemble(values=StoredField(f"{sink}.bin", (M, idx.size, grid.points),
                                            np.dtype(dtype)),
@@ -387,7 +409,7 @@ def _field_blocks(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
     sum_k w_k Q[i - k, 0] zero[k] in the zero mode; its native inverse FFT is stored
     ascending.  O(M F max i)."""
     n_t, dt, n = noise.steps, noise.dt, grid.points
-    q = _lag_symbols(kernel, grid, dt, n_t)
+    q = _lag_symbols(kernel, grid, dt, idx[-1])  # no row past the last saved index is read
     base, zero = _g_spectrum(g, grid, dt, n_t)
     w = slab_weights(noise, g.mark_family, M, idx[-1])  # the pass reads slabs k < idx[-1]
     rate = -dt * _freq_radius(grid) ** kernel.alpha
@@ -437,42 +459,41 @@ def convolve_poisson(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec
 
 
 def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-                      noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
+                      noise: NoiseSpec, idx1, pos1, idx2, pos2) -> SlabDifferences:
     """D[n, k] = F_i1[k, x1] - F_i2[k, x2], the weight of slab k in u(X_n) - u(Y_n) for the
-    Ito sum u(t_i, x) = sum_k F_i[k, x] w_k; shape (n_pairs, largest time index).
+    Ito sum u(t_i, x) = sum_k F_i[k, x] w_k; shape (n_pairs, largest time index), as the
+    table SlabDifferences.rows forms its rows from.
 
     idx/pos: time indices and ascending spatial indices of the pair members; off the lattice
     or not whole, they raise GridMismatch (time) or PairOffGrid (space).  As g moves in time
     only in its zero mode, F_i[k] = P[i - k] + zero[k] Q[i - k, 0] / n with one native-order
-    profile P[j] = irfft(Q[j] base) per lag, where position x is index (x + n/2) mod n."""
+    profile P[j] = irfft(Q[j] base) per lag, where position x is index (x + n/2) mod n,
+    transformed PAIR_CHUNK elements at a time and kept at the members' positions only."""
     _require_1d(kernel, grid)
     n_t, n = noise.steps, grid.points
     idx1, idx2 = _whole(idx1, n_t, GridMismatch), _whole(idx2, n_t, GridMismatch)
-    pos1, pos2 = ((_whole(x, n - 1, PairOffGrid) + n // 2) % n for x in (pos1, pos2))
+    pos = (_whole(np.concatenate([pos1, pos2]), n - 1, PairOffGrid) + n // 2) % n
     k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
 
-    n_lags = max(k_max, 1)
-    q = _lag_symbols(kernel, grid, noise.dt, n_lags)
-    base, zero = _g_spectrum(g, grid, noise.dt, n_lags)
-    profiles = np.fft.irfft(q * base, n)
-    q, shift = q[:, 0].copy(), zero[:k_max] / n  # only the zero mode is read from here on
-
-    def rows(i, x):  # F_i[k, x] for a chunk of points, zero for slabs k >= i as Q[0] = 0
-        j = np.maximum(i[:, None] - np.arange(k_max), 0)
-        return profiles[j, x[:, None]] + shift * q[j]
-
-    diff = np.empty((idx1.size, k_max))
-    chunk = max(1, PAIR_CHUNK // n_lags)
-    for lo in range(0, idx1.size, chunk):
-        sl = slice(lo, lo + chunk)
-        np.subtract(rows(idx1[sl], pos1[sl]), rows(idx2[sl], pos2[sl]), out=diff[sl])
-    return diff
+    q = _lag_symbols(kernel, grid, noise.dt, k_max)
+    base, zero = _g_spectrum(g, grid, noise.dt, k_max)
+    cols = np.flatnonzero(np.bincount(pos, minlength=n))  # np.unique adds 1.6 MiB RSS
+    profiles = np.empty((cols.size, k_max + 1))
+    for lo, hi in even_blocks(k_max + 1, PAIR_CHUNK // n):
+        profiles[:, lo:hi] = np.fft.irfft(q[lo:hi] * base, n)[:, cols].T
+    rows = np.searchsorted(cols, pos)
+    return SlabDifferences(profiles, q[:, 0].copy(), zero / n,
+                           (idx1, rows[:idx1.size], idx2, rows[idx1.size:]))
 
 
-def _isometry(g: TestFunctionSpec, noise: NoiseSpec, diff: np.ndarray) -> np.ndarray:
+def _isometry(g: TestFunctionSpec, noise: NoiseSpec, diff: SlabDifferences) -> np.ndarray:
     """E|u(X_n) - u(Y_n)|^2 = kappa2 sum_k D[n, k]^2 for independent centered slab weights
-    of variance kappa2 = slab_cumulant(noise, g.mark_family, 2)."""
-    return slab_cumulant(noise, g.mark_family, 2) * np.einsum("nk,nk->n", diff, diff)
+    of variance kappa2 = slab_cumulant(noise, g.mark_family, 2), PAIR_CHUNK elements at a time."""
+    squares = np.empty(diff.members[0].size)
+    for lo, hi in even_blocks(squares.size, PAIR_CHUNK // max(diff.shift.size, 1)):
+        rows = diff.rows(slice(lo, hi))
+        squares[lo:hi] = np.einsum("nk,nk->n", rows, rows)
+    return slab_cumulant(noise, g.mark_family, 2) * squares
 
 
 def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,

@@ -417,26 +417,25 @@ class RegularityPieces(typing.NamedTuple):
     def require_memory(self, M: int, n_pairs: int | None = None) -> float:
         """Bytes the simulation, and for pairs their moment estimates, hold at most, counted
         without allocating; ConfigError past physical memory.  Always, for the last saved
-        index k: the (M, k) slab weights the pass reads, the largest Poisson path.  Full
-        field: (n_t + 1, F) lag symbols (twice while built); the (M, |saved|) zero-mode terms;
-        the block of rows written to the .bin, as large as the first of _row_blocks; per block
-        the real running sum and one temporary of it, the complex spectrum and its inverse
-        transform; and one step's new lag symbols.  Pairs: the (n_pairs, k) differences; the
-        (k + 1, F) lag symbols (twice while built), their spectrum and its (k + 1, n) inverse
-        transform, the profiles, beside which only the symbols' zero-mode column is kept; the
-        chunks; and, for one lag's share of the pairs (the presets draw as many at each lag),
-        the estimator's one float64 product, reduced in place."""
-        n, n_t, k = self.grid.points, self.noise.steps, self.saved[-1]  # 1-D: 2F = n + 2
-        need = 8 * M * k
+        index k: the (M, k) slab weights and the real (k + 1, F) lag symbols the pass reads,
+        the largest Poisson path.  Full field: the (M, |saved|) zero-mode terms; the block of
+        rows written to the .bin, as large as the first of _row_blocks; per block the real
+        running sum and one temporary of it, the complex spectrum and its inverse transform;
+        and one step's copy of the lag symbols.  Pairs: the profiles at the members' positions,
+        at most min(n, 2 n_pairs) of them over k + 1 lags; the temporaries of one chunk of lags
+        or of rows of D; and, for one lag's share of the pairs (the presets draw as many at
+        each lag), its rows of D and the estimator's one float64 product, reduced in place."""
+        n, k = self.grid.points, self.saved[-1]  # 1-D: 2F = n + 2
+        need = 8 * M * k + 4 * (k + 1) * (n + 2)
         if n_pairs is None:
             row = len(self.saved) * n * np.dtype(self.dtype).itemsize
             _, rows = next(_row_blocks(M, row))
-            need += (8 * (n_t + 1) * (n + 2) + 8 * M * len(self.saved) + rows * row
-                     + 24 * rows * (n + 2) + 4 * n_t * (n + 2))
+            need += (8 * M * len(self.saved) + rows * row + 24 * rows * (n + 2)
+                     + 4 * k * (n + 2))
         else:
             lag_pairs = -(-n_pairs // len(self.lags))
-            need += (8 * k * n_pairs + 32 * (k + 1) * (n + 2) + 48 * max(PAIR_CHUNK, k)
-                     + 8 * M * lag_pairs)
+            need += (8 * (k + 1) * min(n, 2 * n_pairs) + 32 * max(PAIR_CHUNK, 3 * n, 3 * k)
+                     + 8 * lag_pairs * (M + k))
         fields, what = "config.simulation.ensemble / config.simulation.grid_points", ""
         if self.noise.kind == "poisson":
             events = event_block(self.noise)

@@ -1,11 +1,13 @@
 """Reference implementations the tests compare holderlab against; no pipeline runs them:
 the kernels' closed forms in the FFT's native order, the Ito and compensated-Poisson
-integrals of a deterministic integrand, and the Campanato inclusion test."""
+integrals of a deterministic integrand, the slab differences as one gather of the whole
+profile table, and the Campanato inclusion test."""
 
 import math
 
 import numpy as np
 
+from holderlab.convolution import _g_spectrum, _lag_symbols
 from holderlab.kernels import ALIAS_LOG, KernelSpec, SpectralGrid, even_fast_len, symbol
 from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path, slab_weights
 
@@ -117,6 +119,27 @@ def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
         vals = np.asarray(h(path.times, path.marks), dtype=float)
         out[m] = vals.sum() - comp
     return out
+
+
+def gathered_slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2) -> np.ndarray:
+    """D[n, k] = F_i1[k, x1] - F_i2[k, x2] of whole-number lattice indices, from the (k + 1, n)
+    table of every lag's native-order profile irfft(Q[j] base) by one fancy-index gather:
+    F_i[k, x] = P[max(i - k, 0), x] + zero[k] Q[max(i - k, 0), 0] / n, zero for k >= i as
+    Q[0] = 0."""
+    n = grid.points
+    idx1, idx2 = np.asarray(idx1, int), np.asarray(idx2, int)
+    pos1, pos2 = ((np.asarray(x, int) + n // 2) % n for x in (pos1, pos2))
+    k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
+    q = _lag_symbols(kernel, grid, noise.dt, max(k_max, 1))
+    base, zero = _g_spectrum(g, grid, noise.dt, max(k_max, 1))
+    profiles = np.fft.irfft(q * base, n)
+    shift = zero[:k_max] / n
+
+    def rows(i, x):
+        j = np.maximum(i[:, None] - np.arange(k_max), 0)
+        return profiles[j, x[:, None]] + shift * q[j, 0]
+
+    return rows(idx1, pos1) - rows(idx2, pos2)
 
 
 def inclusion_holds(p: float, theta: float, q: float, sigma: float) -> bool:

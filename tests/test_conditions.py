@@ -132,7 +132,7 @@ def test_weighted_l1_power_law():
 
 def test_condition_lattice_beyond_physical_memory_is_a_config_error(monkeypatch):
     # alpha = 0.55 across a ratio of 256 asks for 612,220,032 points: one real array (4.6 GiB)
-    # fits an 8 GiB machine, the LATTICE_ARRAYS a weighted L1 norm holds (18.2 GiB) do not
+    # fits an 8 GiB machine, the LATTICE_ARRAYS a weighted L1 norm holds (22.8 GiB) do not
     monkeypatch.setattr(kernels, "physical_memory", lambda: 8 * 2**30)
     monkeypatch.setattr(conditions, "physical_memory", lambda: 8 * 2**30)
     spec = KernelSpec(alpha=0.55)
@@ -143,7 +143,7 @@ def test_condition_lattice_beyond_physical_memory_is_a_config_error(monkeypatch)
 
     monkeypatch.setattr(conditions, "symbol", not_reached)
     with pytest.raises(ConfigError, match="612220032 points per axis in d=1, and a weighted L1 "
-                                          "norm on them holds 18.2 GiB, more than the 8.0 GiB"):
+                                          "norm on them holds 22.8 GiB, more than the 8.0 GiB"):
         _adapted_grid(spec, 1.0, 256.0)
     with pytest.raises(ConfigError, match="physical memory"):
         weighted_l1_increment(spec, 1.0, 255.0, 0.5)

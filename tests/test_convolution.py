@@ -24,7 +24,7 @@ from holderlab.convolution import (
 from holderlab.errors import GridMismatch, PairOffGrid
 from holderlab.experiments import RegularityPieces, build_regularity, default_config
 from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, symbol
-from holderlab.moments import estimate_pair_moments, sample_pairs_dyadic
+from holderlab.moments import _pair_blocks, estimate_pair_moments, sample_pairs_dyadic
 from holderlab.noise import (
     JumpSpec,
     MarkLaw,
@@ -33,6 +33,7 @@ from holderlab.noise import (
     slab_cumulant,
     slab_weights,
 )
+from oracles import gathered_slab_differences
 
 KERNEL = KernelSpec(alpha=2.0)
 GRID = SpectralGrid(length=4.0, points=256, dim=1)
@@ -714,3 +715,41 @@ def test_pair_moments_hold_one_lag_block():
     field, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
     assert field.estimates.shape == (pairs.size,) == (4 * 512,)
     assert peak - 8 * M * k - 8 * pairs.size * k < 1.25 * 8 * M * 512
+
+
+def test_pair_path_holds_the_profile_table_and_one_lag_of_rows():
+    # beyond the (M, k) slab weights and the (k + 1)-lag profiles at the pairs' member
+    # positions, simulating the brownian preset's pairs and estimating their moments holds one
+    # lag's (M, 512) float64 product and about its (512, k) rows of D: D is never whole
+    M = 2000
+    pieces = _forward_pass_pieces(preset=True)
+    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
+    k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
+    n_cols = np.unique(np.concatenate([pairs.s_idx1, pairs.s_idx2])).size
+    field, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    assert field.estimates.shape == (pairs.size,) == (4 * 512,)
+    assert peak - 8 * M * k - 8 * (k + 1) * n_cols < 8 * M * 512 + 1.25 * 8 * 512 * k
+
+
+@pytest.mark.parametrize("preset", ["brownian-regularity", "poisson-regularity"])
+def test_slab_difference_rows_are_the_gathered_profile_table_bit_for_bit(preset):
+    # each lag's rows of D, formed from reversed slices of the profiles at the members'
+    # positions, are the bits (sign bits included) of one gather of the whole (k + 1, n)
+    # profile table, as are rows with a member at time index 0, before any slab
+    pieces = build_regularity(default_config(preset))
+    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2024)
+    last, n = pieces.saved[-1], pieces.grid.points
+    args = [np.append(pairs.t_idx1, [0, last, 0]), np.append(pairs.s_idx1, [3, 0, n - 1]),
+            np.append(pairs.t_idx2, [last, 0, 0]), np.append(pairs.s_idx2, [n // 2, 5, 7])]
+    table = convolution._slab_differences(pieces.kernel, pieces.grid, pieces.g, pieces.noise,
+                                          *args)
+    want = gathered_slab_differences(pieces.kernel, pieces.grid, pieces.g, pieces.noise, *args)
+    blocks = [sel for sel, _ in _pair_blocks(pairs, 2000)] + [slice(pairs.size, None)]
+    assert [np.size(want[sel], 0) for sel in blocks] == [512] * 4 + [3]
+    for sel in blocks:
+        assert np.array_equal(table.rows(sel).view(np.uint64), want[sel].view(np.uint64))
+    assert not want[-1].any()  # time index 0 twice: no slab
+    k2 = slab_cumulant(pieces.noise, pieces.g.mark_family, 2)
+    assert np.array_equal(second_moment_pairs(pieces.kernel, pieces.grid, pieces.g,
+                                              pieces.noise, *args),
+                          k2 * np.einsum("nk,nk->n", want, want))

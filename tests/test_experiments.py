@@ -223,6 +223,26 @@ def test_cli_audit_exit_zero(tmp_path, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("command", [["run", "--preset", "embedding-check"],
+                                     ["audit-kernel"], ["emit-plots", "--report", "r.json"]])
+def test_cli_untyped_exception_exits_3_naming_the_subcommand(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # an exception that is not a HolderLabError is a defect: exit 3 with the subcommand named
+    # and the traceback on stderr, never 1, which a failed verdict owns
+    def defect(*args, **kwargs):
+        raise ZeroDivisionError("a defect")
+
+    monkeypatch.setattr(cli, "run_experiment", defect)
+    monkeypatch.setattr(cli, "emit_plot_data", defect)
+    (tmp_path / "r.json").write_text('{"modules": {}}')
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == cli.EXIT_NUMERICAL == 3
+    captured = capsys.readouterr()
+    assert f"holderlab {command[0]}: unexpected error" in captured.err
+    assert "Traceback" in captured.err and "ZeroDivisionError: a defect" in captured.err
+    assert captured.out == ""
+
+
 def _with(base, section, **fields):
     return dict(base, **{section: dict(base.get(section, {}), **fields)})
 
@@ -436,15 +456,15 @@ def test_cli_flag_errors_exit_two_before_the_ensemble_is_read(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_untyped_errors_are_not_config_errors(monkeypatch):
+def test_cli_untyped_errors_are_not_config_errors(monkeypatch, capsys):
     # exit 2 is a ConfigError and exit 3 any other HolderLabError; a bare ValueError is a
-    # defect of the program, not of its input, and propagates
+    # defect of the program, not of its input: exit 3 as well, with its traceback
     def broken(args):
         raise ValueError("not a holderlab error")
 
     monkeypatch.setattr(cli, "_cmd_moments", broken)
-    with pytest.raises(ValueError, match="not a holderlab error"):
-        main(["moments", "--ensemble", "unused"])
+    assert main(["moments", "--ensemble", "unused"]) == 3
+    assert "ValueError: not a holderlab error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["moments", "seminorm"])
@@ -717,7 +737,7 @@ def test_cli_simulate_past_the_free_disk_exit_two(tmp_path, capsys, monkeypatch)
     assert list((tmp_path / "o").iterdir()) == []
 
 
-def test_failed_simulate_leaves_the_previous_ensemble(tmp_path, monkeypatch):
+def test_failed_simulate_leaves_the_previous_ensemble(tmp_path, monkeypatch, capsys):
     # the new .bin and sidecar are renamed over the old ones only when both are complete
     path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=40))
     out = tmp_path / "o"
@@ -734,8 +754,8 @@ def test_failed_simulate_leaves_the_previous_ensemble(tmp_path, monkeypatch):
     monkeypatch.setattr(convolution, "_field_blocks", stopped)
     monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**16)
     path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=60), name="cfg2.json")
-    with pytest.raises(MemoryError, match="mid-pass"):
-        main(["simulate", "--config", str(path), "--out", str(out)])
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert "MemoryError: stopped mid-pass" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -1025,7 +1045,7 @@ def test_regularity_preset_runs_under_the_benchmark_tracer(tmp_path, monkeypatch
     # perfbench/tracer.py reads .values and .time_indices of what convolve_* returns
     cfg = load_config(_write(tmp_path, config))
     pieces = build_regularity(cfg)
-    built = []  # the Monte Carlo values and the oracle share one slab-difference matrix
+    built = []  # the Monte Carlo values and the oracle share one slab-difference table
     slab_differences = convolution._slab_differences
     monkeypatch.setattr(convolution, "_slab_differences",
                         lambda *args: built.append(1) or slab_differences(*args))
@@ -1078,7 +1098,7 @@ def test_lattice_pairs_equal_pairs_drawn_from_the_simulated_ensemble(tmp_path):
 
 
 # the last case passes a count without the tables that do not scale with M (0.76 GB);
-# its lag symbols alone need 137 GB (69 GB, twice while they are built)
+# its lag symbols alone, up to the last saved index 12,288, need 52 GB
 @pytest.mark.parametrize("simulation", [{"ensemble": 10**8}, {"grid_points": 2**24},
                                         {"grid_points": 2**20, "steps": 2**14, "ensemble": 30}])
 def test_simulation_beyond_physical_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
@@ -1148,7 +1168,7 @@ def test_monte_carlo_lag_means_within_three_exact_standard_errors(tmp_path, conf
         sel = pairs.requested_delta == row["lag"]
         d = convolution._slab_differences(pieces.kernel, pieces.grid, pieces.g, pieces.noise,
                                           pairs.t_idx1[sel], pairs.s_idx1[sel],
-                                          pairs.t_idx2[sel], pairs.s_idx2[sel])
+                                          pairs.t_idx2[sel], pairs.s_idx2[sel]).rows()
         n = d.shape[0]
         frobenius2 = np.sum((d @ d.T) ** 2) / n**2  # |D^T D|_F = |D D^T|_F
         diagonal2 = np.sum((np.einsum("nk,nk->k", d, d) / n) ** 2)

@@ -10,8 +10,8 @@ from holderlab.cli import main
 import holderlab.convolution as convolution
 import holderlab.moments as moments
 from holderlab.convolution import (FieldEnsemble, Lattice, PairEnsemble, PairValues,
-                                   StoredField, TestFunctionSpec, convolve_brownian,
-                                   convolve_poisson)
+                                   SlabDifferences, StoredField, TestFunctionSpec,
+                                   convolve_brownian, convolve_poisson)
 from holderlab.errors import (
     DimensionMismatch,
     EmptyCylinder,
@@ -123,10 +123,15 @@ def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
     saved, M = list(range(64, 193, 8)), 40
     lattice = Lattice(NOISE.dt, GRID, np.array(saved))
     pairs = sample_pairs_dyadic(lattice, [0.25, 0.125], 8, seed=1)
+    # every member X at time index 3 and Y at 0 on one profile row of 1e30: D is 1e30 throughout
+    first, other = np.full(pairs.size, 3), np.zeros(pairs.size, int)
+    table = SlabDifferences(np.full((1, 4), 1e30), np.zeros(4), np.zeros(3),
+                            (first, other, other, other))
     held = PairEnsemble(PairValues((M, pairs.size), np.dtype(np.float32)),
                         (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2),
-                        lattice.time_indices, np.ones(pairs.size),
-                        np.full((pairs.size, 3), 1e30), np.full((M, 3), 1e30))
+                        lattice.time_indices, np.ones(pairs.size), table,
+                        np.full((M, 3), 1e30))
+    assert np.array_equal(table.rows(), np.full((pairs.size, 3), 1e30))
     prefix = str(tmp_path / "ens")
     values = np.zeros((M, len(saved), GRID.points))
     values[3] = np.inf
@@ -411,7 +416,7 @@ def _whole_array_moments(diff, pairs, p):
 def _whole_differences(ens, pairs):
     """Every pair's u(X) - u(Y) as one float64 (M, n) array, realization axis contiguous."""
     if isinstance(ens, PairEnsemble):
-        product = (ens.slab_differences @ ens.weights.T).T
+        product = (ens.slab_differences.rows() @ ens.weights.T).T
         return product.astype(ens.values.dtype).astype(np.float64)
     n = pairs.size
     both = ens.at(np.concatenate([pairs.t_idx1, pairs.t_idx2]),
