@@ -64,8 +64,9 @@ def _read(flag: str, path, load):
 
 
 def _read_ensemble(prefix) -> FieldEnsemble:
-    """FieldEnsemble.load(prefix); files it cannot make an ensemble of, a sidecar without a
-    key or a .bin of another size, are a ConfigError naming --ensemble and the path."""
+    """FieldEnsemble.load(prefix); files it cannot make an ensemble of (a sidecar without a
+    key, a stored field among them, or a .bin of another size) are a ConfigError naming
+    --ensemble and the path."""
     try:
         return _read("--ensemble", prefix, FieldEnsemble.load)
     except (ValueError, KeyError, TypeError) as exc:
@@ -144,7 +145,7 @@ def _cmd_moments(args) -> int:
     ens = _read_ensemble(args.ensemble)
     seed = _resolve_seed(args) or 0
     pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
-    field = estimate_pair_moments(ens, pairs, args.p)
+    field = estimate_pair_moments(ens.differences(pairs.indices), pairs, args.p)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     ps = field.pairs
@@ -174,8 +175,9 @@ def _cmd_seminorm(args) -> int:
         raise ConfigError(f"--scale-k-min {args.scale_k_min} .. --scale-k-max "
                           f"{args.scale_k_max} leaves no cylinder holding two saved lattice "
                           f"points (lattice spacing {ens.grid.spacing:g})")
-    # every cylinder's pairs at once: one read of the .bin
-    field = estimate_pair_moments(ens, PairSet.concatenate([p for _, _, p in cylinders]), args.p)
+    # every cylinder's pairs at once: one table of slab differences
+    pairs = PairSet.concatenate([p for _, _, p in cylinders])
+    field = estimate_pair_moments(ens.differences(pairs.indices), pairs, args.p)
     groups = [(c, cyl.measure, float(est.mean())) for (c, cyl, _), est
               in zip(cylinders, np.split(field.estimates, len(cylinders)))]
     report = campanato_from_pair_moments(groups, args.p, args.theta)

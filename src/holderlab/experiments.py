@@ -36,9 +36,8 @@ import numpy as np
 from . import __version__
 from .campanato import Box, campanato_seminorm, embedding_exponent
 from .conditions import MESH_GRADING, ConditionProbe, audit_conditions, fit_exponent
-from .convolution import (PAIR_CHUNK, Lattice, TestFunctionSpec, _row_blocks,
-                          convolve_brownian, convolve_poisson)
-from .errors import ConfigError, HolderLabError, PairOffGrid, ThetaOutOfEmbeddingRange
+from .convolution import PAIR_CHUNK, Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson
+from .errors import ConfigError, PairOffGrid, ThetaOutOfEmbeddingRange
 from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, physical_memory
 from .moments import estimate_pair_moments, lag_offsets, sample_pairs_dyadic
 from .noise import PATH_ARRAYS, JumpSpec, MarkLaw, NoiseSpec, event_block
@@ -74,7 +73,6 @@ class SimulationConfig:
     grid_points: int = 1024
     grid_length: float = 4.0
     ensemble: int = 2000
-    store_dtype: str = "float32"
 
 
 @dataclass
@@ -137,7 +135,7 @@ class ExperimentConfig:
 _CONDITIONS = ("power", "s_base", "lag_k_min", "lag_k_max", "mesh_points")
 _SIMULATED = {  # what build_regularity reads: all that `holderlab simulate` runs
     "kernel": ("alpha", "epsilon", "dim"),
-    "simulation": ("horizon", "steps", "grid_points", "grid_length", "ensemble", "store_dtype"),
+    "simulation": ("horizon", "steps", "grid_points", "grid_length", "ensemble"),
     "moments": ("p", "beta", "amplitude", "lag_k_min", "lag_k_max")}
 _REGULARITY = {
     **_SIMULATED, "conditions": _CONDITIONS,
@@ -386,8 +384,8 @@ SAVED_BASES = 8
 def _regularity_saved_indices(steps: int, lag_steps):
     """Economical saved-time set: SAVED_BASES base times spread over the interior
     [T/4, 3T/4] plus each base's lag partners, SAVED_BASES * (len(lag_steps) + 1)
-    times at most; the presets' pairs lie on them, and `holderlab simulate`
-    stores the whole field there."""
+    times at most; the presets' pairs and `holderlab simulate`'s samplers lie on
+    them."""
     lo, hi = steps // 4, 3 * steps // 4
     max_step = max(lag_steps)
     span = max(hi - lo - max_step, 1)
@@ -407,8 +405,7 @@ class RegularityPieces(typing.NamedTuple):
     noise: NoiseSpec
     g: TestFunctionSpec
     lags: list    # dyadic parabolic lags 2^-k, largest first
-    saved: list   # lattice time indices the pass visits; the pairs lie on them
-    dtype: str    # storage dtype of the field values, "float32" or "float64"
+    saved: list   # saved lattice time indices; the pairs lie on them
 
     @property
     def lattice(self) -> Lattice:
@@ -417,22 +414,15 @@ class RegularityPieces(typing.NamedTuple):
     def require_memory(self, M: int, n_pairs: int | None = None) -> float:
         """Bytes the simulation, and for pairs their moment estimates, hold at most, counted
         without allocating; ConfigError past physical memory.  Always, for the last saved
-        index k: the (M, k) slab weights and the real (k + 1, F) lag symbols the pass reads,
-        the largest Poisson path.  Full field: the (M, |saved|) zero-mode terms; the block of
-        rows written to the .bin, as large as the first of _row_blocks; per block the real
-        running sum and one temporary of it, the complex spectrum and its inverse transform;
-        and one step's copy of the lag symbols.  Pairs: the profiles at the members' positions,
-        at most min(n, 2 n_pairs) of them over k + 1 lags; the temporaries of one chunk of lags
-        or of rows of D; and, for one lag's share of the pairs (the presets draw as many at
-        each lag), its rows of D and the estimator's one float64 product, reduced in place."""
+        index k: the (M, k) slab weights, the largest Poisson path and the real (k + 1, F) lag
+        symbols that any reader of the weights builds.  Pairs: the profiles at the members'
+        positions, at most min(n, 2 n_pairs) of them over k + 1 lags; the temporaries of one
+        chunk of lags or of rows of D; and, for one lag's share of the pairs (the presets draw
+        as many at each lag), its rows of D and the estimator's one float64 product, reduced in
+        place."""
         n, k = self.grid.points, self.saved[-1]  # 1-D: 2F = n + 2
         need = 8 * M * k + 4 * (k + 1) * (n + 2)
-        if n_pairs is None:
-            row = len(self.saved) * n * np.dtype(self.dtype).itemsize
-            _, rows = next(_row_blocks(M, row))
-            need += (8 * M * len(self.saved) + rows * row + 24 * rows * (n + 2)
-                     + 4 * k * (n + 2))
-        else:
+        if n_pairs is not None:
             lag_pairs = -(-n_pairs // len(self.lags))
             need += (8 * (k + 1) * min(n, 2 * n_pairs) + 32 * max(PAIR_CHUNK, 3 * n, 3 * k)
                      + 8 * lag_pairs * (M + k))
@@ -448,24 +438,24 @@ class RegularityPieces(typing.NamedTuple):
                               "of physical memory")
         return need
 
-    def simulate(self, M: int, pairs=None, sink=None):
-        """After require_memory, the field on the saved times written to sink, a path prefix:
-        {sink}.bin and {sink}.json, after a ConfigError if the .bin would not fit the free
-        space of sink's directory; or u(X) - u(Y) of the PairSet pairs."""
-        self.require_memory(M, None if pairs is None else pairs.size)
+    def simulate(self, M: int, sink=None):
+        """After require_memory, the FieldEnsemble of M realizations; with sink, a path prefix,
+        its slab weights written to {sink}.bin and {sink}.json (FieldEnsemble.save), after a
+        ConfigError if the .bin would not fit the free space of sink's directory."""
+        self.require_memory(M)
         if sink is not None:
-            size = M * len(self.saved) * self.grid.points * np.dtype(self.dtype).itemsize
+            size = 8 * M * self.saved[-1]
             free = shutil.disk_usage(Path(sink).parent).free
             if size > free:
-                raise ConfigError(f"config.simulation.ensemble / config.simulation.grid_points: "
+                raise ConfigError(f"config.simulation.ensemble / config.simulation.steps: "
                                   f"the ensemble of {M} realizations needs {size / 2**30:.1f} "
                                   f"GiB, more than the {free / 2**30:.1f} GiB free under "
                                   f"{Path(sink).parent}")
-        if pairs is not None:
-            pairs = (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
         convolve = convolve_brownian if self.noise.kind == "brownian" else convolve_poisson
-        return convolve(self.kernel, self.grid, self.g, self.noise, M=M,
-                        save_times=self.saved, dtype=self.dtype, pairs=pairs, sink=sink)
+        ens = convolve(self.kernel, self.grid, self.g, self.noise, M=M, save_times=self.saved)
+        if sink is not None:
+            ens.save(sink)
+        return ens
 
 
 def _spec(path: str, cls, *args, **kwargs):
@@ -478,16 +468,12 @@ def _spec(path: str, cls, *args, **kwargs):
 def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     """Turn a regularity config into pipeline pieces, for the presets and
     the CLI alike, without running quadrature or allocating arrays.  What
-    the pipeline cannot honour (kernel.dim != 1, a store_dtype other than
-    float32/float64, no realizations, a moment order below 1, no lags, lags finer than
-    the lattice or too wide for it, a value a spec rejects) raises ConfigError naming the
-    field."""
+    the pipeline cannot honour (kernel.dim != 1, no realizations, a moment order below 1,
+    no lags, lags finer than the lattice or too wide for it, a value a spec rejects) raises
+    ConfigError naming the field."""
     kc, sim, mom, nc = config.kernel, config.simulation, config.moments, config.noise
     if kc.dim != 1:
         raise ConfigError(f"config.kernel.dim: the regularity presets are 1-D, got {kc.dim}")
-    if sim.store_dtype not in ("float32", "float64"):
-        raise ConfigError("config.simulation.store_dtype: expected 'float32' or "
-                          f"'float64', got {sim.store_dtype!r}")
     if sim.ensemble < 1:
         raise ConfigError(f"config.simulation.ensemble: need a realization, got {sim.ensemble}")
     if not mom.p >= 1.0:
@@ -503,7 +489,7 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     noise = _spec("config.simulation", NoiseSpec, kind=kind, horizon=sim.horizon,
                   steps=sim.steps, seed=config.seed, jump=jump)
     g = _spec("config.moments", TestFunctionSpec, family="parabolic-power", beta=mom.beta,
-              amplitude=mom.amplitude, mark_family="identity")
+              amplitude=mom.amplitude)
     lags = dyadic("config.moments.lag_k_min / lag_k_max", mom.lag_k_min, mom.lag_k_max)
     if lags[0] * lags[0] > sim.horizon:  # a parabolic lag delta spans the time delta^2
         raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans the time "
@@ -516,7 +502,7 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     if saved[-1] > sim.steps:
         raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans {lag_steps[0]} "
                           f"time steps, too many for the {sim.steps}-step lattice")
-    return RegularityPieces(kernel, grid, noise, g, lags, saved, sim.store_dtype)
+    return RegularityPieces(kernel, grid, noise, g, lags, saved)
 
 
 def _run_regularity(config: ExperimentConfig, progress: Stages):
@@ -541,7 +527,7 @@ def _run_regularity(config: ExperimentConfig, progress: Stages):
     progress.enter("pairs")  # pairs depend only on the lattice: draw them first
     pairs = sample_pairs_dyadic(pieces.lattice, lags, mom.pairs_per_lag, seed=config.seed)
     progress.enter("simulate")
-    values = pieces.simulate(config.simulation.ensemble, pairs=pairs)
+    values = pieces.simulate(config.simulation.ensemble).differences(pairs.indices)
     progress.enter("moments")
     mfield = estimate_pair_moments(values, pairs, mom.p)
     per_lag = []
@@ -688,8 +674,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run a preset pipeline; deterministic given (config, seed).
 
     When out_dir is set, writes report.json, timing.json, and the plot-data
-    CSV bundle there; on failure flushes a FAILED.json marker naming the
-    stage that failed, then re-raises.
+    CSV bundle there; on any exception flushes a FAILED.json marker naming the
+    stage that failed and the exception's class, then re-raises.
     """
     out = Path(out_dir) if out_dir else None
     if out is not None:
@@ -698,7 +684,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     progress = Stages(config.experiment)  # runners enter their sub-stages
     try:
         verdicts, modules = _RUNNERS[config.experiment](config, progress)
-    except HolderLabError as exc:
+    except Exception as exc:
         if out is not None:
             write_json(out / "FAILED.json",
                        {"stage": progress.stage, "error": type(exc).__name__,

@@ -4,9 +4,10 @@ Pair subsampling replaces the full double integral over a cylinder by
 uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
 Pairs depend only on the saved lattice, so they can be drawn before simulating;
-the estimator reads u(X) - u(Y) from a FieldEnsemble or a PairEnsemble built for them, one
-block of pairs at a time (a requested lag whole, or a chunk of within-cylinder pairs), so no
-(M, pairs) array is ever whole.  The lattice, like the field, is 1-D.
+the estimator reads u(X) - u(Y) = D w^T from the PairEnsemble built for them
+(FieldEnsemble.differences), one block of pairs at a time (a requested lag whole, or a chunk
+of within-cylinder pairs), so no (M, pairs) array is ever whole.  The lattice, like the field,
+is 1-D.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ class PairSet:
     @property
     def size(self) -> int:
         return self.t_idx1.size
+
+    @property
+    def indices(self) -> tuple:
+        """(t_idx1, s_idx1, t_idx2, s_idx2), the pairs FieldEnsemble.differences takes."""
+        return self.t_idx1, self.s_idx1, self.t_idx2, self.s_idx2
 
     @classmethod
     def concatenate(cls, sets) -> "PairSet":
@@ -103,8 +109,8 @@ def _pair_blocks(pairs: PairSet, M: int) -> list:
 
 
 def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
-    """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from a
-    FieldEnsemble or a PairEnsemble built for these pairs.
+    """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from the
+    PairEnsemble built for these pairs.
 
     One block of pairs at a time (_pair_blocks), and one (M, block size) float64 array alive
     at a time: the block is reduced in place and released before the next is formed.  As a lag

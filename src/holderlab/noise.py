@@ -162,27 +162,23 @@ def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:
     return NoisePath(kind="poisson", horizon=spec.horizon, dt=spec.dt, times=times, marks=marks)
 
 
-def slab_cumulant(spec: NoiseSpec, mark_family: str, n: int) -> float:
+def slab_cumulant(spec: NoiseSpec, n: int) -> float:
     """n-th cumulant of one time slab's uncompensated weight: dt at n = 2 (else 0) for the
-    Brownian increment, intensity * E[g1(z)^n] * dt for the sum of g1(z) over the slab's
-    Poisson events, with g1(z) = 1 ("one") or z ("identity": odd n give 0, as both mark
-    laws are symmetric)."""
+    Brownian increment, intensity * E[z^n] * dt for the sum of the marks z of the slab's
+    Poisson events (odd n give 0, as both mark laws are symmetric)."""
     if spec.kind == "brownian":
         return spec.dt if n == 2 else 0.0
-    if mark_family == "one":
-        m_n = 1.0
-    else:
-        m_n = 0.0 if n % 2 else spec.jump.mark.abs_moment(float(n))
+    m_n = 0.0 if n % 2 else spec.jump.mark.abs_moment(float(n))
     return spec.jump.intensity * m_n * spec.dt
 
 
-def slab_weights(spec: NoiseSpec, mark_family: str, M: int, slabs: int) -> np.ndarray:
+def slab_weights(spec: NoiseSpec, M: int, slabs: int) -> np.ndarray:
     """w[m, k] for the first slabs slabs k: slab k's weight in realization m (stream m),
-    centered by its first cumulant: the increment dW_k, or the sum of g1(z) over the events
-    binned into slab k minus slab_cumulant(spec, mark_family, 1).  Each path is drawn whole,
-    so a column does not depend on slabs."""
+    centered by its first cumulant: the increment dW_k, or the sum of the marks of the events
+    binned into slab k minus slab_cumulant(spec, 1).  Each path is drawn whole, so a column
+    does not depend on slabs."""
     n_t = spec.steps
-    comp = slab_cumulant(spec, mark_family, 1)
+    comp = slab_cumulant(spec, 1)
     w = np.empty((M, slabs))
     for m in range(M):
         path = sample_path(spec, m)
@@ -190,6 +186,5 @@ def slab_weights(spec: NoiseSpec, mark_family: str, M: int, slabs: int) -> np.nd
             w[m] = path.increments[:slabs]
             continue
         bins = np.clip(np.floor(path.times / spec.dt).astype(int), 0, n_t - 1)
-        marks = path.marks if mark_family == "identity" else None
-        w[m] = np.bincount(bins, weights=marks, minlength=n_t)[:slabs] - comp
+        w[m] = np.bincount(bins, weights=path.marks, minlength=n_t)[:slabs] - comp
     return w

@@ -1,16 +1,24 @@
-import itertools
-
+import numpy as np
 import pytest
+
+from holderlab.convolution import _slab_differences, even_blocks
 
 
 @pytest.fixture
-def simulate(tmp_path):
-    """simulate(convolve, *args, **kwargs): convolve's field streamed to a new sink under
-    tmp_path, as (the stored ensemble, all its values read back whole, values.rows(0, M))."""
-    names = itertools.count()
+def simulate():
+    """simulate(convolve, *args, **kwargs): (convolve's ensemble of slab weights, the field it
+    determines at every saved time and lattice point, (M, saved times, n)), read through the
+    slab differences as u(t, x) - u(0, x) = D w^T, since u(0, .) = 0."""
 
     def run(convolve, *args, **kwargs):
-        ens = convolve(*args, sink=str(tmp_path / f"field{next(names)}"), **kwargs)
-        return ens, ens.values.rows(0, ens.values.shape[0])
+        ens = convolve(*args, **kwargs)
+        n, M = ens.grid.points, ens.values.shape[0]
+        t = np.repeat(ens.time_indices, n)
+        s = np.tile(np.arange(n), ens.time_indices.size)
+        diff = _slab_differences(ens.kernel, ens.grid, ens.g, ens.noise, t, s, 0 * t, s)
+        values = np.empty((M, t.size))
+        for lo, hi in even_blocks(t.size, 2**12):
+            values[:, lo:hi] = (diff.rows(slice(lo, hi)) @ ens.values.T).T
+        return ens, values.reshape(M, -1, n)
 
     return run

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare holderlab against; no pipeline runs them:
 the kernels' closed forms in the FFT's native order, the Ito and compensated-Poisson
-integrals of a deterministic integrand, the slab differences as one gather of the whole
-profile table, and the Campanato inclusion test."""
+integrals of a deterministic integrand, the field as its Ito sum at each saved time on its
+own, the slab differences as one gather of the whole profile table, and the Campanato
+inclusion test."""
 
 import math
 
@@ -99,7 +100,7 @@ def ito_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
     if spec.kind != "brownian":
         raise ValueError("ito_ensemble needs brownian noise")
     t = spec.dt * np.arange(spec.steps)
-    return slab_weights(spec, "identity", M, spec.steps) @ np.asarray(h(t), dtype=float)
+    return slab_weights(spec, M, spec.steps) @ np.asarray(h(t), dtype=float)
 
 
 def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
@@ -118,6 +119,29 @@ def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
         path = sample_path(spec, m)
         vals = np.asarray(h(path.times, path.marks), dtype=float)
         out[m] = vals.sum() - comp
+    return out
+
+
+def slab_spectra(g, grid: SpectralGrid, dt: float, n: int) -> np.ndarray:
+    """The rfft of g(k dt, .) for each slab k < n, each built on its own from the ascending |x|
+    shifted to the FFT's native order, not from a base spectrum and a zero-mode shift."""
+    radius = np.abs(grid.axis())
+    return np.array([np.fft.rfft(np.fft.ifftshift(g.evaluate(k * dt, radius)))
+                     for k in range(n)])
+
+
+def per_time_field(kernel, grid: SpectralGrid, g, noise: NoiseSpec, weights,
+                   save_times) -> np.ndarray:
+    """The 1-D field (M, saved times, n) of the slab weights (M, >= last saved index), ascending
+    from -L: at each saved index i on its own, the inverse FFT of
+    u_hat_i = sum_{k < i} w_k Q[i - k] g_hat_k, with no recursion from one time to the next."""
+    q = _lag_symbols(kernel, grid, noise.dt, noise.steps)
+    ghat = slab_spectra(g, grid, noise.dt, noise.steps)
+    out = np.empty((len(weights), len(save_times), grid.points))
+    for pos, i in enumerate(save_times):
+        a = q[i:0:-1] * ghat[:i]
+        u_hat = weights[:, :i] @ a.real + 1j * (weights[:, :i] @ a.imag)
+        out[:, pos] = np.fft.fftshift(np.fft.irfft(u_hat, grid.points), axes=-1)
     return out
 
 

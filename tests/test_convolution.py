@@ -11,8 +11,6 @@ from holderlab.convolution import (
     FieldEnsemble,
     Lattice,
     PairEnsemble,
-    PairValues,
-    StoredField,
     TestFunctionSpec,
     _g_spectrum,
     _lag_symbols,
@@ -33,7 +31,7 @@ from holderlab.noise import (
     slab_cumulant,
     slab_weights,
 )
-from oracles import gathered_slab_differences
+from oracles import gathered_slab_differences, per_time_field, slab_spectra
 
 KERNEL = KernelSpec(alpha=2.0)
 GRID = SpectralGrid(length=4.0, points=256, dim=1)
@@ -48,8 +46,6 @@ def test_g_family_validation():
         TestFunctionSpec(family="wavelet")
     with pytest.raises(ValueError):
         TestFunctionSpec(family="parabolic-power", beta=1.2)
-    with pytest.raises(ValueError):
-        TestFunctionSpec(mark_family="cubed")
     g = TestFunctionSpec(family="parabolic-power", beta=0.5, amplitude=2.0)
     assert g.evaluate(0.0, np.array([0.0]))[0] == 0.0  # vanishes at the origin
 
@@ -145,7 +141,7 @@ def test_ito_isometry_oracle_vs_monte_carlo(simulate):
 
 
 def test_poisson_mean_zero_and_isometry(simulate):
-    g = TestFunctionSpec(family="constant", amplitude=1.0, mark_family="identity")
+    g = TestFunctionSpec(family="constant", amplitude=1.0)
     M = 3000
     _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=M, save_times=[64])
     u = values[:, 0, 100]
@@ -156,21 +152,8 @@ def test_poisson_mean_zero_and_isometry(simulate):
     assert abs(sq.mean() - target) < 3.0 * sq.std() / math.sqrt(M)
 
 
-def test_poisson_compensator_active_for_one_marks(simulate):
-    # g1 = 1 has nonzero mark mean: the compensator must recentre the field
-    g = TestFunctionSpec(family="constant", amplitude=1.0, mark_family="one")
-    M = 3000
-    _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=M, save_times=[128])
-    u = values[:, 0, 30]
-    se = u.std() / math.sqrt(M)
-    assert abs(u.mean()) < 3.0 * se
-    # variance: lambda T E[g1^2] = 10 * 1 * 1
-    sq = u**2
-    assert abs(sq.mean() - 10.0) < 3.0 * sq.std() / math.sqrt(M)
-
-
 def test_poisson_oracle_matches(simulate):
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5, mark_family="identity")
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     M = 2500
     _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=M, save_times=[64, 128])
     oracle = second_moment_pairs(KERNEL, GRID, g, POISSON,
@@ -184,7 +167,7 @@ def test_poisson_oracle_matches(simulate):
 def test_adaptedness_events_after_t_do_not_matter(simulate):
     # u(t) must not see jumps after t: build a path with a late event by
     # checking that u at an early time has no dependence on horizon tail
-    g = TestFunctionSpec(family="constant", amplitude=1.0, mark_family="identity")
+    g = TestFunctionSpec(family="constant", amplitude=1.0)
     _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=4, save_times=[16])
     for m in range(4):
         path = sample_path(POISSON, m)
@@ -198,64 +181,93 @@ def test_adaptedness_events_after_t_do_not_matter(simulate):
 def test_ensemble_save_load_roundtrip(tmp_path):
     g = TestFunctionSpec(family="parabolic-power", beta=0.4)
     prefix = str(tmp_path / "ens")
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=3, save_times=[0, 64],
-                            dtype=np.float32, sink=prefix)
+    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=3, save_times=[0, 64])
+    ens.save(prefix)
     back = FieldEnsemble.load(prefix)
-    assert back.values == ens.values
-    assert back.values.rows(0, 3).dtype == np.float32
+    assert back.values.dtype == np.float64 and back.values.shape == (3, 64)
+    assert np.array_equal(back.values, ens.values)
     assert np.array_equal(back.time_indices, ens.time_indices)
     assert back.kernel == ens.kernel
     assert back.g == ens.g
     assert back.noise.seed == ens.noise.seed
 
-    # sidecars written before NoiseSpec.p0, KernelSpec.method and the top-level dt (now
-    # noise.dt) were removed still load; a stale dt is not read
+    # sidecars written before NoiseSpec.p0, KernelSpec.method, TestFunctionSpec.mark_family
+    # and the top-level dt (now noise.dt) were removed still load; a stale dt is not read
     side = json.loads((tmp_path / "ens.json").read_text())
-    assert "p0" not in side["noise"] and "dt" not in side
+    assert "p0" not in side["noise"] and "dt" not in side and "mark_family" not in side["g"]
     assert sorted(side["kernel"]) == ["alpha", "dim", "epsilon"]
     side["noise"]["p0"] = 4.0
     side["kernel"]["method"] = "closed-form"
+    side["g"]["mark_family"] = "identity"
     side["dt"] = 2.0 * BROWNIAN.dt
     (tmp_path / "ens.json").write_text(json.dumps(side))
     old = FieldEnsemble.load(prefix)
     assert old.noise == ens.noise and old.dt == BROWNIAN.dt
-    assert old.kernel == ens.kernel
-    assert np.array_equal(old.values.rows(0, 3), ens.values.rows(0, 3))
+    assert old.kernel == ens.kernel and old.g == ens.g
+    assert np.array_equal(old.values, ens.values)
 
 
 def test_poisson_ensemble_save_load_roundtrip(tmp_path):
     noise = NoiseSpec(kind="poisson", horizon=1.0, steps=128, seed=4,
                       jump=JumpSpec(intensity=7.5, mark=MarkLaw("gaussian", 0.6)))
-    g = TestFunctionSpec(family="spatial-power", beta=0.3, mark_family="one")
+    g = TestFunctionSpec(family="spatial-power", beta=0.3)
     prefix = str(tmp_path / "ens")
-    ens = convolve_poisson(KERNEL, GRID, g, noise, M=2, save_times=[32, 128], sink=prefix)
+    ens = convolve_poisson(KERNEL, GRID, g, noise, M=2, save_times=[32, 128])
+    ens.save(prefix)
     side = json.loads((tmp_path / "ens.json").read_text())
     assert side["noise"]["jump"] == {"intensity": 7.5,
                                      "mark": {"family": "gaussian", "parameter": 0.6}}
+    assert side["weights"] == [2, 128] and side["shape"] == [2, 2, GRID.points]
     back = FieldEnsemble.load(prefix)
     assert (back.noise, back.g, back.kernel, back.grid) == (noise, g, KERNEL, GRID)
-    assert back.values == ens.values
-    assert ens.values.rows(0, 2).any()
+    assert np.array_equal(back.values, ens.values)
+    assert ens.values.any()
     assert np.array_equal(back.time_indices, ens.time_indices)
 
 
-@pytest.mark.parametrize("blocks", [
-    [np.zeros((2, 3, 16), np.float32)],
-    [np.zeros((40, 3, 16), np.float32), np.zeros((1, 3, 16), np.float32)],
-    [np.zeros((40, 3, 16), np.float64)],
-    [np.zeros((40, 3, 8), np.float32), np.zeros((40, 3, 8), np.float32)],
-], ids=["too-few-rows", "too-many-rows", "float64-block", "half-rows"])
-def test_save_refuses_blocks_that_do_not_fill_the_field(tmp_path, blocks):
-    # checked before either rename: no .bin, sidecar or partial file is left
-    ens = FieldEnsemble(values=StoredField(str(tmp_path / "ens.bin"), (40, 3, 16),
-                                           np.dtype(np.float32)),
-                        time_indices=np.array([0, 4, 8]),
+@pytest.mark.parametrize("weights", [
+    np.zeros((40, 7)), np.zeros((40, 9)), np.zeros((40, 8), np.float32), np.zeros(40),
+], ids=["too-few-slabs", "too-many-slabs", "float32-weights", "one-dimensional"])
+def test_save_refuses_weights_that_are_not_the_ensembles(tmp_path, weights):
+    # checked before anything is written: no .bin, sidecar or partial file is left
+    ens = FieldEnsemble(values=weights, time_indices=np.array([0, 4, 8]),
                         grid=SpectralGrid(length=1.0, points=16), kernel=KERNEL,
                         g=TestFunctionSpec(),
                         noise=NoiseSpec(kind="brownian", horizon=1.0, steps=8, seed=1))
-    with pytest.raises(ValueError, match="field of"):
-        ens.save(str(tmp_path / "ens"), blocks)
+    with pytest.raises(ValueError, match="weights of shape"):
+        ens.save(str(tmp_path / "ens"))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fail", ["sidecar-write", "bin-rename", "sidecar-rename"])
+def test_save_never_leaves_a_sidecar_over_another_bin(tmp_path, monkeypatch, fail):
+    # a save that fails at any step after the .bin was written leaves the previous ensemble
+    # whole, or (once the previous sidecar is gone) no sidecar at all: a sidecar never meets a
+    # .bin it was not written with, and no .partial file is left
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    prefix = str(tmp_path / "ens")
+    convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=3, save_times=[0, 64]).save(prefix)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    dump, replace, renames = json.dump, convolution.os.replace, iter(["bin-rename",
+                                                                       "sidecar-rename"])
+
+    def stopped(step, original):
+        def run(*args, **kwargs):
+            if step() == fail:
+                raise OSError(f"stopped at {fail}")
+            return original(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(convolution.json, "dump", stopped(lambda: "sidecar-write", dump))
+    monkeypatch.setattr(convolution.os, "replace", stopped(lambda: next(renames), replace))
+    with pytest.raises(OSError, match=f"stopped at {fail}"):
+        convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=5, save_times=[0, 64]).save(prefix)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if fail == "sidecar-write":
+        assert after == before
+    else:  # the previous sidecar was removed first; the new one never arrived
+        assert sorted(after) == ["ens.bin"]
+        assert len(after["ens.bin"]) == {"bin-rename": 3, "sidecar-rename": 5}[fail] * 64 * 8
 
 
 @pytest.mark.parametrize("kernel_dim, grid_dim", [(2, 2), (1, 2), (2, 1)])
@@ -267,48 +279,17 @@ def test_the_field_is_one_dimensional(kernel_dim, grid_dim):
     pairs = ([64], [3], [0], [3])
     calls = [lambda: convolve_brownian(kernel, grid, g, BROWNIAN, M=2, save_times=[0, 64]),
              lambda: convolve_poisson(kernel, grid, g, POISSON, M=2, save_times=[0, 64]),
-             lambda: convolve_brownian(kernel, grid, g, BROWNIAN, M=2, save_times=[0, 64],
-                                       pairs=pairs),
              lambda: second_moment_pairs(kernel, grid, g, BROWNIAN, *pairs)]
     for call in calls:
         with pytest.raises(GridMismatch, match="the field is 1-D"):
             call()
 
 
-def _irfft_fftshift(freq, grid):
-    """Inverse rfft then numpy's fftshift, independent of the engine's half swap."""
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.fftshift(np.fft.irfftn(freq, s=(grid.points,) * grid.dim, axes=axes), axes=axes)
-
-
-def _slab_spectra(g, grid, dt, n):
-    """DFT of g(k dt, .) for each slab k < n, each built on its own from the ascending |x|
-    shifted to native order, flattened frequencies."""
-    radius = np.abs(grid.axis())
-    return np.array([np.fft.rfftn(np.fft.ifftshift(g.evaluate(k * dt, radius))).ravel()
-                     for k in range(n)])
-
-
-def _reference_convolve(kernel, grid, g, noise, M, save_times):
-    """The Ito sum rebuilt from slab 0 at every saved index, in save order."""
-    n_t, dt = noise.steps, noise.dt
-    idx = np.array(save_times)
-    q = _lag_symbols(kernel, grid, dt, n_t)
-    ghat = _slab_spectra(g, grid, dt, n_t)
-    w = slab_weights(noise, g.mark_family, M, n_t)
-    freq_shape = _freq_radius(grid).shape
-    out = np.zeros((M, idx.size) + (grid.points,) * grid.dim)
-    for pos, i in enumerate(idx):
-        if i == 0:
-            continue
-        a = q[i:0:-1] * ghat[:i]
-        u_hat = w[:, :i] @ a.real + 1j * (w[:, :i] @ a.imag)
-        out[:, pos] = _irfft_fftshift(u_hat.reshape((M,) + freq_shape), grid)
-    return idx, out
-
-
 FRACTIONAL = KernelSpec(alpha=1.5, epsilon=0.3)
 FRACTIONAL_GRID = SpectralGrid(length=4.0, points=960)  # resolves the midpoint lag dt/2
+CAUCHY_GRID = SpectralGrid(length=1.0, points=1152)  # resolves dt/2 = 1/64 at alpha = 1
+GAUSSIAN_MARKS = NoiseSpec(kind="poisson", horizon=1.0, steps=128, seed=9,
+                           jump=JumpSpec(intensity=10.0, mark=MarkLaw("gaussian", 0.7)))
 # Saved times are strictly increasing, as the engine requires; the case names are test ids.
 ENGINE_CASES = {
     "brownian-constant-unsorted": (
@@ -323,10 +304,15 @@ ENGINE_CASES = {
     "poisson-parabolic-unsorted": (
         KERNEL, GRID, TestFunctionSpec(family="parabolic-power", beta=0.5),
         POISSON, [0, 2, 57, 100, 128]),
-    "poisson-spatial-eps-one-marks": (
-        FRACTIONAL, FRACTIONAL_GRID,
-        TestFunctionSpec(family="spatial-power", beta=0.3, mark_family="one"),
+    "poisson-spatial-eps": (
+        FRACTIONAL, FRACTIONAL_GRID, TestFunctionSpec(family="spatial-power", beta=0.3),
         POISSON, [0, 31, 32, 128]),
+    "poisson-gaussian-marks-constant": (
+        KERNEL, GRID, TestFunctionSpec(family="constant", amplitude=0.5),
+        GAUSSIAN_MARKS, [0, 5, 64, 127]),
+    "brownian-cauchy-parabolic": (
+        KernelSpec(alpha=1.0), CAUCHY_GRID, TestFunctionSpec(family="parabolic-power", beta=0.3),
+        NoiseSpec(kind="brownian", horizon=1.0, steps=32, seed=4), [0, 8, 16, 24, 32]),
 }
 
 
@@ -334,7 +320,7 @@ ENGINE_CASES = {
 def test_g_spectrum_is_one_base_spectrum_and_a_zero_mode_shift(case):
     _, grid, g, noise, _ = ENGINE_CASES[case]
     base, zero = _g_spectrum(g, grid, noise.dt, noise.steps)
-    want = _slab_spectra(g, grid, noise.dt, noise.steps)
+    want = slab_spectra(g, grid, noise.dt, noise.steps)
     got = np.tile(base, (noise.steps, 1))
     got[:, 0] += zero
     assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * np.max(np.abs(want), axis=1))
@@ -354,32 +340,32 @@ def test_g_spectrum_base_is_the_shifted_ascending_transform_bitwise(preset):
 
 
 @pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
-def test_saved_times_are_the_ones_the_sidecar_loads(simulate, noise):
+def test_saved_times_are_the_ones_the_sidecar_loads(tmp_path, noise):
     # the engine refuses what FieldEnsemble.load refuses, so every ensemble it writes loads
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    pairs = ([64], [3], [0], [5])
     for bad in ([64, 32, 32, 0], [0, 64, 32], [0, 32, 32, 64], []):
-        for kwargs in ({}, {"pairs": pairs}):
-            with pytest.raises(GridMismatch, match="strictly increasing"):
-                convolve(KERNEL, GRID, g, noise, M=2, save_times=bad, **kwargs)
+        with pytest.raises(GridMismatch, match="strictly increasing"):
+            convolve(KERNEL, GRID, g, noise, M=2, save_times=bad)
     for saved in ([0, 32.0, 64], [64], range(noise.steps + 1)):
-        ens, values = simulate(convolve, KERNEL, GRID, g, noise, M=2, save_times=saved,
-                               dtype=np.float32)
-        back = FieldEnsemble.load(ens.values.path.removesuffix(".bin"))
-        assert np.array_equal(back.values.rows(0, 2), values)
+        ens = convolve(KERNEL, GRID, g, noise, M=2, save_times=saved)
+        ens.save(str(tmp_path / "ens"))
+        back = FieldEnsemble.load(str(tmp_path / "ens"))
+        assert np.array_equal(back.values, ens.values)
+        assert back.values.shape == (2, int(ens.time_indices[-1]))
         assert np.array_equal(back.time_indices, ens.time_indices)
         assert (back.grid, back.kernel, back.g, back.noise) == (GRID, KERNEL, g, noise)
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_forward_pass_matches_per_time_sum(simulate, case):
+def test_field_at_every_lattice_point_matches_the_per_time_sum(simulate, case):
+    # the engine read at every saved time and lattice point (the simulate fixture, which the
+    # field tests above use) against the Ito sum at each saved time on its own
     kernel, grid, g, noise, save_times = ENGINE_CASES[case]
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
     ens, values = simulate(convolve, kernel, grid, g, noise, M=5, save_times=save_times)
-    idx, ref = _reference_convolve(kernel, grid, g, noise, 5, save_times)
-    assert np.array_equal(ens.time_indices, idx)
-    assert ens.values.shape == values.shape == ref.shape
+    ref = per_time_field(kernel, grid, g, noise, ens.values, save_times)
+    assert values.shape == ref.shape == (5, len(save_times), grid.points)
     assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -392,46 +378,37 @@ def test_lag_symbols_are_the_scalar_symbol_calls_bitwise(case):
     assert np.array_equal(_lag_symbols(kernel, grid, dt, n_t), np.array(want))
 
 
-@pytest.mark.parametrize("mark_family", ["identity", "one"])
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_slab_weights_and_cumulants_are_the_per_kind_formulas_bitwise(case, mark_family):
-    # the compensator lambda E[g1] dt and the variance dt or lambda E[g1^2] dt, spelled out
+def test_slab_weights_and_cumulants_are_the_per_kind_formulas_bitwise(case):
+    # the compensator lambda E[z] dt = 0 and the variance dt or lambda E[z^2] dt, spelled out
     noise, M = ENGINE_CASES[case][3], 3
     if noise.kind == "brownian":
         mean, var = 0.0, noise.dt
         w = np.stack([sample_path(noise, m).increments for m in range(M)])
     else:
-        law, one = noise.jump.mark, mark_family == "one"
-        mean = noise.jump.intensity * (1.0 if one else 0.0) * noise.dt
-        var = noise.jump.intensity * (1.0 if one else law.second_moment) * noise.dt
+        mean = 0.0
+        var = noise.jump.intensity * noise.jump.mark.second_moment * noise.dt
         w = np.empty((M, noise.steps))
         for m in range(M):
             path = sample_path(noise, m)
             slabs = np.clip(np.floor(path.times / noise.dt).astype(int), 0, noise.steps - 1)
-            marks = np.ones_like(path.marks) if one else path.marks
-            w[m] = np.bincount(slabs, weights=marks, minlength=noise.steps) - mean
-    assert slab_cumulant(noise, mark_family, 1).hex() == mean.hex()
-    assert slab_cumulant(noise, mark_family, 2).hex() == var.hex()
-    assert np.array_equal(slab_weights(noise, mark_family, M, noise.steps), w)
+            w[m] = np.bincount(slabs, weights=path.marks, minlength=noise.steps) - mean
+    assert slab_cumulant(noise, 1).hex() == mean.hex()
+    assert slab_cumulant(noise, 2).hex() == var.hex()
+    assert np.array_equal(slab_weights(noise, M, noise.steps), w)
 
 
 def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     """Exact second moments from one i-row profile cache per time index."""
     n_t, dt = noise.steps, noise.dt
     q = _lag_symbols(kernel, grid, dt, n_t)
-    ghat = _slab_spectra(g, grid, dt, n_t)
-    freq_shape = _freq_radius(grid).shape
-    n_space = grid.points ** grid.dim
-    if noise.kind == "brownian":
-        weight_var = dt
-    else:
-        mark_square = 1.0 if g.mark_family == "one" else noise.jump.mark.abs_moment(2.0)
-        weight_var = noise.jump.intensity * mark_square * dt
+    ghat = slab_spectra(g, grid, dt, n_t)
+    weight_var = dt if noise.kind == "brownian" else (
+        noise.jump.intensity * noise.jump.mark.abs_moment(2.0) * dt)
     cache = {}
     for i in np.unique(np.concatenate([idx1, idx2])):
         i = int(i)
-        rows = _irfft_fftshift((q[i:0:-1] * ghat[:i]).reshape((i,) + freq_shape), grid)
-        cache[i] = rows.reshape(i, n_space)
+        cache[i] = np.fft.fftshift(np.fft.irfft(q[i:0:-1] * ghat[:i], grid.points), axes=-1)
     out = np.empty(len(idx1))
     for n, (i1, j1, i2, j2) in enumerate(zip(idx1, pos1, idx2, pos2)):
         f1, f2 = cache[int(i1)][:, j1], cache[int(i2)][:, j2]
@@ -445,7 +422,7 @@ def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
 
 @pytest.mark.parametrize("case", ["brownian-parabolic-eps-times",
                                   "poisson-parabolic-unsorted",
-                                  "poisson-spatial-eps-one-marks"])
+                                  "poisson-spatial-eps"])
 def test_oracle_profiles_match_per_time_cache(case):
     kernel, grid, g, noise, _ = ENGINE_CASES[case]
     lattice = Lattice(noise.dt, grid, np.arange(0, noise.steps + 1, 2))
@@ -483,54 +460,56 @@ def _pair_set(t1, s1, t2, s2):
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
-def test_pair_sink_equals_the_full_field_differences(simulate, case):
-    # the two engines check each other: the forward pass's field, gathered at the pair
-    # members, against the slab differences applied to the same slab weights
+def test_pair_differences_equal_the_per_time_oracle(case):
+    # the slab differences applied to the slab weights, against the field of the same weights
+    # summed at each saved time on its own (tests/oracles.py), gathered at the pair members
     kernel, grid, g, noise, save_times = ENGINE_CASES[case]
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
-    full, _ = simulate(convolve, kernel, grid, g, noise, M=5, save_times=save_times)
+    ens = convolve(kernel, grid, g, noise, M=5, save_times=save_times)
+    field = per_time_field(kernel, grid, g, noise, ens.values, save_times)
     rng = np.random.default_rng(1)
-    t1, t2 = rng.choice(full.time_indices, (2, 40))
-    s1, s2 = rng.integers(0, grid.points ** grid.dim, (2, 40))
+    t1, t2 = rng.choice(ens.time_indices, (2, 40))
+    s1, s2 = rng.integers(0, grid.points, (2, 40))
     # the ends and the middle of the ascending axis, where its map to native order wraps
-    n, last = grid.points, full.time_indices[-1]
+    n, last = grid.points, ens.time_indices[-1]
     t1, s1 = np.append(t1, [last] * 2), np.append(s1, [0, n // 2 - 1])
     t2, s2 = np.append(t2, [last] * 2), np.append(s2, [n - 1, n // 2])
     # every case saves time index 0, where u = 0; the last pair is one point twice
     t1, s1 = np.append(t1, [0, t1[0]]), np.append(s1, [7, s1[0]])
     t2, s2 = np.append(t2, [0, t1[0]]), np.append(s2, [9, s1[0]])
+    pos = {int(i): p for p, i in enumerate(ens.time_indices)}
+    want = (field[:, [pos[i] for i in t1], s1] - field[:, [pos[i] for i in t2], s2])
     pairs = (t1, s1, t2, s2)
-    [want] = full.difference_blocks(_pair_set(*pairs))
-    exact = convolve(kernel, grid, g, noise, M=5, save_times=save_times, pairs=pairs)
-    [got] = exact.difference_blocks(_pair_set(*pairs))
+    held = ens.differences(pairs)
+    assert isinstance(held, PairEnsemble) and held.values.shape == (5, last)
+    [got] = held.difference_blocks(_pair_set(*pairs))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert not got[:, -2:].any()
-    stored = convolve(kernel, grid, g, noise, M=5, save_times=save_times, dtype=np.float32,
-                      pairs=pairs)
-    [rounded] = stored.difference_blocks(_pair_set(*pairs))
-    assert np.array_equal(rounded, got.astype(np.float32))
-    oracle = second_moment_pairs(kernel, grid, g, noise, *pairs)
-    for ens, dtype in ((exact, np.float64), (stored, np.float32)):
-        assert np.array_equal(ens.second_moments, oracle)  # the same D, the same isometry
-        assert isinstance(ens, PairEnsemble)
-        assert ens.values == PairValues((5, t1.size), np.dtype(dtype))  # never formed whole
-        [block] = ens.difference_blocks(_pair_set(*pairs))
-        assert block.dtype == np.float64 and block.shape == (5, t1.size)
-        assert block.strides[0] == block.itemsize  # realization axis contiguous
-        assert np.array_equal(ens.time_indices, full.time_indices)
+    assert got.shape == (5, t1.size) and got.strides[0] == got.itemsize  # realizations inner
+    # the same D gives the exact second moments
+    assert np.array_equal(held.second_moments, second_moment_pairs(kernel, grid, g, noise, *pairs))
+    assert np.array_equal(held.time_indices, ens.time_indices)
 
 
-def test_pair_sink_rejects_pairs_off_the_saved_lattice(simulate, tmp_path):
+@pytest.mark.parametrize("route", ["simulated", "loaded"])
+def test_pair_differences_reject_pairs_off_the_saved_lattice(tmp_path, route):
+    # for the pairs of a simulated ensemble, as the presets read them, and of a loaded one, as
+    # the CLI reads them
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64]).save(
+        str(tmp_path / "ens"))
+    loaded = FieldEnsemble.load(str(tmp_path / "ens"))
 
     def run(t, s, first=True):
         other = ([0] * len(t), [5] * len(s))
         pairs = (t, s) + other if first else other + (t, s)
-        return convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64],
-                                 dtype=np.float32, pairs=pairs)
+        if route == "loaded":
+            return loaded.differences(pairs)
+        return convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2,
+                                 save_times=[0, 64]).differences(pairs)
 
     held = run([64, 64.0, 0], [3, 200, 255])
-    assert held.values.shape == (2, 3)
+    assert held.values.shape == (2, 64)
     [diff] = held.difference_blocks(_pair_set([64, 64, 0], [3, 200, 255], [0] * 3, [5] * 3))
     assert diff.any()
     for t, s, error in [([32], [3], GridMismatch),  # on the lattice but not saved
@@ -545,26 +524,18 @@ def test_pair_sink_rejects_pairs_off_the_saved_lattice(simulate, tmp_path):
                   _pair_set([0] * 3, [5] * 3, [64, 64, 0], [3, 200, 255])):  # held, swapped
         with pytest.raises(PairOffGrid):
             next(held.difference_blocks(other))
-    full, values = simulate(convolve_brownian, KERNEL, GRID, g, BROWNIAN, M=2,
-                            save_times=[0, 64])
-    with pytest.raises(GridMismatch):
-        full.at([32], [3])
-    with pytest.raises(PairOffGrid):
-        full.at([64], [GRID.points])
-    assert np.array_equal(full.at([64, 0], [3, 3]), values[:, [1, 0], 3])
-    with pytest.raises(ValueError, match="one of pairs and sink"):
-        convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64])
-    with pytest.raises(ValueError, match="one of pairs and sink"):
-        convolve_brownian(KERNEL, GRID, g, BROWNIAN, M=2, save_times=[0, 64],
-                          pairs=([64], [3], [0], [5]), sink=str(tmp_path / "ens"))
 
 
-def _forward_pass_pieces(preset):
+def _regularity_pieces(preset):
     if preset:  # 1,024 points and steps, the preset's saved times
         return build_regularity(default_config("brownian-regularity"))
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    return RegularityPieces(KERNEL, GRID, BROWNIAN, g, [0.25], list(range(32, 129, 8)),
-                            "float32")
+    return RegularityPieces(KERNEL, GRID, BROWNIAN, g, [0.25], list(range(32, 129, 8)))
+
+
+def _pairs_of(pieces, M, pairs):
+    """The presets' route: M realizations simulated, then the PairEnsemble of pairs."""
+    return pieces.simulate(M).differences(pairs.indices)
 
 
 def _peak(run):
@@ -577,29 +548,18 @@ def _peak(run):
 
 
 @pytest.mark.parametrize("preset", [False, True], ids=["small", "brownian-preset"])
-def test_streamed_pass_holds_one_block_of_the_sink(tmp_path, preset):
-    # beyond its slab weights and (M, saved) zero-mode terms the pass holds one block of rows
-    # of the field, the lag symbols (twice while built) and, for that block, the real running
-    # sum, one saved time's spectrum and its inverse transform with their temporaries: under
-    # 3.5 (rows, 2F) float64 arrays, within what RegularityPieces.require_memory counts
+def test_simulate_holds_the_weights_and_one_path(tmp_path, preset):
+    # simulating to a sink draws the (M, k) slab weights one whole path at a time and writes
+    # them: beyond the weights it holds about one path of n_t increments and the sidecar,
+    # within what RegularityPieces.require_memory counts
     M = 2000
-    pieces = _forward_pass_pieces(preset)
-    n, n_t, saved = pieces.grid.points, pieces.noise.steps, len(pieces.saved)
-    _, rows = next(convolution._row_blocks(M, saved * n * 4))
-    assert rows < M
+    pieces = _regularity_pieces(preset)
+    n_t, k = pieces.noise.steps, pieces.saved[-1]
     ens, peak = _peak(lambda: pieces.simulate(M, sink=str(tmp_path / "ens")))
-    assert isinstance(ens.values, StoredField) and ens.values.shape == (M, saved, n)
-    held = peak - M * n_t * 8 - M * saved * 8
-    assert held < rows * saved * n * 4 + 8 * (n_t + 1) * (n + 2) + 3.5 * rows * (n + 2) * 8
+    assert ens.values.shape == (M, k)
+    assert (tmp_path / "ens.bin").stat().st_size == 8 * M * k
+    assert peak - 8 * M * k < 4 * 8 * n_t + 2**16
     assert peak <= pieces.require_memory(M)
-
-
-STREAM_SAVED = [0, 24, 64, 65, 128]
-STREAM_B = 4  # realizations of one block in the streaming tests
-
-
-def _row_bytes(dtype):
-    return len(STREAM_SAVED) * GRID.points * np.dtype(dtype).itemsize
 
 
 def test_even_blocks_cover_the_range_without_a_single_item_block():
@@ -614,78 +574,48 @@ def test_even_blocks_cover_the_range_without_a_single_item_block():
             assert min(sizes) >= 2 or n == 1
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 @pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
-def test_streamed_ensemble_bytes_do_not_depend_on_the_block(tmp_path, monkeypatch, noise,
-                                                            dtype):
-    # the .bin and sidecar streamed in blocks of at most B rows are the bytes of one block of
-    # all M, whatever the block of a realization
+def test_stored_realizations_do_not_depend_on_the_ensemble_size(tmp_path, noise):
+    # realization m is a function of (seed, m) alone: the .bin of M realizations is the first
+    # M rows of the .bin of more, and the sidecars differ only in M
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    B = STREAM_B
-    for M in (1, 2, B - 1, B + 1, 2 * B + 1):
-        monkeypatch.setattr(convolution, "FIELD_BLOCK", 2**40)
-        convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype, sink=str(tmp_path / "whole"))
-        monkeypatch.setattr(convolution, "FIELD_BLOCK", B * _row_bytes(dtype))
-        blocks = list(convolution._row_blocks(M, _row_bytes(dtype)))
-        assert blocks[0][0] == 0 and blocks[-1][1] == M
-        assert all(2 <= hi - lo <= B or M == 1 for lo, hi in blocks)
-        assert len(blocks) == -(-M // B)
-        streamed = convolve(KERNEL, GRID, g, noise, M, STREAM_SAVED, dtype,
-                            sink=str(tmp_path / "streamed"))
-        assert streamed.values == StoredField(str(tmp_path / "streamed.bin"),
-                                              (M, len(STREAM_SAVED), GRID.points),
-                                              np.dtype(dtype))
-        for suffix in (".bin", ".json"):
-            assert ((tmp_path / f"streamed{suffix}").read_bytes()
-                    == (tmp_path / f"whole{suffix}").read_bytes()), (M, suffix)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "streamed.bin", "streamed.json", "whole.bin", "whole.json"]
+    saved = [0, 24, 64, 65, 128]
+    for M in (1, 2, 9):
+        convolve(KERNEL, GRID, g, noise, M, saved).save(str(tmp_path / f"m{M}"))
+    whole = (tmp_path / "m9.bin").read_bytes()
+    for M in (1, 2):
+        assert (tmp_path / f"m{M}.bin").read_bytes() == whole[:8 * 128 * M]
+        side = json.loads((tmp_path / f"m{M}.json").read_text())
+        assert side == {**json.loads((tmp_path / "m9.json").read_text()),
+                        "shape": [M, len(saved), GRID.points], "weights": [M, 128]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "m1.bin", "m1.json", "m2.bin", "m2.json", "m9.bin", "m9.json"]
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-def test_block_reader_gathers_the_whole_rows(tmp_path, monkeypatch, dtype):
-    # realizations read one block at a time give at() and differences() bit for bit as a
-    # gather of the whole rows, realization axis contiguous
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    M = 2 * STREAM_B + 1
-    ens = convolve_brownian(KERNEL, GRID, g, BROWNIAN, M, STREAM_SAVED, dtype,
-                            sink=str(tmp_path / "ens"))
-    whole = np.fromfile(tmp_path / "ens.bin", dtype).reshape(M, len(STREAM_SAVED), GRID.points)
-    monkeypatch.setattr(convolution, "FIELD_BLOCK", STREAM_B * _row_bytes(dtype))
-    stored = FieldEnsemble.load(str(tmp_path / "ens"))
-    assert stored.values == ens.values
-    reads, rows = [], StoredField.rows
-    monkeypatch.setattr(StoredField, "rows",
-                        lambda self, lo, hi: reads.append((lo, hi)) or rows(self, lo, hi))
-    rng = np.random.default_rng(3)
-    t_idx = rng.choice(STREAM_SAVED, 40)
-    s_idx = rng.integers(0, GRID.points, 40)
-    got = stored.at(t_idx, s_idx)
-    assert reads == [(0, 3), (3, 6), (6, 9)]
-    assert got.dtype == dtype and got.strides[0] == np.dtype(dtype).itemsize
-    want = whole[:, [STREAM_SAVED.index(t) for t in t_idx], s_idx]
-    assert np.array_equal(got, want)
-    pairs = SimpleNamespace(t_idx1=t_idx[:20], s_idx1=s_idx[:20], t_idx2=t_idx[20:],
-                            s_idx2=s_idx[20:])
-    [diff] = stored.difference_blocks(pairs)
-    assert diff.strides == (8, 8 * M)
-    assert np.array_equal(diff, want[:, :20].astype(np.float64) - want[:, 20:])
-    with pytest.raises(GridMismatch):
-        stored.at([32], [3])
-    with pytest.raises(PairOffGrid):
-        stored.at([64], [GRID.points])
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_loaded_ensemble_gives_the_simulated_pair_differences_bit_for_bit(tmp_path, case):
+    # the CLI route, FieldEnsemble.load and then differences, is the presets' route exactly
+    kernel, grid, g, noise, save_times = ENGINE_CASES[case]
+    convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
+    lattice = Lattice(noise.dt, grid, np.array(save_times))
+    pairs = sample_pairs_dyadic(lattice, [0.25, 0.125], 8, seed=5)
+    held = convolve(kernel, grid, g, noise, 4, save_times).differences(pairs.indices)
+    convolve(kernel, grid, g, noise, 4, save_times).save(str(tmp_path / "ens"))
+    loaded = FieldEnsemble.load(str(tmp_path / "ens")).differences(pairs.indices)
+    [want], [got] = held.difference_blocks(pairs), loaded.difference_blocks(pairs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(loaded.second_moments, held.second_moments)
 
 
 @pytest.mark.parametrize("M", [40, 2000])
 @pytest.mark.parametrize("noise", [BROWNIAN, POISSON], ids=["brownian", "poisson"])
 def test_pair_path_peak_stays_within_the_counted_memory(noise, M):
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    pieces = RegularityPieces(KERNEL, GRID, noise, g, [0.25, 0.125], list(range(32, 129, 8)),
-                              "float32")
+    pieces = RegularityPieces(KERNEL, GRID, noise, g, [0.25, 0.125], list(range(32, 129, 8)))
     pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 256, seed=2)
     # the (M, pairs) product is formed, one lag at a time, by the estimator
-    ens, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    ens, peak = _peak(lambda: estimate_pair_moments(_pairs_of(pieces, M, pairs), pairs, 2.0))
     assert ens.estimates.shape == (pairs.size,)
     assert peak <= pieces.require_memory(M, pairs.size)
 
@@ -694,10 +624,10 @@ def test_pair_moments_hold_less_than_one_float64_product():
     # on the brownian preset's lattice at M = 2000, simulating the pairs and estimating their
     # moments holds less than one (M, pairs) float64 array beyond the slab weights and D
     M = 2000
-    pieces = _forward_pass_pieces(preset=True)
+    pieces = _regularity_pieces(preset=True)
     pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
     k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
-    field, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    field, peak = _peak(lambda: estimate_pair_moments(_pairs_of(pieces, M, pairs), pairs, 2.0))
     assert field.estimates.shape == (pairs.size,) == (2048,)
     held = peak - 8 * M * pieces.noise.steps - 8 * pairs.size * k
     assert held < 8 * M * pairs.size
@@ -709,10 +639,10 @@ def test_pair_moments_hold_one_lag_block():
     # preset's pairs and estimating their moments holds about one lag's (M, 512) float64 block:
     # the previous block is released before the next is formed and reduced in place
     M = 2000
-    pieces = _forward_pass_pieces(preset=True)
+    pieces = _regularity_pieces(preset=True)
     pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
     k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
-    field, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    field, peak = _peak(lambda: estimate_pair_moments(_pairs_of(pieces, M, pairs), pairs, 2.0))
     assert field.estimates.shape == (pairs.size,) == (4 * 512,)
     assert peak - 8 * M * k - 8 * pairs.size * k < 1.25 * 8 * M * 512
 
@@ -722,11 +652,11 @@ def test_pair_path_holds_the_profile_table_and_one_lag_of_rows():
     # positions, simulating the brownian preset's pairs and estimating their moments holds one
     # lag's (M, 512) float64 product and about its (512, k) rows of D: D is never whole
     M = 2000
-    pieces = _forward_pass_pieces(preset=True)
+    pieces = _regularity_pieces(preset=True)
     pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
     k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
     n_cols = np.unique(np.concatenate([pairs.s_idx1, pairs.s_idx2])).size
-    field, peak = _peak(lambda: estimate_pair_moments(pieces.simulate(M, pairs), pairs, 2.0))
+    field, peak = _peak(lambda: estimate_pair_moments(_pairs_of(pieces, M, pairs), pairs, 2.0))
     assert field.estimates.shape == (pairs.size,) == (4 * 512,)
     assert peak - 8 * M * k - 8 * (k + 1) * n_cols < 8 * M * 512 + 1.25 * 8 * 512 * k
 
@@ -749,7 +679,7 @@ def test_slab_difference_rows_are_the_gathered_profile_table_bit_for_bit(preset)
     for sel in blocks:
         assert np.array_equal(table.rows(sel).view(np.uint64), want[sel].view(np.uint64))
     assert not want[-1].any()  # time index 0 twice: no slab
-    k2 = slab_cumulant(pieces.noise, pieces.g.mark_family, 2)
+    k2 = slab_cumulant(pieces.noise, 2)
     assert np.array_equal(second_moment_pairs(pieces.kernel, pieces.grid, pieces.g,
                                               pieces.noise, *args),
                           k2 * np.einsum("nk,nk->n", want, want))

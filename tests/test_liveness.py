@@ -2,15 +2,18 @@
 over-approximates what runs, from the CLI, the preset runner or a perfbench/tracer.py target:
 a name reaches what it resolves to in its module or through a relative import, obj.name every
 method called name (unless obj is an outside module: np.meshgrid), a class its dunders and
-body; module-level statements always run."""
+body; module-level statements always run.  Every module-level UPPER_CASE constant is read by
+that code, by name in its module or through a relative import."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PIPELINES = [("cli", "main"), ("experiments", "run_experiment")]
 DEFS, NAMES, TOP = {}, {}, []  # (module, name or Class.method) -> node; module -> {name: key}
+CONSTANTS = set()  # (module, NAME) of each module-level UPPER_CASE assignment
 for file in sorted((ROOT / "src" / "holderlab").glob("*.py")):
     module, tree = file.stem, ast.parse(file.read_text())
     names = NAMES[module] = {}
@@ -22,6 +25,10 @@ for file in sorted((ROOT / "src" / "holderlab").glob("*.py")):
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             TOP.append((module, node))
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    CONSTANTS.add((module, target.id))
+                    names[target.id] = (module, target.id)
             continue
         DEFS[module, node.name], names[node.name] = node, (module, node.name)
         if isinstance(node, ast.ClassDef):
@@ -66,6 +73,17 @@ def _tracer_targets():
 
 def test_every_function_method_and_class_is_reached_from_a_pipeline_or_the_tracer():
     assert sorted(set(DEFS) - _reach(PIPELINES + _tracer_targets())) == []
+
+
+def test_every_upper_case_constant_is_read_by_reached_code():
+    # a constant outlives what read it (a block size of a deleted engine) unless some reached
+    # definition or module-level statement loads its name
+    read = set()
+    for module, node in [(m, n) for m, n in TOP] + [(key[0], DEFS[key]) for key in _reach(
+            PIPELINES + _tracer_targets())]:
+        read.update(NAMES[module].get(sub.id) for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+    assert sorted(CONSTANTS - read) == []
 
 
 def test_the_tracer_wraps_one_function_no_pipeline_runs():

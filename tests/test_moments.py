@@ -7,11 +7,9 @@ import pytest
 
 from holderlab.campanato import ParabolicCylinder, SpaceTimePoint
 from holderlab.cli import main
-import holderlab.convolution as convolution
 import holderlab.moments as moments
-from holderlab.convolution import (FieldEnsemble, Lattice, PairEnsemble, PairValues,
-                                   SlabDifferences, StoredField, TestFunctionSpec,
-                                   convolve_brownian, convolve_poisson)
+from holderlab.convolution import (FieldEnsemble, Lattice, PairEnsemble, SlabDifferences,
+                                   TestFunctionSpec, convolve_brownian, convolve_poisson)
 from holderlab.errors import (
     DimensionMismatch,
     EmptyCylinder,
@@ -29,6 +27,7 @@ from holderlab.moments import (
     sample_pairs_within_cylinder,
 )
 from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec
+from oracles import per_time_field
 
 KERNEL = KernelSpec(alpha=2.0)
 GRID = SpectralGrid(length=4.0, points=512, dim=1)  # h = 1/64
@@ -37,10 +36,14 @@ G_UNIT = TestFunctionSpec(family="constant", amplitude=1.0)
 
 
 @pytest.fixture(scope="module")
-def unit_ensemble(tmp_path_factory):
+def unit_ensemble():
     saved = list(range(64, 193, 8))
-    return convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved,
-                             sink=str(tmp_path_factory.mktemp("unit") / "ens"))
+    return convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved)
+
+
+def _estimate(ens, pairs, p):
+    """The p-moment estimates of pairs from a FieldEnsemble, through its PairEnsemble."""
+    return estimate_pair_moments(ens.differences(pairs.indices), pairs, p)
 
 
 def test_identical_points_give_zero(unit_ensemble):
@@ -48,7 +51,7 @@ def test_identical_points_give_zero(unit_ensemble):
     pairs.t_idx2[:] = pairs.t_idx1
     pairs.s_idx2[:] = pairs.s_idx1
     for p in (1.0, 2.0, 3.5):
-        field = estimate_pair_moments(unit_ensemble, pairs, p)
+        field = _estimate(unit_ensemble, pairs, p)
         assert np.all(field.estimates == 0.0)
         assert np.all(field.stderr == 0.0)
 
@@ -57,7 +60,7 @@ def test_unit_g_time_pairs_match_brownian_variance(unit_ensemble):
     # u(., x) = W(.), so E|u(t,x) - u(s,x)|^2 = t - s
     pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 64, seed=5)
     time_type = pairs.t_idx1 != pairs.t_idx2
-    field = estimate_pair_moments(unit_ensemble, pairs, 2.0)
+    field = _estimate(unit_ensemble, pairs, 2.0)
     lag = np.abs(pairs.t_idx1 - pairs.t_idx2) * unit_ensemble.dt
     for est, se, target, is_time in zip(field.estimates, field.stderr, lag, time_type):
         if is_time:
@@ -70,7 +73,7 @@ def test_unit_g_fourth_moment(unit_ensemble):
     # E|W(t) - W(s)|^4 = 3 (t-s)^2
     pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 64, seed=6)
     time_type = pairs.t_idx1 != pairs.t_idx2
-    field = estimate_pair_moments(unit_ensemble, pairs, 4.0)
+    field = _estimate(unit_ensemble, pairs, 4.0)
     lag = np.abs(pairs.t_idx1 - pairs.t_idx2) * unit_ensemble.dt
     checked = 0
     for est, se, target, is_time in zip(field.estimates, field.stderr,
@@ -89,37 +92,37 @@ def _swapped(pairs):
 
 def test_symmetry_exact(unit_ensemble):
     pairs = sample_pairs_dyadic(unit_ensemble, [0.25, 0.125], 32, seed=7)
-    f1 = estimate_pair_moments(unit_ensemble, pairs, 2.0)
-    f2 = estimate_pair_moments(unit_ensemble, _swapped(pairs), 2.0)
+    f1 = _estimate(unit_ensemble, pairs, 2.0)
+    f2 = _estimate(unit_ensemble, _swapped(pairs), 2.0)
     assert np.array_equal(f1.estimates, f2.estimates)
     assert np.array_equal(f1.stderr, f2.stderr)
 
 
-def test_stderr_scaling_with_ensemble(simulate):
+def test_stderr_scaling_with_ensemble():
     saved = [64, 128]
-    small, _ = simulate(convolve_brownian, KERNEL, GRID, G_UNIT, NOISE, M=500, save_times=saved)
-    big, _ = simulate(convolve_brownian, KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved)
+    small = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=500, save_times=saved)
+    big = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=2000, save_times=saved)
     pairs_s = sample_pairs_dyadic(small, [0.5], 24, seed=8)
     pairs_b = sample_pairs_dyadic(big, [0.5], 24, seed=8)
-    fs = estimate_pair_moments(small, pairs_s, 2.0)
-    fb = estimate_pair_moments(big, pairs_b, 2.0)
+    fs = _estimate(small, pairs_s, 2.0)
+    fb = _estimate(big, pairs_b, 2.0)
     tsel = pairs_s.t_idx1 != pairs_s.t_idx2
     ratio = fs.stderr[tsel] / fb.stderr[tsel]
     # quadrupling M halves stderr twice: ratio ~ 2, within 20%
     assert np.median(ratio) == pytest.approx(2.0, rel=0.2)
 
 
-def test_min_ensemble_guard(simulate):
-    small, _ = simulate(convolve_brownian, KERNEL, GRID, G_UNIT, NOISE, M=10, save_times=[64])
+def test_min_ensemble_guard():
+    small = convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=10, save_times=[64])
     pairs = sample_pairs_dyadic(small, [0.25], 8, seed=1)
     with pytest.raises(EnsembleTooSmall):
-        estimate_pair_moments(small, pairs, 2.0)
+        _estimate(small, pairs, 2.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
-    # a float32 pair ensemble whose products overflow the cast, and a stored field holding an
-    # inf, report MomentOverflow alone: with warnings as errors, no NumPy warning comes first
+    # a pair ensemble whose squares overflow, and a stored ensemble holding an infinite slab
+    # weight, report MomentOverflow alone: with warnings as errors, no NumPy warning comes first
     saved, M = list(range(64, 193, 8)), 40
     lattice = Lattice(NOISE.dt, GRID, np.array(saved))
     pairs = sample_pairs_dyadic(lattice, [0.25, 0.125], 8, seed=1)
@@ -127,18 +130,15 @@ def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
     first, other = np.full(pairs.size, 3), np.zeros(pairs.size, int)
     table = SlabDifferences(np.full((1, 4), 1e30), np.zeros(4), np.zeros(3),
                             (first, other, other, other))
-    held = PairEnsemble(PairValues((M, pairs.size), np.dtype(np.float32)),
-                        (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2),
-                        lattice.time_indices, np.ones(pairs.size), table,
-                        np.full((M, 3), 1e30))
+    held = PairEnsemble(np.full((M, 3), 1e200), pairs.indices, lattice.time_indices,
+                        np.ones(pairs.size), table)
     assert np.array_equal(table.rows(), np.full((pairs.size, 3), 1e30))
     prefix = str(tmp_path / "ens")
-    values = np.zeros((M, len(saved), GRID.points))
-    values[3] = np.inf
-    stored = FieldEnsemble(StoredField(f"{prefix}.bin", values.shape, values.dtype),
-                           lattice.time_indices, GRID, KERNEL, G_UNIT, NOISE)
-    stored.save(prefix, [values])
-    for ens in (held, FieldEnsemble.load(prefix)):
+    weights = np.zeros((M, saved[-1]))
+    weights[3, 70] = np.inf
+    FieldEnsemble(weights, lattice.time_indices, GRID, KERNEL, G_UNIT, NOISE).save(prefix)
+    stored = FieldEnsemble.load(prefix).differences(pairs.indices)
+    for ens in (held, stored):
         with pytest.raises(MomentOverflow, match="not finite"):
             estimate_pair_moments(ens, pairs, 2.0)
 
@@ -147,14 +147,14 @@ def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
 def test_moment_order_must_be_finite_and_at_least_one(unit_ensemble, p):
     pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 8, seed=1)
     with pytest.raises(ValueError, match="finite and >= 1"):
-        estimate_pair_moments(unit_ensemble, pairs, p)
+        _estimate(unit_ensemble, pairs, p)
 
 
 def test_pair_off_grid(unit_ensemble):
     pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 8, seed=2)
     pairs.s_idx1[0] = GRID.points + 5
     with pytest.raises(PairOffGrid):
-        estimate_pair_moments(unit_ensemble, pairs, 2.0)
+        _estimate(unit_ensemble, pairs, 2.0)
 
 
 def test_lag_wider_than_central_window(simulate):
@@ -268,7 +268,7 @@ def test_triangle_consistency_p2(unit_ensemble):
             np.array([a[0] * ens.dt]), np.array([0.0]),
             np.array([b[0] * ens.dt]), np.array([0.0]),
             np.array([0.0]), np.array([np.nan]))
-        field = estimate_pair_moments(ens, pairs, 2.0)
+        field = _estimate(ens, pairs, 2.0)
         return field.estimates[0], field.stderr[0]
 
     xz, se_xz = est(X, Z)
@@ -282,12 +282,12 @@ def test_moment_field_csv_json(tmp_path):
     # the CLI writes the moment field through the shared table and JSON writers;
     # both files carry the estimates of the same pairs exactly
     prefix = str(tmp_path / "ens")
-    convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=40, save_times=list(range(64, 193, 8)),
-                      sink=prefix)
+    convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=40,
+                      save_times=list(range(64, 193, 8))).save(prefix)
     assert main(["moments", "--ensemble", prefix, "--p", "2", "--lag-k-min", "2",
                  "--lag-k-max", "2", "--pairs", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
     loaded = FieldEnsemble.load(prefix)
-    field = estimate_pair_moments(loaded, sample_pairs_dyadic(loaded, [0.25], 8, seed=3), 2.0)
+    field = _estimate(loaded, sample_pairs_dyadic(loaded, [0.25], 8, seed=3), 2.0)
     lines = (tmp_path / "moments.csv").read_text().strip().splitlines()
     assert lines[0] == "t,x,s,y,delta,estimate,stderr"
     assert len(lines) == 9
@@ -298,31 +298,29 @@ def test_moment_field_csv_json(tmp_path):
     assert back["estimate"] == field.estimates.tolist()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
-def test_estimates_match_the_direct_reduction(simulate, p, dtype):
+def test_estimates_match_the_direct_reduction(p):
     # the one in-place work array gives the same bits as |u(X) - u(Y)|^p built
-    # from separate float64 temporaries
+    # from separate float64 temporaries, per lag block
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    ens, _ = simulate(convolve_brownian, KERNEL, GRID, g, NOISE, M=64,
-                      save_times=list(range(64, 193, 8)), dtype=dtype)
+    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=64, save_times=list(range(64, 193, 8)))
     pairs = sample_pairs_dyadic(ens, [0.25, 0.125], 16, seed=5)
-    field = estimate_pair_moments(ens, pairs, p)
-    diff = (ens.at(pairs.t_idx1, pairs.s_idx1).astype(np.float64)
-            - ens.at(pairs.t_idx2, pairs.s_idx2).astype(np.float64))
-    powed = np.abs(diff) ** p
-    assert np.array_equal(field.estimates, powed.mean(axis=0))
-    assert np.array_equal(field.stderr, powed.std(axis=0, ddof=1) / np.sqrt(64))
+    held = ens.differences(pairs.indices)
+    field = estimate_pair_moments(held, pairs, p)
+    for sel, _ in moments._pair_blocks(pairs, 64):
+        diff = (held.slab_differences.rows(sel) @ ens.values.T).T
+        powed = np.abs(diff) ** p
+        assert np.array_equal(field.estimates[sel], powed.mean(axis=0))
+        assert np.array_equal(field.stderr[sel], powed.std(axis=0, ddof=1) / np.sqrt(64))
 
 
-@pytest.mark.parametrize("source, dtype", [("pairs", np.float32), ("pairs", np.float64),
-                                           ("field", np.float32), ("field", np.float64)])
+@pytest.mark.parametrize("source", ["pairs", "loaded"])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeypatch, source,
-                                                               dtype, p):
+                                                               p):
     # per block, the estimates and the standard errors reduced in place on the block are
     # np.mean and np.std(ddof=1) / sqrt(M) of its |u(X) - u(Y)|^p, for the lag blocks and
-    # the within-cylinder (lag None) blocks, from a PairEnsemble and a FieldEnsemble
+    # the within-cylinder (lag None) blocks, from the simulated ensemble or loaded from a .bin
     M, saved = 64, list(range(64, 193, 8))
     monkeypatch.setattr(moments, "PAIR_CHUNK", 5 * M)
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
@@ -331,9 +329,7 @@ def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeyp
         lattice, ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25), 12, seed=3)
     pairs = PairSet.concatenate([sample_pairs_dyadic(lattice, [0.25, 0.125], 16, seed=1),
                                  cylinder])
-    target = (dict(pairs=(pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2))
-              if source == "pairs" else dict(sink=str(tmp_path / "ens")))
-    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M, saved, dtype, **target)
+    ens = _pair_ensemble(source, tmp_path, convolve_brownian, NOISE, M, saved, pairs)
     blocks = moments._pair_blocks(pairs, M)
     assert [lag for _, lag in blocks] == [0.125, 0.25, None, None, None]
     got = estimate_pair_moments(ens, pairs, p)
@@ -343,40 +339,55 @@ def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeyp
         assert np.array_equal(got.stderr[sel], np.std(powed, axis=0, ddof=1) / np.sqrt(M))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_pair_values_give_the_full_ensemble_estimates(simulate, dtype):
-    # float64 pair differences agree with the gathered full field to rounding, float32 ones
-    # to one rounding; pairs mirrored about x = 0, where u is even, read rounding noise
+def _pair_ensemble(source, tmp_path, convolve, noise, M, saved, pairs):
+    """The PairEnsemble of pairs, from the simulated ensemble ("pairs") or, as the CLI reads
+    it, from the ensemble saved to a .bin and loaded back ("loaded")."""
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    ens = convolve(KERNEL, GRID, g, noise, M, saved)
+    if source == "loaded":
+        ens.save(str(tmp_path / "ens"))
+        ens = FieldEnsemble.load(str(tmp_path / "ens"))
+    return ens.differences(pairs.indices)
+
+
+def test_pair_values_give_the_full_ensemble_estimates():
+    # the pair differences agree with those of the field summed at each saved time on its own
+    # (tests/oracles.py) to rounding; pairs mirrored about x = 0, where u is even, read
+    # rounding noise
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     saved = list(range(64, 193, 8))
     lags = [0.25, 0.125, 0.0625]
-    full, _ = simulate(convolve_brownian, KERNEL, GRID, g, NOISE, M=300, save_times=saved)
-    pairs = sample_pairs_dyadic(full, lags, 64, seed=4)
-    held = convolve_brownian(KERNEL, GRID, g, NOISE, M=300, save_times=saved, dtype=dtype,
-                             pairs=(pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2))
-    assert held.values.nbytes == 300 * pairs.size * np.dtype(dtype).itemsize
-    rel = 1e-10 if dtype == np.float64 else 1e-6
+    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=300, save_times=saved)
+    pairs = sample_pairs_dyadic(ens, lags, 64, seed=4)
+    field = per_time_field(KERNEL, GRID, g, NOISE, ens.values, saved)
+    pos = {t: i for i, t in enumerate(saved)}
+    full = (field[:, [pos[t] for t in pairs.t_idx1], pairs.s_idx1]
+            - field[:, [pos[t] for t in pairs.t_idx2], pairs.s_idx2])
+    held = ens.differences(pairs.indices)
+    assert held.values.nbytes == 300 * int(max(pairs.t_idx1.max(), pairs.t_idx2.max())) * 8
+    rel = 1e-10
     for p in (1.0, 2.0, 3.5):
-        a = estimate_pair_moments(full, pairs, p)
+        a = _whole_array_moments(full.copy(), pairs, p)
         b = estimate_pair_moments(held, pairs, p)
-        assert np.allclose(b.estimates, a.estimates, rtol=rel, atol=rel * a.estimates.max())
-        assert np.allclose(b.stderr, a.stderr, rtol=rel, atol=rel * a.stderr.max())
+        assert np.allclose(b.estimates, a[0], rtol=rel, atol=rel * a[0].max())
+        assert np.allclose(b.stderr, a[1], rtol=rel, atol=rel * a[1].max())
         for lag in lags:
-            assert b.realization_stderr[lag] == pytest.approx(a.realization_stderr[lag], rel=rel)
+            assert b.realization_stderr[lag] == pytest.approx(a[2][lag], rel=rel)
     with pytest.raises(PairOffGrid):
         estimate_pair_moments(held, _swapped(pairs), 2.0)
 
 
-def test_realization_stderr_is_the_spread_of_per_realization_lag_means(simulate):
+def test_realization_stderr_is_the_spread_of_per_realization_lag_means():
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     saved = list(range(64, 193, 8))
     M = 200
-    ens, _ = simulate(convolve_brownian, KERNEL, GRID, g, NOISE, M=M, save_times=saved)
+    ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=M, save_times=saved)
     lags = [0.25, 0.125]
     pairs = sample_pairs_dyadic(ens, lags, 32, seed=9)
-    field = estimate_pair_moments(ens, pairs, 2.0)
+    held = ens.differences(pairs.indices)
+    field = estimate_pair_moments(held, pairs, 2.0)
     assert sorted(field.realization_stderr) == sorted(lags)
-    diff = ens.at(pairs.t_idx1, pairs.s_idx1) - ens.at(pairs.t_idx2, pairs.s_idx2)
+    [diff] = held.difference_blocks(pairs)
     for lag in lags:
         sel = pairs.requested_delta == lag
         lag_means = (diff[:, sel] ** 2).mean(axis=1)  # one lag mean per realization
@@ -386,7 +397,7 @@ def test_realization_stderr_is_the_spread_of_per_realization_lag_means(simulate)
     # within-cylinder pairs request no lag
     cyl = ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25)
     cyl_pairs = sample_pairs_within_cylinder(ens, cyl, 16, seed=1)
-    assert estimate_pair_moments(ens, cyl_pairs, 2.0).realization_stderr == {}
+    assert _estimate(ens, cyl_pairs, 2.0).realization_stderr == {}
 
 
 def test_pairs_from_the_lattice_equal_pairs_from_an_ensemble(unit_ensemble):
@@ -413,39 +424,30 @@ def _whole_array_moments(diff, pairs, p):
     return diff.mean(axis=0), diff.std(axis=0, ddof=1) / np.sqrt(M), by_lag
 
 
-def _whole_differences(ens, pairs):
-    """Every pair's u(X) - u(Y) as one float64 (M, n) array, realization axis contiguous."""
-    if isinstance(ens, PairEnsemble):
-        product = (ens.slab_differences.rows() @ ens.weights.T).T
-        return product.astype(ens.values.dtype).astype(np.float64)
-    n = pairs.size
-    both = ens.at(np.concatenate([pairs.t_idx1, pairs.t_idx2]),
-                  np.concatenate([pairs.s_idx1, pairs.s_idx2]))
-    diff = both[:, :n].astype(np.float64)
-    diff -= both[:, n:]
-    return diff
+def _whole_differences(ens):
+    """Every pair's u(X) - u(Y) of a PairEnsemble as one float64 (M, n) product, realization
+    axis contiguous."""
+    return (ens.slab_differences.rows() @ ens.values.T).T
 
 
 POISSON = NoiseSpec(kind="poisson", horizon=1.0, steps=256, seed=13,
                     jump=JumpSpec(intensity=10.0, mark=MarkLaw("two-sided-exponential", 1.0)))
 
 
-@pytest.mark.parametrize("source, M", [("pairs", 2000), ("pairs", 40), ("field", 40),
-                                       ("stored", 40)])
+@pytest.mark.parametrize("source, M", [("pairs", 2000), ("pairs", 40), ("loaded", 2000),
+                                       ("loaded", 40)])
 @pytest.mark.parametrize("pairs_per_lag", [2, 3, 257])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("noise", [NOISE, POISSON], ids=["brownian", "poisson"])
-def test_blocked_estimator_equals_the_whole_array_reduction(tmp_path, monkeypatch, noise, dtype,
+def test_blocked_estimator_equals_the_whole_array_reduction(tmp_path, monkeypatch, noise,
                                                              pairs_per_lag, source, M):
     # one block per lag and blocks of at most 5 within-cylinder pairs give the bits of one
     # reduction over every pair, for lags held together and for a lag spread over the set.
-    # A pair ensemble forms each block's product D[sel] w^T on its own: at M = 2000, as at
-    # the presets, OpenBLAS rounds it as the rows of the whole product; at M = 40 a product
-    # of a few rows can take another kernel, and agrees only to rounding.
+    # A pair ensemble, of the simulated ensemble or one loaded from a .bin, forms each block's
+    # product D[sel] w^T on its own: at M = 2000, as at the presets, OpenBLAS rounds it as the
+    # rows of the whole product; at M = 40 a product of a few rows can take another kernel,
+    # and agrees only to rounding.
     saved = list(range(64, 193, 8))
     monkeypatch.setattr(moments, "PAIR_CHUNK", 5 * M)
-    monkeypatch.setattr(convolution, "FIELD_BLOCK", 7 * len(saved) * GRID.points * 8)
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     convolve = convolve_brownian if noise.kind == "brownian" else convolve_poisson
     lattice = Lattice(noise.dt, GRID, np.array(saved))
     lags = [0.25, 0.125]
@@ -454,21 +456,15 @@ def test_blocked_estimator_equals_the_whole_array_reduction(tmp_path, monkeypatc
     together = PairSet.concatenate([sample_pairs_dyadic(lattice, lags, pairs_per_lag, seed=1),
                                     cylinder])
     spread = PairSet.concatenate([together, sample_pairs_dyadic(lattice, lags, 2, seed=2)])
-    if source != "pairs":
-        field = convolve(KERNEL, GRID, g, noise, M, saved, dtype, sink=str(tmp_path / "ens"))
     for pairs in (together, spread):
-        if source == "pairs":
-            ens = convolve(KERNEL, GRID, g, noise, M, saved, dtype,
-                           pairs=(pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2))
-        else:
-            ens = field if source == "field" else FieldEnsemble.load(str(tmp_path / "ens"))
+        ens = _pair_ensemble(source, tmp_path, convolve, noise, M, saved, pairs)
         blocks = moments._pair_blocks(pairs, M)
         assert sum(lag is None for _, lag in blocks) == 5  # 24 cylinder pairs, 5 at most
         got = estimate_pair_moments(ens, pairs, 3.5)
-        est, err, by_lag = _whole_array_moments(_whole_differences(ens, pairs), pairs, 3.5)
+        est, err, by_lag = _whole_array_moments(_whole_differences(ens), pairs, 3.5)
         assert list(got.realization_stderr) == list(by_lag) == lags[::-1]
-        if M < 2000 and source == "pairs":
-            rel = 1e-12 if dtype == np.float64 else 1e-6  # one rounding of the stored values
+        if M < 2000:
+            rel = 1e-12
             assert np.allclose(got.estimates, est, rtol=rel, atol=0.0)
             assert np.allclose(got.stderr, err, rtol=rel, atol=0.0)
             assert np.allclose(list(got.realization_stderr.values()), list(by_lag.values()),

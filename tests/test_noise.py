@@ -150,39 +150,36 @@ def test_ito_isometry():
         ito_ensemble(POISSON, h, 2)
 
 
-@pytest.mark.parametrize("spec, mark_family", [(BROWNIAN, "identity"), (POISSON, "identity"),
-                                               (POISSON, "one")])
-def test_slab_weight_moments_match_the_cumulants(spec, mark_family):
-    # centered weights: E w = 0, E w^2 = kappa2, E w^4 = kappa4 + 3 kappa2^2
-    w = slab_weights(spec, mark_family, 4000, spec.steps).ravel()
-    k2, k4 = slab_cumulant(spec, mark_family, 2), slab_cumulant(spec, mark_family, 4)
-    for x, target in ((w, 0.0), (w**2, k2), (w**4, k4 + 3.0 * k2**2)):
-        assert abs(x.mean() - target) < 3.0 * x.std() / math.sqrt(x.size)
-
-
 GAUSSIAN_MARKS = NoiseSpec(kind="poisson", horizon=2.0, steps=64, seed=7,
                            jump=JumpSpec(intensity=5.0, mark=MarkLaw("gaussian", 0.5)))
 
 
-@pytest.mark.parametrize("mark_family", ["identity", "one"])
 @pytest.mark.parametrize("spec", [BROWNIAN, POISSON, GAUSSIAN_MARKS],
                          ids=["brownian", "exponential-marks", "gaussian-marks"])
-def test_slab_weights_store_the_first_slabs_of_the_whole_draw(spec, mark_family):
+def test_slab_weight_moments_match_the_cumulants(spec):
+    # centered weights: E w = 0, E w^2 = kappa2, E w^4 = kappa4 + 3 kappa2^2
+    w = slab_weights(spec, 4000, spec.steps).ravel()
+    k2, k4 = slab_cumulant(spec, 2), slab_cumulant(spec, 4)
+    for x, target in ((w, 0.0), (w**2, k2), (w**4, k4 + 3.0 * k2**2)):
+        assert abs(x.mean() - target) < 3.0 * x.std() / math.sqrt(x.size)
+
+
+@pytest.mark.parametrize("spec", [BROWNIAN, POISSON, GAUSSIAN_MARKS],
+                         ids=["brownian", "exponential-marks", "gaussian-marks"])
+def test_slab_weights_store_the_first_slabs_of_the_whole_draw(spec):
     # every path is drawn whole, so the first slabs columns do not depend on slabs
-    whole = slab_weights(spec, mark_family, 6, spec.steps)
+    whole = slab_weights(spec, 6, spec.steps)
     assert whole.shape == (6, spec.steps)
     for slabs in (0, 1, spec.steps // 2 + 1, spec.steps):
-        w = slab_weights(spec, mark_family, 6, slabs)
+        w = slab_weights(spec, 6, slabs)
         assert w.shape == (6, slabs) and np.array_equal(w, whole[:, :slabs])
 
 
 def test_slab_cumulants_in_closed_form():
-    assert [slab_cumulant(BROWNIAN, "identity", n) for n in (1, 2, 3, 4)] == [
-        0.0, BROWNIAN.dt, 0.0, 0.0]
+    assert [slab_cumulant(BROWNIAN, n) for n in (1, 2, 3, 4)] == [0.0, BROWNIAN.dt, 0.0, 0.0]
     lam_dt = POISSON.jump.intensity * POISSON.dt
-    assert [slab_cumulant(POISSON, "one", n) for n in (1, 2, 3, 4)] == [lam_dt] * 4
     # two-sided exponential, rate 1: E z^2 = 2, E z^4 = 24, odd moments vanish
-    assert [slab_cumulant(POISSON, "identity", n) for n in (1, 2, 3, 4)] == pytest.approx(
+    assert [slab_cumulant(POISSON, n) for n in (1, 2, 3, 4)] == pytest.approx(
         [0.0, 2.0 * lam_dt, 0.0, 24.0 * lam_dt], rel=1e-14)
 
 
