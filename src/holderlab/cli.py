@@ -26,6 +26,7 @@ from .experiments import (
     SIMULATE_FIELDS,
     ExperimentConfig,
     build_regularity,
+    check_memory,
     default_config,
     dyadic,
     emit_plot_data,
@@ -63,14 +64,16 @@ def _read(flag: str, path, load):
         raise ConfigError(f"{flag} {path}: not JSON ({exc})") from exc
 
 
-def _read_ensemble(prefix) -> FieldEnsemble:
-    """FieldEnsemble.load(prefix); files it cannot make an ensemble of (a sidecar without a
+def _read_ensemble(args, n_pairs: int) -> FieldEnsemble:
+    """FieldEnsemble.load(--ensemble); files it cannot make an ensemble of (a sidecar without a
     key, a stored field among them, or a .bin of another size) are a ConfigError naming
-    --ensemble and the path."""
+    --ensemble and the path; n_pairs pairs past check_memory, before the .bin is read, --pairs."""
+    def budget(M, k, n):
+        check_memory(f"--pairs {args.pairs}", M, k, n, n_pairs, what=f" and {n_pairs} pairs")
     try:
-        return _read("--ensemble", prefix, FieldEnsemble.load)
+        return _read("--ensemble", args.ensemble, lambda path: FieldEnsemble.load(path, budget))
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"--ensemble {prefix}: not a holderlab ensemble "
+        raise ConfigError(f"--ensemble {args.ensemble}: not a holderlab ensemble "
                           f"({type(exc).__name__}: {exc})") from exc
 
 
@@ -142,7 +145,7 @@ def _check_flags(args) -> None:
 def _cmd_moments(args) -> int:
     _check_flags(args)
     lags = dyadic("--lag-k-min / --lag-k-max", args.lag_k_min, args.lag_k_max)
-    ens = _read_ensemble(args.ensemble)
+    ens = _read_ensemble(args, args.pairs * len(lags))
     seed = _resolve_seed(args) or 0
     pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
     field = estimate_pair_moments(ens.differences(pairs.indices), pairs, args.p)
@@ -159,7 +162,7 @@ def _cmd_moments(args) -> int:
 def _cmd_seminorm(args) -> int:
     _check_flags(args)
     scales = dyadic("--scale-k-min / --scale-k-max", args.scale_k_min, args.scale_k_max)
-    ens = _read_ensemble(args.ensemble)
+    ens = _read_ensemble(args, args.pairs * len(scales))
     seed = _resolve_seed(args) or 0
     cylinders = []  # (scale, cylinder, pairs) of each cylinder holding two saved points
     times = ens.times

@@ -16,11 +16,11 @@ lag rule, which makes every realization exactly centered.
 A realization is its slab weights w (noise.slab_weights): u(t_i, x) = sum_k F_i[k, x] w_k.  A
 FieldEnsemble holds the (M, k) weights of the slabs before its last saved time index k, and
 FieldEnsemble.save writes them, float64, to the ensemble's .bin.  Every consumer reads the field
-as pair differences u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds once the table whose
-rows of D give both their exact second moments and their Monte Carlo values; a PairEnsemble
-holds it and w and forms D w^T one block of pairs at a time.  g moves in time only by a term
-constant in space, so the table factors its spectrum into one base spectrum and a shift of the
-zero mode per slab (_g_spectrum).  Realizations are pure functions of (seed, stream_index).
+as pair differences u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds, a chunk of lag
+symbols at a time, the table of D whose rows give their exact second moments and Monte Carlo
+values; a PairEnsemble holds it and w and forms D w^T a block of pairs at a time.  g moves in
+time only in its zero mode, so the table factors its spectrum into one base spectrum and a
+shift per slab (_g_spectrum).  Realizations are pure functions of (seed, stream_index).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class Lattice(typing.NamedTuple):
     time_indices: np.ndarray
 
 
-PAIR_CHUNK = 2**18  # elements of each temporary of the slab-difference builders, or one row
+PAIR_CHUNK = 2**18  # elements of each temporary of the pair path and its builders, or one row
 
 
 def even_blocks(n: int, most: int):
@@ -156,7 +156,7 @@ class FieldEnsemble:
                 path.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, prefix: str) -> "FieldEnsemble":
+    def load(cls, prefix: str, budget=lambda M, k, points: None) -> "FieldEnsemble":
         """What save wrote; ValueError, before the .bin is read, for a sidecar whose grid or
         kernel is not 1-D, whose time indices are not one or more strictly increasing whole
         numbers in [0, noise.steps], whose shape is not [M >= 1, len(time_indices),
@@ -164,7 +164,7 @@ class FieldEnsemble:
         that many float64 values.  Each spec takes every one of its fields from the sidecar,
         and the sidecar must have weights (KeyError if one is missing: a stored field, as
         earlier versions wrote, is never read as weights); keys a spec no longer has are
-        ignored."""
+        ignored.  budget(M, k, grid points) is called before the .bin is read."""
         with open(f"{prefix}.json") as fh:
             side = json.load(fh)
         grid = _from_fields(SpectralGrid, side["grid"])
@@ -188,6 +188,7 @@ class FieldEnsemble:
         if size != 8 * m * k:
             raise ValueError(f"{path} holds {size} bytes, not the {8 * m * k} of {m} x {k} "
                              "float64 weights")
+        budget(m, k, grid.points)
         return cls(values=np.fromfile(path, np.float64).reshape(m, k), time_indices=time_indices,
                    grid=grid, kernel=kernel, g=_from_fields(TestFunctionSpec, side["g"]),
                    noise=noise)
@@ -270,14 +271,13 @@ def _require_1d(kernel: KernelSpec, grid: SpectralGrid) -> None:
         raise GridMismatch(f"the field is 1-D, got kernel dim {kernel.dim}, grid dim {grid.dim}")
 
 
-def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, n_t: int) -> np.ndarray:
-    """Q[j, f]: kernel symbol at lag j*dt (midpoint dt/2 for j=1).  Q[0] is zero: no
-    same-slab contribution (Ito rule)."""
+def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, lo: int, hi: int):
+    """Q[j - lo, f] for the lags j in range(lo, hi): kernel symbol at lag j*dt (midpoint dt/2
+    for j=1).  Q at j = 0 is zero: no same-slab contribution (Ito rule)."""
     grid.require_alias(kernel.alpha, dt / 2.0)
-    lags = dt * np.arange(n_t + 1, dtype=float)
-    lags[1:2] = dt / 2.0
-    q = symbol(kernel, grid, lags)
-    q[0] = 0.0
+    j = np.arange(lo, hi)
+    q = symbol(kernel, grid, np.where(j == 1, dt / 2.0, dt * j))
+    q[j == 0] = 0.0
     return q
 
 
@@ -329,22 +329,23 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
     idx/pos: time indices and ascending spatial indices of the pair members; off the lattice
     or not whole, they raise GridMismatch (time) or PairOffGrid (space).  As g moves in time
     only in its zero mode, F_i[k] = P[i - k] + zero[k] Q[i - k, 0] / n with one native-order
-    profile P[j] = irfft(Q[j] base) per lag, where position x is index (x + n/2) mod n,
-    transformed PAIR_CHUNK elements at a time and kept at the members' positions only."""
+    profile P[j] = irfft(Q[j] base) per lag, where position x is index (x + n/2) mod n, with Q
+    built and transformed PAIR_CHUNK elements at a time, kept at the members' positions only."""
     _require_1d(kernel, grid)
     n_t, n = noise.steps, grid.points
     idx1, idx2 = _whole(idx1, n_t, GridMismatch), _whole(idx2, n_t, GridMismatch)
     pos = (_whole(np.concatenate([pos1, pos2]), n - 1, PairOffGrid) + n // 2) % n
     k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
 
-    q = _lag_symbols(kernel, grid, noise.dt, k_max)
     base, zero = _g_spectrum(g, grid, noise.dt, k_max)
     cols = np.flatnonzero(np.bincount(pos, minlength=n))  # np.unique adds 1.6 MiB RSS
-    profiles = np.empty((cols.size, k_max + 1))
+    profiles, q0 = np.empty((cols.size, k_max + 1)), np.empty(k_max + 1)
     for lo, hi in even_blocks(k_max + 1, PAIR_CHUNK // n):
-        profiles[:, lo:hi] = np.fft.irfft(q[lo:hi] * base, n)[:, cols].T
+        q = _lag_symbols(kernel, grid, noise.dt, lo, hi)
+        q0[lo:hi] = q[:, 0]
+        profiles[:, lo:hi] = np.fft.irfft(q * base, n)[:, cols].T
     rows = np.searchsorted(cols, pos)
-    return SlabDifferences(profiles, q[:, 0].copy(), zero / n,
+    return SlabDifferences(profiles, q0, zero / n,
                            (idx1, rows[:idx1.size], idx2, rows[idx1.size:]))
 
 

@@ -379,6 +379,7 @@ def _run_fractional_sweep(config: ExperimentConfig, progress: Stages):
 
 # Base times of the regularity presets' saved-time set.
 SAVED_BASES = 8
+PAIR_BYTES = 320  # held per pair at most: the sampler's Python rows (~270), then its arrays
 
 
 def _regularity_saved_indices(steps: int, lag_steps):
@@ -397,6 +398,23 @@ def _regularity_saved_indices(steps: int, lag_steps):
     return sorted(saved)
 
 
+def check_memory(fields: str, M: int, k: int, n: int, n_pairs=0, extra=0, what="") -> float:
+    """Bytes that extra, the (M, k) slab weights on n points, any reader of them (one chunk of
+    real lag symbols, 1-D: 2F = n + 2, and its temporaries) and the moment estimates of n_pairs
+    pairs (profiles at the members' positions over k + 1 lags, one block's rows of D and
+    product, PAIR_BYTES per pair) hold at most, counted without allocating; past physical
+    memory, a ConfigError naming fields."""
+    need = (extra + 8 * M * k + 4 * min(k + 1, max(3, PAIR_CHUNK // n)) * (n + 2)
+            + 32 * max(PAIR_CHUNK, 3 * n, 3 * k) + 8 * (k + 1) * min(n, 2 * n_pairs)
+            + PAIR_BYTES * n_pairs + 8 * min(n_pairs, max(3, PAIR_CHUNK // M)) * (M + k))
+    memory = physical_memory()
+    if need > memory:
+        raise ConfigError(f"{fields}: {M} realizations on {n} points{what} need "
+                          f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB "
+                          "of physical memory")
+    return need
+
+
 class RegularityPieces(typing.NamedTuple):
     """Pipeline pieces of a regularity preset, as build_regularity makes them."""
 
@@ -411,32 +429,15 @@ class RegularityPieces(typing.NamedTuple):
     def lattice(self) -> Lattice:
         return Lattice(self.noise.dt, self.grid, np.array(self.saved))
 
-    def require_memory(self, M: int, n_pairs: int | None = None) -> float:
-        """Bytes the simulation, and for pairs their moment estimates, hold at most, counted
-        without allocating; ConfigError past physical memory.  Always, for the last saved
-        index k: the (M, k) slab weights, the largest Poisson path and the real (k + 1, F) lag
-        symbols that any reader of the weights builds.  Pairs: the profiles at the members'
-        positions, at most min(n, 2 n_pairs) of them over k + 1 lags; the temporaries of one
-        chunk of lags or of rows of D; and, for one lag's share of the pairs (the presets draw
-        as many at each lag), its rows of D and the estimator's one float64 product, reduced in
-        place."""
-        n, k = self.grid.points, self.saved[-1]  # 1-D: 2F = n + 2
-        need = 8 * M * k + 4 * (k + 1) * (n + 2)
-        if n_pairs is not None:
-            lag_pairs = -(-n_pairs // len(self.lags))
-            need += (8 * (k + 1) * min(n, 2 * n_pairs) + 32 * max(PAIR_CHUNK, 3 * n, 3 * k)
-                     + 8 * lag_pairs * (M + k))
+    def require_memory(self, M: int, n_pairs: int = 0) -> float:
+        """check_memory for the last saved index k and the largest Poisson path."""
+        n, k, path = self.grid.points, self.saved[-1], 0
         fields, what = "config.simulation.ensemble / config.simulation.grid_points", ""
         if self.noise.kind == "poisson":
             events = event_block(self.noise)
-            need += PATH_ARRAYS * 8 * events
+            path = PATH_ARRAYS * 8 * events
             fields, what = fields + " / config.noise.intensity", f" and {events:.3g} events"
-        memory = physical_memory()
-        if need > memory:
-            raise ConfigError(f"{fields}: {M} realizations on {n} points{what} need "
-                              f"{need / 2**30:.1f} GiB, more than the {memory / 2**30:.1f} GiB "
-                              "of physical memory")
-        return need
+        return check_memory(fields, M, k, n, n_pairs, path, what)
 
     def simulate(self, M: int, sink=None):
         """After require_memory, the FieldEnsemble of M realizations; with sink, a path prefix,

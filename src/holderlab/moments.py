@@ -5,9 +5,9 @@ uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
 Pairs depend only on the saved lattice, so they can be drawn before simulating;
 the estimator reads u(X) - u(Y) = D w^T from the PairEnsemble built for them
-(FieldEnsemble.differences), one block of pairs at a time (a requested lag whole, or a chunk
-of within-cylinder pairs), so no (M, pairs) array is ever whole.  The lattice, like the field,
-is 1-D.
+(FieldEnsemble.differences), one block of at most PAIR_CHUNK // M pairs of a requested lag, or
+of within-cylinder pairs, at a time, so no (M, pairs) array is ever whole.  The lattice, like
+the field, is 1-D.
 """
 
 from __future__ import annotations
@@ -96,46 +96,50 @@ def lag_offsets(lag: float, dt: float, h: float) -> tuple[int, int]:
 
 
 def _pair_blocks(pairs: PairSet, M: int) -> list:
-    """(selection, lag) of each block the estimator reduces: every requested lag whole, then
-    the pairs without one (lag None) in the even_blocks of at most PAIR_CHUNK // M.  A
-    selection is a slice where its pairs are consecutive."""
+    """(selection, lag) of each block the estimator reduces: the pairs of every requested lag,
+    in pair order, then those without one (lag None), each group in the even_blocks of at most
+    PAIR_CHUNK // M pairs.  A selection is a slice where its pairs are consecutive."""
     rd = pairs.requested_delta
     lags = sorted(set(rd[~np.isnan(rd)].tolist()))  # np.unique's first call adds 1.6 MiB RSS
-    groups = [(np.flatnonzero(rd == lag), lag) for lag in lags]
-    rest = np.flatnonzero(np.isnan(rd))
-    groups += [(rest[lo:hi], None) for lo, hi in even_blocks(rest.size, PAIR_CHUNK // M)]
+    blocks = [(idx[lo:hi], lag) for lag in [*lags, None]
+              for idx in [np.flatnonzero(np.isnan(rd) if lag is None else rd == lag)]
+              for lo, hi in even_blocks(idx.size, PAIR_CHUNK // M)]
     return [(slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx, lag)
-            for idx, lag in groups]
+            for idx, lag in blocks]
 
 
 def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from the
     PairEnsemble built for these pairs.
 
-    One block of pairs at a time (_pair_blocks), and one (M, block size) float64 array alive
-    at a time: the block is reduced in place and released before the next is formed.  As a lag
-    is never split and every per-pair reduction runs along the contiguous realization axis,
-    the blocks give the bits of one reduction over all pairs; the standard errors are
-    np.std(axis=0, ddof=1) / sqrt(M) in NumPy's own order of operations.  Deterministic given
-    the ensemble; symmetric in the pair order.  The first block whose estimates or standard
-    errors are not finite (values or p-th powers that overflowed) raises MomentOverflow, the
-    one report: NumPy's warnings are silenced.
+    One (M, block) float64 array of at most PAIR_CHUNK // M pairs alive at a time (_pair_blocks),
+    reduced in place and released before the next is formed.  Per-pair reductions run along the
+    realization axis, and a lag's per-realization sums add its pairs in pair order across its
+    blocks, as np.mean(axis=1) does: the blocks give the bits of one reduction over all pairs,
+    the standard errors np.std(axis=0, ddof=1) / sqrt(M) in NumPy's order of operations.
+    Deterministic given the ensemble; symmetric in the pair order.  The first block whose values
+    or p-th powers overflow (estimates, standard errors or, at a lag's last block, its realization
+    standard error not finite) raises MomentOverflow, the one report: NumPy's warnings are off.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"moment order p must be finite and >= 1, got {p}")
     M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")
-    est, err, by_lag = np.empty(pairs.size), np.empty(pairs.size), {}
+    est, err, by_lag, sums = np.empty(pairs.size), np.empty(pairs.size), {}, {}
     blocks = _pair_blocks(pairs, M)
+    last = {lag: b for b, (_, lag) in enumerate(blocks)}
     diffs = ensemble.difference_blocks(pairs, [sel for sel, _ in blocks])
     with np.errstate(over="ignore", invalid="ignore"):
-        for sel, lag in blocks:
+        for b, (sel, lag) in enumerate(blocks):
             powed = next(diffs)
             np.abs(powed, out=powed)
             powed **= p
-            if lag is not None:
-                by_lag[lag] = float(powed.mean(axis=1).std(ddof=1) / np.sqrt(M))
+            if lag is not None:  # its pairs' |u(X) - u(Y)|^p added one at a time, in pair order
+                sums[lag] = sum(powed.T, sums.get(lag, 0.0))
+                if b == last[lag]:
+                    means = sums.pop(lag) / np.count_nonzero(pairs.requested_delta == lag)
+                    by_lag[lag] = float(means.std(ddof=1) / np.sqrt(M))
             # np.mean, then np.std(ddof=1) with its temporary x - mean written over powed
             est[sel] = mean = np.add.reduce(powed, axis=0) / M
             np.square(np.subtract(powed, mean, out=powed), out=powed)

@@ -135,7 +135,7 @@ def per_time_field(kernel, grid: SpectralGrid, g, noise: NoiseSpec, weights,
     """The 1-D field (M, saved times, n) of the slab weights (M, >= last saved index), ascending
     from -L: at each saved index i on its own, the inverse FFT of
     u_hat_i = sum_{k < i} w_k Q[i - k] g_hat_k, with no recursion from one time to the next."""
-    q = _lag_symbols(kernel, grid, noise.dt, noise.steps)
+    q = _lag_symbols(kernel, grid, noise.dt, 0, noise.steps + 1)
     ghat = slab_spectra(g, grid, noise.dt, noise.steps)
     out = np.empty((len(weights), len(save_times), grid.points))
     for pos, i in enumerate(save_times):
@@ -154,7 +154,7 @@ def gathered_slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2) ->
     idx1, idx2 = np.asarray(idx1, int), np.asarray(idx2, int)
     pos1, pos2 = ((np.asarray(x, int) + n // 2) % n for x in (pos1, pos2))
     k_max = int(max(idx1.max(initial=0), idx2.max(initial=0)))
-    q = _lag_symbols(kernel, grid, noise.dt, max(k_max, 1))
+    q = _lag_symbols(kernel, grid, noise.dt, 0, max(k_max, 1) + 1)
     base, zero = _g_spectrum(g, grid, noise.dt, max(k_max, 1))
     profiles = np.fft.irfft(q * base, n)
     shift = zero[:k_max] / n

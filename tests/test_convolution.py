@@ -8,6 +8,7 @@ import pytest
 
 import holderlab.convolution as convolution
 from holderlab.convolution import (
+    PAIR_CHUNK,
     FieldEnsemble,
     Lattice,
     PairEnsemble,
@@ -20,7 +21,7 @@ from holderlab.convolution import (
     second_moment_pairs,
 )
 from holderlab.errors import GridMismatch, PairOffGrid
-from holderlab.experiments import RegularityPieces, build_regularity, default_config
+from holderlab.experiments import PAIR_BYTES, RegularityPieces, build_regularity, default_config
 from holderlab.kernels import KernelSpec, SpectralGrid, _freq_radius, symbol
 from holderlab.moments import _pair_blocks, estimate_pair_moments, sample_pairs_dyadic
 from holderlab.noise import (
@@ -369,13 +370,18 @@ def test_field_at_every_lattice_point_matches_the_per_time_sum(simulate, case):
     assert np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 13), (0, 1), (0, 2), (1, 2), (1, 9), (2, 13), (5, 9)])
 @pytest.mark.parametrize("case", ["brownian-parabolic-eps-times"])
-def test_lag_symbols_are_the_scalar_symbol_calls_bitwise(case):
+def test_lag_symbols_are_the_scalar_symbol_calls_bitwise(case, lo, hi):
+    # each chunk of lags [lo, hi) is the rows of the scalar calls: zero at lag 0, the midpoint
+    # dt/2 at lag 1, j dt beyond
     kernel, grid, _, noise, _ = ENGINE_CASES[case]
-    dt, n_t = noise.dt, 12
+    dt = noise.dt
     want = [np.zeros(_freq_radius(grid).size), symbol(kernel, grid, dt / 2.0).reshape(-1)]
-    want += [symbol(kernel, grid, j * dt).reshape(-1) for j in range(2, n_t + 1)]
-    assert np.array_equal(_lag_symbols(kernel, grid, dt, n_t), np.array(want))
+    want += [symbol(kernel, grid, j * dt).reshape(-1) for j in range(2, 13)]
+    got = _lag_symbols(kernel, grid, dt, lo, hi)
+    assert got.shape == (hi - lo, _freq_radius(grid).size)
+    assert np.array_equal(got.view(np.uint64), np.array(want[lo:hi]).view(np.uint64))
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
@@ -401,7 +407,7 @@ def test_slab_weights_and_cumulants_are_the_per_kind_formulas_bitwise(case):
 def _reference_second_moments(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
     """Exact second moments from one i-row profile cache per time index."""
     n_t, dt = noise.steps, noise.dt
-    q = _lag_symbols(kernel, grid, dt, n_t)
+    q = _lag_symbols(kernel, grid, dt, 0, n_t + 1)
     ghat = slab_spectra(g, grid, dt, n_t)
     weight_var = dt if noise.kind == "brownian" else (
         noise.jump.intensity * noise.jump.mark.abs_moment(2.0) * dt)
@@ -634,38 +640,49 @@ def test_pair_moments_hold_less_than_one_float64_product():
     assert peak <= pieces.require_memory(M, pairs.size)
 
 
-def test_pair_moments_hold_one_lag_block():
-    # beyond the (M, k) slab weights and the (n_pairs, k) differences, simulating the brownian
-    # preset's pairs and estimating their moments holds about one lag's (M, 512) float64 block:
-    # the previous block is released before the next is formed and reduced in place
-    M = 2000
-    pieces = _regularity_pieces(preset=True)
-    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
-    k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
-    field, peak = _peak(lambda: estimate_pair_moments(_pairs_of(pieces, M, pairs), pairs, 2.0))
-    assert field.estimates.shape == (pairs.size,) == (4 * 512,)
-    assert peak - 8 * M * k - 8 * pairs.size * k < 1.25 * 8 * M * 512
-
-
-def test_pair_path_holds_the_profile_table_and_one_lag_of_rows():
+@pytest.mark.parametrize("pairs_per_lag", [512, 2048])
+def test_pair_path_holds_the_profile_table_and_one_block(pairs_per_lag):
     # beyond the (M, k) slab weights and the (k + 1)-lag profiles at the pairs' member
-    # positions, simulating the brownian preset's pairs and estimating their moments holds one
-    # lag's (M, 512) float64 product and about its (512, k) rows of D: D is never whole
+    # positions, simulating the brownian preset's pairs and estimating their moments holds less
+    # than three float64 arrays of PAIR_CHUNK elements, at 4 lags of 512 pairs as of 2048: one
+    # chunk of lag symbols and its transforms, then one block's product (M, 128) and rows of D;
+    # neither D, a lag's (M, pairs) product nor the (k + 1, F) lag symbols is ever whole
     M = 2000
     pieces = _regularity_pieces(preset=True)
-    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2)
+    pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, pairs_per_lag, seed=2)
     k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
     n_cols = np.unique(np.concatenate([pairs.s_idx1, pairs.s_idx2])).size
     field, peak = _peak(lambda: estimate_pair_moments(_pairs_of(pieces, M, pairs), pairs, 2.0))
-    assert field.estimates.shape == (pairs.size,) == (4 * 512,)
-    assert peak - 8 * M * k - 8 * (k + 1) * n_cols < 8 * M * 512 + 1.25 * 8 * 512 * k
+    assert field.estimates.shape == (pairs.size,) == (4 * pairs_per_lag,)
+    sizes = [np.arange(pairs.size)[sel].size for sel, _ in _pair_blocks(pairs, M)]
+    assert sizes == [128] * (pairs.size // 128)
+    assert peak - 8 * M * k - 8 * (k + 1) * n_cols < 3 * 8 * PAIR_CHUNK
+
+
+def test_pair_path_count_and_peak_grow_only_by_the_per_pair_arrays():
+    # at 4x the brownian preset's 512 pairs per lag, neither require_memory nor the traced peak
+    # of drawing the pairs, simulating and estimating their moments grows by more than
+    # PAIR_BYTES per added pair: every other array is one chunk, one block or the profile table
+    M = 2000
+    pieces = _regularity_pieces(preset=True)
+
+    def run(pairs_per_lag):
+        pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, pairs_per_lag, seed=2)
+        return pairs, estimate_pair_moments(_pairs_of(pieces, M, pairs), pairs, 2.0)
+
+    (few, _), low = _peak(lambda: run(512))
+    (many, _), high = _peak(lambda: run(2048))
+    counts = [pieces.require_memory(M, pairs.size) for pairs in (few, many)]
+    assert low <= counts[0] and high <= counts[1]
+    assert counts[1] - counts[0] == PAIR_BYTES * (many.size - few.size)
+    assert 0 < high - low <= PAIR_BYTES * (many.size - few.size)
 
 
 @pytest.mark.parametrize("preset", ["brownian-regularity", "poisson-regularity"])
 def test_slab_difference_rows_are_the_gathered_profile_table_bit_for_bit(preset):
-    # each lag's rows of D, formed from reversed slices of the profiles at the members'
-    # positions, are the bits (sign bits included) of one gather of the whole (k + 1, n)
-    # profile table, as are rows with a member at time index 0, before any slab
+    # each block's rows of D (4 blocks of 128 pairs per lag), formed from reversed slices of
+    # the profiles at the members' positions, are the bits (sign bits included) of one gather
+    # of the whole (k + 1, n) profile table, as are rows with a member at time index 0
     pieces = build_regularity(default_config(preset))
     pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 512, seed=2024)
     last, n = pieces.saved[-1], pieces.grid.points
@@ -675,7 +692,7 @@ def test_slab_difference_rows_are_the_gathered_profile_table_bit_for_bit(preset)
                                           *args)
     want = gathered_slab_differences(pieces.kernel, pieces.grid, pieces.g, pieces.noise, *args)
     blocks = [sel for sel, _ in _pair_blocks(pairs, 2000)] + [slice(pairs.size, None)]
-    assert [np.size(want[sel], 0) for sel in blocks] == [512] * 4 + [3]
+    assert [np.size(want[sel], 0) for sel in blocks] == [128] * 16 + [3]
     for sel in blocks:
         assert np.array_equal(table.rows(sel).view(np.uint64), want[sel].view(np.uint64))
     assert not want[-1].any()  # time index 0 twice: no slab

@@ -1223,10 +1223,9 @@ def test_lattice_pairs_equal_pairs_drawn_from_the_simulated_ensemble(tmp_path):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-# the last case passes a count without the tables that do not scale with M (0.76 GB);
-# its lag symbols alone, up to the last saved index 12,288, need 52 GB
-@pytest.mark.parametrize("simulation", [{"ensemble": 10**8}, {"grid_points": 2**24},
-                                        {"grid_points": 2**20, "steps": 2**14, "ensemble": 30}])
+# the grid case fits its one real array (4 GiB), but not the temporaries that any reader of the
+# weights builds for one chunk of 3 lags on 2^29 points (48 GiB)
+@pytest.mark.parametrize("simulation", [{"ensemble": 10**8}, {"grid_points": 2**29}])
 def test_simulation_beyond_physical_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                              simulation):
     def not_reached(*args, **kwargs):
@@ -1248,6 +1247,42 @@ def test_simulation_beyond_physical_memory_is_a_config_error(tmp_path, capsys, m
         run_experiment(load_config(_write(tmp_path, small)), out_dir=tmp_path / "run")
     marker = json.loads((tmp_path / "run" / "FAILED.json").read_text())
     assert marker["stage"] == "setup" and marker["invalid_config"]
+
+
+def test_simulation_counts_one_chunk_of_lag_symbols(tmp_path):
+    # 30 realizations of 2^14 steps on 2^20 points: their (k + 1, F) lag symbols up to the last
+    # saved index 12,288 would be 52 GB, but any reader builds them one chunk of 3 lags at a
+    # time, so the count is the weights, that chunk and its temporaries: about 0.1 GB
+    sim = {**SIM_BROWNIAN["simulation"], "grid_points": 2**20, "steps": 2**14, "ensemble": 30}
+    pieces = build_regularity(load_config(_write(tmp_path, {**SIM_BROWNIAN, "simulation": sim})))
+    k, n = pieces.saved[-1], 2**20
+    assert k == 12288
+    weights, chunk, temporaries = 8 * 30 * k, 8 * 3 * (n // 2 + 1), 32 * 3 * n
+    assert pieces.require_memory(30) == weights + chunk + temporaries < 2**27
+
+
+@pytest.mark.parametrize("command, groups", [("moments", 5), ("seminorm", 4)])
+def test_cli_pairs_past_physical_memory_exit_two_before_the_bin_is_read(tmp_path, capsys,
+                                                                         monkeypatch, command,
+                                                                         groups):
+    # 10^15 pairs at each of the default 5 lags or 4 scales are counted (check_memory,
+    # PAIR_BYTES each) far past physical memory: exit 2 naming --pairs, before the .bin is read
+    # or a pair is drawn
+    prefix = str(tmp_path / "ensemble")
+    assert main(["simulate", "--config", str(_write(tmp_path, SIM_BROWNIAN)),
+                 "--out", str(tmp_path)]) == 0
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the ensemble was read or pairs drawn before the memory check")
+
+    monkeypatch.setattr(np, "fromfile", not_reached)
+    monkeypatch.setattr(cli, "sample_pairs_dyadic", not_reached)
+    monkeypatch.setattr(cli, "sample_pairs_within_cylinder", not_reached)
+    argv = [command, "--ensemble", prefix, "--pairs", str(10**15), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--pairs {10**15}: 120 realizations on 512 points and {groups * 10**15} pairs" in err
+    assert "physical memory" in err and not (tmp_path / "o").exists()
 
 
 def test_poisson_paths_beyond_physical_memory_are_a_config_error(tmp_path, capsys, monkeypatch):

@@ -331,12 +331,54 @@ def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeyp
                                  cylinder])
     ens = _pair_ensemble(source, tmp_path, convolve_brownian, NOISE, M, saved, pairs)
     blocks = moments._pair_blocks(pairs, M)
-    assert [lag for _, lag in blocks] == [0.125, 0.25, None, None, None]
+    assert [lag for _, lag in blocks] == [0.125] * 4 + [0.25] * 4 + [None] * 3
     got = estimate_pair_moments(ens, pairs, p)
     for (sel, _), diff in zip(blocks, ens.difference_blocks(pairs, [s for s, _ in blocks])):
         powed = np.abs(diff) ** p
         assert np.array_equal(got.estimates[sel], np.mean(powed, axis=0))
         assert np.array_equal(got.stderr[sel], np.std(powed, axis=0, ddof=1) / np.sqrt(M))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_lag_split_over_blocks_keeps_its_realization_stderr_and_overflow(monkeypatch):
+    # with blocks of at most 5 pairs, lag 0.25's 24 pairs, 8 of them drawn apart from the first
+    # 16, span 5 blocks, one of them not consecutive: its realization standard error is the bits
+    # of the whole lag's np.mean(axis=1).std(ddof=1) / sqrt(M), on a (M, lag pairs) array with
+    # the realization axis contiguous as every block; and a later block of the lag overflowing
+    # alone is MomentOverflow
+    M, saved = 64, list(range(64, 193, 8))
+    monkeypatch.setattr(moments, "PAIR_CHUNK", 5 * M)
+    lattice = Lattice(NOISE.dt, GRID, np.array(saved))
+    pairs = PairSet.concatenate([sample_pairs_dyadic(lattice, [0.25, 0.125], 16, seed=1),
+                                 sample_pairs_dyadic(lattice, [0.25], 8, seed=2)])
+    blocks = moments._pair_blocks(pairs, M)
+    split = [sel for sel, lag in blocks if lag == 0.25]
+    assert len(split) == 5 and isinstance(split[3], np.ndarray)
+    assert split[3].tolist() == [15, 32, 33, 34, 35]
+    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    held = convolve_brownian(KERNEL, GRID, g, NOISE, M, saved).differences(pairs.indices)
+    whole = np.empty((pairs.size, M)).T  # realization axis contiguous
+    for (sel, _), diff in zip(blocks, held.difference_blocks(pairs, [s for s, _ in blocks])):
+        whole[:, sel] = diff
+    for p in (1.0, 2.0, 3.5):
+        got = estimate_pair_moments(held, pairs, p)
+        for lag in (0.25, 0.125):
+            powed = np.asfortranarray(np.abs(whole[:, pairs.requested_delta == lag]) ** p)
+            want = float(powed.mean(axis=1).std(ddof=1) / np.sqrt(M))
+            assert got.realization_stderr[lag].hex() == want.hex()
+
+    # X at time index 3 on profile row 0 (ones), Y at 0: D is 1 on the first 3 slabs, and 1e80
+    # for pair 38, in the last block of lag 0.25, whose square alone overflows
+    rows, other = np.zeros(pairs.size, int), np.zeros(pairs.size, int)
+    rows[38] = 1
+    table = SlabDifferences(np.array([[1.0] * 4, [1e80] * 4]), np.zeros(4), np.zeros(3),
+                            (np.full(pairs.size, 3), rows, other, other))
+    late = PairEnsemble(np.full((M, 3), 1e76), pairs.indices, lattice.time_indices,
+                        np.ones(pairs.size), table)
+    with pytest.raises(MomentOverflow, match="not finite"):
+        estimate_pair_moments(late, pairs, 2.0)
+    rows[38] = 0  # every square finite: no overflow
+    assert np.isfinite(estimate_pair_moments(late, pairs, 2.0).estimates).all()
 
 
 def _pair_ensemble(source, tmp_path, convolve, noise, M, saved, pairs):
