@@ -148,7 +148,7 @@ def _cmd_moments(args) -> int:
     ens = _read_ensemble(args, args.pairs * len(lags))
     seed = _resolve_seed(args) or 0
     pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
-    field = estimate_pair_moments(ens.differences(pairs.indices), pairs, args.p)
+    field = estimate_pair_moments(ens.differences(pairs), args.p)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     ps = field.pairs
@@ -180,7 +180,7 @@ def _cmd_seminorm(args) -> int:
                           f"points (lattice spacing {ens.grid.spacing:g})")
     # every cylinder's pairs at once: one table of slab differences
     pairs = PairSet.concatenate([p for _, _, p in cylinders])
-    field = estimate_pair_moments(ens.differences(pairs.indices), pairs, args.p)
+    field = estimate_pair_moments(ens.differences(pairs), args.p)
     groups = [(c, cyl.measure, float(est.mean())) for (c, cyl, _), est
               in zip(cylinders, np.split(field.estimates, len(cylinders)))]
     report = campanato_from_pair_moments(groups, args.p, args.theta)

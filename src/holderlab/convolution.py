@@ -18,7 +18,8 @@ FieldEnsemble holds the (M, k) weights of the slabs before its last saved time i
 FieldEnsemble.save writes them, float64, to the ensemble's .bin.  Every consumer reads the field
 as pair differences u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds, a chunk of lag
 symbols at a time, the table of D whose rows give their exact second moments and Monte Carlo
-values; a PairEnsemble holds it and w and forms D w^T a block of pairs at a time.  g moves in
+values; a PairEnsemble holds it, w and the PairSet it was built for, forms D w^T a block of
+pairs at a time, and forms the exact second moments only when they are read.  g moves in
 time only in its zero mode, so the table factors its spectrum into one base spectrum and a
 shift per slab (_g_spectrum).  Realizations are pure functions of (seed, stream_index).
 """
@@ -29,6 +30,7 @@ import json
 import os
 import typing
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,9 @@ import numpy as np
 from .errors import GridMismatch, PairOffGrid
 from .kernels import KernelSpec, SpectralGrid, symbol
 from .noise import JumpSpec, MarkLaw, NoiseSpec, slab_cumulant, slab_weights
+
+if typing.TYPE_CHECKING:
+    from .moments import PairSet
 
 
 @dataclass(frozen=True)
@@ -115,17 +120,17 @@ class FieldEnsemble:
     def times(self) -> np.ndarray:
         return self.time_indices * self.dt
 
-    def differences(self, pairs) -> "PairEnsemble":
-        """The PairEnsemble of pairs = (t1, s1, t2, s2), lattice indices of pair members: times
-        not among the saved ones raise GridMismatch, spatial indices off the lattice
-        PairOffGrid.  It holds the first columns of values, as many as the table reads."""
-        times = np.concatenate([np.ravel(pairs[0]), np.ravel(pairs[2])])
+    def differences(self, pairs: PairSet) -> "PairEnsemble":
+        """The PairEnsemble of pairs, drawn on this lattice: member times not among the saved
+        ones raise GridMismatch, spatial indices off the lattice PairOffGrid.  It holds the
+        first columns of values, as many as the table reads."""
+        times = np.concatenate([pairs.t_idx1, pairs.t_idx2])
         if not np.isin(times, self.time_indices).all():
             raise GridMismatch(f"pair times {np.setdiff1d(times, self.time_indices)} are not "
                                "saved times")
-        diff = _slab_differences(self.kernel, self.grid, self.g, self.noise, *pairs)
-        return PairEnsemble(self.values[:, :diff.shift.size], tuple(np.array(a) for a in pairs),
-                            self.time_indices, _isometry(self.noise, diff), diff)
+        diff = _slab_differences(self.kernel, self.grid, self.g, self.noise, pairs.t_idx1,
+                                 pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
+        return PairEnsemble(self.values[:, :diff.shift.size], pairs, self.noise, diff)
 
     def save(self, prefix: str) -> None:
         """Write the weights to {prefix}.bin, float64 in native byte order, and a JSON sidecar
@@ -222,25 +227,24 @@ class SlabDifferences:
 
 @dataclass
 class PairEnsemble:
-    """u_m(X_n) - u_m(Y_n) = sum_k D[n, k] w[m, k] for the pairs (t1, s1, t2, s2) it was built
-    for, held as the table of D (n_pairs, k) and values, the slab weights w (M, k); time_indices
-    are the saved times; second_moments[n] = E|u(X_n) - u(Y_n)|^2 exactly, from the same D."""
+    """u_m(X_n) - u_m(Y_n) = sum_k D[n, k] w[m, k] for the pairs it was built for, held as the
+    table of D (n_pairs, k) and values, the slab weights w (M, k), of noise's slabs."""
 
     values: np.ndarray
-    pairs: tuple
-    time_indices: np.ndarray
-    second_moments: np.ndarray
+    pairs: PairSet
+    noise: NoiseSpec
     slab_differences: SlabDifferences
 
-    def difference_blocks(self, pairs, blocks=(slice(None),)):
+    @cached_property
+    def second_moments(self) -> np.ndarray:
+        """E|u(X_n) - u(Y_n)|^2 exactly, from the same D, formed on first read."""
+        return _isometry(self.noise, self.slab_differences)
+
+    def difference_blocks(self, blocks=(slice(None),)):
         """For each selection of pairs in blocks, (D[sel] w^T)^T, a new float64 (M, size) array
-        with the realization axis contiguous; other pairs raise PairOffGrid.  D[sel] lives only
-        while its product is formed.  BLAS rounds the presets' lag blocks as their rows of the
-        whole product; one row (a matrix-vector kernel) or, at small M, a few rows can round
-        differently."""
-        asked = (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
-        if not all(np.array_equal(a, b) for a, b in zip(asked, self.pairs)):
-            raise PairOffGrid("pairs not held by the pair ensemble")
+        with the realization axis contiguous.  D[sel] lives only while its product is formed.
+        BLAS rounds the presets' lag blocks as their rows of the whole product; one row (a
+        matrix-vector kernel) or, at small M, a few rows can round differently."""
         for sel in blocks:
             prod = self.slab_differences.rows(sel) @ self.values.T
             yield prod.T
@@ -362,6 +366,6 @@ def _isometry(noise: NoiseSpec, diff: SlabDifferences) -> np.ndarray:
 def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                         noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
     """Exact second moments E|u(X) - u(Y)|^2 of the discretized field, no Monte Carlo, for
-    the D of _slab_differences (same arguments and checks); FieldEnsemble.differences carries
-    the same values as PairEnsemble.second_moments."""
+    the D of _slab_differences (same arguments and checks), the values the PairEnsemble of
+    FieldEnsemble.differences gives as its second_moments."""
     return _isometry(noise, _slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2))

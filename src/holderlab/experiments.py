@@ -528,9 +528,12 @@ def _run_regularity(config: ExperimentConfig, progress: Stages):
     progress.enter("pairs")  # pairs depend only on the lattice: draw them first
     pairs = sample_pairs_dyadic(pieces.lattice, lags, mom.pairs_per_lag, seed=config.seed)
     progress.enter("simulate")
-    values = pieces.simulate(config.simulation.ensemble).differences(pairs.indices)
+    values = pieces.simulate(config.simulation.ensemble).differences(pairs)
+    # exact, from the simulation's slab differences; formed before the estimate: formed after
+    # it, the brownian preset's peak RSS rose from 57.3 to 58.0 MiB (perfbench, seed 2024)
+    oracle = values.second_moments if mom.p == 2.0 else None
     progress.enter("moments")
-    mfield = estimate_pair_moments(values, pairs, mom.p)
+    mfield = estimate_pair_moments(values, mom.p)
     per_lag = []
     for lag in lags:
         sel = pairs.requested_delta == lag
@@ -548,8 +551,7 @@ def _run_regularity(config: ExperimentConfig, progress: Stages):
 
     gamma_oracle = None
     oracle_rows = None
-    if mom.p == 2.0:
-        oracle = values.second_moments  # exact, from the simulation's slab differences
+    if oracle is not None:
         oracle_rows = [{"lag": lag, "mean": float(oracle[pairs.requested_delta == lag].mean())}
                        for lag in lags]
         fit_oracle = fit_exponent([(r["lag"], r["mean"]) for r in oracle_rows])

@@ -123,7 +123,9 @@ def physical_memory() -> int:
 
 def _freq_radius(grid: SpectralGrid) -> np.ndarray:
     """|xi| on the rfftn lattice (last axis halved)."""
-    half = 2.0 * math.pi * np.fft.rfftfreq(grid.points, d=grid.spacing)
+    half = np.arange(grid.points // 2 + 1.0)  # 2 pi rfftfreq, its bits, in one array
+    half *= 1.0 / (grid.points * grid.spacing)
+    half *= 2.0 * math.pi
     if grid.dim == 1:
         return half
     full = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
@@ -134,8 +136,13 @@ def symbol(spec: KernelSpec, grid: SpectralGrid, t) -> np.ndarray:
     """Fourier symbol |xi|^epsilon * exp(-t |xi|^alpha) on the rfft lattice; for an array
     of times, one lattice per time (shape t.shape + lattice shape)."""
     r = _freq_radius(grid)
-    sym = np.multiply.outer(np.negative(t), r**spec.alpha)
+    if np.ndim(t):
+        sym = np.multiply.outer(np.negative(t), r**spec.alpha)
+    else:
+        sym = r**spec.alpha
+        sym *= -t
     np.exp(sym, out=sym)
     if spec.epsilon > 0.0:
-        sym *= r**spec.epsilon
+        r **= spec.epsilon
+        sym *= r
     return sym

@@ -4,10 +4,10 @@ Pair subsampling replaces the full double integral over a cylinder by
 uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
 Pairs depend only on the saved lattice, so they can be drawn before simulating;
-the estimator reads u(X) - u(Y) = D w^T from the PairEnsemble built for them
-(FieldEnsemble.differences), one block of at most PAIR_CHUNK // M pairs of a requested lag, or
-of within-cylinder pairs, at a time, so no (M, pairs) array is ever whole.  The lattice, like
-the field, is 1-D.
+the estimator takes the PairEnsemble built for them (FieldEnsemble.differences(pairs)), which
+holds the PairSet, and reads u(X) - u(Y) = D w^T from it one block of at most PAIR_CHUNK // M
+pairs of a requested lag, or of within-cylinder pairs, at a time, so no (M, pairs) array is
+ever whole.  The lattice, like the field, is 1-D.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ class PairSet:
     def size(self) -> int:
         return self.t_idx1.size
 
-    @property
-    def indices(self) -> tuple:
-        """(t_idx1, s_idx1, t_idx2, s_idx2), the pairs FieldEnsemble.differences takes."""
-        return self.t_idx1, self.s_idx1, self.t_idx2, self.s_idx2
-
     @classmethod
     def concatenate(cls, sets) -> "PairSet":
         """The pairs of every set, in order."""
@@ -96,21 +91,18 @@ def lag_offsets(lag: float, dt: float, h: float) -> tuple[int, int]:
 
 
 def _pair_blocks(pairs: PairSet, M: int) -> list:
-    """(selection, lag) of each block the estimator reduces: the pairs of every requested lag,
+    """(indices, lag) of each block the estimator reduces: the pairs of every requested lag,
     in pair order, then those without one (lag None), each group in the even_blocks of at most
-    PAIR_CHUNK // M pairs.  A selection is a slice where its pairs are consecutive."""
+    PAIR_CHUNK // M pairs."""
     rd = pairs.requested_delta
     lags = sorted(set(rd[~np.isnan(rd)].tolist()))  # np.unique's first call adds 1.6 MiB RSS
-    blocks = [(idx[lo:hi], lag) for lag in [*lags, None]
-              for idx in [np.flatnonzero(np.isnan(rd) if lag is None else rd == lag)]
-              for lo, hi in even_blocks(idx.size, PAIR_CHUNK // M)]
-    return [(slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx, lag)
-            for idx, lag in blocks]
+    return [(idx[lo:hi], lag) for lag in [*lags, None]
+            for idx in [np.flatnonzero(np.isnan(rd) if lag is None else rd == lag)]
+            for lo, hi in even_blocks(idx.size, PAIR_CHUNK // M)]
 
 
-def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
-    """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair, with standard errors, from the
-    PairEnsemble built for these pairs.
+def estimate_pair_moments(ensemble, p: float) -> MomentField:
+    """(1/M) sum_m |u_m(X) - u_m(Y)|^p per pair of the PairEnsemble, with standard errors.
 
     One (M, block) float64 array of at most PAIR_CHUNK // M pairs alive at a time (_pair_blocks),
     reduced in place and released before the next is formed.  Per-pair reductions run along the
@@ -126,10 +118,11 @@ def estimate_pair_moments(ensemble, pairs: PairSet, p: float) -> MomentField:
     M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")
+    pairs = ensemble.pairs
     est, err, by_lag, sums = np.empty(pairs.size), np.empty(pairs.size), {}, {}
     blocks = _pair_blocks(pairs, M)
     last = {lag: b for b, (_, lag) in enumerate(blocks)}
-    diffs = ensemble.difference_blocks(pairs, [sel for sel, _ in blocks])
+    diffs = ensemble.difference_blocks([sel for sel, _ in blocks])
     with np.errstate(over="ignore", invalid="ignore"):
         for b, (sel, lag) in enumerate(blocks):
             powed = next(diffs)

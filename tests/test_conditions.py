@@ -28,6 +28,7 @@ from holderlab.errors import (
     InsufficientPoints,
     MomentDivergence,
     NonPositiveData,
+    QuadratureNotConverged,
 )
 from holderlab.experiments import default_config, dyadic
 from holderlab.kernels import KernelSpec, SpectralGrid
@@ -327,3 +328,12 @@ def test_power_variant_scaling():
                            mesh_points=64)
     delta = 2.0**-5
     assert condition_tail(probe, 0.5, 0.5 + delta) == pytest.approx(delta, rel=1e-4)
+
+
+def test_graded_levels_that_disagree_past_the_richardson_bound_raise():
+    # the Cauchy kernel's increment over (0.5, 0.501) on a 16-cell outer mesh: the J = 16 and
+    # J = 8 graded levels disagree by about 50%, far past RICHARDSON_FAIL
+    probe = ConditionProbe(KernelSpec(alpha=1.0), beta=0.0, power=2.0, mesh_points=16)
+    with pytest.raises(QuadratureNotConverged, match=r"levels J=16 and J=8 disagree by") as err:
+        condition_increment(probe, 0.5, 0.501)
+    assert float(str(err.value).split()[-1].rstrip("%")) > 100 * conditions.RICHARDSON_FAIL

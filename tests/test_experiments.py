@@ -755,12 +755,44 @@ def test_cli_moments_are_the_presets_pair_route_bit_for_bit(tmp_path, config):
                  "--out", str(tmp_path)]) == 0
     pieces = build_regularity(load_config(path, simulate=True))
     pairs = sample_pairs_dyadic(pieces.lattice, pieces.lags, 16, seed=5)
-    want = estimate_pair_moments(pieces.simulate(40).differences(pairs.indices), pairs,
-                                 2.0)
+    want = estimate_pair_moments(pieces.simulate(40).differences(pairs), 2.0)
     got = json.loads((tmp_path / "moments.json").read_text())
     assert got["estimate"] == want.estimates.tolist()
     assert got["stderr"] == want.stderr.tolist()
     assert all(np.isfinite(json.loads((tmp_path / "seminorm.json").read_text())["per_scale"]))
+
+
+def test_cli_chain_never_forms_the_exact_second_moments(tmp_path, monkeypatch):
+    # moments and seminorm write Monte Carlo values only, so neither makes the pass over the
+    # rows of D that the exact second moments take
+    path = _write(tmp_path, _with(SIM_BROWNIAN, "simulation", ensemble=40))
+    prefix = str(tmp_path / "ensemble")
+
+    def refuse(*args):
+        raise AssertionError("the exact second moments were formed")
+
+    monkeypatch.setattr(convolution, "_isometry", refuse)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["moments", "--ensemble", prefix, "--lag-k-max", "4", "--pairs", "16",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["seminorm", "--ensemble", prefix, "--pairs", "16", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("p, want", [(2.0, ["oracle", "estimate"]), (3.0, ["estimate"])])
+def test_regularity_forms_the_oracle_before_the_estimate_and_only_at_p_2(tmp_path, monkeypatch,
+                                                                          p, want):
+    # the exact second moments are read, at p = 2 only, between the pair ensemble and the
+    # Monte Carlo estimate, while no block of the estimate is alive
+    events = []
+    isometry = convolution._isometry
+    monkeypatch.setattr(convolution, "_isometry",
+                        lambda *a: events.append("oracle") or isometry(*a))
+    monkeypatch.setattr(experiments, "estimate_pair_moments",
+                        lambda *a: events.append("estimate") or estimate_pair_moments(*a))
+    config = _with(SMALL_BROWNIAN, "moments", p=p)
+    moments = run_experiment(load_config(_write(tmp_path, config))).modules["moments"]
+    assert events == want
+    assert (moments["fitted_gamma_oracle"] is None) == (p != 2.0)
 
 
 @pytest.mark.parametrize("preset, points", [("brownian-regularity", 1024),

@@ -43,7 +43,7 @@ def unit_ensemble():
 
 def _estimate(ens, pairs, p):
     """The p-moment estimates of pairs from a FieldEnsemble, through its PairEnsemble."""
-    return estimate_pair_moments(ens.differences(pairs.indices), pairs, p)
+    return estimate_pair_moments(ens.differences(pairs), p)
 
 
 def test_identical_points_give_zero(unit_ensemble):
@@ -130,17 +130,16 @@ def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
     first, other = np.full(pairs.size, 3), np.zeros(pairs.size, int)
     table = SlabDifferences(np.full((1, 4), 1e30), np.zeros(4), np.zeros(3),
                             (first, other, other, other))
-    held = PairEnsemble(np.full((M, 3), 1e200), pairs.indices, lattice.time_indices,
-                        np.ones(pairs.size), table)
+    held = PairEnsemble(np.full((M, 3), 1e200), pairs, NOISE, table)
     assert np.array_equal(table.rows(), np.full((pairs.size, 3), 1e30))
     prefix = str(tmp_path / "ens")
     weights = np.zeros((M, saved[-1]))
     weights[3, 70] = np.inf
     FieldEnsemble(weights, lattice.time_indices, GRID, KERNEL, G_UNIT, NOISE).save(prefix)
-    stored = FieldEnsemble.load(prefix).differences(pairs.indices)
+    stored = FieldEnsemble.load(prefix).differences(pairs)
     for ens in (held, stored):
         with pytest.raises(MomentOverflow, match="not finite"):
-            estimate_pair_moments(ens, pairs, 2.0)
+            estimate_pair_moments(ens, 2.0)
 
 
 @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
@@ -305,8 +304,8 @@ def test_estimates_match_the_direct_reduction(p):
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
     ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=64, save_times=list(range(64, 193, 8)))
     pairs = sample_pairs_dyadic(ens, [0.25, 0.125], 16, seed=5)
-    held = ens.differences(pairs.indices)
-    field = estimate_pair_moments(held, pairs, p)
+    held = ens.differences(pairs)
+    field = estimate_pair_moments(held, p)
     for sel, _ in moments._pair_blocks(pairs, 64):
         diff = (held.slab_differences.rows(sel) @ ens.values.T).T
         powed = np.abs(diff) ** p
@@ -332,8 +331,8 @@ def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeyp
     ens = _pair_ensemble(source, tmp_path, convolve_brownian, NOISE, M, saved, pairs)
     blocks = moments._pair_blocks(pairs, M)
     assert [lag for _, lag in blocks] == [0.125] * 4 + [0.25] * 4 + [None] * 3
-    got = estimate_pair_moments(ens, pairs, p)
-    for (sel, _), diff in zip(blocks, ens.difference_blocks(pairs, [s for s, _ in blocks])):
+    got = estimate_pair_moments(ens, p)
+    for (sel, _), diff in zip(blocks, ens.difference_blocks([s for s, _ in blocks])):
         powed = np.abs(diff) ** p
         assert np.array_equal(got.estimates[sel], np.mean(powed, axis=0))
         assert np.array_equal(got.stderr[sel], np.std(powed, axis=0, ddof=1) / np.sqrt(M))
@@ -353,15 +352,15 @@ def test_a_lag_split_over_blocks_keeps_its_realization_stderr_and_overflow(monke
                                  sample_pairs_dyadic(lattice, [0.25], 8, seed=2)])
     blocks = moments._pair_blocks(pairs, M)
     split = [sel for sel, lag in blocks if lag == 0.25]
-    assert len(split) == 5 and isinstance(split[3], np.ndarray)
+    assert len(split) == 5 and all(isinstance(sel, np.ndarray) for sel in split)
     assert split[3].tolist() == [15, 32, 33, 34, 35]
     g = TestFunctionSpec(family="parabolic-power", beta=0.5)
-    held = convolve_brownian(KERNEL, GRID, g, NOISE, M, saved).differences(pairs.indices)
+    held = convolve_brownian(KERNEL, GRID, g, NOISE, M, saved).differences(pairs)
     whole = np.empty((pairs.size, M)).T  # realization axis contiguous
-    for (sel, _), diff in zip(blocks, held.difference_blocks(pairs, [s for s, _ in blocks])):
+    for (sel, _), diff in zip(blocks, held.difference_blocks([s for s, _ in blocks])):
         whole[:, sel] = diff
     for p in (1.0, 2.0, 3.5):
-        got = estimate_pair_moments(held, pairs, p)
+        got = estimate_pair_moments(held, p)
         for lag in (0.25, 0.125):
             powed = np.asfortranarray(np.abs(whole[:, pairs.requested_delta == lag]) ** p)
             want = float(powed.mean(axis=1).std(ddof=1) / np.sqrt(M))
@@ -373,12 +372,28 @@ def test_a_lag_split_over_blocks_keeps_its_realization_stderr_and_overflow(monke
     rows[38] = 1
     table = SlabDifferences(np.array([[1.0] * 4, [1e80] * 4]), np.zeros(4), np.zeros(3),
                             (np.full(pairs.size, 3), rows, other, other))
-    late = PairEnsemble(np.full((M, 3), 1e76), pairs.indices, lattice.time_indices,
-                        np.ones(pairs.size), table)
+    late = PairEnsemble(np.full((M, 3), 1e76), pairs, NOISE, table)
     with pytest.raises(MomentOverflow, match="not finite"):
-        estimate_pair_moments(late, pairs, 2.0)
+        estimate_pair_moments(late, 2.0)
     rows[38] = 0  # every square finite: no overflow
-    assert np.isfinite(estimate_pair_moments(late, pairs, 2.0).estimates).all()
+    assert np.isfinite(estimate_pair_moments(late, 2.0).estimates).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_lag_mean_overflowing_alone_is_moment_overflow():
+    # every realization's |u(X) - u(Y)|^2 is 2^1016 (7.0e305) at every pair, exactly: each
+    # pair's mean over M = 40 is finite and its spread 0, but a realization's sum over the
+    # lag's 300 pairs passes 2^1024, so only the lag's realization standard error overflows
+    M = 40
+    lattice = Lattice(NOISE.dt, GRID, np.array([64, 72]))
+    pairs = sample_pairs_dyadic(lattice, [0.25], 300, seed=1)
+    one, other = np.ones(pairs.size, int), np.zeros(pairs.size, int)
+    table = SlabDifferences(np.ones((1, 2)), np.zeros(2), np.zeros(1), (one, other, other, other))
+    held = PairEnsemble(np.full((M, 1), 2.0**508), pairs, NOISE, table)
+    [diff] = held.difference_blocks()
+    assert np.all(diff == 2.0**508)
+    with pytest.raises(MomentOverflow, match="not finite"):
+        estimate_pair_moments(held, 2.0)
 
 
 def _pair_ensemble(source, tmp_path, convolve, noise, M, saved, pairs):
@@ -389,7 +404,7 @@ def _pair_ensemble(source, tmp_path, convolve, noise, M, saved, pairs):
     if source == "loaded":
         ens.save(str(tmp_path / "ens"))
         ens = FieldEnsemble.load(str(tmp_path / "ens"))
-    return ens.differences(pairs.indices)
+    return ens.differences(pairs)
 
 
 def test_pair_values_give_the_full_ensemble_estimates():
@@ -405,18 +420,16 @@ def test_pair_values_give_the_full_ensemble_estimates():
     pos = {t: i for i, t in enumerate(saved)}
     full = (field[:, [pos[t] for t in pairs.t_idx1], pairs.s_idx1]
             - field[:, [pos[t] for t in pairs.t_idx2], pairs.s_idx2])
-    held = ens.differences(pairs.indices)
+    held = ens.differences(pairs)
     assert held.values.nbytes == 300 * int(max(pairs.t_idx1.max(), pairs.t_idx2.max())) * 8
     rel = 1e-10
     for p in (1.0, 2.0, 3.5):
         a = _whole_array_moments(full.copy(), pairs, p)
-        b = estimate_pair_moments(held, pairs, p)
+        b = estimate_pair_moments(held, p)
         assert np.allclose(b.estimates, a[0], rtol=rel, atol=rel * a[0].max())
         assert np.allclose(b.stderr, a[1], rtol=rel, atol=rel * a[1].max())
         for lag in lags:
             assert b.realization_stderr[lag] == pytest.approx(a[2][lag], rel=rel)
-    with pytest.raises(PairOffGrid):
-        estimate_pair_moments(held, _swapped(pairs), 2.0)
 
 
 def test_realization_stderr_is_the_spread_of_per_realization_lag_means():
@@ -426,10 +439,10 @@ def test_realization_stderr_is_the_spread_of_per_realization_lag_means():
     ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=M, save_times=saved)
     lags = [0.25, 0.125]
     pairs = sample_pairs_dyadic(ens, lags, 32, seed=9)
-    held = ens.differences(pairs.indices)
-    field = estimate_pair_moments(held, pairs, 2.0)
+    held = ens.differences(pairs)
+    field = estimate_pair_moments(held, 2.0)
     assert sorted(field.realization_stderr) == sorted(lags)
-    [diff] = held.difference_blocks(pairs)
+    [diff] = held.difference_blocks()
     for lag in lags:
         sel = pairs.requested_delta == lag
         lag_means = (diff[:, sel] ** 2).mean(axis=1)  # one lag mean per realization
@@ -502,7 +515,7 @@ def test_blocked_estimator_equals_the_whole_array_reduction(tmp_path, monkeypatc
         ens = _pair_ensemble(source, tmp_path, convolve, noise, M, saved, pairs)
         blocks = moments._pair_blocks(pairs, M)
         assert sum(lag is None for _, lag in blocks) == 5  # 24 cylinder pairs, 5 at most
-        got = estimate_pair_moments(ens, pairs, 3.5)
+        got = estimate_pair_moments(ens, 3.5)
         est, err, by_lag = _whole_array_moments(_whole_differences(ens), pairs, 3.5)
         assert list(got.realization_stderr) == list(by_lag) == lags[::-1]
         if M < 2000:

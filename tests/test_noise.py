@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec, sample_path, slab_cumulant, slab_weights
+from numpy.random import Generator, Philox
+
+from holderlab.noise import (JumpSpec, MarkLaw, NoiseSpec, keyed_rng, sample_path, slab_cumulant,
+                             slab_weights)
 from oracles import (
     CompensatorQuadratureFailure,
     compensated_ensemble,
@@ -205,3 +208,16 @@ def test_kunita_moment_ratio_stable():
     r2 = sup_i4(1600, 800) / rhs
     assert np.isfinite(r1) and np.isfinite(r2)
     assert abs(r1 - r2) / max(r1, r2) < 0.5
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (2024, 0xD7), (7, 5), (-1, -7),
+                                          (2**63, 2**64 + 3), (2**64 - 1, 2**63 + 11),
+                                          (-(2**70), 0xC1)])
+def test_keyed_rng_draws_philox_keyed_by_seed_and_stream_bit_for_bit(seed, stream):
+    # the key handed over as Philox's seed sequence is the key Philox(key=...) sets
+    want = Generator(Philox(key=[seed % 2**64, stream % 2**64]))
+    got = keyed_rng(seed, stream)
+    assert got.bit_generator.state["state"]["key"].tolist() == [seed % 2**64, stream % 2**64]
+    for draw in (lambda g: g.normal(size=257), lambda g: g.exponential(2.0, 64),
+                 lambda g: g.integers(0, 2**62, 64)):
+        assert np.array_equal(draw(got).view(np.uint64), draw(want).view(np.uint64))
