@@ -88,10 +88,9 @@ def _weighted_sum(spec: KernelSpec, grid: SpectralGrid, beta: float, tau: float,
     m = min(j, n - j), so index n - m folds onto m and the origin is index 0 exactly."""
     n, half = grid.points, grid.points // 2
     sym = np.zeros((n,) * (grid.dim - 1) + (half + 1,), complex)  # irfft makes no complex copy
-    if minus is None:
-        sym.real = symbol(spec, grid, tau)
-    else:
-        np.subtract(symbol(spec, grid, tau), symbol(spec, grid, minus), out=sym.real)
+    sym.real = symbol(spec, grid, tau)
+    if minus is not None:
+        sym.real -= symbol(spec, grid, minus)
     absv = np.fft.irfft(sym, n) if grid.dim == 1 else np.fft.irfft2(sym, (n, n))
     np.abs(absv, out=absv)
     if beta == 0.0:

@@ -18,8 +18,9 @@ FieldEnsemble holds the (M, k) weights of the slabs before its last saved time i
 FieldEnsemble.save writes them, float64, to the ensemble's .bin.  Every consumer reads the field
 as pair differences u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds, a chunk of lag
 symbols at a time, the table of D whose rows give their exact second moments and Monte Carlo
-values; a PairEnsemble holds it, w and the PairSet it was built for, forms D w^T a block of
-pairs at a time, and forms the exact second moments only when they are read.  g moves in
+values; a PairEnsemble holds it, w and the PairSet it was built for and forms D w^T a block
+of pairs at a time; the exact second moments are formed from the table only where they are
+read (SlabDifferences.second_moments).  g moves in
 time only in its zero mode, so the table factors its spectrum into one base spectrum and a
 shift per slab (_g_spectrum).  Realizations are pure functions of (seed, stream_index).
 """
@@ -30,7 +31,6 @@ import json
 import os
 import typing
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +130,7 @@ class FieldEnsemble:
                                "saved times")
         diff = _slab_differences(self.kernel, self.grid, self.g, self.noise, pairs.t_idx1,
                                  pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)
-        return PairEnsemble(self.values[:, :diff.shift.size], pairs, self.noise, diff)
+        return PairEnsemble(self.values[:, :diff.shift.size], pairs, diff)
 
     def save(self, prefix: str) -> None:
         """Write the weights to {prefix}.bin, float64 in native byte order, and a JSON sidecar
@@ -224,21 +224,24 @@ class SlabDifferences:
             d[:b] -= self.profiles[y, b:0:-1] + self.shift[:b] * self.q0[b:0:-1]
         return out
 
+    def second_moments(self, noise: NoiseSpec) -> np.ndarray:
+        """E|u(X_n) - u(Y_n)|^2 = kappa2 sum_k D[n, k]^2 for independent centered slab weights
+        of variance kappa2 = slab_cumulant(noise, 2), PAIR_CHUNK elements at a time."""
+        squares = np.empty(self.members[0].size)
+        for lo, hi in even_blocks(squares.size, PAIR_CHUNK // max(self.shift.size, 1)):
+            rows = self.rows(slice(lo, hi))
+            squares[lo:hi] = np.einsum("nk,nk->n", rows, rows)
+        return slab_cumulant(noise, 2) * squares
+
 
 @dataclass
 class PairEnsemble:
     """u_m(X_n) - u_m(Y_n) = sum_k D[n, k] w[m, k] for the pairs it was built for, held as the
-    table of D (n_pairs, k) and values, the slab weights w (M, k), of noise's slabs."""
+    table of D (n_pairs, k) and values, the slab weights w (M, k)."""
 
     values: np.ndarray
     pairs: PairSet
-    noise: NoiseSpec
     slab_differences: SlabDifferences
-
-    @cached_property
-    def second_moments(self) -> np.ndarray:
-        """E|u(X_n) - u(Y_n)|^2 exactly, from the same D, formed on first read."""
-        return _isometry(self.noise, self.slab_differences)
 
     def difference_blocks(self, blocks=(slice(None),)):
         """For each selection of pairs in blocks, (D[sel] w^T)^T, a new float64 (M, size) array
@@ -353,19 +356,9 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
                            (idx1, rows[:idx1.size], idx2, rows[idx1.size:]))
 
 
-def _isometry(noise: NoiseSpec, diff: SlabDifferences) -> np.ndarray:
-    """E|u(X_n) - u(Y_n)|^2 = kappa2 sum_k D[n, k]^2 for independent centered slab weights
-    of variance kappa2 = slab_cumulant(noise, 2), PAIR_CHUNK elements at a time."""
-    squares = np.empty(diff.members[0].size)
-    for lo, hi in even_blocks(squares.size, PAIR_CHUNK // max(diff.shift.size, 1)):
-        rows = diff.rows(slice(lo, hi))
-        squares[lo:hi] = np.einsum("nk,nk->n", rows, rows)
-    return slab_cumulant(noise, 2) * squares
-
-
 def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
                         noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
     """Exact second moments E|u(X) - u(Y)|^2 of the discretized field, no Monte Carlo, for
-    the D of _slab_differences (same arguments and checks), the values the PairEnsemble of
-    FieldEnsemble.differences gives as its second_moments."""
-    return _isometry(noise, _slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2))
+    the D of _slab_differences (same arguments and checks), the table a PairEnsemble of
+    FieldEnsemble.differences holds."""
+    return _slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2).second_moments(noise)

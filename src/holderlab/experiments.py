@@ -531,7 +531,7 @@ def _run_regularity(config: ExperimentConfig, progress: Stages):
     values = pieces.simulate(config.simulation.ensemble).differences(pairs)
     # exact, from the simulation's slab differences; formed before the estimate: formed after
     # it, the brownian preset's peak RSS rose from 57.3 to 58.0 MiB (perfbench, seed 2024)
-    oracle = values.second_moments if mom.p == 2.0 else None
+    oracle = values.slab_differences.second_moments(pieces.noise) if mom.p == 2.0 else None
     progress.enter("moments")
     mfield = estimate_pair_moments(values, mom.p)
     per_lag = []

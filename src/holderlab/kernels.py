@@ -123,9 +123,7 @@ def physical_memory() -> int:
 
 def _freq_radius(grid: SpectralGrid) -> np.ndarray:
     """|xi| on the rfftn lattice (last axis halved)."""
-    half = np.arange(grid.points // 2 + 1.0)  # 2 pi rfftfreq, its bits, in one array
-    half *= 1.0 / (grid.points * grid.spacing)
-    half *= 2.0 * math.pi
+    half = 2.0 * math.pi * np.fft.rfftfreq(grid.points, d=grid.spacing)
     if grid.dim == 1:
         return half
     full = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
@@ -136,13 +134,8 @@ def symbol(spec: KernelSpec, grid: SpectralGrid, t) -> np.ndarray:
     """Fourier symbol |xi|^epsilon * exp(-t |xi|^alpha) on the rfft lattice; for an array
     of times, one lattice per time (shape t.shape + lattice shape)."""
     r = _freq_radius(grid)
-    if np.ndim(t):
-        sym = np.multiply.outer(np.negative(t), r**spec.alpha)
-    else:
-        sym = r**spec.alpha
-        sym *= -t
+    sym = np.multiply.outer(np.negative(t), r**spec.alpha)
     np.exp(sym, out=sym)
     if spec.epsilon > 0.0:
-        r **= spec.epsilon
-        sym *= r
+        sym *= r**spec.epsilon
     return sym

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from numpy.random.bit_generator import ISeedSequence
 
 
 @dataclass(frozen=True)
@@ -131,22 +130,11 @@ def event_block(spec: NoiseSpec) -> float:
     return lam_t + 6.0 * math.sqrt(lam_t) + 10.0
 
 
-class _Key(ISeedSequence):
-    """A Philox key given as its seed sequence: Philox(key=...) would first draw a
-    SeedSequence from OS entropy and discard it (about 10 against 4 us per generator with
-    NumPy 2.4 on x86-64)."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    generate_state = lambda self, n_words, dtype=np.uint32: self.key  # Philox's call for its key
-
-
 def keyed_rng(seed: int, stream: int) -> Generator:
     """The Philox generator of every seeded draw in holderlab: its key is two 64-bit words,
     (seed mod 2^64, stream mod 2^64), so any integer seed is accepted.  The words go in as
     uint64: a list of Python ints above 2^63 would be rounded through float64."""
-    return Generator(Philox(_Key(np.array([seed % 2**64, stream % 2**64], dtype=np.uint64))))
+    return Generator(Philox(key=np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)))
 
 
 def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:

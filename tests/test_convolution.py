@@ -493,7 +493,8 @@ def test_pair_differences_equal_the_per_time_oracle(case):
     assert not got[:, -2:].any()
     assert got.shape == (5, t1.size) and got.strides[0] == got.itemsize  # realizations inner
     # the same D gives the exact second moments
-    assert np.array_equal(held.second_moments, second_moment_pairs(kernel, grid, g, noise, *pairs))
+    assert np.array_equal(held.slab_differences.second_moments(noise),
+                          second_moment_pairs(kernel, grid, g, noise, *pairs))
 
 
 @pytest.mark.parametrize("route", ["simulated", "loaded"])
@@ -607,7 +608,8 @@ def test_loaded_ensemble_gives_the_simulated_pair_differences_bit_for_bit(tmp_pa
     assert held.pairs is pairs and loaded.pairs is pairs
     [want], [got] = held.difference_blocks(), loaded.difference_blocks()
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(loaded.second_moments, held.second_moments)
+    assert np.array_equal(loaded.slab_differences.second_moments(noise),
+                          held.slab_differences.second_moments(noise))
 
 
 @pytest.mark.parametrize("M", [40, 2000])

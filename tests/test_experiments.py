@@ -771,7 +771,7 @@ def test_cli_chain_never_forms_the_exact_second_moments(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the exact second moments were formed")
 
-    monkeypatch.setattr(convolution, "_isometry", refuse)
+    monkeypatch.setattr(convolution.SlabDifferences, "second_moments", refuse)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert main(["moments", "--ensemble", prefix, "--lag-k-max", "4", "--pairs", "16",
                  "--out", str(tmp_path)]) == 0
@@ -781,12 +781,12 @@ def test_cli_chain_never_forms_the_exact_second_moments(tmp_path, monkeypatch):
 @pytest.mark.parametrize("p, want", [(2.0, ["oracle", "estimate"]), (3.0, ["estimate"])])
 def test_regularity_forms_the_oracle_before_the_estimate_and_only_at_p_2(tmp_path, monkeypatch,
                                                                           p, want):
-    # the exact second moments are read, at p = 2 only, between the pair ensemble and the
+    # the exact second moments are formed, at p = 2 only, between the pair ensemble and the
     # Monte Carlo estimate, while no block of the estimate is alive
     events = []
-    isometry = convolution._isometry
-    monkeypatch.setattr(convolution, "_isometry",
-                        lambda *a: events.append("oracle") or isometry(*a))
+    oracle = convolution.SlabDifferences.second_moments
+    monkeypatch.setattr(convolution.SlabDifferences, "second_moments",
+                        lambda *a: events.append("oracle") or oracle(*a))
     monkeypatch.setattr(experiments, "estimate_pair_moments",
                         lambda *a: events.append("estimate") or estimate_pair_moments(*a))
     config = _with(SMALL_BROWNIAN, "moments", p=p)

@@ -130,7 +130,7 @@ def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
     first, other = np.full(pairs.size, 3), np.zeros(pairs.size, int)
     table = SlabDifferences(np.full((1, 4), 1e30), np.zeros(4), np.zeros(3),
                             (first, other, other, other))
-    held = PairEnsemble(np.full((M, 3), 1e200), pairs, NOISE, table)
+    held = PairEnsemble(np.full((M, 3), 1e200), pairs, table)
     assert np.array_equal(table.rows(), np.full((pairs.size, 3), 1e30))
     prefix = str(tmp_path / "ens")
     weights = np.zeros((M, saved[-1]))
@@ -372,7 +372,7 @@ def test_a_lag_split_over_blocks_keeps_its_realization_stderr_and_overflow(monke
     rows[38] = 1
     table = SlabDifferences(np.array([[1.0] * 4, [1e80] * 4]), np.zeros(4), np.zeros(3),
                             (np.full(pairs.size, 3), rows, other, other))
-    late = PairEnsemble(np.full((M, 3), 1e76), pairs, NOISE, table)
+    late = PairEnsemble(np.full((M, 3), 1e76), pairs, table)
     with pytest.raises(MomentOverflow, match="not finite"):
         estimate_pair_moments(late, 2.0)
     rows[38] = 0  # every square finite: no overflow
@@ -389,7 +389,7 @@ def test_a_lag_mean_overflowing_alone_is_moment_overflow():
     pairs = sample_pairs_dyadic(lattice, [0.25], 300, seed=1)
     one, other = np.ones(pairs.size, int), np.zeros(pairs.size, int)
     table = SlabDifferences(np.ones((1, 2)), np.zeros(2), np.zeros(1), (one, other, other, other))
-    held = PairEnsemble(np.full((M, 1), 2.0**508), pairs, NOISE, table)
+    held = PairEnsemble(np.full((M, 1), 2.0**508), pairs, table)
     [diff] = held.difference_blocks()
     assert np.all(diff == 2.0**508)
     with pytest.raises(MomentOverflow, match="not finite"):

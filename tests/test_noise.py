@@ -214,7 +214,7 @@ def test_kunita_moment_ratio_stable():
                                           (2**63, 2**64 + 3), (2**64 - 1, 2**63 + 11),
                                           (-(2**70), 0xC1)])
 def test_keyed_rng_draws_philox_keyed_by_seed_and_stream_bit_for_bit(seed, stream):
-    # the key handed over as Philox's seed sequence is the key Philox(key=...) sets
+    # seeds and streams of any sign and size key Philox with their residues mod 2^64
     want = Generator(Philox(key=[seed % 2**64, stream % 2**64]))
     got = keyed_rng(seed, stream)
     assert got.bit_generator.state["state"]["key"].tolist() == [seed % 2**64, stream % 2**64]
