@@ -105,8 +105,6 @@ class ParabolicCylinder:
         x = np.asarray(x, dtype=float)
         c = self.radius
         x0 = self.center.x_array()
-        if x.ndim == 1:
-            x = x[:, None]
         sdist = np.sqrt(((x - x0[None, :]) ** 2).sum(axis=-1))
         return (np.abs(t - self.center.t) < c * c) & (sdist < c)
 
@@ -138,28 +136,13 @@ class Box:
     def dim(self) -> int:
         return len(self.x_lo)
 
-    @property
-    def measure(self) -> float:
-        vol = self.t1 - self.t0
-        for lo, hi in zip(self.x_lo, self.x_hi):
-            vol *= hi - lo
-        return vol
-
     def contains(self, t, x) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
         ok = (t >= self.t0) & (t <= self.t1)
         for j, (lo, hi) in enumerate(zip(self.x_lo, self.x_hi)):
             ok &= (x[..., j] >= lo) & (x[..., j] <= hi)
         return ok
-
-    @property
-    def diameter(self) -> float:
-        """Diameter in the parabolic metric."""
-        space = np.linalg.norm(np.array(self.x_hi) - np.array(self.x_lo))
-        return max(math.sqrt(self.t1 - self.t0), float(space))
 
     def intersection_measure(self, cyl: ParabolicCylinder) -> float:
         """|D cap Q_c(X)|: the time overlap times an interval (d=1) or disk-box (d=2) one."""
@@ -289,8 +272,8 @@ def _pairwise_mean(vals: np.ndarray, p: float) -> float:
     return float(diff.mean())
 
 
-def campanato_seminorm(u, domain: Box, p: float, theta: float,
-                       scales=None, budget: int = 256, n_centers: int = 16,
+def campanato_seminorm(u, domain: Box, p: float, theta: float, scales,
+                       budget: int = 256, n_centers: int = 16,
                        seed: int = 0) -> SeminormReport:
     """Sampled Campanato seminorm of a deterministic space-time field.
 
@@ -305,9 +288,6 @@ def campanato_seminorm(u, domain: Box, p: float, theta: float,
     _check_exponents(p, theta)
     if budget < 64:
         raise SamplingBudgetTooSmall("need at least 64 points per cylinder")
-    if scales is None:
-        top = domain.diameter / 4.0
-        scales = [top * 2.0**-k for k in range(5)]
     scales = sorted(scales, reverse=True)
     rng = keyed_rng(seed, 0xCA)
 

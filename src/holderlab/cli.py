@@ -47,10 +47,14 @@ SEED_ENV = "HOLDERLAB_SEED"
 
 
 def _resolve_seed(args) -> int | None:
+    """--seed, else HOLDERLAB_SEED if set and not empty: a ConfigError unless an integer."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV}={env!r}: the seed must be an integer") from None
 
 
 def _read(flag: str, path, load):
@@ -145,8 +149,8 @@ def _check_flags(args) -> None:
 def _cmd_moments(args) -> int:
     _check_flags(args)
     lags = dyadic("--lag-k-min / --lag-k-max", args.lag_k_min, args.lag_k_max)
-    ens = _read_ensemble(args, args.pairs * len(lags))
     seed = _resolve_seed(args) or 0
+    ens = _read_ensemble(args, args.pairs * len(lags))
     pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
     field = estimate_pair_moments(ens.differences(pairs), args.p)
     out = Path(args.out or ".")
@@ -162,8 +166,8 @@ def _cmd_moments(args) -> int:
 def _cmd_seminorm(args) -> int:
     _check_flags(args)
     scales = dyadic("--scale-k-min / --scale-k-max", args.scale_k_min, args.scale_k_max)
-    ens = _read_ensemble(args, args.pairs * len(scales))
     seed = _resolve_seed(args) or 0
+    ens = _read_ensemble(args, args.pairs * len(scales))
     cylinders = []  # (scale, cylinder, pairs) of each cylinder holding two saved points
     times = ens.times
     t_mid = float(times[len(times) // 2])

@@ -284,13 +284,13 @@ class ConditionReport:
     increment_lhs: list  # [(t - s, value)]
     tail_lhs: list       # [(t - s, value)]
     mass_lhs: list       # [(s, value)]
-    fit_increment: FitResult | None
-    fit_tail: FitResult | None
+    fit_increment: FitResult
+    fit_tail: FitResult
     n0_estimate: float
-    gamma1: float | None
-    gamma2: float | None
-    gamma1_stderr: float | None = None
-    gamma2_stderr: float | None = None
+    gamma1: float
+    gamma2: float
+    gamma1_stderr: float
+    gamma2_stderr: float
 
     def to_dict(self):
         return {
@@ -298,10 +298,10 @@ class ConditionReport:
             "power": self.power,
             "increment": {"pairs": [lag for lag, _ in self.increment_lhs],
                           "lhs": [v for _, v in self.increment_lhs],
-                          "fit": asdict(self.fit_increment) if self.fit_increment else None},
+                          "fit": asdict(self.fit_increment)},
             "tail": {"pairs": [lag for lag, _ in self.tail_lhs],
                      "lhs": [v for _, v in self.tail_lhs],
-                     "fit": asdict(self.fit_tail) if self.fit_tail else None},
+                     "fit": asdict(self.fit_tail)},
             "mass": {"times": [s for s, _ in self.mass_lhs],
                      "lhs": [v for _, v in self.mass_lhs]},
             "n0_estimate": self.n0_estimate,
@@ -313,10 +313,10 @@ class ConditionReport:
 
 
 def audit_conditions(probe: ConditionProbe) -> ConditionReport:
-    """Evaluate all three conditions on the probe's time pairs and fit the
-    regularity exponents from the dyadic-lag scaling."""
-    if not probe.time_pairs:
-        raise ValueError("probe has no time pairs")
+    """Evaluate all three conditions on the probe's time pairs, at least the 4 a fit needs
+    (ValueError before any quadrature), and fit the regularity exponents from their scaling."""
+    if len(probe.time_pairs) < 4:
+        raise ValueError(f"probe has {len(probe.time_pairs)} time pairs, need >= 4 to fit")
     inc, tail = [], []
     for s, t in probe.time_pairs:
         lag = t - s
@@ -326,8 +326,7 @@ def audit_conditions(probe: ConditionProbe) -> ConditionReport:
     mass = [(s, condition_mass(probe, s)) for s in mass_times]
 
     q = probe.power
-    fit_inc = fit_exponent(inc) if len(inc) >= 4 else None
-    fit_tl = fit_exponent(tail) if len(tail) >= 4 else None
+    fit_inc, fit_tl = fit_exponent(inc), fit_exponent(tail)
     return ConditionReport(
         beta=probe.beta,
         power=q,
@@ -337,9 +336,9 @@ def audit_conditions(probe: ConditionProbe) -> ConditionReport:
         fit_increment=fit_inc,
         fit_tail=fit_tl,
         n0_estimate=max(v for _, v in mass),
-        gamma1=(2.0 * fit_inc.slope / q) if fit_inc else None,
-        gamma2=(2.0 * fit_tl.slope / q) if fit_tl else None,
-        gamma1_stderr=(2.0 * fit_inc.stderr / q) if fit_inc else None,
-        gamma2_stderr=(2.0 * fit_tl.stderr / q) if fit_tl else None,
+        gamma1=2.0 * fit_inc.slope / q,
+        gamma2=2.0 * fit_tl.slope / q,
+        gamma1_stderr=2.0 * fit_inc.stderr / q,
+        gamma2_stderr=2.0 * fit_tl.stderr / q,
     )
 

@@ -45,35 +45,22 @@ if typing.TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Deterministic coefficient g; a Poisson event of mark z enters with the factor z.
-
-    families (amplitude A, Holder order beta):
-      parabolic-power : g(t, x) = A (|x|^beta + t^(beta/2)); g(0,0) = 0,
-                        parabolic Holder constant 2A.
-      spatial-power   : g(x) = A |x|^beta; g(0) = 0, Holder constant A.
-      constant        : g = A (smooth diagnostic case; nonzero at the origin).
-    """
+    """The coefficient g(t, x) = A (|x|^beta + t^(beta/2)) of the paper's equation, in the
+    parabolic Holder class C^{beta, beta/2}: g(0, 0) = 0, parabolic Holder constant 2A.  A
+    Poisson event of mark z enters with the factor z."""
 
     __test__ = False  # not a pytest class despite the name
 
-    family: str = "parabolic-power"
     beta: float = 0.5
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("parabolic-power", "spatial-power", "constant"):
-            raise ValueError(f"unknown test function family {self.family!r}")
-        if self.family != "constant" and not 0.0 < self.beta < 1.0:
+        if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
 
     def evaluate(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
         """g(t, x) at times t (a scalar or an array of x's shape) and radii |x|."""
-        a = self.amplitude
-        if self.family == "constant":
-            return np.full_like(np.asarray(x, dtype=float), a)
-        if self.family == "spatial-power":
-            return a * np.abs(x) ** self.beta
-        return a * (np.abs(x) ** self.beta + t ** (self.beta / 2.0))
+        return self.amplitude * (np.abs(x) ** self.beta + t ** (self.beta / 2.0))
 
 
 class Lattice(typing.NamedTuple):
@@ -139,11 +126,13 @@ class FieldEnsemble:
         is noise.dt).  Each is written under a temporary name renamed when complete: the .bin
         first, the sidecar last, after any older sidecar is removed.  A write that fails or is
         stopped never leaves a sidecar over a partial .bin; weights that are not float64 of
-        shape [M, last saved index] are a ValueError before anything is written."""
+        shape [M, last saved index], or a g not a TestFunctionSpec, raise ValueError first."""
         M, k = self.values.shape[0], int(self.time_indices[-1])
         if self.values.dtype != np.float64 or self.values.shape != (M, k):
             raise ValueError(f"{self.values.dtype} weights of shape {self.values.shape} for "
                              f"{M} realizations up to time index {k}")
+        if not isinstance(self.g, TestFunctionSpec):
+            raise ValueError(f"g {self.g!r} is not a TestFunctionSpec")
         sidecar = {name: asdict(getattr(self, name)) for name in ("grid", "kernel", "g", "noise")}
         sidecar.update(weights=[M, k], shape=[M, self.time_indices.size, self.grid.points],
                        time_indices=[int(i) for i in self.time_indices])
@@ -291,8 +280,8 @@ def _lag_symbols(kernel: KernelSpec, grid: SpectralGrid, dt: float, lo: int, hi:
 def _g_spectrum(g: TestFunctionSpec, grid: SpectralGrid, dt: float,
                 n_t: int) -> tuple[np.ndarray, np.ndarray]:
     """(base, zero): base is the DFT of g(0, .) in native order and zero[k] = (g(r_k, 0) -
-    g(0, 0)) n for slab times r_k = k dt.  Every family moves in time only by a term constant
-    in space, so the DFT of g(r_k, .) is base plus zero[k] in its zero mode."""
+    g(0, 0)) n for slab times r_k = k dt.  g moves in time only by its term A t^(beta/2),
+    constant in space, so the DFT of g(r_k, .) is base plus zero[k] in its zero mode."""
     j = np.arange(grid.points)
     base = np.fft.rfft(g.evaluate(0.0, grid.spacing * np.minimum(j, grid.points - j)))
     r = dt * np.arange(n_t)

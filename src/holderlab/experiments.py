@@ -489,8 +489,7 @@ def build_regularity(config: ExperimentConfig) -> RegularityPieces:
                      mark=_spec("config.noise", MarkLaw, nc.mark_family, nc.mark_parameter))
     noise = _spec("config.simulation", NoiseSpec, kind=kind, horizon=sim.horizon,
                   steps=sim.steps, seed=config.seed, jump=jump)
-    g = _spec("config.moments", TestFunctionSpec, family="parabolic-power", beta=mom.beta,
-              amplitude=mom.amplitude)
+    g = _spec("config.moments", TestFunctionSpec, beta=mom.beta, amplitude=mom.amplitude)
     lags = dyadic("config.moments.lag_k_min / lag_k_max", mom.lag_k_min, mom.lag_k_max)
     if lags[0] * lags[0] > sim.horizon:  # a parabolic lag delta spans the time delta^2
         raise ConfigError(f"config.moments.lag_k_min: lag {lags[0]:g} spans the time "

@@ -109,9 +109,6 @@ class NoisePath:
     Poisson: strictly increasing event times in (0, T] with i.i.d. marks.
     """
 
-    kind: str
-    horizon: float
-    dt: float
     increments: np.ndarray | None = None
     times: np.ndarray | None = None
     marks: np.ndarray | None = None
@@ -148,7 +145,7 @@ def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:
     rng = keyed_rng(spec.seed, stream_index)
     if spec.kind == "brownian":
         inc = rng.normal(0.0, math.sqrt(spec.dt), spec.steps)
-        return NoisePath(kind="brownian", horizon=spec.horizon, dt=spec.dt, increments=inc)
+        return NoisePath(increments=inc)
 
     lam, T = spec.jump.intensity, spec.horizon
     block = int(event_block(spec))
@@ -159,7 +156,7 @@ def sample_path(spec: NoiseSpec, stream_index: int = 0) -> NoisePath:
         times = np.concatenate([times, times[-1] + np.cumsum(gaps)])
     times = times[times <= T]
     marks = spec.jump.mark.sample(rng, times.size)
-    return NoisePath(kind="poisson", horizon=spec.horizon, dt=spec.dt, times=times, marks=marks)
+    return NoisePath(times=times, marks=marks)
 
 
 def slab_cumulant(spec: NoiseSpec, n: int) -> float:

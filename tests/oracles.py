@@ -1,10 +1,11 @@
 """Reference implementations the tests compare holderlab against; no pipeline runs them:
 the kernels' closed forms in the FFT's native order, the Ito and compensated-Poisson
 integrals of a deterministic integrand, the field as its Ito sum at each saved time on its
-own, the slab differences as one gather of the whole profile table, and the Campanato
-inclusion test."""
+own, the slab differences as one gather of the whole profile table, the Campanato
+inclusion test, and two coefficients g besides the paper's one for the engine to convolve."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,6 +121,28 @@ def compensated_ensemble(spec: NoiseSpec, h, M: int) -> np.ndarray:
         vals = np.asarray(h(path.times, path.marks), dtype=float)
         out[m] = vals.sum() - comp
     return out
+
+
+@dataclass(frozen=True)
+class ConstantG:
+    """g = A: smooth, nonzero at the origin; with a unit-mass kernel and A = 1 the field is the
+    noise's own path at every x."""
+
+    amplitude: float = 1.0
+
+    def evaluate(self, t, x) -> np.ndarray:
+        return np.full_like(np.asarray(x, dtype=float), self.amplitude)
+
+
+@dataclass(frozen=True)
+class SpatialPowerG:
+    """g(x) = A |x|^beta, constant in time: g(0) = 0, Holder constant A."""
+
+    beta: float
+    amplitude: float = 1.0
+
+    def evaluate(self, t, x) -> np.ndarray:
+        return self.amplitude * np.abs(x) ** self.beta
 
 
 def slab_spectra(g, grid: SpectralGrid, dt: float, n: int) -> np.ndarray:

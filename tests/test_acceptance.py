@@ -243,8 +243,8 @@ def test_campanato_machinery_oracles():
     domain = Box(0.0, 1.0, [0.0], [1.0])
     checks = {}
 
-    const = campanato_seminorm(lambda ts, xs: np.full(ts.shape, 2.0),
-                               domain, 2.0, 1.2, budget=96, n_centers=6, seed=1)
+    const = campanato_seminorm(lambda ts, xs: np.full(ts.shape, 2.0), domain, 2.0, 1.2,
+                               [0.25 * 2**-k for k in range(5)], budget=96, n_centers=6, seed=1)
     checks["constant-field-zero"] = const.seminorm <= 1e-12
 
     # linear field vs dense-grid double-integral quadrature on a 200 x 200

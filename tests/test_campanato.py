@@ -24,6 +24,7 @@ from holderlab.experiments import write_json, write_table
 from oracles import inclusion_holds
 
 UNIT_BOX = Box(0.0, 1.0, [0.0], [1.0])
+UNIT_SCALES = [0.25 * 2**-k for k in range(5)]  # a quarter of the unit box's diameter, halved
 
 
 def test_metric_values():
@@ -64,19 +65,8 @@ def test_domain_validation_and_geometry():
     with pytest.raises(DimensionMismatch):
         Box(0, 1, [0], [1, 1])
     d = Box(0, 3, [0], [1])
-    assert d.measure == pytest.approx(3.0)
-    assert d.diameter == pytest.approx(math.sqrt(3.0))  # the time side dominates
     with pytest.raises(DimensionMismatch):
         d.intersection_measure(ParabolicCylinder(SpaceTimePoint(0.5, [0.5, 0.5]), 0.1))
-
-
-def test_box_diameter_in_two_dimensions():
-    # parabolic diameter max(sqrt(t1 - t0), |x_hi - x_lo|): the 3-4-5 diagonal, then time
-    flat = Box(0.0, 1.0, [0.0, 0.0], [3.0, 4.0])
-    assert flat.diameter == 5.0
-    assert flat.measure == 12.0
-    assert Box(0.0, 36.0, [0.0, 0.0], [3.0, 4.0]).diameter == 6.0
-    assert Box(0.0, 1.0, [-1.0, 2.0], [1.0, 4.0]).diameter == pytest.approx(math.sqrt(8.0))
 
 
 def test_intersection_measure_interior_and_corner():
@@ -127,7 +117,7 @@ def test_disk_rect_area_against_qmc():
 
 def test_campanato_constant_field_is_zero():
     rep = campanato_seminorm(lambda ts, xs: np.full(ts.shape, 3.7),
-                             UNIT_BOX, 2.0, 1.5, budget=96, n_centers=6, seed=0)
+                             UNIT_BOX, 2.0, 1.5, UNIT_SCALES, budget=96, n_centers=6, seed=0)
     assert rep.seminorm == pytest.approx(0.0, abs=1e-12)
 
 
@@ -156,7 +146,7 @@ def test_campanato_linear_field_vs_brute_force():
 
 def test_campanato_pairwise_dominates_meandev():
     rep = campanato_seminorm(lambda ts, xs: np.sin(3 * xs[:, 0]) + ts,
-                             UNIT_BOX, 2.0, 1.2, budget=128, n_centers=8, seed=2)
+                             UNIT_BOX, 2.0, 1.2, UNIT_SCALES, budget=128, n_centers=8, seed=2)
     assert rep.notes["pairwise_dominates_meandev"]
     for pw, dv in zip(rep.per_scale, rep.per_scale_meandev):
         assert pw >= dv * (1.0 - 1e-9)
@@ -167,14 +157,14 @@ def test_campanato_scaling_in_amplitude():
     p = 2.0
     u1 = lambda ts, xs: xs[:, 0] + ts
     u3 = lambda ts, xs: 3.0 * (xs[:, 0] + ts)
-    r1 = campanato_seminorm(u1, UNIT_BOX, p, 1.3, budget=96, n_centers=6, seed=7)
-    r3 = campanato_seminorm(u3, UNIT_BOX, p, 1.3, budget=96, n_centers=6, seed=7)
+    r1 = campanato_seminorm(u1, UNIT_BOX, p, 1.3, UNIT_SCALES, budget=96, n_centers=6, seed=7)
+    r3 = campanato_seminorm(u3, UNIT_BOX, p, 1.3, UNIT_SCALES, budget=96, n_centers=6, seed=7)
     assert np.allclose(np.array(r3.per_scale), 9.0 * np.array(r1.per_scale), rtol=1e-12)
 
 
 def test_campanato_budget_guard():
     with pytest.raises(SamplingBudgetTooSmall):
-        campanato_seminorm(lambda ts, xs: ts, UNIT_BOX, 2.0, 1.0, budget=16)
+        campanato_seminorm(lambda ts, xs: ts, UNIT_BOX, 2.0, 1.0, UNIT_SCALES, budget=16)
 
 
 def test_embedding_recovery_for_cusp_field():
@@ -256,7 +246,7 @@ def test_both_campanato_routes_refuse_the_same_exponents(p, theta):
     with pytest.raises(ValueError, match="must be finite"):
         campanato_from_pair_moments(groups, p, theta)
     with pytest.raises(ValueError, match="must be finite"):
-        campanato_seminorm(lambda ts, xs: ts, UNIT_BOX, p, theta)
+        campanato_seminorm(lambda ts, xs: ts, UNIT_BOX, p, theta, UNIT_SCALES)
 
 
 def test_seminorm_report_io(tmp_path):

@@ -321,6 +321,16 @@ def test_audit_report_roundtrip(tmp_path):
     assert all(v >= 0 and np.isfinite(v) for _, v in report.increment_lhs)
 
 
+@pytest.mark.parametrize("n_pairs", [0, 1, 3])
+def test_audit_refuses_too_few_time_pairs_to_fit_before_any_quadrature(monkeypatch, n_pairs):
+    # the report always holds both fits, and fit_exponent needs 4 lags: fewer are refused
+    # before a single kernel symbol is evaluated
+    monkeypatch.setattr(conditions, "symbol", lambda *args: pytest.fail("quadrature ran"))
+    probe = gaussian_probe(time_pairs=_time_pairs(4, 7)[:n_pairs])
+    with pytest.raises(ValueError, match=f"probe has {n_pairs} time pairs, need >= 4"):
+        audit_conditions(probe)
+
+
 def test_power_variant_scaling():
     # inner power q = 4 on the tail: integrand still 1 for the unit-mass
     # kernel, so the value stays t - s

@@ -682,6 +682,21 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert rep["rng"]["seed"] == 123
 
 
+@pytest.mark.parametrize("value", ["abc", " "], ids=["letters", "blank"])
+@pytest.mark.parametrize("command", [["run", "--preset", "embedding-check"],
+                                     ["moments", "--ensemble", "missing"],
+                                     ["seminorm", "--ensemble", "missing"]])
+def test_cli_malformed_env_seed_exits_two_naming_it(tmp_path, monkeypatch, capsys, command,
+                                                    value):
+    # a HOLDERLAB_SEED that is not an integer is a config error, not an untyped ValueError;
+    # moments and seminorm read it before the ensemble
+    monkeypatch.setenv("HOLDERLAB_SEED", value)
+    assert main(command + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: HOLDERLAB_SEED={value!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     path = _write(tmp_path, SIM_BROWNIAN)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0

@@ -2,20 +2,35 @@
 over-approximates what runs, from the CLI, the preset runner or a perfbench/tracer.py target:
 a name reaches what it resolves to in its module or through a relative import, obj.name every
 method called name (unless obj is an outside module: np.meshgrid), a class its dunders and
-body; module-level statements always run.  Every module-level UPPER_CASE constant is read by
-that code, by name in its module or through a relative import."""
+body; module-level statements always run.  A method is a def in a class body or a lambda
+bound to one name there (name = lambda self, ...: ...).  Every module-level UPPER_CASE
+constant is read by that code, by name in its module or through a relative import."""
 
 import ast
 import importlib.util
 import re
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PIPELINES = [("cli", "main"), ("experiments", "run_experiment")]
 DEFS, NAMES, TOP = {}, {}, []  # (module, name or Class.method) -> node; module -> {name: key}
 CONSTANTS = set()  # (module, NAME) of each module-level UPPER_CASE assignment
-for file in sorted((ROOT / "src" / "holderlab").glob("*.py")):
-    module, tree = file.stem, ast.parse(file.read_text())
+
+
+def _methods(cls: ast.ClassDef):
+    """(name, node) of each method in the body of cls: a def, or a lambda bound to one name."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name, item
+        elif (isinstance(item, ast.Assign) and isinstance(item.value, ast.Lambda)
+              and len(item.targets) == 1 and isinstance(item.targets[0], ast.Name)):
+            yield item.targets[0].id, item
+
+
+def _index(module, tree):
+    """Enter the definitions, names, module-level statements and constants of tree."""
     names = NAMES[module] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -32,8 +47,11 @@ for file in sorted((ROOT / "src" / "holderlab").glob("*.py")):
             continue
         DEFS[module, node.name], names[node.name] = node, (module, node.name)
         if isinstance(node, ast.ClassDef):
-            DEFS.update({(module, f"{node.name}.{item.name}"): item for item in node.body
-                         if isinstance(item, ast.FunctionDef)})
+            DEFS.update({(module, f"{node.name}.{name}"): item for name, item in _methods(node)})
+
+
+for file in sorted((ROOT / "src" / "holderlab").glob("*.py")):
+    _index(file.stem, ast.parse(file.read_text()))
 
 
 def _refs(module, nodes):
@@ -57,9 +75,9 @@ def _reach(roots):
         seen.add(key)
         node, body = DEFS[key], [DEFS[key]]
         if isinstance(node, ast.ClassDef):
-            body = [item for item in node.body if not isinstance(item, ast.FunctionDef)]
-            todo += [(key[0], f"{node.name}.{item.name}") for item in node.body
-                     if isinstance(item, ast.FunctionDef) and item.name.startswith("__")]
+            methods = dict(_methods(node))
+            body = [item for item in node.body if item not in methods.values()]
+            todo += [(key[0], f"{node.name}.{name}") for name in methods if name.startswith("__")]
         todo += _refs(key[0], body)
     return seen
 
@@ -93,3 +111,24 @@ def test_the_tracer_wraps_one_function_no_pipeline_runs():
     from_pipelines = _reach(PIPELINES)
     assert [key for key in _tracer_targets() if key not in from_pipelines] == [
         ("convolution", "second_moment_pairs")]
+
+
+def test_a_class_body_lambda_is_a_method_that_some_code_must_reach(monkeypatch):
+    # name = lambda self, ...: ... is checked as a def is: its class alone reaches it only as a
+    # dunder, and an unread one is left unreached, not taken as class body
+    here = sys.modules[__name__]
+    for table in ("DEFS", "NAMES", "TOP", "CONSTANTS"):
+        monkeypatch.setattr(here, table, type(getattr(here, table))(getattr(here, table)))
+    _index("probe", ast.parse(textwrap.dedent("""
+        class C:
+            __len__ = lambda self: 0
+            read = lambda self: 1
+            unread = lambda self: 2
+            def method(self): ...
+        def main():
+            return C().read()
+    """)))
+    assert sorted(key[1] for key in DEFS if key[0] == "probe") == [
+        "C", "C.__len__", "C.method", "C.read", "C.unread", "main"]
+    assert sorted(key[1] for key in _reach([("probe", "main")]) if key[0] == "probe") == [
+        "C", "C.__len__", "C.read", "main"]

@@ -27,12 +27,12 @@ from holderlab.moments import (
     sample_pairs_within_cylinder,
 )
 from holderlab.noise import JumpSpec, MarkLaw, NoiseSpec
-from oracles import per_time_field
+from oracles import ConstantG, per_time_field
 
 KERNEL = KernelSpec(alpha=2.0)
 GRID = SpectralGrid(length=4.0, points=512, dim=1)  # h = 1/64
 NOISE = NoiseSpec(kind="brownian", horizon=1.0, steps=256, seed=13)
-G_UNIT = TestFunctionSpec(family="constant", amplitude=1.0)
+G_UNIT = ConstantG(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,8 @@ def test_overflow_is_one_moment_overflow_and_no_numpy_warning(tmp_path):
     prefix = str(tmp_path / "ens")
     weights = np.zeros((M, saved[-1]))
     weights[3, 70] = np.inf
-    FieldEnsemble(weights, lattice.time_indices, GRID, KERNEL, G_UNIT, NOISE).save(prefix)
+    FieldEnsemble(weights, lattice.time_indices, GRID, KERNEL, TestFunctionSpec(),
+                  NOISE).save(prefix)
     stored = FieldEnsemble.load(prefix).differences(pairs)
     for ens in (held, stored):
         with pytest.raises(MomentOverflow, match="not finite"):
@@ -281,7 +282,7 @@ def test_moment_field_csv_json(tmp_path):
     # the CLI writes the moment field through the shared table and JSON writers;
     # both files carry the estimates of the same pairs exactly
     prefix = str(tmp_path / "ens")
-    convolve_brownian(KERNEL, GRID, G_UNIT, NOISE, M=40,
+    convolve_brownian(KERNEL, GRID, TestFunctionSpec(), NOISE, M=40,
                       save_times=list(range(64, 193, 8))).save(prefix)
     assert main(["moments", "--ensemble", prefix, "--p", "2", "--lag-k-min", "2",
                  "--lag-k-max", "2", "--pairs", "8", "--seed", "3", "--out", str(tmp_path)]) == 0
@@ -301,7 +302,7 @@ def test_moment_field_csv_json(tmp_path):
 def test_estimates_match_the_direct_reduction(p):
     # the one in-place work array gives the same bits as |u(X) - u(Y)|^p built
     # from separate float64 temporaries, per lag block
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    g = TestFunctionSpec(beta=0.5)
     ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=64, save_times=list(range(64, 193, 8)))
     pairs = sample_pairs_dyadic(ens, [0.25, 0.125], 16, seed=5)
     held = ens.differences(pairs)
@@ -322,7 +323,7 @@ def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeyp
     # the within-cylinder (lag None) blocks, from the simulated ensemble or loaded from a .bin
     M, saved = 64, list(range(64, 193, 8))
     monkeypatch.setattr(moments, "PAIR_CHUNK", 5 * M)
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    g = TestFunctionSpec(beta=0.5)
     lattice = Lattice(NOISE.dt, GRID, np.array(saved))
     cylinder = sample_pairs_within_cylinder(
         lattice, ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), 0.25), 12, seed=3)
@@ -354,7 +355,7 @@ def test_a_lag_split_over_blocks_keeps_its_realization_stderr_and_overflow(monke
     split = [sel for sel, lag in blocks if lag == 0.25]
     assert len(split) == 5 and all(isinstance(sel, np.ndarray) for sel in split)
     assert split[3].tolist() == [15, 32, 33, 34, 35]
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    g = TestFunctionSpec(beta=0.5)
     held = convolve_brownian(KERNEL, GRID, g, NOISE, M, saved).differences(pairs)
     whole = np.empty((pairs.size, M)).T  # realization axis contiguous
     for (sel, _), diff in zip(blocks, held.difference_blocks([s for s, _ in blocks])):
@@ -399,7 +400,7 @@ def test_a_lag_mean_overflowing_alone_is_moment_overflow():
 def _pair_ensemble(source, tmp_path, convolve, noise, M, saved, pairs):
     """The PairEnsemble of pairs, from the simulated ensemble ("pairs") or, as the CLI reads
     it, from the ensemble saved to a .bin and loaded back ("loaded")."""
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    g = TestFunctionSpec(beta=0.5)
     ens = convolve(KERNEL, GRID, g, noise, M, saved)
     if source == "loaded":
         ens.save(str(tmp_path / "ens"))
@@ -411,7 +412,7 @@ def test_pair_values_give_the_full_ensemble_estimates():
     # the pair differences agree with those of the field summed at each saved time on its own
     # (tests/oracles.py) to rounding; pairs mirrored about x = 0, where u is even, read
     # rounding noise
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    g = TestFunctionSpec(beta=0.5)
     saved = list(range(64, 193, 8))
     lags = [0.25, 0.125, 0.0625]
     ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=300, save_times=saved)
@@ -433,7 +434,7 @@ def test_pair_values_give_the_full_ensemble_estimates():
 
 
 def test_realization_stderr_is_the_spread_of_per_realization_lag_means():
-    g = TestFunctionSpec(family="parabolic-power", beta=0.5)
+    g = TestFunctionSpec(beta=0.5)
     saved = list(range(64, 193, 8))
     M = 200
     ens = convolve_brownian(KERNEL, GRID, g, NOISE, M=M, save_times=saved)

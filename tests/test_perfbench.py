@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["ensemble-cli", "brownian"])
+@pytest.mark.parametrize("workload", ["ensemble-cli", "brownian", "poisson"])
 def test_traced_benchmark_run_is_correct(workload):
     pytest.importorskip("scipy")  # perfbench/child.py imports it
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
