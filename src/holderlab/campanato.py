@@ -81,6 +81,14 @@ def parabolic_distance(t1, x1, t2, x2) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _positions(x, dim: int) -> np.ndarray:
+    """x as float positions of shape (n, dim); any other shape raises DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise DimensionMismatch(f"positions of shape {x.shape} are not (n, {dim})")
+    return x
+
+
 @dataclass(frozen=True)
 class ParabolicCylinder:
     """Q_c(X): the delta-ball of radius c centered at X."""
@@ -101,11 +109,8 @@ class ParabolicCylinder:
         return cylinder_measure(self.radius, self.dim)
 
     def contains(self, t, x) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        c = self.radius
-        x0 = self.center.x_array()
-        sdist = np.sqrt(((x - x0[None, :]) ** 2).sum(axis=-1))
+        t, x, c = np.asarray(t, dtype=float), _positions(x, self.dim), self.radius
+        sdist = np.sqrt(((x - self.center.x_array()) ** 2).sum(axis=-1))
         return (np.abs(t - self.center.t) < c * c) & (sdist < c)
 
 
@@ -137,8 +142,7 @@ class Box:
         return len(self.x_lo)
 
     def contains(self, t, x) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
+        t, x = np.asarray(t, dtype=float), _positions(x, self.dim)
         ok = (t >= self.t0) & (t <= self.t1)
         for j, (lo, hi) in enumerate(zip(self.x_lo, self.x_hi)):
             ok &= (x[..., j] >= lo) & (x[..., j] <= hi)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .campanato import campanato_from_pair_moments, ParabolicCylinder, SpaceTimePoint
 from .convolution import FieldEnsemble
-from .errors import ConfigError, EmptyCylinder, HolderLabError
+from .errors import ConfigError, EmptyCylinder, HolderLabError, PairOffGrid
 from .experiments import (
     SIMULATE_FIELDS,
     ExperimentConfig,
@@ -151,13 +151,17 @@ def _cmd_moments(args) -> int:
     lags = dyadic("--lag-k-min / --lag-k-max", args.lag_k_min, args.lag_k_max)
     seed = _resolve_seed(args) or 0
     ens = _read_ensemble(args, args.pairs * len(lags))
-    pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
+    try:
+        pairs = sample_pairs_dyadic(ens, lags, args.pairs, seed=seed)
+    except PairOffGrid as exc:
+        raise ConfigError(f"--lag-k-min / --lag-k-max: {exc}") from exc
     field = estimate_pair_moments(ens.differences(pairs), args.p)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    ps = field.pairs
+    ps, coords = field.pairs, ens.grid.axis()
     write_table(out / "moments.csv", ["t", "x", "s", "y", "delta", "estimate", "stderr"],
-                zip(ps.t1, ps.x1, ps.t2, ps.x2, ps.delta, field.estimates, field.stderr))
+                zip(ps.t_idx1 * ens.dt, coords[ps.s_idx1], ps.t_idx2 * ens.dt, coords[ps.s_idx2],
+                    ps.delta, field.estimates, field.stderr))
     write_json(out / "moments.json", field.to_dict())
     print(f"moment field written to {out / 'moments.csv'}")
     return EXIT_PASS

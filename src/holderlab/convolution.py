@@ -18,11 +18,12 @@ FieldEnsemble holds the (M, k) weights of the slabs before its last saved time i
 FieldEnsemble.save writes them, float64, to the ensemble's .bin.  Every consumer reads the field
 as pair differences u(X) - u(Y) = sum_k D_k w_k: _slab_differences builds, a chunk of lag
 symbols at a time, the table of D whose rows give their exact second moments and Monte Carlo
-values; a PairEnsemble holds it, w and the PairSet it was built for and forms D w^T a block
-of pairs at a time; the exact second moments are formed from the table only where they are
-read (SlabDifferences.second_moments).  g moves in
-time only in its zero mode, so the table factors its spectrum into one base spectrum and a
-shift per slab (_g_spectrum).  Realizations are pure functions of (seed, stream_index).
+values; a PairEnsemble holds it, w and the PairSet it was built for.  The estimator
+(moments.estimate_pair_moments) forms D w^T from them a block of pairs at a time; the exact
+second moments are formed from the table only where they are read (second_moment_pairs, the
+one exact oracle).  g moves in time only in its zero mode, so the table factors its spectrum
+into one base spectrum and a shift per slab (_g_spectrum).  Realizations are pure functions of
+(seed, stream_index).
 """
 
 from __future__ import annotations
@@ -213,15 +214,6 @@ class SlabDifferences:
             d[:b] -= self.profiles[y, b:0:-1] + self.shift[:b] * self.q0[b:0:-1]
         return out
 
-    def second_moments(self, noise: NoiseSpec) -> np.ndarray:
-        """E|u(X_n) - u(Y_n)|^2 = kappa2 sum_k D[n, k]^2 for independent centered slab weights
-        of variance kappa2 = slab_cumulant(noise, 2), PAIR_CHUNK elements at a time."""
-        squares = np.empty(self.members[0].size)
-        for lo, hi in even_blocks(squares.size, PAIR_CHUNK // max(self.shift.size, 1)):
-            rows = self.rows(slice(lo, hi))
-            squares[lo:hi] = np.einsum("nk,nk->n", rows, rows)
-        return slab_cumulant(noise, 2) * squares
-
 
 @dataclass
 class PairEnsemble:
@@ -231,16 +223,6 @@ class PairEnsemble:
     values: np.ndarray
     pairs: PairSet
     slab_differences: SlabDifferences
-
-    def difference_blocks(self, blocks=(slice(None),)):
-        """For each selection of pairs in blocks, (D[sel] w^T)^T, a new float64 (M, size) array
-        with the realization axis contiguous.  D[sel] lives only while its product is formed.
-        BLAS rounds the presets' lag blocks as their rows of the whole product; one row (a
-        matrix-vector kernel) or, at small M, a few rows can round differently."""
-        for sel in blocks:
-            prod = self.slab_differences.rows(sel) @ self.values.T
-            yield prod.T
-            del prod  # not held while the next block is formed
 
 
 def _whole(a, top: int, error) -> np.ndarray:
@@ -345,9 +327,12 @@ def _slab_differences(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpe
                            (idx1, rows[:idx1.size], idx2, rows[idx1.size:]))
 
 
-def second_moment_pairs(kernel: KernelSpec, grid: SpectralGrid, g: TestFunctionSpec,
-                        noise: NoiseSpec, idx1, pos1, idx2, pos2) -> np.ndarray:
-    """Exact second moments E|u(X) - u(Y)|^2 of the discretized field, no Monte Carlo, for
-    the D of _slab_differences (same arguments and checks), the table a PairEnsemble of
-    FieldEnsemble.differences holds."""
-    return _slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2).second_moments(noise)
+def second_moment_pairs(table: SlabDifferences, noise: NoiseSpec) -> np.ndarray:
+    """Exact second moments E|u(X_n) - u(Y_n)|^2 = kappa2 sum_k D[n, k]^2 of the discretized
+    field, no Monte Carlo, for independent centered slab weights of variance
+    kappa2 = slab_cumulant(noise, 2): from the table of D, PAIR_CHUNK elements at a time."""
+    squares = np.empty(table.members[0].size)
+    for lo, hi in even_blocks(squares.size, PAIR_CHUNK // max(table.shift.size, 1)):
+        rows = table.rows(slice(lo, hi))
+        squares[lo:hi] = np.einsum("nk,nk->n", rows, rows)
+    return slab_cumulant(noise, 2) * squares

@@ -36,10 +36,11 @@ import numpy as np
 from . import __version__
 from .campanato import Box, campanato_seminorm, embedding_exponent
 from .conditions import MESH_GRADING, ConditionProbe, audit_conditions, fit_exponent
-from .convolution import PAIR_CHUNK, Lattice, TestFunctionSpec, convolve_brownian, convolve_poisson
+from .convolution import (PAIR_CHUNK, Lattice, TestFunctionSpec, convolve_brownian,
+                          convolve_poisson, second_moment_pairs)
 from .errors import ConfigError, PairOffGrid, ThetaOutOfEmbeddingRange
 from .kernels import ALIAS_LOG, KernelSpec, SpectralGrid, physical_memory
-from .moments import estimate_pair_moments, lag_offsets, sample_pairs_dyadic
+from .moments import MIN_ENSEMBLE, estimate_pair_moments, lag_offsets, sample_pairs_dyadic
 from .noise import PATH_ARRAYS, JumpSpec, MarkLaw, NoiseSpec, event_block
 
 @dataclass
@@ -176,33 +177,34 @@ def _checked(hint, value, path):
     return value
 
 
-def _build_dataclass(cls, data, path="config"):
-    """Strict dict -> dataclass: unknown keys and mistyped or non-finite
-    values are errors, not warnings."""
+def _build_dataclass(base, data, path="config"):
+    """Strict dict -> a copy of the dataclass base with the dict's values, section by section:
+    unknown keys and mistyped or non-finite values are errors, not warnings."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(type(base))
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
         hint, where = hints[key], f"{path}.{key}"
-        kwargs[key] = (_build_dataclass(hint, value, where) if dataclasses.is_dataclass(hint)
-                       else _checked(hint, value, where))
+        kwargs[key] = (_build_dataclass(getattr(base, key), value, where)
+                       if dataclasses.is_dataclass(hint) else _checked(hint, value, where))
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path, simulate: bool = False) -> ExperimentConfig:
-    """The config a JSON file sets; a field its preset does not read (PRESET_FIELDS) is a
-    ConfigError naming the field and the preset.  With simulate, a regularity config may set
-    only what `holderlab simulate` reads (SIMULATE_FIELDS)."""
+    """The config a JSON file sets over its preset's default_config; a field its preset does
+    not read (PRESET_FIELDS) is a ConfigError naming the field and the preset.  With simulate, a
+    regularity config may set only what `holderlab simulate` reads (SIMULATE_FIELDS)."""
     with open(path) as fh:
         data = json.load(fh)
-    config = _build_dataclass(ExperimentConfig, data)
+    config = _build_dataclass(ExperimentConfig(), data)  # every value checked, the preset's too
+    config = _build_dataclass(default_config(config.experiment), data)
     reads, reader = PRESET_FIELDS[config.experiment], f"the {config.experiment} preset"
     if simulate and config.experiment in SIMULATE_FIELDS:
         reads, reader = SIMULATE_FIELDS[config.experiment], "holderlab simulate"
@@ -469,14 +471,15 @@ def _spec(path: str, cls, *args, **kwargs):
 def build_regularity(config: ExperimentConfig) -> RegularityPieces:
     """Turn a regularity config into pipeline pieces, for the presets and
     the CLI alike, without running quadrature or allocating arrays.  What
-    the pipeline cannot honour (kernel.dim != 1, no realizations, a moment order below 1,
-    no lags, lags finer than the lattice or too wide for it, a value a spec rejects) raises
-    ConfigError naming the field."""
+    the pipeline cannot honour (kernel.dim != 1, fewer than the MIN_ENSEMBLE realizations the
+    moment estimates need, a moment order below 1, no lags, lags finer than the lattice or
+    too wide for it, a value a spec rejects) raises ConfigError naming the field."""
     kc, sim, mom, nc = config.kernel, config.simulation, config.moments, config.noise
     if kc.dim != 1:
         raise ConfigError(f"config.kernel.dim: the regularity presets are 1-D, got {kc.dim}")
-    if sim.ensemble < 1:
-        raise ConfigError(f"config.simulation.ensemble: need a realization, got {sim.ensemble}")
+    if sim.ensemble < MIN_ENSEMBLE:
+        raise ConfigError(f"config.simulation.ensemble: the moment estimates need at least "
+                          f"{MIN_ENSEMBLE} realizations, got {sim.ensemble}")
     if not mom.p >= 1.0:
         raise ConfigError(f"config.moments.p: the moment order must be >= 1, got {mom.p}")
     kernel = _spec("config.kernel", KernelSpec, alpha=kc.alpha, epsilon=kc.epsilon, dim=1)
@@ -530,7 +533,7 @@ def _run_regularity(config: ExperimentConfig, progress: Stages):
     values = pieces.simulate(config.simulation.ensemble).differences(pairs)
     # exact, from the simulation's slab differences; formed before the estimate: formed after
     # it, the brownian preset's peak RSS rose from 57.3 to 58.0 MiB (perfbench, seed 2024)
-    oracle = values.slab_differences.second_moments(pieces.noise) if mom.p == 2.0 else None
+    oracle = second_moment_pairs(values.slab_differences, pieces.noise) if mom.p == 2.0 else None
     progress.enter("moments")
     mfield = estimate_pair_moments(values, mom.p)
     per_lag = []

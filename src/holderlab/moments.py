@@ -3,11 +3,11 @@
 Pair subsampling replaces the full double integral over a cylinder by
 uniform pairs (unbiased for the pairwise average); the dyadic-lag rule
 places pairs at controlled parabolic separations for scaling fits.
-Pairs depend only on the saved lattice, so they can be drawn before simulating;
-the estimator takes the PairEnsemble built for them (FieldEnsemble.differences(pairs)), which
-holds the PairSet, and reads u(X) - u(Y) = D w^T from it one block of at most PAIR_CHUNK // M
-pairs of a requested lag, or of within-cylinder pairs, at a time, so no (M, pairs) array is
-ever whole.  The lattice, like the field, is 1-D.
+Pairs are lattice indices and depend only on the saved lattice, so they can be drawn before
+simulating.  FieldEnsemble.differences(pairs) builds their PairEnsemble, which holds the PairSet,
+the table of slab differences D and the slab weights w; the estimator forms u(X) - u(Y) = D w^T
+from it one block of at most PAIR_CHUNK // M pairs of a requested lag, or of within-cylinder
+pairs, at a time, so no (M, pairs) array is ever whole.  The lattice, like the field, is 1-D.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ MIN_ENSEMBLE = 30
 class PairSet:
     """Space-time point pairs addressed by ensemble lattice indices.
 
-    time index = position on the full time lattice (units of dt);
-    space index = position in the ascending spatial lattice.
-    t1, x1, t2, x2 are the members' times and lattice coordinates, shape (n,).
-    delta is the parabolic distance of each pair, requested_delta the
+    time index = position on the full time lattice (units of dt), so a member's time is
+    t_idx * dt; space index = position in the ascending spatial lattice, so its coordinate is
+    grid.axis()[s_idx].  delta is the parabolic distance of each pair, requested_delta the
     target lag for dyadic-lag sampling (NaN for within-cylinder pairs).
     """
 
@@ -40,16 +39,19 @@ class PairSet:
     s_idx1: np.ndarray
     t_idx2: np.ndarray
     s_idx2: np.ndarray
-    t1: np.ndarray
-    x1: np.ndarray
-    t2: np.ndarray
-    x2: np.ndarray
     delta: np.ndarray
     requested_delta: np.ndarray
 
     @property
     def size(self) -> int:
         return self.t_idx1.size
+
+    @classmethod
+    def on(cls, lattice: Lattice, t_idx1, s_idx1, t_idx2, s_idx2, requested_delta) -> "PairSet":
+        """The pairs of these indices on lattice, with the parabolic distance of each."""
+        dt, x = lattice.dt, lattice.grid.axis()
+        delta = parabolic_distance(t_idx1 * dt, x[s_idx1], t_idx2 * dt, x[s_idx2])
+        return cls(t_idx1, s_idx1, t_idx2, s_idx2, delta, requested_delta)
 
     @classmethod
     def concatenate(cls, sets) -> "PairSet":
@@ -118,14 +120,16 @@ def estimate_pair_moments(ensemble, p: float) -> MomentField:
     M = ensemble.values.shape[0]
     if M < MIN_ENSEMBLE:
         raise EnsembleTooSmall(f"need M >= {MIN_ENSEMBLE}, got {M}")
-    pairs = ensemble.pairs
+    pairs, table, w = ensemble.pairs, ensemble.slab_differences, ensemble.values
     est, err, by_lag, sums = np.empty(pairs.size), np.empty(pairs.size), {}, {}
     blocks = _pair_blocks(pairs, M)
     last = {lag: b for b, (_, lag) in enumerate(blocks)}
-    diffs = ensemble.difference_blocks([sel for sel, _ in blocks])
     with np.errstate(over="ignore", invalid="ignore"):
         for b, (sel, lag) in enumerate(blocks):
-            powed = next(diffs)
+            # u(X) - u(Y), (M, block) with the realizations contiguous, D[sel] alive only for the
+            # product; BLAS rounds the presets' lag blocks as their rows of the whole product,
+            # while one row (a matrix-vector kernel) or, at small M, a few can round differently
+            powed = (table.rows(sel) @ w.T).T
             np.abs(powed, out=powed)
             powed **= p
             if lag is not None:  # its pairs' |u(X) - u(Y)|^p added one at a time, in pair order
@@ -174,14 +178,8 @@ def sample_pairs_within_cylinder(lattice: Lattice, cylinder: ParabolicCylinder,
     rng = keyed_rng(seed, 0xC1)
     ti = lattice.time_indices[rng.choice(ok_t, 2 * count)]
     xi = rng.choice(ok_x, 2 * count)
-    t_idx1, t_idx2 = ti[:count], ti[count:]
-    s_idx1, s_idx2 = xi[:count], xi[count:]
-    t1, t2 = t_idx1 * lattice.dt, t_idx2 * lattice.dt
-    coords = lattice.grid.axis()
-    x1, x2 = coords[s_idx1], coords[s_idx2]
-    delta = parabolic_distance(t1, x1, t2, x2)
-    return PairSet(t_idx1, s_idx1, t_idx2, s_idx2, t1, x1, t2, x2,
-                   delta, np.full(count, np.nan))
+    return PairSet.on(lattice, ti[:count], xi[:count], ti[count:], xi[count:],
+                      np.full(count, np.nan))
 
 
 def sample_pairs_dyadic(lattice: Lattice, lags, count: int, seed: int = 0) -> PairSet:
@@ -223,10 +221,5 @@ def sample_pairs_dyadic(lattice: Lattice, lags, count: int, seed: int = 0) -> Pa
             i, j = int(rng.choice(saved)), int(rng.integers(lo, hi - spacings))
             rows.append((i, j, i, j + spacings))
 
-    ti1, si1, ti2, si2 = np.array(rows, dtype=int).reshape(-1, 4).T.copy()
-    coords = lattice.grid.axis()
-    t1, t2 = ti1 * dt, ti2 * dt
-    x1, x2 = coords[si1], coords[si2]
-    delta = parabolic_distance(t1, x1, t2, x2)
-    return PairSet(ti1, si1, ti2, si2, t1, x1, t2, x2, delta,
-                   np.repeat(np.asarray(lags, dtype=float), count))
+    return PairSet.on(lattice, *np.array(rows, dtype=int).reshape(-1, 4).T.copy(),
+                      np.repeat(np.asarray(lags, dtype=float), count))

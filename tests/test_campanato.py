@@ -69,6 +69,24 @@ def test_domain_validation_and_geometry():
         d.intersection_measure(ParabolicCylinder(SpaceTimePoint(0.5, [0.5, 0.5]), 0.1))
 
 
+def test_contains_takes_positions_of_shape_n_by_dim_only():
+    # a 1-D array of positions was read as one point per axis: Box(0, 1, [0], [1]) said
+    # [True, True, True] for x = [0.5, 2.0, -1.0]
+    t = np.full(3, 0.5)
+    square = Box(0, 1, [0, 0], [1, 1])
+    cylinder = ParabolicCylinder(SpaceTimePoint(0.5, [0.5]), 0.2)
+    for region, bad in [(UNIT_BOX, [0.5, 2.0, -1.0]), (cylinder, [0.5, 2.0, -1.0]),
+                        (UNIT_BOX, [[0.5, 0.5]] * 3), (square, [[0.5]] * 3),
+                        (cylinder, [[[0.5]]] * 3)]:
+        with pytest.raises(DimensionMismatch, match=r"are not \(n, "):
+            region.contains(t, bad)
+    xs = np.array([[0.5], [2.0], [-1.0]])
+    assert UNIT_BOX.contains(t, xs).tolist() == [True, False, False]
+    assert cylinder.contains(t, xs).tolist() == [True, False, False]
+    assert square.contains(t, [[0.5, 0.5], [0.5, 1.5], [0.0, 1.0]]).tolist() == [True, False,
+                                                                                  True]
+
+
 def test_intersection_measure_interior_and_corner():
     # |D cap Q| / |Q|: 1 for an interior cylinder, 1/4 at a space-time corner
     def ratio(X, rho):

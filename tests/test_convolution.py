@@ -44,6 +44,17 @@ POISSON = NoiseSpec(kind="poisson", horizon=1.0, steps=128, seed=9,
                                   mark=MarkLaw("two-sided-exponential", 1.0)))
 
 
+def _oracle(kernel, grid, g, noise, idx1, pos1, idx2, pos2):
+    """The exact second moments of these pair members: second_moment_pairs of their table."""
+    table = convolution._slab_differences(kernel, grid, g, noise, idx1, pos1, idx2, pos2)
+    return second_moment_pairs(table, noise)
+
+
+def _differences(held):
+    """u(X) - u(Y) of every pair of a PairEnsemble, (M, pairs), as the estimator forms a block."""
+    return (held.slab_differences.rows() @ held.values.T).T
+
+
 def test_g_family_validation():
     with pytest.raises(ValueError):
         TestFunctionSpec(beta=1.2)
@@ -129,7 +140,7 @@ def test_ito_isometry_oracle_vs_monte_carlo(simulate):
     i2 = rng.choice(saved, 10)
     j1 = rng.integers(64, 192, 10)
     j2 = rng.integers(64, 192, 10)
-    oracle = second_moment_pairs(KERNEL, GRID, g, BROWNIAN, i1, j1, i2, j2)
+    oracle = _oracle(KERNEL, GRID, g, BROWNIAN, i1, j1, i2, j2)
     pos = {i: k for k, i in enumerate(saved)}
     for n in range(10):
         d = (values[:, pos[i1[n]], j1[n]] - values[:, pos[i2[n]], j2[n]])
@@ -157,8 +168,7 @@ def test_poisson_oracle_matches(simulate):
     g = TestFunctionSpec(beta=0.5)
     M = 2500
     _, values = simulate(convolve_poisson, KERNEL, GRID, g, POISSON, M=M, save_times=[64, 128])
-    oracle = second_moment_pairs(KERNEL, GRID, g, POISSON,
-                                 [128], [130], [64], [150])
+    oracle = _oracle(KERNEL, GRID, g, POISSON, [128], [130], [64], [150])
     d = values[:, 1, 130] - values[:, 0, 150]
     mc = (d**2).mean()
     se = (d**2).std() / math.sqrt(M)
@@ -288,7 +298,7 @@ def test_the_field_is_one_dimensional(kernel_dim, grid_dim):
     pairs = ([64], [3], [0], [3])
     calls = [lambda: convolve_brownian(kernel, grid, g, BROWNIAN, M=2, save_times=[0, 64]),
              lambda: convolve_poisson(kernel, grid, g, POISSON, M=2, save_times=[0, 64]),
-             lambda: second_moment_pairs(kernel, grid, g, BROWNIAN, *pairs)]
+             lambda: _oracle(kernel, grid, g, BROWNIAN, *pairs)]
     for call in calls:
         with pytest.raises(GridMismatch, match="the field is 1-D"):
             call()
@@ -447,7 +457,7 @@ def test_oracle_profiles_match_per_time_cache(case):
     args = [np.append(a, a[0]) for a in
             (pairs.t_idx1, pairs.s_idx1, pairs.t_idx2, pairs.s_idx2)]
     args[0][-1] = 0
-    got = second_moment_pairs(kernel, grid, g, noise, *args)
+    got = _oracle(kernel, grid, g, noise, *args)
     ref = _reference_second_moments(kernel, grid, g, noise, *args)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -455,9 +465,9 @@ def test_oracle_profiles_match_per_time_cache(case):
 def test_oracle_rejects_indices_off_the_lattice():
     g = TestFunctionSpec(beta=0.5)
     ok = ([64], [100], [32], [120])
-    assert second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *ok)[0] > 0.0
-    assert second_moment_pairs(KERNEL, GRID, g, BROWNIAN, [64.0], [100.0], [32], [120]) == \
-        second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *ok)
+    assert _oracle(KERNEL, GRID, g, BROWNIAN, *ok)[0] > 0.0
+    assert _oracle(KERNEL, GRID, g, BROWNIAN, [64.0], [100.0], [32], [120]) == \
+        _oracle(KERNEL, GRID, g, BROWNIAN, *ok)
     for which, bad, error in [(0, BROWNIAN.steps + 1, GridMismatch), (2, -1, GridMismatch),
                               (1, GRID.points, PairOffGrid), (3, -1, PairOffGrid),
                               (0, 64.7, GridMismatch), (2, np.nan, GridMismatch),
@@ -465,7 +475,7 @@ def test_oracle_rejects_indices_off_the_lattice():
         args = [list(a) for a in ok]
         args[which] = [bad]
         with pytest.raises(error):
-            second_moment_pairs(KERNEL, GRID, g, BROWNIAN, *args)
+            _oracle(KERNEL, GRID, g, BROWNIAN, *args)
 
 
 def _pair_set(t1, s1, t2, s2):
@@ -496,13 +506,13 @@ def test_pair_differences_equal_the_per_time_oracle(case):
     pairs = (t1, s1, t2, s2)
     held = ens.differences(_pair_set(*pairs))
     assert isinstance(held, PairEnsemble) and held.values.shape == (5, last)
-    [got] = held.difference_blocks()
+    got = _differences(held)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert not got[:, -2:].any()
     assert got.shape == (5, t1.size) and got.strides[0] == got.itemsize  # realizations inner
     # the same D gives the exact second moments
-    assert np.array_equal(held.slab_differences.second_moments(noise),
-                          second_moment_pairs(kernel, grid, g, noise, *pairs))
+    assert np.array_equal(second_moment_pairs(held.slab_differences, noise),
+                          _oracle(kernel, grid, g, noise, *pairs))
 
 
 @pytest.mark.parametrize("route", ["simulated", "loaded"])
@@ -524,8 +534,7 @@ def test_pair_differences_reject_pairs_off_the_saved_lattice(tmp_path, route):
 
     held = run([64, 64.0, 0], [3, 200, 255])
     assert held.values.shape == (2, 64)
-    [diff] = held.difference_blocks()
-    assert diff.any()
+    assert _differences(held).any()
     for t, s, error in [([32], [3], GridMismatch),  # on the lattice but not saved
                         ([64.5], [3], GridMismatch), ([BROWNIAN.steps + 1], [3], GridMismatch),
                         ([-1], [3], GridMismatch), ([np.nan], [3], GridMismatch),
@@ -618,10 +627,10 @@ def test_loaded_ensemble_gives_the_simulated_pair_differences_bit_for_bit(tmp_pa
     loaded = dataclasses.replace(FieldEnsemble.load(str(tmp_path / "ens")), g=g)
     loaded = loaded.differences(pairs)
     assert held.pairs is pairs and loaded.pairs is pairs
-    [want], [got] = held.difference_blocks(), loaded.difference_blocks()
+    want, got = _differences(held), _differences(loaded)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(loaded.slab_differences.second_moments(noise),
-                          held.slab_differences.second_moments(noise))
+    assert np.array_equal(second_moment_pairs(loaded.slab_differences, noise),
+                          second_moment_pairs(held.slab_differences, noise))
 
 
 @pytest.mark.parametrize("M", [40, 2000])
@@ -707,6 +716,5 @@ def test_slab_difference_rows_are_the_gathered_profile_table_bit_for_bit(preset)
         assert np.array_equal(table.rows(sel).view(np.uint64), want[sel].view(np.uint64))
     assert not want[-1].any()  # time index 0 twice: no slab
     k2 = slab_cumulant(pieces.noise, 2)
-    assert np.array_equal(second_moment_pairs(pieces.kernel, pieces.grid, pieces.g,
-                                              pieces.noise, *args),
+    assert np.array_equal(second_moment_pairs(table, pieces.noise),
                           k2 * np.einsum("nk,nk->n", want, want))

@@ -107,6 +107,22 @@ def test_default_configs_exist():
         assert cfg.seed == 1
 
 
+@pytest.mark.parametrize("preset", experiments.PRESETS)
+def test_a_config_file_starts_from_its_presets_defaults(tmp_path, preset):
+    # {"experiment": P} runs what --preset P runs, and simulates what --kind-preset P does
+    path = _write(tmp_path, {"experiment": preset})
+    assert load_config(path) == default_config(preset)
+    if preset in experiments.SIMULATE_FIELDS:
+        assert load_config(path, simulate=True) == default_config(preset)
+
+
+def test_a_config_file_replaces_only_the_fields_it_sets(tmp_path):
+    cfg = load_config(_write(tmp_path, {"experiment": "poisson-regularity", "seed": 4,
+                                        "kernel": {"epsilon": 0.1}}))
+    assert cfg == dataclasses.replace(default_config("poisson-regularity", seed=4),
+                                      kernel=experiments.KernelConfig(alpha=1.5, epsilon=0.1))
+
+
 def test_kernel_audit_small(tmp_path):
     cfg = load_config(_write(tmp_path, SMALL_AUDIT))
     report = run_experiment(cfg, out_dir=tmp_path / "out")
@@ -293,6 +309,9 @@ BAD_REGULARITY = {
                          "config.moments.lag_k_min: lag 4.14952e+180 spans the time inf"),
     "lag-finer-than-lattice": (_with(SIM_BROWNIAN, "moments", lag_k_max=40),
                                "config.moments.lag_k_max: lag 0.03125 spans 0.25 time steps"),
+    "ensemble-below-the-estimates-floor": (
+        _with(SIM_BROWNIAN, "simulation", ensemble=10),
+        "config.simulation.ensemble: the moment estimates need at least 30 realizations, got 10"),
 }
 
 
@@ -332,11 +351,13 @@ def test_cli_config_error_exit_two(tmp_path, monkeypatch, capsys, command, bad):
     (_with(SMALL_BROWNIAN, "moments", pairs_per_lag=0), "config.moments.pairs_per_lag"),
     (_with(SMALL_BROWNIAN, "moments", pairs_per_lag=1), "config.moments.pairs_per_lag"),
     (_with(SMALL_BROWNIAN, "moments", lag_k_max=3), "config.moments: lag_k_min 1"),
+    (_with(SMALL_POISSON, "simulation", ensemble=29), "config.simulation.ensemble"),
 ], ids=["embed-dim-3", "embed-p-half", "embed-no-centers", "audit-alpha-3", "audit-no-betas",
         "sweep-alpha-3", "regularity-three-lags", "embed-no-scales", "embed-scale-underflows",
         "audit-lag-overflows", "audit-s-base-underflows", "mark-variance-underflows",
         "regularity-lag-finer-than-lattice", "sweep-two-betas",
-        "regularity-no-pairs", "regularity-one-pair-per-lag", "regularity-three-moment-lags"])
+        "regularity-no-pairs", "regularity-one-pair-per-lag", "regularity-three-moment-lags",
+        "regularity-ensemble-below-the-estimates-floor"])
 def test_preset_config_error_exit_two_with_marker(tmp_path, capsys, config, field):
     path = _write(tmp_path, config)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -711,13 +732,15 @@ def test_cli_simulate_moments_seminorm_chain(tmp_path, capsys):
     assert side["shape"] == [SMALL_BROWNIAN["simulation"]["ensemble"], len(pieces.saved),
                              SMALL_BROWNIAN["simulation"]["grid_points"]]
     # lag 4 spans 256 spacings of h = 1/64: wider than the central window; from 2^-5 on, the
-    # lags span under half a time step of 1/256: finer than the lattice
+    # lags span under half a time step of 1/256: finer than the lattice.  Either is a flag error
     capsys.readouterr()
     for k_min, k_max, message in (("-2", "1", "lag 4 spans 256 lattice spacings"),
-                                  ("1", "40", "lag 0.03125 spans 0.25 time steps")):
+                                  ("1", "40", "lag 0.03125 spans 0.25 time steps"),
+                                  ("1", "6", "lag 0.03125 spans 0.25 time steps")):
         assert main(["moments", "--ensemble", str(tmp_path / "ensemble"), "--lag-k-min",
-                     k_min, "--lag-k-max", k_max, "--out", str(tmp_path)]) == 3
-        assert f"PairOffGrid: {message}" in capsys.readouterr().err
+                     k_min, "--lag-k-max", k_max, "--out", str(tmp_path)]) == 2
+        assert (f"config error: --lag-k-min / --lag-k-max: {message}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "moments.csv").exists()
     assert main(["moments", "--ensemble", str(tmp_path / "ensemble"),
                  "--lag-k-min", "1", "--lag-k-max", "4", "--pairs", "32",
@@ -777,6 +800,14 @@ def test_cli_moments_are_the_presets_pair_route_bit_for_bit(tmp_path, config):
     assert all(np.isfinite(json.loads((tmp_path / "seminorm.json").read_text())["per_scale"]))
 
 
+def _patch_oracle(monkeypatch, replacement):
+    """second_moment_pairs replaced by replacement wherever a holderlab module binds it."""
+    original = convolution.second_moment_pairs
+    for name, module in list(sys.modules.items()):
+        if name.startswith("holderlab") and getattr(module, "second_moment_pairs", 0) is original:
+            monkeypatch.setattr(module, "second_moment_pairs", replacement)
+
+
 def test_cli_chain_never_forms_the_exact_second_moments(tmp_path, monkeypatch):
     # moments and seminorm write Monte Carlo values only, so neither makes the pass over the
     # rows of D that the exact second moments take
@@ -786,7 +817,7 @@ def test_cli_chain_never_forms_the_exact_second_moments(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the exact second moments were formed")
 
-    monkeypatch.setattr(convolution.SlabDifferences, "second_moments", refuse)
+    _patch_oracle(monkeypatch, refuse)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert main(["moments", "--ensemble", prefix, "--lag-k-max", "4", "--pairs", "16",
                  "--out", str(tmp_path)]) == 0
@@ -799,9 +830,8 @@ def test_regularity_forms_the_oracle_before_the_estimate_and_only_at_p_2(tmp_pat
     # the exact second moments are formed, at p = 2 only, between the pair ensemble and the
     # Monte Carlo estimate, while no block of the estimate is alive
     events = []
-    oracle = convolution.SlabDifferences.second_moments
-    monkeypatch.setattr(convolution.SlabDifferences, "second_moments",
-                        lambda *a: events.append("oracle") or oracle(*a))
+    oracle = convolution.second_moment_pairs
+    _patch_oracle(monkeypatch, lambda *a: events.append("oracle") or oracle(*a))
     monkeypatch.setattr(experiments, "estimate_pair_moments",
                         lambda *a: events.append("estimate") or estimate_pair_moments(*a))
     config = _with(SMALL_BROWNIAN, "moments", p=p)
@@ -1230,6 +1260,7 @@ def test_regularity_preset_runs_under_the_benchmark_tracer(tmp_path, monkeypatch
     names = [s[0] for s in t.spans]
     assert names.count("convolution.convolve") == 1
     assert names.count("moments.estimate") == 1
+    assert names.count("convolution.oracle") == 1
     layers = t.summary(config["experiment"])
     n_pairs = config["moments"]["pairs_per_lag"] * len(pieces.lags)
     M = config["simulation"]["ensemble"]
@@ -1240,7 +1271,7 @@ def test_regularity_preset_runs_under_the_benchmark_tracer(tmp_path, monkeypatch
     k = int(max(pairs.t_idx1.max(), pairs.t_idx2.max()))
     assert layers["convolution.ensemble_bytes"] == M * k * 8  # the slab weights the pairs read
     assert layers["moments.pairs"] == n_pairs
-    assert layers["convolution.oracle_pairs"] == 0  # the oracle comes with the pair values
+    assert layers["convolution.oracle_pairs"] == n_pairs  # the preset's p = 2 oracle
     assert len(built) == 1
 
 
@@ -1265,8 +1296,7 @@ def test_lattice_pairs_equal_pairs_drawn_from_the_simulated_ensemble(tmp_path):
     ens = pieces.simulate(2, sink=str(tmp_path / "ensemble"))
     a = sample_pairs_dyadic(pieces.lattice, pieces.lags, 48, seed=cfg.seed)
     b = sample_pairs_dyadic(ens, pieces.lags, 48, seed=cfg.seed)
-    for name in ("t_idx1", "s_idx1", "t_idx2", "s_idx2", "t1", "x1", "t2", "x2",
-                 "delta", "requested_delta"):
+    for name in ("t_idx1", "s_idx1", "t_idx2", "s_idx2", "delta", "requested_delta"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 

@@ -46,6 +46,12 @@ def _estimate(ens, pairs, p):
     return estimate_pair_moments(ens.differences(pairs), p)
 
 
+def _differences(held, sel=slice(None)):
+    """u(X) - u(Y) of the selected pairs of a PairEnsemble, (M, size), as the estimator forms
+    each block."""
+    return (held.slab_differences.rows(sel) @ held.values.T).T
+
+
 def test_identical_points_give_zero(unit_ensemble):
     pairs = sample_pairs_dyadic(unit_ensemble, [0.25], 16, seed=3)
     pairs.t_idx2[:] = pairs.t_idx1
@@ -86,8 +92,8 @@ def test_unit_g_fourth_moment(unit_ensemble):
 
 def _swapped(pairs):
     """pairs with the two members of each exchanged."""
-    return PairSet(pairs.t_idx2, pairs.s_idx2, pairs.t_idx1, pairs.s_idx1, pairs.t2, pairs.x2,
-                   pairs.t1, pairs.x1, pairs.delta, pairs.requested_delta)
+    return PairSet(pairs.t_idx2, pairs.s_idx2, pairs.t_idx1, pairs.s_idx1, pairs.delta,
+                   pairs.requested_delta)
 
 
 def test_symmetry_exact(unit_ensemble):
@@ -178,7 +184,8 @@ def test_within_cylinder_constraints(unit_ensemble):
     c = 0.25
     cyl = ParabolicCylinder(SpaceTimePoint(0.5, [0.0]), c)
     pairs = sample_pairs_within_cylinder(unit_ensemble, cyl, 200, seed=11)
-    dt_gap = np.abs(pairs.t1 - pairs.t2)
+    dt = unit_ensemble.dt
+    dt_gap = np.abs(pairs.t_idx1 * dt - pairs.t_idx2 * dt)
     assert np.all(pairs.delta <= 2.0 * c + 1e-12)
     assert np.all(dt_gap <= 2.0 * c * c + 1e-12)
 
@@ -212,7 +219,7 @@ def test_dyadic_draw_order_is_pinned():
     assert pairs.s_idx2.tolist() == [7, 4, 9, 8, 10, 10, 11, 11, 8, 8, 6, 10, 7, 8, 9]
     assert pairs.requested_delta.tolist() == [0.5] * 5 + [0.375] * 5 + [0.25] * 5
     assert np.array_equal(pairs.delta, pairs.requested_delta)
-    assert pairs.x1.shape == (15,)
+    assert lattice.grid.axis()[pairs.s_idx1].shape == (15,)
 
 
 def test_pair_seeds_are_taken_modulo_two_to_the_64():
@@ -265,8 +272,6 @@ def test_triangle_consistency_p2(unit_ensemble):
     def est(a, b):
         pairs = moments.PairSet(
             np.array([a[0]]), np.array([a[1]]), np.array([b[0]]), np.array([b[1]]),
-            np.array([a[0] * ens.dt]), np.array([0.0]),
-            np.array([b[0] * ens.dt]), np.array([0.0]),
             np.array([0.0]), np.array([np.nan]))
         field = _estimate(ens, pairs, 2.0)
         return field.estimates[0], field.stderr[0]
@@ -333,8 +338,8 @@ def test_in_place_reduction_is_numpys_mean_and_std_bit_for_bit(tmp_path, monkeyp
     blocks = moments._pair_blocks(pairs, M)
     assert [lag for _, lag in blocks] == [0.125] * 4 + [0.25] * 4 + [None] * 3
     got = estimate_pair_moments(ens, p)
-    for (sel, _), diff in zip(blocks, ens.difference_blocks([s for s, _ in blocks])):
-        powed = np.abs(diff) ** p
+    for sel, _ in blocks:
+        powed = np.abs(_differences(ens, sel)) ** p
         assert np.array_equal(got.estimates[sel], np.mean(powed, axis=0))
         assert np.array_equal(got.stderr[sel], np.std(powed, axis=0, ddof=1) / np.sqrt(M))
 
@@ -358,8 +363,8 @@ def test_a_lag_split_over_blocks_keeps_its_realization_stderr_and_overflow(monke
     g = TestFunctionSpec(beta=0.5)
     held = convolve_brownian(KERNEL, GRID, g, NOISE, M, saved).differences(pairs)
     whole = np.empty((pairs.size, M)).T  # realization axis contiguous
-    for (sel, _), diff in zip(blocks, held.difference_blocks([s for s, _ in blocks])):
-        whole[:, sel] = diff
+    for sel, _ in blocks:
+        whole[:, sel] = _differences(held, sel)
     for p in (1.0, 2.0, 3.5):
         got = estimate_pair_moments(held, p)
         for lag in (0.25, 0.125):
@@ -391,8 +396,7 @@ def test_a_lag_mean_overflowing_alone_is_moment_overflow():
     one, other = np.ones(pairs.size, int), np.zeros(pairs.size, int)
     table = SlabDifferences(np.ones((1, 2)), np.zeros(2), np.zeros(1), (one, other, other, other))
     held = PairEnsemble(np.full((M, 1), 2.0**508), pairs, table)
-    [diff] = held.difference_blocks()
-    assert np.all(diff == 2.0**508)
+    assert np.all(_differences(held) == 2.0**508)
     with pytest.raises(MomentOverflow, match="not finite"):
         estimate_pair_moments(held, 2.0)
 
@@ -443,7 +447,7 @@ def test_realization_stderr_is_the_spread_of_per_realization_lag_means():
     held = ens.differences(pairs)
     field = estimate_pair_moments(held, 2.0)
     assert sorted(field.realization_stderr) == sorted(lags)
-    [diff] = held.difference_blocks()
+    diff = _differences(held)
     for lag in lags:
         sel = pairs.requested_delta == lag
         lag_means = (diff[:, sel] ** 2).mean(axis=1)  # one lag mean per realization
